@@ -25,7 +25,6 @@ from .errors import AccuracyError, DomainError
 from .fading import (
     FadingModel,
     Kind,
-    MgfFactorization,
     canonicalize,
     cdf,
     cdf_grid,
@@ -33,7 +32,6 @@ from .fading import (
     laplace_image,
     linear_to_db,
     mgf,
-    mgf_factorization,
     model_from_json,
     model_to_json,
     mrc_combine,
@@ -56,16 +54,9 @@ from .oracles import McConfig, mc_aber, mc_opsc, quad_imgf
 from .specfun import (
     AccuracyBudget,
     DEFAULT_ACCURACY,
-    Phi2Args,
-    Phi3Args,
-    exp_integral_ei,
     kummer_1f1,
     marcum_p,
     marcum_q,
-    phi2,
-    phi3,
-    reg_lower_gamma,
-    reg_upper_gamma,
 )
 
 __version__ = "0.1.0"

@@ -13,8 +13,11 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
-from . import apps, fading, incomplete, laplace, mixture, oracles
+from scipy.special import chndtr
+
+from . import apps, fading, incomplete, laplace, mixture, oracles, specfun
 from .errors import AccuracyError, DomainError
 from .fading import FadingModel, model_from_json
 
@@ -23,8 +26,6 @@ __all__ = ["main", "run_sweep", "selfcheck", "PRESETS"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_METRICS = ("imgf", "opsc", "spsc", "eps-capacity", "op-interference", "capacity", "aber")
 
 
 # ---------------------------------------------------------------------------
@@ -38,17 +39,12 @@ def _load_json_arg(text: str) -> dict:
     return json.loads(text)
 
 
-def _model_from_flags(args, prefix: str = "") -> FadingModel:
-    obj = {"kind": getattr(args, prefix + "model")}
-    for name in ("kappa", "mu", "m", "eta", "K", "q"):
-        val = getattr(args, prefix + name, None)
-        if val is not None:
-            obj[name] = val
-    if getattr(args, prefix + "mean_snr_db", None) is not None:
-        obj["mean_snr_db"] = getattr(args, prefix + "mean_snr_db")
-    if getattr(args, prefix + "mean_snr", None) is not None:
-        obj["mean_snr"] = getattr(args, prefix + "mean_snr")
-    return model_from_json(obj)
+def _model_json_from_flags(args) -> dict:
+    obj = {"kind": args.model}
+    for name in ("kappa", "mu", "m", "eta", "K", "q", "mean_snr_db", "mean_snr"):
+        if getattr(args, name) is not None:
+            obj[name] = getattr(args, name)
+    return obj
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -89,64 +85,71 @@ def _axis_values(axis: dict) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _eval_metric(metric: str, fixed: dict) -> float:
-    if metric == "imgf":
-        model = model_from_json(fixed["model"])
-        q = incomplete.ImgfQuery(s=float(fixed["s"]), zeta=float(fixed["zeta"]),
-                                 tail=fixed.get("tail", "lower"),
-                                 deriv_order=int(fixed.get("deriv_order", 0)))
-        return incomplete.evaluate(model, q)
-    if metric in ("opsc", "spsc"):
-        sc = apps.SecrecyScenario(
-            bob=model_from_json(fixed["bob"]), eve=model_from_json(fixed["eve"]),
-            rate_rs=0.0 if metric == "spsc" else float(fixed.get("rate_rs", 0.0)),
-            n_eve_antennas=int(fixed.get("n_eve_antennas", 1)))
-        return apps.opsc(sc)
-    if metric == "eps-capacity":
-        sc = apps.SecrecyScenario(
-            bob=model_from_json(fixed["bob"]), eve=model_from_json(fixed["eve"]),
-            n_eve_antennas=int(fixed.get("n_eve_antennas", 1)))
-        val = apps.eps_outage_capacity(sc, float(fixed["epsilon"]))
-        if fixed.get("normalize"):
-            val /= math.log2(1.0 + sc.bob.mean_snr)
-        return val
-    if metric == "op-interference":
-        return apps.outage_interference(
-            model_from_json(fixed["desired"]), model_from_json(fixed["interference"]),
-            float(fixed["gamma_th"]))
-    if metric == "capacity":
-        sc = apps.CapacityScenario(channel=model_from_json(fixed["channel"]),
-                                   cutoff_snr=fixed.get("cutoff_snr"))
-        return apps.capacity_side_info(sc)
-    if metric == "aber":
-        scheme = apps.AdaptiveModScheme(thresholds=tuple(fixed["thresholds"]),
-                                        bits_per_region=tuple(fixed["bits_per_region"]))
-        return apps.aber_adaptive(model_from_json(fixed["channel"]), scheme)
-    raise DomainError(f"unknown metric {metric!r}")
+# ---------------------------------------------------------------------------
+# metric registry: every subcommand and sweep evaluates through it
+# ---------------------------------------------------------------------------
+
+class _Metric(NamedTuple):
+    evaluate: Callable[[dict], float]
+    mc: Callable[[dict, oracles.McConfig], tuple[float, float]] | None = None
 
 
-def _eval_mc(metric: str, fixed: dict, validate: dict):
-    cfg = oracles.McConfig(n_samples=int(validate.get("n_samples", 1_000_000)),
-                           seed=int(validate.get("seed", 20_240_101)),
-                           confidence_sigmas=float(validate.get("confidence_sigmas", 3.0)))
-    if metric in ("opsc", "spsc"):
-        sc = apps.SecrecyScenario(
-            bob=model_from_json(fixed["bob"]), eve=model_from_json(fixed["eve"]),
-            rate_rs=0.0 if metric == "spsc" else float(fixed.get("rate_rs", 0.0)),
-            n_eve_antennas=int(fixed.get("n_eve_antennas", 1)))
-        return oracles.mc_opsc(sc, cfg)
-    if metric == "op-interference":
-        # same computation under the threshold <-> rate substitution
-        sc = apps.SecrecyScenario(
-            bob=model_from_json(fixed["desired"]),
-            eve=model_from_json(fixed["interference"]),
-            rate_rs=math.log2(1.0 + float(fixed["gamma_th"])))
-        return oracles.mc_opsc(sc, cfg)
-    if metric == "aber":
-        scheme = apps.AdaptiveModScheme(thresholds=tuple(fixed["thresholds"]),
-                                        bits_per_region=tuple(fixed["bits_per_region"]))
-        return oracles.mc_aber(model_from_json(fixed["channel"]), scheme, cfg)
-    raise DomainError(f"Monte Carlo validation is not available for metric {metric!r}")
+def _imgf(fixed: dict) -> float:
+    model = model_from_json(fixed["model"])
+    q = incomplete.ImgfQuery(s=float(fixed["s"]), zeta=float(fixed["zeta"]),
+                             tail=fixed.get("tail", "lower"),
+                             deriv_order=int(fixed.get("deriv_order", 0)))
+    return incomplete.evaluate(model, q)
+
+
+def _secrecy(fixed: dict) -> apps.SecrecyScenario:
+    return apps.SecrecyScenario(
+        bob=model_from_json(fixed["bob"]), eve=model_from_json(fixed["eve"]),
+        rate_rs=float(fixed.get("rate_rs", 0.0)),
+        n_eve_antennas=int(fixed.get("n_eve_antennas", 1)))
+
+
+def _zero_rate(fixed: dict) -> dict:
+    return {**fixed, "rate_rs": 0.0}
+
+
+def _eps_capacity(fixed: dict) -> float:
+    sc = _secrecy(_zero_rate(fixed))
+    val = apps.eps_outage_capacity(sc, float(fixed["epsilon"]))
+    if fixed.get("normalize"):
+        val /= math.log2(1.0 + sc.bob.mean_snr)
+    return val
+
+
+def _interference_as_secrecy(fixed: dict) -> apps.SecrecyScenario:
+    # same computation under the threshold <-> rate substitution
+    return _secrecy({"bob": fixed["desired"], "eve": fixed["interference"],
+                     "rate_rs": math.log2(1.0 + float(fixed["gamma_th"]))})
+
+
+def _aber_args(fixed: dict):
+    scheme = apps.AdaptiveModScheme(thresholds=tuple(fixed["thresholds"]),
+                                    bits_per_region=tuple(fixed["bits_per_region"]))
+    return model_from_json(fixed["channel"]), scheme
+
+
+_METRICS = {
+    "imgf": _Metric(_imgf),
+    "opsc": _Metric(lambda f: apps.opsc(_secrecy(f)),
+                    lambda f, cfg: oracles.mc_opsc(_secrecy(f), cfg)),
+    "spsc": _Metric(lambda f: apps.opsc(_secrecy(_zero_rate(f))),
+                    lambda f, cfg: oracles.mc_opsc(_secrecy(_zero_rate(f)), cfg)),
+    "eps-capacity": _Metric(_eps_capacity),
+    "op-interference": _Metric(
+        lambda f: apps.outage_interference(model_from_json(f["desired"]),
+                                           model_from_json(f["interference"]),
+                                           float(f["gamma_th"])),
+        lambda f, cfg: oracles.mc_opsc(_interference_as_secrecy(f), cfg)),
+    "capacity": _Metric(lambda f: apps.capacity_side_info(apps.CapacityScenario(
+        channel=model_from_json(f["channel"]), cutoff_snr=f.get("cutoff_snr")))),
+    "aber": _Metric(lambda f: apps.aber_adaptive(*_aber_args(f)),
+                    lambda f, cfg: oracles.mc_aber(*_aber_args(f), cfg)),
+}
 
 
 def _sweep_point(task: tuple):
@@ -154,11 +157,16 @@ def _sweep_point(task: tuple):
     fixed = json.loads(json.dumps(fixed))  # deep copy, keeps workers independent
     _set_path(fixed, axis_field, axis_value)
     try:
-        row = {"curve": curve, "axis": axis_value, "value": _eval_metric(metric, fixed)}
+        row = {"curve": curve, "axis": axis_value, "value": _METRICS[metric].evaluate(fixed)}
         if validate is not None:
-            est, se = _eval_mc(metric, fixed, validate)
-            row["mc_estimate"] = est
-            row["mc_std_error"] = se
+            cfg = oracles.McConfig(n_samples=int(validate.get("n_samples", 1_000_000)),
+                                   seed=int(validate.get("seed", 20_240_101)),
+                                   confidence_sigmas=float(validate.get("confidence_sigmas", 3.0)))
+            mc = _METRICS[metric].mc
+            if mc is None:
+                raise DomainError(
+                    f"Monte Carlo validation is not available for metric {metric!r}")
+            row["mc_estimate"], row["mc_std_error"] = mc(fixed, cfg)
     except (AccuracyError, DomainError, OverflowError) as exc:
         raise AccuracyError(
             f"sweep failed at {axis_field}={axis_value} (curve {curve!r}): {exc}"
@@ -177,7 +185,7 @@ def run_sweep(spec: dict) -> list[dict]:
     """Evaluate a sweep specification and return its rows (sorted)."""
     metric = spec.get("metric")
     if metric not in _METRICS:
-        raise DomainError(f"metric must be one of {_METRICS}, got {metric!r}")
+        raise DomainError(f"metric must be one of {tuple(_METRICS)}, got {metric!r}")
     axis = spec["axis"]
     fixed = spec["fixed"]
     validate = spec.get("validate")
@@ -411,11 +419,11 @@ def _selfcheck_list():
         return abs(val - ref) <= 1e-12, f"{val:.12g} vs {ref:.12g}"
 
     def marcum_bridge():
-        from .specfun import Phi3Args, marcum_q, phi3
+        # 1 - Q_mu(a, b) is the noncentral chi-square CDF chndtr(b^2, 2 mu, a^2)
         mu, aa, bb = 2.7, 5.0, 1.5
-        lhs = phi3(Phi3Args(1.0, mu + 1.0, aa, bb)) / math.gamma(mu + 1.0)
-        rhs = (math.exp(aa + bb / aa) * aa ** (-mu)
-               * (1.0 - marcum_q(mu, math.sqrt(2.0 * bb / aa), math.sqrt(2.0 * aa))))
+        alpha, beta = math.sqrt(2.0 * bb / aa), math.sqrt(2.0 * aa)
+        lhs = 1.0 - specfun.marcum_q(mu, alpha, beta)
+        rhs = float(chndtr(beta * beta, 2.0 * mu, alpha * alpha))
         return _approx(lhs, rhs, 1e-9), f"{lhs:.12g} vs {rhs:.12g}"
 
     def mgf_moment():
@@ -521,68 +529,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_imgf(args) -> int:
-    model = _model_from_flags(args)
-    q = incomplete.ImgfQuery(s=args.s, zeta=args.zeta, tail=args.tail,
-                             deriv_order=args.deriv_order)
-    print(_fmt(incomplete.evaluate(model, q)))
-    return EXIT_OK
+def _fixed_from_args(args) -> dict:
+    """The sweep-spec 'fixed' block equivalent to a single-point subcommand."""
+    cmd = args.command
+    if cmd == "imgf":
+        return {"model": _model_json_from_flags(args), "s": args.s, "zeta": args.zeta,
+                "tail": args.tail, "deriv_order": args.deriv_order}
+    if cmd == "op-interference":
+        return {"desired": _load_json_arg(args.desired),
+                "interference": _load_json_arg(args.interference),
+                "gamma_th": args.gamma_th}
+    if cmd == "capacity":
+        return {"channel": _load_json_arg(args.channel), "cutoff_snr": args.cutoff}
+    if cmd == "aber":
+        return {"thresholds": [float(t) for t in args.thresholds.split(",")],
+                "bits_per_region": [int(b) for b in args.bits.split(",")],
+                "channel": _load_json_arg(args.channel)}
+    fixed = {"bob": _load_json_arg(args.bob), "eve": _load_json_arg(args.eve),
+             "n_eve_antennas": args.eve_antennas}
+    if cmd == "opsc":
+        fixed["rate_rs"] = args.rate
+    if cmd == "eps-capacity":
+        fixed.update(epsilon=args.epsilon, normalize=args.normalize)
+    return fixed
 
 
-def _cmd_secrecy(args, rate: float) -> int:
-    sc = apps.SecrecyScenario(bob=model_from_json(_load_json_arg(args.bob)),
-                              eve=model_from_json(_load_json_arg(args.eve)),
-                              rate_rs=rate, n_eve_antennas=args.eve_antennas)
-    val = apps.opsc(sc)
-    if args.validate:
-        est, se = oracles.mc_opsc(sc, oracles.McConfig(n_samples=args.validate,
-                                                       seed=args.seed))
-        print(f"{_fmt(val)} mc={_fmt(est)} mc_std_error={_fmt(se)}")
-    else:
-        print(_fmt(val))
+def _cmd_point(args) -> int:
+    metric = _METRICS[args.command]
+    fixed = _fixed_from_args(args)
+    line = _fmt(metric.evaluate(fixed))
+    if getattr(args, "validate", None):
+        est, se = metric.mc(fixed, oracles.McConfig(n_samples=args.validate, seed=args.seed))
+        line += f" mc={_fmt(est)} mc_std_error={_fmt(se)}"
+    print(line)
     return EXIT_OK
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "imgf":
-        return _cmd_imgf(args)
-    if cmd == "opsc":
-        return _cmd_secrecy(args, args.rate)
-    if cmd == "spsc":
-        return _cmd_secrecy(args, 0.0)
-    if cmd == "eps-capacity":
-        sc = apps.SecrecyScenario(bob=model_from_json(_load_json_arg(args.bob)),
-                                  eve=model_from_json(_load_json_arg(args.eve)),
-                                  n_eve_antennas=args.eve_antennas)
-        val = apps.eps_outage_capacity(sc, args.epsilon)
-        if args.normalize:
-            val /= math.log2(1.0 + sc.bob.mean_snr)
-        print(_fmt(val))
-        return EXIT_OK
-    if cmd == "op-interference":
-        val = apps.outage_interference(
-            model_from_json(_load_json_arg(args.desired)),
-            model_from_json(_load_json_arg(args.interference)), args.gamma_th)
-        print(_fmt(val))
-        return EXIT_OK
-    if cmd == "capacity":
-        sc = apps.CapacityScenario(channel=model_from_json(_load_json_arg(args.channel)),
-                                   cutoff_snr=args.cutoff)
-        print(_fmt(apps.capacity_side_info(sc)))
-        return EXIT_OK
-    if cmd == "aber":
-        scheme = apps.AdaptiveModScheme(
-            thresholds=tuple(float(t) for t in args.thresholds.split(",")),
-            bits_per_region=tuple(int(b) for b in args.bits.split(",")))
-        print(_fmt(apps.aber_adaptive(model_from_json(_load_json_arg(args.channel)),
-                                      scheme)))
-        return EXIT_OK
-    if cmd == "sweep":
+    if args.command == "sweep":
         return _cmd_sweep(args)
-    if cmd == "selfcheck":
+    if args.command == "selfcheck":
         return selfcheck()
-    raise DomainError(f"unknown command {cmd!r}")
+    return _cmd_point(args)
 
 
 def _cmd_sweep(args) -> int:

@@ -24,12 +24,10 @@ from .specfun import _log_hyp1f1_pos
 __all__ = [
     "Kind",
     "FadingModel",
-    "MgfFactorization",
     "canonicalize",
     "mrc_combine",
     "smallest_pole",
     "mgf",
-    "mgf_factorization",
     "pdf",
     "cdf",
     "cdf_grid",
@@ -155,21 +153,6 @@ class FadingModel:
         return cls(Kind.ONE_SIDED_GAUSSIAN, mean_snr)
 
 
-@dataclass(frozen=True)
-class MgfFactorization:
-    """MGF written as amplitude * (a - s)^(m - mu) * (b - s)^(-m)."""
-
-    amplitude: float
-    a: float
-    b: float
-    exponent_a: float  # m - mu
-    exponent_b: float  # -m
-
-    def __post_init__(self):
-        if not (0 < self.b <= self.a):
-            raise DomainError("pole ordering 0 < b <= a violated")
-
-
 def canonicalize(model: FadingModel) -> FadingModel:
     """Equivalent kappa-mu shadowed parameterization (m = inf for unshadowed
     LOS; kappa = 0 for the gamma/Nakagami degeneracies).  Idempotent and
@@ -266,16 +249,6 @@ def mgf(model: FadingModel, s):
         return math.exp(mu * math.log(a / (a - s)) + kappa * mu * s / (a - s))
     # amplitude folded in log space; (a-s), (b-s) are positive here
     return math.exp((m - mu) * math.log((a - s) / a) - m * math.log((b - s) / b))
-
-
-def mgf_factorization(model: FadingModel) -> MgfFactorization:
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
-    if math.isinf(m):
-        raise DomainError("no rational MGF factorization in the unshadowed limit")
-    log_amp = (mu * math.log(mu) + m * math.log(m) + mu * math.log1p(kappa)
-               - mu * math.log(gbar) - m * math.log(mu * kappa + m))
-    return MgfFactorization(amplitude=math.exp(log_amp), a=a, b=b,
-                            exponent_a=m - mu, exponent_b=-m)
 
 
 def laplace_image(model: FadingModel) -> LaplaceImage:

@@ -1,5 +1,5 @@
-"""Scalar special-function kernels: Marcum Q, Kummer 1F1, Humbert Phi2/Phi3,
-exponential integral, regularized incomplete gammas.
+"""Scalar special-function kernels: Marcum Q, Kummer 1F1, log-space
+regularized incomplete gammas and the reduced Humbert Phi2 series.
 
 All kernels are pure double-precision scalar functions, reentrant and
 thread-safe.  Accuracy is controlled by an AccuracyBudget; running out of the
@@ -15,21 +15,13 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import AccuracyError, DomainError
-from . import laplace
 
 __all__ = [
     "AccuracyBudget",
     "DEFAULT_ACCURACY",
-    "Phi2Args",
-    "Phi3Args",
     "marcum_q",
     "marcum_p",
     "kummer_1f1",
-    "phi2",
-    "phi3",
-    "exp_integral_ei",
-    "reg_lower_gamma",
-    "reg_upper_gamma",
 ]
 
 
@@ -56,54 +48,9 @@ def _check_c_parameter(c: float, name: str = "c") -> None:
         raise DomainError(f"{name}={c} is zero or a negative integer (series pole)")
 
 
-@dataclass(frozen=True)
-class Phi2Args:
-    """Arguments of the Humbert Phi2 double series: Phi2(b1, b2; c; x, y)."""
-
-    b1: float
-    b2: float
-    c: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        _check_c_parameter(self.c)
-
-
-@dataclass(frozen=True)
-class Phi3Args:
-    """Arguments of the Humbert Phi3 double series: Phi3(b; c; x, y)."""
-
-    b: float
-    c: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        _check_c_parameter(self.c)
-
-
 # ---------------------------------------------------------------------------
-# incomplete gammas and the exponential integral
+# incomplete gammas
 # ---------------------------------------------------------------------------
-
-def reg_lower_gamma(a: float, x: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    if not a > 0:
-        raise DomainError(f"shape must be positive, got a={a}")
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got x={x}")
-    return float(sp.gammainc(a, x))
-
-
-def reg_upper_gamma(a: float, x: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if not a > 0:
-        raise DomainError(f"shape must be positive, got a={a}")
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got x={x}")
-    return float(sp.gammaincc(a, x))
-
 
 def _log_reg_upper_gamma(a: float, x: float) -> float:
     """log Q(a, x), usable deep in the tail where Q underflows.
@@ -123,13 +70,6 @@ def _log_reg_upper_gamma(a: float, x: float) -> float:
             break
         corr += term
     return -x + (a - 1.0) * math.log(x) - math.lgamma(a) + math.log(max(corr, 1e-300))
-
-
-def exp_integral_ei(x: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
-    """Exponential integral Ei(x) for real x != 0."""
-    if x == 0:
-        raise DomainError("Ei diverges logarithmically at x = 0")
-    return float(sp.expi(x))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +214,7 @@ def _log_hyp1f1_pos(a: float, b: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Humbert Phi2 and Phi3
+# reduced Humbert Phi2 series
 # ---------------------------------------------------------------------------
 
 def _phi2_unit_first_log(b2: float, c: float, u: float, v: float,
@@ -346,162 +286,3 @@ def _log_reg_lower_gamma_far(a: float, x: float) -> float:
     """log P(a, x) when P underflows (x << a): leading series term in log space."""
     # P(a, x) ~ x^a e^-x / Gamma(a + 1) for x -> 0
     return a * math.log(x) - x - math.lgamma(a + 1.0)
-
-
-def _phi2_double_series(b1: float, b2: float, c: float, x: float, y: float,
-                        acc: AccuracyBudget) -> float:
-    """Direct double power series with row/column term recurrences and Kahan
-    accumulation.  Adequate for moderate |x|, |y|; the caller is responsible
-    for routing ill-conditioned argument ranges elsewhere."""
-    total = 0.0
-    comp = 0.0
-    used = 0
-    row_head = 1.0  # T(m, 0)
-    quiet_rows = 0
-    m = 0
-    while used < acc.max_terms:
-        term = row_head
-        row_sum = 0.0
-        quiet = 0
-        n = 0
-        while used < acc.max_terms:
-            y_ = term - comp
-            t_ = total + y_
-            comp = (t_ - total) - y_
-            total = t_
-            row_sum += abs(term)
-            used += 1
-            if abs(total) > 1e305 or abs(term) > 1e305:
-                raise OverflowError(
-                    f"Phi2({b1},{b2};{c};{x},{y}) overflows in direct summation"
-                )
-            nxt = term * (b2 + n) * y / ((c + m + n) * (n + 1.0))
-            if abs(nxt) <= acc.rel_tol * (abs(total) + acc.abs_tol):
-                quiet += 1
-                if quiet >= 2 and n > abs(y):
-                    break
-            else:
-                quiet = 0
-            term = nxt
-            n += 1
-        if row_sum <= acc.rel_tol * (abs(total) + acc.abs_tol) and m > abs(x):
-            quiet_rows += 1
-            if quiet_rows >= 2:
-                return total
-        else:
-            quiet_rows = 0
-        row_head *= (b1 + m) * x / ((c + m) * (m + 1.0))
-        m += 1
-    raise AccuracyError(
-        f"Phi2({b1},{b2};{c};{x},{y}) did not converge within max_terms={acc.max_terms}"
-    )
-
-
-def _phi2_via_inversion(b1: float, b2: float, c: float, x: float, y: float,
-                        acc: AccuracyBudget) -> float:
-    """Phi2 through its Laplace-image representation.
-
-    t^(c-1) Phi2(b1, b2; c; x t, y t) / Gamma(c) has the image
-    p^-c (1 - x/p)^-b1 (1 - y/p)^-b2; invert at t = 1.
-    """
-    def image(p):
-        return p ** (-c) * (1.0 - x / p) ** (-b1) * (1.0 - y / p) ** (-b2)
-
-    img = laplace.LaplaceImage(evaluator=image, abscissa=max(0.0, x, y))
-    cfg = laplace.InversionConfig(node_count=48, target_rel_tol=max(acc.rel_tol, 1e-9))
-    res = laplace.invert(img, 1.0, cfg)
-    return math.gamma(c) * res.value
-
-
-def phi2(args: Phi2Args, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
-    """Humbert confluent double series Phi2(b1, b2; c; x, y).
-
-    The nonpositive-argument half plane (the regime reached by truncated
-    transforms of nonnegative densities) is exact at any argument size via a
-    positive-term reduction; other argument ranges are served by the direct
-    series with a contour-inversion fallback.
-    """
-    b1, b2, c, x, y = args.b1, args.b2, args.c, args.x, args.y
-    if x == 0.0 and y == 0.0:
-        return 1.0
-    if y == 0.0:
-        return kummer_1f1(b1, c, x, acc)
-    if x == 0.0:
-        return kummer_1f1(b2, c, y, acc)
-    # symmetry: put the smaller argument first
-    if y < x:
-        b1, b2, x, y = b2, b1, y, x
-
-    structural = abs(c - b1 - b2 - 1.0) <= 1e-9 * max(1.0, abs(c))
-    if structural and x < 0.0:
-        # Phi2(b1,b2;c;x,y) = e^x Phi2(1,b2;c;-x,y-x) when c = 1 + b1 + b2
-        return math.exp(_phi2_unit_first_log(b2, c, -x, y - x, acc))
-
-    if x >= 0.0:
-        if x + y <= 600.0:
-            return _phi2_double_series(b1, b2, c, x, y, acc)
-        return _phi2_via_inversion(b1, b2, c, x, y, acc)
-
-    if y <= 0.0:
-        # Kummer-type transform keeps arguments nonnegative
-        u = -x
-        if u <= 600.0:
-            return math.exp(x) * _phi2_double_series(c - b1 - b2, b2, c, u, y - x, acc)
-        return _phi2_via_inversion(b1, b2, c, x, y, acc)
-
-    # mixed signs, non-structural
-    if max(abs(x), abs(y)) <= 40.0:
-        return _phi2_double_series(b1, b2, c, x, y, acc)
-    return _phi2_via_inversion(b1, b2, c, x, y, acc)
-
-
-def phi3(args: Phi3Args, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
-    """Humbert confluent double series Phi3(b; c; x, y).
-
-    Direct double summation; terms are positive for x, y >= 0, and the y
-    direction converges Bessel-like (y^n / ((c)_{m+n} n!)).
-    """
-    b, c, x, y = args.b, args.c, args.x, args.y
-    if x == 0.0 and y == 0.0:
-        return 1.0
-    total = 0.0
-    comp = 0.0
-    used = 0
-    row_head = 1.0
-    quiet_rows = 0
-    m = 0
-    ybound = 2.0 * math.sqrt(abs(y)) if y != 0 else 0.0
-    while used < acc.max_terms:
-        term = row_head
-        row_sum = 0.0
-        quiet = 0
-        n = 0
-        while used < acc.max_terms:
-            y_ = term - comp
-            t_ = total + y_
-            comp = (t_ - total) - y_
-            total = t_
-            row_sum += abs(term)
-            used += 1
-            if abs(total) > 1e305 or abs(term) > 1e305:
-                raise OverflowError(f"Phi3({b};{c};{x},{y}) overflows double precision")
-            nxt = term * y / ((c + m + n) * (n + 1.0))
-            if abs(nxt) <= acc.rel_tol * (abs(total) + acc.abs_tol):
-                quiet += 1
-                if quiet >= 2 and n > ybound:
-                    break
-            else:
-                quiet = 0
-            term = nxt
-            n += 1
-        if row_sum <= acc.rel_tol * (abs(total) + acc.abs_tol) and m > abs(x):
-            quiet_rows += 1
-            if quiet_rows >= 2:
-                return total
-        else:
-            quiet_rows = 0
-        row_head *= (b + m) * x / ((c + m) * (m + 1.0))
-        m += 1
-    raise AccuracyError(
-        f"Phi3({b};{c};{x},{y}) did not converge within max_terms={acc.max_terms}"
-    )

@@ -4,12 +4,43 @@ import json
 import pytest
 
 from imgflib import mixture
-from imgflib.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, run_sweep, selfcheck
+from imgflib.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, PRESETS, _fmt, main,
+                         run_sweep, selfcheck)
 
 RAY_LOWER = 0.5179132265677134
 BOB = json.dumps({"kind": "kappa-mu-shadowed", "kappa": 1.5, "mu": 2, "m": 2,
                   "mean_snr_db": 20})
 EVE = json.dumps({"kind": "rayleigh", "mean_snr_db": 15})
+RAY10 = json.dumps({"kind": "rayleigh", "mean_snr_db": 10})
+NAKAGAMI = json.dumps({"kind": "nakagami-m", "m": 2, "mean_snr_db": 15})
+
+# (argv of a single-point subcommand, the equivalent sweep metric and 'fixed'
+# block, and the field a one-point sweep puts its axis on)
+POINT_COMMANDS = [
+    (["imgf", "--model", "kappa-mu-shadowed", "--kappa", "1.5", "--mu", "2", "--m", "2",
+      "--mean-snr-db", "3", "--s", "-0.5", "--zeta", "4", "--tail", "upper",
+      "--deriv-order", "1"],
+     "imgf", {"model": {"kind": "kappa-mu-shadowed", "kappa": 1.5, "mu": 2, "m": 2,
+                        "mean_snr_db": 3},
+              "s": -0.5, "zeta": 4, "tail": "upper", "deriv_order": 1}, "s"),
+    (["opsc", "--bob", BOB, "--eve", EVE, "--rate", "0.3", "--eve-antennas", "2"],
+     "opsc", {"bob": json.loads(BOB), "eve": json.loads(EVE), "rate_rs": 0.3,
+              "n_eve_antennas": 2}, "rate_rs"),
+    (["spsc", "--bob", BOB, "--eve", EVE],
+     "spsc", {"bob": json.loads(BOB), "eve": json.loads(EVE)}, "bob.mean_snr_db"),
+    (["eps-capacity", "--bob", BOB, "--eve", EVE, "--epsilon", "0.5", "--normalize"],
+     "eps-capacity", {"bob": json.loads(BOB), "eve": json.loads(EVE), "epsilon": 0.5,
+                      "normalize": True}, "epsilon"),
+    (["op-interference", "--desired", BOB, "--interference", EVE, "--gamma-th", "0.25"],
+     "op-interference", {"desired": json.loads(BOB), "interference": json.loads(EVE),
+                         "gamma_th": 0.25}, "gamma_th"),
+    (["capacity", "--channel", RAY10, "--cutoff", "0.5"],
+     "capacity", {"channel": json.loads(RAY10), "cutoff_snr": 0.5}, "cutoff_snr"),
+    (["aber", "--channel", NAKAGAMI, "--thresholds", "10.6,53.0,222.5,900.7",
+      "--bits", "2,4,6,8"],
+     "aber", {"channel": json.loads(NAKAGAMI), "thresholds": [10.6, 53.0, 222.5, 900.7],
+              "bits_per_region": [2, 4, 6, 8]}, "channel.mean_snr_db"),
+]
 
 
 def run(argv, capsys):
@@ -66,6 +97,18 @@ class TestSinglePoint:
         code, _, _ = run(["opsc", "--bob", "{not json", "--eve", EVE,
                           "--rate", "0.1"], capsys)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, metric, fixed, field", POINT_COMMANDS,
+                             ids=[c[0][0] for c in POINT_COMMANDS])
+    def test_matches_one_point_sweep(self, argv, metric, fixed, field, capsys):
+        node = fixed
+        for part in field.split("."):
+            node = node[part]
+        rows = run_sweep({"metric": metric, "fixed": fixed,
+                          "axis": {"field": field, "start": node, "stop": node, "step": 1.0}})
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert out == _fmt(rows[0]["value"]) + "\n"
 
     def test_numerical_failure_exits_3(self, capsys):
         # s at the MGF pole is a numerical-domain failure at evaluation time
@@ -129,9 +172,16 @@ class TestSweep:
         pooled = run_sweep(json.loads(json.dumps(spec)))
         assert pooled == serial
 
-    def test_preset_runs(self, tmp_path, capsys):
-        out = tmp_path / "fig8.csv"
-        assert main(["sweep", "--preset", "fig8", "--out", str(out)]) == EXIT_OK
+    @pytest.mark.parametrize("preset", [
+        pytest.param(p, marks=pytest.mark.xfail(
+            strict=True, reason="known defect: the derivative series of _deriv_log_series "
+                                "runs out of its term budget at bob.mean_snr_db=48"))
+        if p in ("fig6", "fig7") else p
+        for p in PRESETS
+    ])
+    def test_preset_runs(self, preset, tmp_path, capsys):
+        out = tmp_path / f"{preset}.csv"
+        assert main(["sweep", "--preset", preset, "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("curve,")

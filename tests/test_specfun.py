@@ -7,28 +7,20 @@ from scipy import special as sp
 from imgflib.errors import DomainError
 from imgflib.specfun import (
     AccuracyBudget,
-    Phi2Args,
-    Phi3Args,
-    exp_integral_ei,
+    _phi2_unit_first_log,
     kummer_1f1,
     marcum_p,
     marcum_q,
-    phi2,
-    phi3,
-    reg_lower_gamma,
-    reg_upper_gamma,
 )
 
 # Frozen oracle values.  Sources: 40-digit mpmath evaluations of the defining
 # series (Poisson-weighted regularized gammas for Marcum Q, brute-force double
-# sums for Phi2/Phi3), or exact analytic identities noted inline.
+# sums for Phi2), or exact analytic identities noted inline.
 MARCUM_Q_1_1_1 = 0.7328798037968202       # mpmath series, dps=40
 KUMMER_HALF = 0.5707922624166007          # 1F1(1/2; 3/2; -2.25), mpmath
 PHI2_POINT = 0.4350204583649838           # Phi2(1,2;4;-0.5,-1.5), mpmath double sum
 PHI2_MED = 0.004016099791052346           # Phi2(1.1,1.2;3.3;-30,-10), mpmath
 PHI2_BIG = 2.0130663312540855e-05         # Phi2(1.1,1.2;3.3;-300,-100), mpmath
-PHI2_INV = 0.009874873915937289           # Phi2(0.3,0.5;2.9;-650,-640), mpmath
-PHI3_POINT = 1.4231287607975677           # Phi3(1;3;-1,2), mpmath double sum
 
 
 class TestAccuracyBudget:
@@ -98,6 +90,16 @@ class TestMarcumQ:
             assert marcum_p(n, a, b) == pytest.approx(total, abs=1e-12)
             assert marcum_q(n, a, b) == pytest.approx(1.0 - total, abs=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.7, 6.0])
+    def test_noncentral_chi2_cdf(self, mu):
+        # P_mu(alpha, beta) is the noncentral chi-square CDF
+        # chndtr(beta^2, 2 mu, alpha^2), evaluated by scipy independently
+        for a in (0.5, 5.0, 17.3, 40.0):
+            for b in (0.0, 1.2, 17.9, 40.0):
+                alpha, beta = math.sqrt(2.0 * b / a), math.sqrt(2.0 * a)
+                ref = float(sp.chndtr(beta * beta, 2.0 * mu, alpha * alpha))
+                assert marcum_p(mu, alpha, beta) == pytest.approx(ref, rel=1e-9)
+
     def test_p_q_complementarity(self):
         for (nu, a, b) in [(0.5, 0.3, 1.0), (2.7, 4.0, 3.0), (6.0, 1.0, 8.0)]:
             assert marcum_p(nu, a, b) + marcum_q(nu, a, b) == pytest.approx(1.0, abs=1e-12)
@@ -143,96 +145,24 @@ class TestKummer:
             kummer_1f1(1.0, -3.0, 1.0)
 
 
-class TestPhi2:
-    def test_empty_series(self):
-        assert phi2(Phi2Args(0.7, 2.0, 4.1, 0.0, 0.0)) == 1.0
+def _phi2_structural(b1, b2, x, y):
+    """Phi2(b1, b2; 1 + b1 + b2; x, y) for x, y <= 0 through the reduced series:
+    smaller argument first, then Phi2 = e^x Phi2(1, b2; c; -x, y - x)."""
+    if y < x:
+        b1, b2, x, y = b2, b1, y, x
+    return math.exp(_phi2_unit_first_log(b2, 1.0 + b1 + b2, -x, y - x, AccuracyBudget()))
 
+
+class TestPhi2:
     def test_equal_argument_confluence(self):
         # Phi2(b1, b2; c; x, x) = 1F1(b1 + b2; c; x)
         acc = AccuracyBudget()
-        for x in (-50.0, -20.0, -5.0, -0.5, 0.0):
-            got = phi2(Phi2Args(1.2, 0.9, 3.1, x, x))
+        for x in (-50.0, -20.0, -5.0, -0.5):
+            got = _phi2_structural(1.2, 0.9, x, x)
             ref = kummer_1f1(2.1, 3.1, x)
             assert abs(got - ref) <= 10 * acc.rel_tol * max(abs(ref), 1e-300)
 
-    def test_vanishing_second_parameter_is_1f1(self):
-        # identical series structure; only the stopping points differ
-        for x in (-8.0, -1.0, 2.5):
-            got = phi2(Phi2Args(1.4, 0.0, 2.9, x, -0.3))
-            assert got == pytest.approx(kummer_1f1(1.4, 2.9, x), rel=1e-10)
-
     def test_frozen_points(self):
-        assert phi2(Phi2Args(1, 2, 4, -0.5, -1.5)) == pytest.approx(PHI2_POINT, rel=1e-10)
-        assert phi2(Phi2Args(1.1, 1.2, 3.3, -30.0, -10.0)) == pytest.approx(PHI2_MED, rel=1e-10)
-        assert phi2(Phi2Args(1.1, 1.2, 3.3, -300.0, -100.0)) == pytest.approx(PHI2_BIG, rel=1e-10)
-
-    def test_inversion_fallback_path(self):
-        # non-structural parameters with arguments beyond the series crossover
-        got = phi2(Phi2Args(0.3, 0.5, 2.9, -650.0, -640.0))
-        assert got == pytest.approx(PHI2_INV, rel=1e-6)
-
-    def test_argument_symmetry(self):
-        a = phi2(Phi2Args(0.8, 1.7, 3.4, -2.0, -6.0))
-        b = phi2(Phi2Args(1.7, 0.8, 3.4, -6.0, -2.0))
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_pole_parameter_raises(self):
-        with pytest.raises(DomainError):
-            Phi2Args(1.0, 1.0, -2.0, -1.0, -1.0)
-
-
-class TestPhi3:
-    def test_empty_series(self):
-        assert phi3(Phi3Args(1.3, 2.0, 0.0, 0.0)) == 1.0
-
-    def test_frozen_point(self):
-        assert phi3(Phi3Args(1, 3, -1, 2)) == pytest.approx(PHI3_POINT, rel=1e-10)
-
-    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.7, 6.0])
-    def test_marcum_bridge(self, mu):
-        # Phi3(1, mu+1; a, b) / Gamma(mu+1)
-        #   = exp(a + b/a) a^-mu [1 - Q_mu(sqrt(2 b / a), sqrt(2 a))]
-        for a in (0.5, 5.0, 17.3, 40.0):
-            for b in (0.0, 1.2, 17.9, 40.0):
-                lhs = phi3(Phi3Args(1.0, mu + 1.0, a, b)) / math.gamma(mu + 1.0)
-                rhs = (math.exp(a + b / a) * a ** (-mu)
-                       * marcum_p(mu, math.sqrt(2.0 * b / a), math.sqrt(2.0 * a)))
-                assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
-class TestGammaAndEi:
-    def test_reg_lower_exponential(self):
-        for x in (0.1, 1.0, 4.0):
-            assert reg_lower_gamma(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-13)
-
-    def test_reg_lower_at_zero(self):
-        assert reg_lower_gamma(3.3, 0.0) == 0.0
-
-    def test_reg_lower_frozen(self):
-        # P(3, 2.5) = 1 - e^-2.5 (1 + 2.5 + 2.5^2/2)
-        ref = 1.0 - math.exp(-2.5) * (1.0 + 2.5 + 3.125)
-        assert reg_lower_gamma(3.0, 2.5) == pytest.approx(ref, rel=1e-12)
-
-    def test_reg_lower_monotone(self):
-        xs = np.linspace(0, 10, 50)
-        vals = [reg_lower_gamma(2.2, float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_reg_upper_complement(self):
-        assert reg_upper_gamma(2.0, 3.0) == pytest.approx(1 - reg_lower_gamma(2.0, 3.0), abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
-
-    def test_ei_values(self):
-        # Ei(-x) = -E1(x); continued-fraction reference values
-        assert exp_integral_ei(-1.0) == pytest.approx(-0.21938393439552062, rel=1e-10)
-        assert exp_integral_ei(-5.0) == pytest.approx(-0.0011482955912753257, rel=1e-10)
-        assert exp_integral_ei(1.0) == pytest.approx(1.8951178163559368, rel=1e-10)
-
-    def test_ei_zero_raises(self):
-        with pytest.raises(DomainError):
-            exp_integral_ei(0.0)
+        assert _phi2_structural(1, 2, -0.5, -1.5) == pytest.approx(PHI2_POINT, rel=1e-10)
+        assert _phi2_structural(1.1, 1.2, -30.0, -10.0) == pytest.approx(PHI2_MED, rel=1e-10)
+        assert _phi2_structural(1.1, 1.2, -300.0, -100.0) == pytest.approx(PHI2_BIG, rel=1e-10)
