@@ -304,24 +304,37 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme,
     """Average BER of constellation-switching M-QAM under the exponential
     instantaneous-BER approximation 0.2 exp(-1.5 g / (2^k - 1)).
 
-    Each region contributes the increment of the lower IMGF over its SNR
-    span; the denominator is the bit-weighted occupation probability (the
-    average spectral efficiency).  Result lies in [0, 0.2].
+    Each region contributes the increment of the IMGF over its SNR span; the
+    denominator is the bit-weighted occupation probability (the average
+    spectral efficiency).  A region starting below the median takes both
+    increments from lower IMGFs, one starting above it from upper IMGFs, so
+    neither is a difference of two nearly equal numbers.  Result lies in
+    [0, 0.2].
     """
     th = scheme.thresholds
     bits = scheme.bits_per_region
     edges = list(th) + [math.inf]
     num = 0.0
     den = 0.0
+
+    def lower(s: float, z: float) -> float:
+        if z == 0.0:
+            return 0.0
+        return mgf(channel, s) if math.isinf(z) else imgf_lower(channel, s, z, acc)
+
+    def upper(s: float, z: float) -> float:
+        return 0.0 if math.isinf(z) else imgf_upper(channel, s, z, acc)
+
     for j, k in enumerate(bits):
         lo, hi = edges[j], edges[j + 1]
         s_j = -1.5 / (2.0 ** k - 1.0)
-        upper_l = mgf(channel, s_j) if math.isinf(hi) else imgf_lower(channel, s_j, hi, acc)
-        lower_l = imgf_lower(channel, s_j, lo, acc) if lo > 0 else 0.0
-        upper_f = 1.0 if math.isinf(hi) else imgf_lower(channel, 0.0, hi, acc)
-        lower_f = imgf_lower(channel, 0.0, lo, acc) if lo > 0 else 0.0
-        num += k * (upper_l - lower_l)
-        den += k * (upper_f - lower_f)
+        f_lo = lower(0.0, lo)
+        if f_lo < 0.5:
+            num += k * (lower(s_j, hi) - lower(s_j, lo))
+            den += k * (lower(0.0, hi) - f_lo)
+        else:
+            num += k * (upper(s_j, lo) - upper(s_j, hi))
+            den += k * (upper(0.0, lo) - upper(0.0, hi))
     if den <= 0.0:
         raise DomainError("no probability mass falls in any transmission region")
     val = 0.2 * num / den

@@ -19,7 +19,7 @@ from scipy import special as sp
 
 from .errors import DomainError
 from .laplace import LaplaceImage
-from .specfun import _log_hyp1f1_pos
+from .specfun import _log_hyp1f1_pos, _log_mixture_sum
 
 __all__ = [
     "Kind",
@@ -302,54 +302,21 @@ def cdf(model: FadingModel, x: float) -> float:
     return imgf_lower(model, 0.0, x)
 
 
-def _series_weights(kappa: float, mu: float, m: float, mass_tol: float = 1e-14,
-                    max_terms: int = 200_000) -> np.ndarray:
-    """Weights of the gamma-scale mixture underlying the canonical family.
-
-    Negative-binomial weights for finite m, Poisson(kappa*mu) in the
-    unshadowed limit, a single unit weight for kappa = 0.  Truncated when the
-    remaining probability mass drops below mass_tol.
-    """
-    if kappa == 0.0:
-        return np.array([1.0])
-    if math.isinf(m):
-        lam = kappa * mu
-        hi = int(lam + 12.0 * math.sqrt(lam) + 50.0)
-        n = np.arange(hi + 1, dtype=float)
-        w = np.exp(n * math.log(lam) - lam - sp.gammaln(n + 1.0))
-    else:
-        theta = mu * kappa / (mu * kappa + m)
-        hi = 64
-        while True:
-            n = np.arange(hi + 1, dtype=float)
-            w = np.exp(sp.gammaln(m + n) - math.lgamma(m) - sp.gammaln(n + 1.0)
-                       + n * math.log(theta) + m * math.log1p(-theta))
-            if 1.0 - w.sum() <= mass_tol or hi >= max_terms:
-                break
-            hi *= 4
-    if 1.0 - w.sum() > mass_tol * 10.0:
-        raise DomainError("mixture weight truncation failed to capture the mass")
-    return w
-
-
 def cdf_grid(model: FadingModel, xs) -> np.ndarray:
-    """Vectorized CDF over an array of points (absolute accuracy ~1e-13).
-
-    Uses the gamma-scale mixture representation, which is cheap to broadcast.
-    """
+    """Vectorized CDF over an array of points (relative accuracy ~1e-12):
+    one batched gamma-mixture sum per chunk of 2^15 points, which bounds the
+    memory a million-point Kolmogorov-Smirnov check takes."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0):
+    if not np.all(xs >= 0):
         raise DomainError("SNR support is [0, inf)")
-    w = _series_weights(kappa, mu, m)
-    shapes = mu + np.arange(w.size, dtype=float)
-    out = np.empty(xs.shape, dtype=float)
-    flat = xs.reshape(-1)
-    chunk = max(1, int(4e6 / max(w.size, 1)))
-    for lo in range(0, flat.size, chunk):
-        seg = flat[lo:lo + chunk]
-        out.reshape(-1)[lo:lo + chunk] = w @ sp.gammainc(shapes[:, None], a * seg[None, :])
-    return out
+    flat = a * xs.reshape(-1)
+    out = np.zeros(flat.size)
+    live = np.flatnonzero(flat)  # F(0) = 0
+    for lo in range(0, live.size, 1 << 15):
+        idx = live[lo:lo + (1 << 15)]
+        out[idx] = np.exp(_log_mixture_sum(kappa * mu, m, mu, 0, 0.0, flat[idx], False))
+    return out.reshape(xs.shape)
 
 
 def sample(model: FadingModel, seed, n: int) -> np.ndarray:

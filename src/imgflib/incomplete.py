@@ -1,11 +1,14 @@
 """Lower/upper incomplete MGFs of the fading family, with s-derivatives.
 
-Closed forms by canonical kind:
+Every canonical density is a gamma-scale mixture sum_n w_n Gamma(mu + n, 1/a)
+with negative binomial (finite m), Poisson (m = inf) or single-term
+(kappa = 0) weights.  Each lower or upper IMGF and each s-derivative is
+therefore one positive series of regularized incomplete gammas,
 
-  kappa = 0        gamma law; regularized incomplete gammas.
-  m = inf          LOS without shadowing; Marcum Q of real order mu.
-  finite m > 0     Humbert Phi2 form, evaluated through the positive-term
-                   reduced series in log space.
+    sum_n w_n (mu+n)_k (a/(a-s))^(mu+n) R(mu+n+k, (a-s) zeta),   R = P or Q,
+
+which specfun._log_mixture_sum sums outward from its peak in log space; no
+tail is formed as a difference, so deep tails keep full relative accuracy.
 
 A generic numerical route through the inverse Laplace transform of
 M(s - p) / p is available for arbitrary user-supplied MGFs and doubles as an
@@ -19,17 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy import special as sp
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from . import laplace
 from .fading import FadingModel, mgf, pdf, smallest_pole, _canonical_params
 from .specfun import (
     AccuracyBudget,
     DEFAULT_ACCURACY,
-    marcum_p,
-    marcum_q,
-    _log_reg_upper_gamma,
+    marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
+    marcum_q,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_q
+    _log_mixture_sum,
     _phi2_unit_first_log,
 )
 
@@ -73,24 +75,8 @@ def _log_imgf_lower(model: FadingModel, s: float, zeta: float, acc: AccuracyBudg
         raise DomainError(
             f"lower IMGF closed form requires s < {a} (LOS-free decay rate); got s={s}"
         )
-    if kappa == 0.0:
-        p = sp.gammainc(mu, (a - s) * zeta)
-        base = -mu * math.log1p(-s / a)
-        if p > 0.0:
-            return base + math.log(float(p))
-        return base + (mu * math.log((a - s) * zeta) - (a - s) * zeta
-                       - math.lgamma(mu + 1.0))
-    if math.isinf(m):
-        p = marcum_p(mu, math.sqrt(2.0 * kappa * mu * a / (a - s)),
-                     math.sqrt(2.0 * (a - s) * zeta), acc)
-        log_mgf = mu * math.log(a / (a - s)) + kappa * mu * s / (a - s)
-        if p > 0.0:
-            return log_mgf + math.log(p)
-        return -math.inf
-    log_amp = (mu * math.log(mu) + m * math.log(m) + mu * math.log1p(kappa)
-               - mu * math.log(gbar) - m * math.log(mu * kappa + m))
-    log_phi2 = _phi2_unit_first_log(m, 1.0 + mu, (a - s) * zeta, (a - b) * zeta, acc)
-    return log_amp - math.lgamma(mu + 1.0) + mu * math.log(zeta) + log_phi2
+    return _log_mixture_sum(kappa * mu, m, mu, 0, -math.log1p(-s / a), (a - s) * zeta,
+                            False, acc)
 
 
 def imgf_lower(model: FadingModel, s: float, zeta: float,
@@ -110,6 +96,7 @@ def imgf_lower(model: FadingModel, s: float, zeta: float,
     return math.exp(_log_imgf_lower(model, s, zeta, acc))
 
 
+# unused; perfbench/trace.py hooks incomplete._upper_tail_quadrature
 def _upper_tail_quadrature(model: FadingModel, s: float, zeta: float, k: int,
                            tol: float) -> float:
     if k == 0:
@@ -125,31 +112,22 @@ def imgf_upper(model: FadingModel, s: float, zeta: float,
                acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
     """Upper IMGF int_zeta^inf exp(s x) f(x) dx = M(s) - lower IMGF.
 
-    Requires s strictly below the smallest MGF pole.  When the subtraction
-    would cancel catastrophically (result below 1e-6 of the MGF) the tail is
-    recomputed by direct quadrature.
+    Requires s strictly below the smallest MGF pole.  Summed directly as a
+    series of upper incomplete gammas, so it keeps its relative accuracy
+    however small it is next to M(s).
     """
     if zeta < 0:
         raise DomainError("zeta must be nonnegative")
     pole = smallest_pole(model)
     if s >= pole:
         raise DomainError(f"upper IMGF requires s < MGF pole {pole}, got s={s}")
-    mv = mgf(model, s)
     if zeta == 0.0:
-        return mv
+        return mgf(model, s)
     if math.isinf(zeta):
         return 0.0
     kappa, mu, m, gbar, a, b = _canonical_params(model)
-    if kappa == 0.0:
-        return math.exp(-mu * math.log1p(-s / a)) * float(sp.gammaincc(mu, (a - s) * zeta))
-    if math.isinf(m):
-        return mv * marcum_q(mu, math.sqrt(2.0 * kappa * mu * a / (a - s)),
-                             math.sqrt(2.0 * (a - s) * zeta), acc)
-    lower = imgf_lower(model, s, zeta, acc)
-    diff = mv - lower
-    if diff < 1e-6 * mv:
-        return _upper_tail_quadrature(model, s, zeta, 0, acc.rel_tol)
-    return diff
+    return math.exp(_log_mixture_sum(kappa * mu, m, mu, 0, -math.log1p(-s / a),
+                                     (a - s) * zeta, True, acc))
 
 
 # ---------------------------------------------------------------------------
@@ -174,76 +152,9 @@ def _deriv_log_series(model: FadingModel, s: float, zeta: float, k: int,
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     if not s < b:
         raise DomainError(f"derivative series requires s < {b}, got s={s}")
-    x = (a - s) * zeta
-    use_upper = tail == "upper"
-    shift = -s * zeta
-
-    if kappa == 0.0:
-        logt = (sp.gammaln(mu + k) - sp.gammaln(mu) + mu * math.log(a)
-                - (mu + k) * math.log(a - s))
-        if use_upper:
-            if zeta == 0.0:
-                return logt + shift
-            return logt + shift + _log_reg_upper_gamma(mu + k, x)
-        p = sp.gammainc(mu + k, x)
-        if p <= 0.0:
-            return -math.inf
-        return logt + shift + math.log(float(p))
-
-    if math.isinf(m):
-        lam = kappa * mu
-        def log_w(n):
-            return n * math.log(lam) - lam - sp.gammaln(n + 1.0)
-        def ratio_w(n):
-            return lam / (n + 1.0)
-    else:
-        theta = mu * kappa / (mu * kappa + m)
-        log_theta = math.log(theta)
-        def log_w(n):
-            return (sp.gammaln(m + n) - math.lgamma(m) - sp.gammaln(n + 1.0)
-                    + n * log_theta + m * math.log1p(-theta))
-        def ratio_w(n):
-            return theta * (m + n) / (n + 1.0)
-
-    block = 256
-    total = 0.0
-    anchor = -math.inf
-    n0 = 0
-    while n0 < acc.max_terms:
-        n = np.arange(n0, n0 + block, dtype=float)
-        logt = (log_w(n) + sp.gammaln(mu + n + k) - sp.gammaln(mu + n)
-                + (mu + n) * math.log(a) - (mu + n + k) * math.log(a - s) + shift)
-        if zeta > 0.0:
-            if use_upper:
-                reg = sp.gammaincc(mu + n + k, x)
-                if np.all(reg > 0.0):
-                    logr = np.log(reg)
-                else:
-                    logr = np.array([_log_reg_upper_gamma(mu + v + k, x) for v in n])
-            else:
-                reg = sp.gammainc(mu + n + k, x)
-                with np.errstate(divide="ignore"):
-                    logr = np.log(reg)
-            logt = logt + logr
-        m_blk = float(np.max(logt))
-        if m_blk > -math.inf:
-            if m_blk > anchor:
-                if anchor > -math.inf:
-                    total *= math.exp(anchor - m_blk)
-                anchor = m_blk
-            total += float(np.exp(logt - anchor).sum())
-        n0 += block
-        ratio = ratio_w(float(n0)) * (a / (a - s)) * (mu + n0 + k) / (mu + n0)
-        if total > 0.0 and ratio < 1.0:
-            last = math.exp(logt[-1] - anchor) if np.isfinite(logt[-1]) else 0.0
-            if last / (1.0 - ratio) <= acc.rel_tol * total:
-                return anchor + math.log(total)
-        if total == 0.0 and m_blk == -math.inf and n0 >= 4 * block:
-            return -math.inf
-    raise AccuracyError(
-        f"derivative series did not converge within {acc.max_terms} terms "
-        f"(s={s}, zeta={zeta}, k={k})"
-    )
+    return (-s * zeta - k * math.log(a - s)
+            + _log_mixture_sum(kappa * mu, m, mu, k, -math.log1p(-s / a), (a - s) * zeta,
+                               tail == "upper", acc))
 
 
 def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,

@@ -49,7 +49,9 @@ def quad_imgf(model: FadingModel, s: float, zeta: float, tail: str = "lower",
         raise DomainError(f"tail must be 'lower' or 'upper', got {tail!r}")
 
     def f(x: float) -> float:
-        return math.exp(s * x) * pdf(model, x)
+        # in log space: exp(s x) alone overflows for s > 0 where the density is 0
+        d = pdf(model, x)
+        return math.exp(s * x + math.log(d)) if d > 0.0 else 0.0
 
     if tail == "lower":
         if zeta == 0.0:

@@ -1,7 +1,8 @@
-"""Scalar special-function kernels: Marcum Q, Kummer 1F1, log-space
-regularized incomplete gammas and the reduced Humbert Phi2 series.
+"""Special-function kernels: the gamma-mixture sum behind every closed form
+(and the Marcum functions built on it), log-space regularized incomplete
+gammas, Kummer 1F1 and the reduced Humbert Phi2 series.
 
-All kernels are pure double-precision scalar functions, reentrant and
+All kernels are pure double-precision functions, reentrant and
 thread-safe.  Accuracy is controlled by an AccuracyBudget; running out of the
 term budget raises AccuracyError rather than silently truncating.
 """
@@ -49,60 +50,196 @@ def _check_c_parameter(c: float, name: str = "c") -> None:
 
 
 # ---------------------------------------------------------------------------
-# incomplete gammas
+# regularized incomplete gammas in log space
 # ---------------------------------------------------------------------------
 
-def _log_reg_upper_gamma(a: float, x: float) -> float:
-    """log Q(a, x), usable deep in the tail where Q underflows.
+_UNDERFLOW = 1e-280
+_FAR_ITERATIONS = 20_000
 
-    Switches to the asymptotic expansion Q ~ x^(a-1) e^-x / Gamma(a) once the
-    direct value underflows; there x >> a, so the expansion is sharp.
+
+def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
+    """log Q(a, x) (upper) or log P(a, x) over broadcast arrays, for x > 0.
+
+    Where scipy's value underflows it is rebuilt in log space as
+    x^a e^-x / Gamma(a) times Legendre's continued fraction for Q (x > a) or
+    the ascending series for P (x < a), both fast that far from x ~ a.
     """
-    q = sp.gammaincc(a, x)
-    if q > 1e-280:
-        return math.log(q)
-    # asymptotic series sum_j (a-1)(a-2)...(a-j) / x^j
-    corr = 1.0
-    term = 1.0
-    for j in range(1, 40):
-        term *= (a - j) / x
-        if abs(term) < 1e-18 * abs(corr):
-            break
-        corr += term
-    return -x + (a - 1.0) * math.log(x) - math.lgamma(a) + math.log(max(corr, 1e-300))
+    r = sp.gammaincc(a, x) if upper else sp.gammainc(a, x)
+    out = np.log(r)
+    if r.min() >= _UNDERFLOW:
+        return out
+    far = r < _UNDERFLOW
+    a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
+    log_pref = a * np.log(x) - x - sp.gammaln(a)
+    if upper:
+        b = x + 1.0 - a
+        c, d = np.full_like(x, 1e300), 1.0 / b
+        h = d
+        for i in range(1, _FAR_ITERATIONS):
+            an = -i * (i - a)
+            b = b + 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            h = h * d * c
+            if (np.abs(d * c - 1.0) < 1e-15).all():
+                out[far] = log_pref + np.log(h)
+                return out
+    else:
+        term = total = np.ones_like(x)
+        for j in range(1, _FAR_ITERATIONS):
+            term = term * x / (a + j)
+            total = total + term
+            if (term < 1e-16 * total).all():
+                out[far] = log_pref - np.log(a) + np.log(total)
+                return out
+    raise AccuracyError("regularized incomplete gamma did not converge in its tail")
+
+
+# ---------------------------------------------------------------------------
+# the gamma-mixture kernel
+# ---------------------------------------------------------------------------
+
+def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
+                     upper: bool, acc: AccuracyBudget = DEFAULT_ACCURACY):
+    """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P.
+
+    The weights w_n are negative binomial with mean lam and shape m, Poisson
+    when m = inf and a unit mass at n = 0 when lam = 0.  The densities of the
+    family are gamma-scale mixtures with these weights, so with r = a/(a-s)
+    and x = (a-s) zeta this one sum gives every incomplete MGF, its
+    s-derivatives, the CDF and the Marcum functions.  Vectorised over x,
+    which must be positive for the lower tail.
+
+    Summation starts at an estimate of the summand peak and works outward in
+    doubling blocks (the central-term windowing of Gil, Segura and Temme for
+    the Marcum function).  Each factor of the summand is log-concave in n, so
+    the term ratio at a block edge bounds every ratio beyond it (the weights
+    for m < 1, which are not, get an explicit bound); a direction stops once
+    the geometric tail so bounded is below 1e-2 * acc.rel_tol of the sum.
+    """
+    shape = np.shape(x)  # a float x runs on numpy scalars, cheaper than 1-element arrays
+    xs = np.asarray(x, dtype=float).reshape(-1) if shape else np.float64(x)
+    if lam == 0.0:  # a unit mass at n = 0: the sum is its first term
+        with np.errstate(divide="ignore"):
+            out = (mu * log_r + math.lgamma(mu + k) - math.lgamma(mu)
+                   + _log_reg_gamma(np.array([mu + k]), xs, upper))
+        return out.reshape(shape) if shape else float(out[0])
+    poisson = math.isinf(m)
+    theta = 0.0 if poisson else lam / (lam + m)
+    r, tol = math.exp(log_r), 1e-2 * acc.rel_tol
+    # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)]
+    slope = log_r + math.log(lam if poisson else theta)
+    const = mu * log_r - (lam if poisson else math.lgamma(m) - m * math.log1p(-theta))
+
+    def log_terms(n: np.ndarray, cols):
+        base = n * slope + const - sp.gammaln(n + 1.0)
+        if not poisson:
+            base += sp.gammaln(n + m)
+        if k:
+            base += np.log(sp.poch(n + mu, k))
+        if shape:
+            base, n = base[:, None], n[:, None]
+        log_rg = _log_reg_gamma(n + (mu + k), cols, upper)
+        return base + log_rg, log_rg
+
+    def forward_ratio(top: int, log_rg):
+        """Bound on the term ratio t(n+1)/t(n) for every n >= top."""
+        w = lam / (top + 1.0) if poisson else theta * max(1.0, (m + top) / (top + 1.0))
+        rg = (np.exp(log_rg[-1] - log_rg[-2]) if upper
+              else np.minimum(1.0, xs / (mu + top + k + 1.0)))
+        return w * r * (mu + top + k) / (mu + top) * rg
+
+    def backward_ratio(low: int, log_rg):
+        """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low."""
+        w = (low / lam if poisson else low / (theta * (m + low - 1.0)) if m >= 1.0
+             else 1.0 / (theta * m))
+        rg = (np.minimum(1.0, (mu + low + k - 1.0) / xs) if upper
+              else np.exp(log_rg[0] - log_rg[1]))
+        return w / r * (mu + low - 1.0) / (mu + low + k - 1.0) * rg
+
+    with np.errstate(all="ignore"):
+        # the peak of the median column (Q pulls it from the weights' peak up
+        # to about x, P down), refined on grids around their maximum (the terms
+        # are log-concave in n) unless one block from n = 0 covers it
+        xc = float(np.median(xs)) if shape else xs
+        q = r * theta
+        guess = (lam * r + k if poisson else q * (m + k) / (1.0 - q) if q < 1.0
+                 else q * (xc + m + k))
+        guess = max(guess, xc) if upper else min(guess, xc + math.sqrt(guess * xc))
+        center, lo, hi = 0, 0.0, 2.0 * guess + 16.0
+        block = int(hi) if hi <= 256.0 else 32
+        col = np.array([xc]) if shape else xs
+        while hi - lo > 2 * block:
+            grid = np.unique(np.floor(np.linspace(lo, hi, 33)))
+            i = int(log_terms(grid, col)[0].argmax())
+            center, block = int(grid[i]), 32 + int(6.0 * math.sqrt(grid[i]))
+            if i == grid.size - 1:
+                lo, hi = grid[-2], 16.0 * hi
+            else:
+                lo, hi = grid[max(i - 1, 0)], grid[i + 1]
+
+        lo, hi = max(0, center - block), center + block
+        logt, log_rg = log_terms(np.arange(lo, hi, dtype=float), xs)
+        ref = logt.max(axis=0)
+        total = np.exp(logt - ref).sum(axis=0)
+
+        def remaining(edge, ratio):
+            """Terms to add before the tail bound at the edge falls below tol
+            (<= 0: none; nan: the edge is not yet past the peak)."""
+            bound = np.exp(edge - ref) * ratio
+            return np.log(tol * total * (1.0 - ratio) / bound) / np.log(ratio)
+
+        def grow(size: int, need) -> int:
+            """The next block: doubled, or what the bound asks for if fewer."""
+            size = int(min(2 * size, np.max(need) + 8.0, acc.max_terms - (hi - lo)))
+            if size < 2:
+                raise AccuracyError(
+                    f"gamma-mixture sum needed more than max_terms={acc.max_terms} terms "
+                    f"(lam={lam}, m={m}, mu={mu}, k={k}, x={float(np.max(xs))})")
+            return size
+
+        def add(logt):
+            nonlocal ref, total
+            new = np.maximum(ref, logt.max(axis=0))
+            total = total * np.exp(ref - new) + np.exp(logt - new).sum(axis=0)
+            ref = new
+
+        ahead = remaining(logt[-1], forward_ratio(hi - 1, log_rg))
+        behind = remaining(logt[0], backward_ratio(lo, log_rg)) if lo else ref * 0.0
+        size = block
+        while not (ahead <= 0.0).all():
+            size = grow(size, ahead)
+            hi += size
+            logt, log_rg = log_terms(np.arange(hi - size, hi, dtype=float), xs)
+            add(logt)
+            ahead = remaining(logt[-1], forward_ratio(hi - 1, log_rg))
+        size = block
+        while not (behind <= 0.0).all():
+            size = grow(size, behind)
+            top, lo = lo, max(0, lo - size)
+            logt, log_rg = log_terms(np.arange(lo, top, dtype=float), xs)
+            add(logt)
+            behind = remaining(logt[0], backward_ratio(lo, log_rg)) if lo else ref * 0.0
+        out = ref + np.log(total)
+    return out.reshape(shape) if shape else float(out)
 
 
 # ---------------------------------------------------------------------------
 # Marcum Q
 # ---------------------------------------------------------------------------
 
-def _marcum_terms(nu: float, a: float, b: float, acc: AccuracyBudget):
-    """Poisson weights in a^2/2 and the gamma-tail arguments for Marcum sums.
-
-    Weights are taken on a window around the Poisson mode (central-term-outward
-    truncation); the neglected probability mass bounds the truncation error
-    because every gamma factor lies in [0, 1].
-    """
-    lam = 0.5 * a * a
-    x = 0.5 * b * b
-    if lam == 0.0:
-        return np.array([1.0]), np.array([nu]), x, 0.0
-    half = 12.0 * math.sqrt(lam) + 40.0
-    k_lo = max(0, int(lam - half))
-    k_hi = int(lam + half) + 1
-    if k_hi - k_lo > acc.max_terms:
-        raise AccuracyError(
-            f"Marcum Q needs more than max_terms={acc.max_terms} Poisson terms (a={a})"
-        )
-    k = np.arange(k_lo, k_hi, dtype=float)
-    logw = k * math.log(lam) - lam - sp.gammaln(k + 1.0)
-    w = np.exp(logw)
-    missing = abs(1.0 - float(w.sum()))
-    if missing > 100.0 * acc.rel_tol:
-        raise AccuracyError(
-            f"Marcum Q Poisson window lost mass {missing:.3e} (a={a}, b={b})"
-        )
-    return w, nu + k, x, missing
+def _marcum(nu: float, a: float, b: float, upper: bool, acc: AccuracyBudget) -> float:
+    """sum_k Pois(k; a^2/2) R(nu + k, b^2/2), R = Q if upper else P."""
+    if not nu > 0:
+        raise DomainError(f"order must be positive, got nu={nu}")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise DomainError("Marcum arguments must be finite and nonnegative")
+    if b == 0.0:
+        return 1.0 if upper else 0.0
+    v = math.exp(_log_mixture_sum(0.5 * a * a, math.inf, nu, 0, 0.0, 0.5 * b * b, upper, acc))
+    if v > 1.0 + 1e-12:
+        raise AccuracyError(f"Marcum {'Q' if upper else 'P'} left [0,1]: {v}")
+    return min(max(v, 0.0), 1.0)
 
 
 def marcum_q(nu: float, a: float, b: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
@@ -111,20 +248,7 @@ def marcum_q(nu: float, a: float, b: float, acc: AccuracyBudget = DEFAULT_ACCURA
     Q_nu(a, b) = sum_k Pois(k; a^2/2) Q(nu + k, b^2/2), the tail probability
     of a noncentral chi-square law.  Nonincreasing in b, with Q(a, 0) = 1.
     """
-    if not nu > 0:
-        raise DomainError(f"order must be positive, got nu={nu}")
-    if a < 0 or b < 0:
-        raise DomainError("Marcum Q arguments must be nonnegative")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("Marcum Q arguments must be finite")
-    if b == 0.0:
-        return 1.0
-    w, shapes, x, missing = _marcum_terms(nu, a, b, acc)
-    q = float(np.dot(w, sp.gammaincc(shapes, x)))
-    # truncation can only lose nonnegative mass; fold it into a bound check
-    if q > 1.0 + 1e-12:
-        raise AccuracyError(f"Marcum Q left [0,1]: {q}")
-    return min(max(q, 0.0), 1.0)
+    return _marcum(nu, a, b, True, acc)
 
 
 def marcum_p(nu: float, a: float, b: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
@@ -133,17 +257,7 @@ def marcum_p(nu: float, a: float, b: float, acc: AccuracyBudget = DEFAULT_ACCURA
     Direct summation avoids the cancellation of forming 1 - Q when the result
     is small (noncentral chi-square CDF near the origin).
     """
-    if not nu > 0:
-        raise DomainError(f"order must be positive, got nu={nu}")
-    if a < 0 or b < 0:
-        raise DomainError("Marcum arguments must be nonnegative")
-    if b == 0.0:
-        return 0.0
-    w, shapes, x, missing = _marcum_terms(nu, a, b, acc)
-    p = float(np.dot(w, sp.gammainc(shapes, x)))
-    if p > 1.0 + 1e-12:
-        raise AccuracyError(f"Marcum P left [0,1]: {p}")
-    return min(max(p, 0.0), 1.0)
+    return _marcum(nu, a, b, False, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +354,8 @@ def _phi2_unit_first_log(b2: float, c: float, u: float, v: float,
         raise DomainError("reduced Phi2 series requires v >= 0")
     log_pref = math.lgamma(c) + (1.0 - c) * math.log(u)
     if v == 0.0 or b2 == 0.0:
-        p0 = sp.gammainc(c - 1.0, u)
-        if p0 <= 0.0:
-            return log_pref + _log_reg_lower_gamma_far(c - 1.0, u)
-        return log_pref + math.log(float(p0))
+        with np.errstate(divide="ignore"):
+            return log_pref + float(_log_reg_gamma(np.array([c - 1.0]), u, False)[0])
 
     rho = v / u
     log_rho = math.log(rho)
@@ -280,9 +392,3 @@ def _phi2_unit_first_log(b2: float, c: float, u: float, v: float,
         f"reduced Phi2 series needed more than {acc.max_terms} terms "
         f"(b2={b2}, c={c}, u={u}, v={v})"
     )
-
-
-def _log_reg_lower_gamma_far(a: float, x: float) -> float:
-    """log P(a, x) when P underflows (x << a): leading series term in log space."""
-    # P(a, x) ~ x^a e^-x / Gamma(a + 1) for x -> 0
-    return a * math.log(x) - x - math.lgamma(a + 1.0)

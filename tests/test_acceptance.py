@@ -78,17 +78,21 @@ def _report(num: int, name: str, ok: bool, detail: str):
 
 def test_criterion_01_closed_forms_vs_definitional_quadrature():
     t0 = time.time()
-    worst = 0.0
+    worst = {"lower": 0.0, "upper": 0.0}
     for model in _grid_models():
         for s in S_GRID:
             for zr in Z_RATIOS:
                 z = zr * model.mean_snr
-                closed = imgf_lower(model, s, z)
-                oracle = quad_imgf(model, s, z, "lower", tol=1e-11)
-                worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-280))
+                for tail, closed_form in (("lower", imgf_lower), ("upper", imgf_upper)):
+                    closed = closed_form(model, s, z)
+                    oracle = quad_imgf(model, s, z, tail, tol=1e-11)
+                    worst[tail] = max(worst[tail],
+                                      abs(closed - oracle) / max(abs(oracle), 1e-280))
     elapsed = time.time() - t0
-    _report(1, "closed forms vs quadrature", worst <= 1e-8 and elapsed <= 300.0,
-            f"max rel err {worst:.3e}, {elapsed:.0f}s")
+    _report(1, "closed forms vs quadrature",
+            max(worst.values()) <= 1e-8 and elapsed <= 300.0,
+            f"max rel err lower {worst['lower']:.3e}, upper {worst['upper']:.3e}, "
+            f"{elapsed:.0f}s")
 
 
 def test_criterion_02_inversion_route_vs_closed_forms():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from imgflib.apps import (
     AdaptiveModScheme,
@@ -242,3 +243,35 @@ class TestAber:
         scheme = AdaptiveModScheme(thresholds=th, bits_per_region=(2, 6))
         val = aber_adaptive(FadingModel.nakagami(2.0, 5.0), scheme)
         assert 0.0 <= val <= 0.2
+
+    @pytest.mark.parametrize("channel", [
+        FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, db_to_linear(0.0)),
+        FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, db_to_linear(2.0)),
+        FadingModel.kappa_mu(10.0, 2.0, db_to_linear(0.0)),
+        FadingModel.kappa_mu(10.0, 2.0, db_to_linear(2.0)),
+        FadingModel.kappa_mu(10.0, 2.0, db_to_linear(4.0)),
+    ])
+    def test_low_mean_snr_against_region_quadrature(self, channel):
+        # nearly all mass lies below the first threshold, so each region's
+        # share is tiny next to the IMGFs that bound it
+        scheme = AdaptiveModScheme(thresholds=(10.6, 53.0, 222.5, 900.7),
+                                   bits_per_region=(2, 4, 6, 8))
+        ref = aber_by_region_quadrature(channel, scheme)
+        assert aber_adaptive(channel, scheme) == pytest.approx(ref, rel=1e-8)
+
+
+def aber_by_region_quadrature(channel, scheme) -> float:
+    """0.2 sum_k k int_region exp(s_k g) f(g) dg / sum_k k int_region f(g) dg,
+    each region split where the density falls off above its lower edge."""
+    edges = list(scheme.thresholds) + [math.inf]
+    num = den = 0.0
+    for k, lo, hi in zip(scheme.bits_per_region, edges, edges[1:]):
+        s = -1.5 / (2.0 ** k - 1.0)
+        cuts = [lo] + [c for c in (lo + d * channel.mean_snr for d in (0.01, 0.1, 1.0, 10.0))
+                       if c < hi] + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            num += k * integrate.quad(lambda g: math.exp(s * g) * pdf(channel, g), a, b,
+                                      epsabs=0.0, epsrel=1e-12, limit=500)[0]
+            den += k * integrate.quad(lambda g: pdf(channel, g), a, b,
+                                      epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    return 0.2 * num / den

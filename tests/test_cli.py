@@ -172,13 +172,7 @@ class TestSweep:
         pooled = run_sweep(json.loads(json.dumps(spec)))
         assert pooled == serial
 
-    @pytest.mark.parametrize("preset", [
-        pytest.param(p, marks=pytest.mark.xfail(
-            strict=True, reason="known defect: the derivative series of _deriv_log_series "
-                                "runs out of its term budget at bob.mean_snr_db=48"))
-        if p in ("fig6", "fig7") else p
-        for p in PRESETS
-    ])
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_preset_runs(self, preset, tmp_path, capsys):
         out = tmp_path / f"{preset}.csv"
         assert main(["sweep", "--preset", preset, "--out", str(out)]) == EXIT_OK

@@ -104,7 +104,7 @@ class TestUpper:
                 assert defect <= 1e-10 * mv
 
     def test_cancellation_guard_deep_tail(self):
-        # result far below the MGF triggers the direct-quadrature path
+        # a tail far below the MGF keeps its relative accuracy
         model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 1.0)
         got = imgf_upper(model, -1.0, 30.0)
         ref = quad_imgf(model, -1.0, 30.0, "upper")

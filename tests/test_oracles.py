@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from imgflib.apps import AdaptiveModScheme, SecrecyScenario
 from imgflib.fading import FadingModel, cdf, mgf
+from imgflib.incomplete import imgf_upper
 from imgflib.oracles import McConfig, mc_aber, mc_opsc, quad_imgf
 
 RAY_LOWER = 0.5179132265677134
@@ -26,6 +29,14 @@ class TestQuad:
 
     def test_zeta_zero_lower(self):
         assert quad_imgf(FadingModel.rayleigh(1.0), -0.5, 0.0, "lower") == 0.0
+
+    def test_upper_positive_s(self):
+        # int_5^inf e^(x/20) e^(-x/10) / 10 dx = 2 e^(-1/4); exp(s x) alone
+        # overflows far out where the density has already underflowed to 0
+        model = FadingModel.rayleigh(10.0)
+        ref = 2.0 * math.exp(-0.25)
+        assert quad_imgf(model, 0.05, 5.0, "upper") == pytest.approx(ref, rel=1e-10)
+        assert imgf_upper(model, 0.05, 5.0) == pytest.approx(ref, rel=1e-12)
 
 
 class TestMcOpsc:

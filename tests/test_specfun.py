@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import special as sp
 
 from imgflib.errors import DomainError
@@ -104,6 +105,15 @@ class TestMarcumQ:
         for (nu, a, b) in [(0.5, 0.3, 1.0), (2.7, 4.0, 3.0), (6.0, 1.0, 8.0)]:
             assert marcum_p(nu, a, b) + marcum_q(nu, a, b) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("nu,a,b", [(1.0, 10.0, 40.0), (2.0, 10.0, 40.0),
+                                        (2.5, 8.0, 35.0), (2.0, 3.0, 12.0)])
+    def test_deep_tail_against_density_quadrature(self, nu, a, b):
+        # b >> a: the Poisson terms that matter lie near k ~ a b / 2, far
+        # above the mode a^2 / 2 of the weights
+        ref = noncentral_chi2_tail(2.0 * nu, a * a, b * b)
+        assert ref < 1e-18
+        assert abs(marcum_q(nu, a, b) - ref) <= 1e-10 * ref
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             marcum_q(0.0, 1.0, 1.0)
@@ -111,6 +121,24 @@ class TestMarcumQ:
             marcum_q(1.0, -0.1, 1.0)
         with pytest.raises(DomainError):
             marcum_q(1.0, math.inf, 1.0)
+
+
+def noncentral_chi2_tail(dof: float, nc: float, x0: float) -> float:
+    """Pr{X > x0} for X noncentral chi-square, by quadrature of its density
+    0.5 e^(-(x+nc)/2) (x/nc)^(dof/4-1/2) I_(dof/2-1)(sqrt(nc x)), with the
+    Bessel function from scipy's exponentially scaled ive."""
+    order = 0.5 * dof - 1.0
+
+    def density(x: float) -> float:
+        z = math.sqrt(nc * x)
+        return math.exp(z - 0.5 * (x + nc) + 0.5 * order * math.log(x / nc)
+                        + math.log(0.5 * sp.ive(order, z)))
+
+    # beyond x0 the density falls by about e per 2 / (1 - sqrt(nc / x0))
+    step = 2.0 / (1.0 - math.sqrt(nc / x0))
+    cuts = [x0] + [x0 + c * step for c in (1.0, 4.0, 16.0, 64.0)] + [math.inf]
+    return sum(integrate.quad(density, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 class TestKummer:
