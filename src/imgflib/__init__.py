@@ -40,9 +40,7 @@ from .fading import (
     smallest_pole,
 )
 from .incomplete import (
-    ImgfQuery,
     MAX_DERIV_ORDER,
-    evaluate,
     imgf_deriv_s,
     imgf_generic,
     imgf_lower,
@@ -51,12 +49,6 @@ from .incomplete import (
 from .laplace import InversionConfig, InversionResult, LaplaceImage, imgf_lower_numeric, invert
 from .mixture import GammaMixture, mixture_cdf, mixture_from_model, mixture_params
 from .oracles import McConfig, mc_aber, mc_opsc, quad_imgf
-from .specfun import (
-    AccuracyBudget,
-    DEFAULT_ACCURACY,
-    kummer_1f1,
-    marcum_p,
-    marcum_q,
-)
+from .specfun import marcum_p, marcum_q
 
 __version__ = "0.1.0"

@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .errors import AccuracyError, DomainError
 from .fading import FadingModel, mgf, mrc_combine, pdf
 from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
 from .mixture import GammaMixture, mixture_from_model
-from .specfun import AccuracyBudget, DEFAULT_ACCURACY
 
 __all__ = [
     "SecrecyScenario",
@@ -35,6 +34,9 @@ __all__ = [
     "solve_cutoff",
     "aber_adaptive",
 ]
+
+_RATE_TOL = 1e-9          # eps_outage_capacity's bisection stops at this bracket width
+_CUTOFF_RESIDUAL = 1e-10  # solve_cutoff's bound on the power-constraint residual
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def _clamp_probability(p: float, where: str, tol: float = 1e-8) -> float:
 
 
 def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
-                 scale: float, acc: AccuracyBudget) -> float:
+                 scale: float) -> float:
     """Pr{gamma_b <= alpha + scale * gamma_e} for a mixture-form eavesdropper.
 
     Expanding the eavesdropper CDF termwise turns the probability into
@@ -112,7 +114,7 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     """
     if alpha < 0:
         raise DomainError("threshold must be nonnegative")
-    f_alpha = imgf_lower(bob, 0.0, alpha, acc) if alpha > 0 else 0.0
+    f_alpha = imgf_lower(bob, 0.0, alpha) if alpha > 0 else 0.0
     total = f_alpha
     cache: dict[tuple[float, int], float] = {}
     for (c_i, omega_i, m_i) in eve_mixture.terms:
@@ -132,14 +134,14 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
             w_k = bk * partial[m_i - 1 - k]
             key = (beta, k)
             if key not in cache:
-                cache[key] = math.exp(_deriv_log_scaled(bob, -beta, alpha, k, acc))
+                cache[key] = math.exp(_deriv_log_scaled(bob, -beta, alpha, k))
             contrib += w_k * cache[key]
             bk *= beta / (k + 1.0)
         total += c_i * contrib
     return _clamp_probability(total, "outage probability")
 
 
-def opsc(scenario: SecrecyScenario, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def opsc(scenario: SecrecyScenario) -> float:
     """Outage probability of the secrecy capacity, Pr{C_S <= R_S}.
 
     Exact whenever the (MRC-combined) eavesdropper admits the finite gamma
@@ -149,38 +151,36 @@ def opsc(scenario: SecrecyScenario, acc: AccuracyBudget = DEFAULT_ACCURACY) -> f
     eve = mrc_combine(scenario.eve, scenario.n_eve_antennas)
     mix = mixture_from_model(eve)
     scale = 2.0 ** scenario.rate_rs
-    return _outage_core(scenario.bob, mix, scale - 1.0, scale, acc)
+    return _outage_core(scenario.bob, mix, scale - 1.0, scale)
 
 
-def spsc(scenario: SecrecyScenario, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def spsc(scenario: SecrecyScenario) -> float:
     """Outage probability of strictly positive secrecy capacity (R_S = 0)."""
-    return opsc(replace(scenario, rate_rs=0.0), acc)
+    return opsc(replace(scenario, rate_rs=0.0))
 
 
-def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float,
-                        acc: AccuracyBudget = DEFAULT_ACCURACY,
-                        rate_tol: float = 1e-9) -> float:
+def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
-    Monotone bisection on R_S; returns 0 when even a zero rate violates the
-    epsilon budget.
+    Monotone bisection on R_S down to _RATE_TOL; returns 0 when even a zero
+    rate violates the epsilon budget.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
     sc0 = replace(scenario, rate_rs=0.0)
-    if opsc(sc0, acc) > epsilon:
+    if opsc(sc0) > epsilon:
         return 0.0
     lo, hi = 0.0, 1.0
-    while opsc(replace(scenario, rate_rs=hi), acc) <= epsilon:
+    while opsc(replace(scenario, rate_rs=hi)) <= epsilon:
         lo = hi
         hi *= 2.0
         if hi > 2.0 ** 20:
             raise AccuracyError("secrecy-rate bracket expansion failed")
     for _ in range(200):
-        if hi - lo <= rate_tol:
+        if hi - lo <= _RATE_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if opsc(replace(scenario, rate_rs=mid), acc) <= epsilon:
+        if opsc(replace(scenario, rate_rs=mid)) <= epsilon:
             lo = mid
         else:
             hi = mid
@@ -190,7 +190,7 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float,
 
 
 def outage_interference(desired: FadingModel, interference: FadingModel,
-                        gamma_th: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+                        gamma_th: float) -> float:
     """Outage probability with interference and background noise,
     Pr{gamma_d <= gamma_th + (1 + gamma_th) * gamma_i}.
 
@@ -201,55 +201,45 @@ def outage_interference(desired: FadingModel, interference: FadingModel,
     if gamma_th < 0:
         raise DomainError("threshold must be nonnegative")
     mix = mixture_from_model(interference)
-    return _outage_core(desired, mix, gamma_th, gamma_th + 1.0, acc)
+    return _outage_core(desired, mix, gamma_th, gamma_th + 1.0)
 
 
 # ---------------------------------------------------------------------------
 # capacity with side information at TX and RX
 # ---------------------------------------------------------------------------
 
-def solve_cutoff(channel: FadingModel, acc: AccuracyBudget = DEFAULT_ACCURACY,
-                 residual_tol: float = 1e-10) -> float:
+def solve_cutoff(channel: FadingModel) -> float:
     """Cutoff SNR of the water-filling power constraint,
 
         int_g0^inf (1/g0 - 1/g) f(g) dg = 1,
 
-    solved by bisection on (0, 1]; the residual at the returned root is below
-    residual_tol."""
+    solved by Brent's method on [1e-9, 1] (at g0 = 1 the left side is at
+    most 1); the residual at the returned root is below _CUTOFF_RESIDUAL."""
     def residual(g0: float) -> float:
-        tail = imgf_upper(channel, 0.0, g0, acc)
+        tail = imgf_upper(channel, 0.0, g0)
         inv_mean, _ = integrate.quad(lambda g: pdf(channel, g) / g, g0, np.inf,
                                      epsabs=1e-13, epsrel=1e-11, limit=400)
         return tail / g0 - inv_mean - 1.0
 
-    lo, hi = 1e-9, 1.0
-    r_lo = residual(lo)
-    if r_lo < 0:
-        raise AccuracyError("cutoff bracket failed at the lower end")
-    best = None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        best = mid
-        if abs(r) <= residual_tol:
-            return mid
-        if r > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    raise AccuracyError(f"cutoff bisection stalled at {best} without meeting the residual")
+    try:
+        g0 = optimize.brentq(residual, 1e-9, 1.0, xtol=1e-14, rtol=1e-15)
+    except (DomainError, AccuracyError):
+        raise
+    except (ValueError, RuntimeError) as exc:  # no sign change, or no convergence
+        raise AccuracyError(f"cutoff root search failed: {exc}") from exc
+    r = residual(g0)
+    if not abs(r) <= _CUTOFF_RESIDUAL:
+        raise AccuracyError(f"cutoff residual {r} at {g0} exceeds {_CUTOFF_RESIDUAL}")
+    return g0
 
 
-def _cutoff(scenario: CapacityScenario, acc: AccuracyBudget) -> float:
+def _cutoff(scenario: CapacityScenario) -> float:
     if scenario.cutoff_snr is not None:
         return scenario.cutoff_snr
-    return solve_cutoff(scenario.channel, acc)
+    return solve_cutoff(scenario.channel)
 
 
-def capacity_side_info(scenario: CapacityScenario,
-                       acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def capacity_side_info(scenario: CapacityScenario) -> float:
     """Ergodic capacity (bits/s/Hz, unit bandwidth) with optimal rate and
     power adaptation, through the exponential-integral transform of the
     upper IMGF:
@@ -264,14 +254,14 @@ def capacity_side_info(scenario: CapacityScenario,
     from scipy.special import expi
 
     model = scenario.channel
-    g0 = _cutoff(scenario, acc)
+    g0 = _cutoff(scenario)
 
     def integrand(x: float) -> float:
         if x == 0.0:
             return 0.0
         s = -x / g0
-        d0 = math.exp(_deriv_log_scaled(model, s, g0, 0, acc))
-        d1 = math.exp(_deriv_log_scaled(model, s, g0, 1, acc))
+        d0 = math.exp(_deriv_log_scaled(model, s, g0, 0))
+        d1 = math.exp(_deriv_log_scaled(model, s, g0, 1))
         return float(expi(-x)) * (d0 - d1 / g0)
 
     head, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10,
@@ -284,12 +274,11 @@ def capacity_side_info(scenario: CapacityScenario,
     return max(c, 0.0)
 
 
-def capacity_direct(scenario: CapacityScenario,
-                    acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def capacity_direct(scenario: CapacityScenario) -> float:
     """Same capacity by direct quadrature of log2(g / g0) over the tail;
     the independent cross-check route."""
     model = scenario.channel
-    g0 = _cutoff(scenario, acc)
+    g0 = _cutoff(scenario)
     val, _ = integrate.quad(lambda g: math.log(g / g0) * pdf(model, g),
                             g0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
     return val / math.log(2.0)
@@ -299,8 +288,7 @@ def capacity_direct(scenario: CapacityScenario,
 # adaptive modulation
 # ---------------------------------------------------------------------------
 
-def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme,
-                  acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     """Average BER of constellation-switching M-QAM under the exponential
     instantaneous-BER approximation 0.2 exp(-1.5 g / (2^k - 1)).
 
@@ -320,10 +308,10 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme,
     def lower(s: float, z: float) -> float:
         if z == 0.0:
             return 0.0
-        return mgf(channel, s) if math.isinf(z) else imgf_lower(channel, s, z, acc)
+        return mgf(channel, s) if math.isinf(z) else imgf_lower(channel, s, z)
 
     def upper(s: float, z: float) -> float:
-        return 0.0 if math.isinf(z) else imgf_upper(channel, s, z, acc)
+        return 0.0 if math.isinf(z) else imgf_upper(channel, s, z)
 
     for j, k in enumerate(bits):
         lo, hi = edges[j], edges[j + 1]

@@ -95,11 +95,9 @@ class _Metric(NamedTuple):
 
 
 def _imgf(fixed: dict) -> float:
-    model = model_from_json(fixed["model"])
-    q = incomplete.ImgfQuery(s=float(fixed["s"]), zeta=float(fixed["zeta"]),
-                             tail=fixed.get("tail", "lower"),
-                             deriv_order=int(fixed.get("deriv_order", 0)))
-    return incomplete.evaluate(model, q)
+    return incomplete.imgf_deriv_s(model_from_json(fixed["model"]), float(fixed["s"]),
+                                   float(fixed["zeta"]), int(fixed.get("deriv_order", 0)),
+                                   fixed.get("tail", "lower"))
 
 
 def _secrecy(fixed: dict) -> apps.SecrecyScenario:

@@ -18,7 +18,6 @@ independent cross-check of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -27,8 +26,6 @@ from .errors import DomainError
 from . import laplace
 from .fading import FadingModel, mgf, pdf, smallest_pole, _canonical_params
 from .specfun import (
-    AccuracyBudget,
-    DEFAULT_ACCURACY,
     marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
     marcum_q,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_q
     _log_mixture_sum,
@@ -36,39 +33,17 @@ from .specfun import (
 )
 
 __all__ = [
-    "ImgfQuery",
     "imgf_lower",
     "imgf_upper",
     "imgf_deriv_s",
     "imgf_generic",
-    "evaluate",
     "MAX_DERIV_ORDER",
 ]
 
 MAX_DERIV_ORDER = 12
 
 
-@dataclass(frozen=True)
-class ImgfQuery:
-    """One IMGF evaluation point: transform argument s (1/SNR units),
-    truncation zeta (SNR units), tail selector, derivative order."""
-
-    s: float
-    zeta: float
-    tail: str = "lower"
-    deriv_order: int = 0
-    acc: AccuracyBudget = DEFAULT_ACCURACY
-
-    def __post_init__(self):
-        if self.zeta < 0:
-            raise DomainError("zeta must be nonnegative")
-        if self.tail not in ("lower", "upper"):
-            raise DomainError(f"tail must be 'lower' or 'upper', got {self.tail!r}")
-        if not 0 <= self.deriv_order <= MAX_DERIV_ORDER:
-            raise DomainError(f"derivative order must be in [0, {MAX_DERIV_ORDER}]")
-
-
-def _log_imgf_lower(model: FadingModel, s: float, zeta: float, acc: AccuracyBudget) -> float:
+def _log_imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
     """log of the lower IMGF; -inf when the mass underflows entirely."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     if s >= a:
@@ -76,11 +51,10 @@ def _log_imgf_lower(model: FadingModel, s: float, zeta: float, acc: AccuracyBudg
             f"lower IMGF closed form requires s < {a} (LOS-free decay rate); got s={s}"
         )
     return _log_mixture_sum(kappa * mu, m, mu, 0, -math.log1p(-s / a), (a - s) * zeta,
-                            False, acc)
+                            False)
 
 
-def imgf_lower(model: FadingModel, s: float, zeta: float,
-               acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
     """Lower IMGF int_0^zeta exp(s x) f(x) dx.
 
     At s = 0 this is the CDF.  Defined for any real s < mu(1+kappa)/mean_snr
@@ -93,7 +67,7 @@ def imgf_lower(model: FadingModel, s: float, zeta: float,
         return 0.0
     if math.isinf(zeta):
         return mgf(model, s)
-    return math.exp(_log_imgf_lower(model, s, zeta, acc))
+    return math.exp(_log_imgf_lower(model, s, zeta))
 
 
 # unused; perfbench/trace.py hooks incomplete._upper_tail_quadrature
@@ -108,8 +82,7 @@ def _upper_tail_quadrature(model: FadingModel, s: float, zeta: float, k: int,
     return val
 
 
-def imgf_upper(model: FadingModel, s: float, zeta: float,
-               acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def imgf_upper(model: FadingModel, s: float, zeta: float) -> float:
     """Upper IMGF int_zeta^inf exp(s x) f(x) dx = M(s) - lower IMGF.
 
     Requires s strictly below the smallest MGF pole.  Summed directly as a
@@ -127,7 +100,7 @@ def imgf_upper(model: FadingModel, s: float, zeta: float,
         return 0.0
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     return math.exp(_log_mixture_sum(kappa * mu, m, mu, 0, -math.log1p(-s / a),
-                                     (a - s) * zeta, True, acc))
+                                     (a - s) * zeta, True))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +108,7 @@ def imgf_upper(model: FadingModel, s: float, zeta: float,
 # ---------------------------------------------------------------------------
 
 def _deriv_log_series(model: FadingModel, s: float, zeta: float, k: int,
-                      tail: str, acc: AccuracyBudget) -> float:
+                      tail: str) -> float:
     """log of exp(-s*zeta) * d^k/ds^k IMGF_tail(s, zeta).
 
     The canonical density is a gamma-scale mixture
@@ -147,18 +120,20 @@ def _deriv_log_series(model: FadingModel, s: float, zeta: float, k: int,
 
     The exp(-s*zeta) prefolding keeps every factor representable when s*zeta
     is large (the consumer reapplies the exact opposite factor).  Converges
-    for s < smallest pole; for the lower tail P replaces Q.
+    for s below the MGF pole b; for the lower tail P replaces Q, and the
+    series converges for every s below the LOS-free decay rate a >= b.
     """
     kappa, mu, m, gbar, a, b = _canonical_params(model)
-    if not s < b:
-        raise DomainError(f"derivative series requires s < {b}, got s={s}")
+    limit = b if tail == "upper" else a
+    if not s < limit:
+        raise DomainError(f"derivative series requires s < {limit}, got s={s}")
     return (-s * zeta - k * math.log(a - s)
             + _log_mixture_sum(kappa * mu, m, mu, k, -math.log1p(-s / a), (a - s) * zeta,
-                               tail == "upper", acc))
+                               tail == "upper"))
 
 
 def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
-                 tail: str = "upper", acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+                 tail: str = "upper") -> float:
     """k-th partial s-derivative of the selected IMGF tail.
 
     Equals the truncated moment transform int x^k exp(s x) f(x) dx over the
@@ -171,37 +146,37 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
         raise DomainError(f"tail must be 'lower' or 'upper', got {tail!r}")
     if zeta < 0:
         raise DomainError("zeta must be nonnegative")
+    if k == 0:
+        return imgf_lower(model, s, zeta) if tail == "lower" else imgf_upper(model, s, zeta)
     if math.isinf(zeta):
         if tail == "upper":
             return 0.0
         # full transform: same as the upper tail truncated at zero
         zeta, tail = 0.0, "upper"
-    if k == 0:
-        return imgf_lower(model, s, zeta, acc) if tail == "lower" else imgf_upper(model, s, zeta, acc)
-    b = smallest_pole(model)
-    if tail == "upper" and not s < b:
-        raise DomainError(f"upper-tail derivatives require s < MGF pole {b}")
-    if tail == "lower":
+    if tail == "upper":
+        b = smallest_pole(model)
+        if not s < b:
+            raise DomainError(f"upper-tail derivatives require s < MGF pole {b}")
+    else:
         if zeta == 0.0:
             return 0.0
-        if not s < b:
-            # beyond the pole only the finite integral exists; integrate directly
+        a = _canonical_params(model)[4]  # the LOS-free decay rate
+        if not s < a:
+            # at or beyond a only the finite integral exists; integrate directly
             f = lambda x: (x ** k) * pdf(model, x) * math.exp(s * x)  # noqa: E731
-            val, _ = integrate.quad(f, 0.0, zeta, epsabs=1e-300,
-                                    epsrel=max(acc.rel_tol, 1e-12), limit=400)
+            val, _ = integrate.quad(f, 0.0, zeta, epsabs=1e-300, epsrel=1e-10, limit=400)
             return val
-    log_val = _deriv_log_series(model, s, zeta, k, tail, acc)
+    log_val = _deriv_log_series(model, s, zeta, k, tail)
     if log_val == -math.inf:
         return 0.0
     return math.exp(log_val + s * zeta)
 
 
-def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int,
-                      acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int) -> float:
     """log of int_zeta^inf x^k exp(s (x - zeta)) f(x) dx  (upper tail,
     prescaled by exp(-s*zeta)); overflow-free building block for weighted
     sums with exp(+s*zeta)-sized outer factors."""
-    return _deriv_log_series(model, s, zeta, k, "upper", acc)
+    return _deriv_log_series(model, s, zeta, k, "upper")
 
 
 def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,
@@ -215,7 +190,7 @@ def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,
 
 
 def imgf_lower_eta_mu_direct(eta: float, mu: float, mean_snr: float, s: float,
-                             zeta: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+                             zeta: float) -> float:
     """Lower IMGF of the eta-mu law (format 1) evaluated from its own closed
     form rather than through canonicalization; retained as an independent
     cross-check of the parameter mapping."""
@@ -233,15 +208,6 @@ def imgf_lower_eta_mu_direct(eta: float, mu: float, mean_snr: float, s: float,
                 - 2.0 * mu * math.log(mean_snr)
                 + mu * math.log((1.0 + eta) ** 2 / eta) + 2.0 * mu * math.log(zeta))
     log_phi2 = _phi2_unit_first_log(mu, 2.0 * mu + 1.0, (h1 - s) * zeta,
-                                    (h1 - h2) * zeta, acc)
+                                    (h1 - h2) * zeta)
     return math.exp(log_pref + log_phi2)
 
-
-def evaluate(model: FadingModel, query: ImgfQuery) -> float:
-    """Dispatch a single ImgfQuery."""
-    if query.deriv_order == 0:
-        if query.tail == "lower":
-            return imgf_lower(model, query.s, query.zeta, query.acc)
-        return imgf_upper(model, query.s, query.zeta, query.acc)
-    return imgf_deriv_s(model, query.s, query.zeta, query.deriv_order,
-                        query.tail, query.acc)

@@ -1,16 +1,15 @@
 """Special-function kernels: the gamma-mixture sum behind every closed form
 (and the Marcum functions built on it), log-space regularized incomplete
-gammas, Kummer 1F1 and the reduced Humbert Phi2 series.
+gammas, the positive-term Kummer 1F1 and the reduced Humbert Phi2 series.
 
 All kernels are pure double-precision functions, reentrant and
-thread-safe.  Accuracy is controlled by an AccuracyBudget; running out of the
-term budget raises AccuracyError rather than silently truncating.
+thread-safe.  Running out of the term budget raises AccuracyError rather than
+silently truncating.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -18,35 +17,14 @@ from scipy import special as sp
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "AccuracyBudget",
-    "DEFAULT_ACCURACY",
     "marcum_q",
     "marcum_p",
-    "kummer_1f1",
 ]
 
-
-@dataclass(frozen=True)
-class AccuracyBudget:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-300
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be nonnegative")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_ACCURACY = AccuracyBudget()
-
-
-def _check_c_parameter(c: float, name: str = "c") -> None:
-    if c <= 0 and c == round(c):
-        raise DomainError(f"{name}={c} is zero or a negative integer (series pole)")
+_MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
+_SERIES_TOL = 1e-10     # Kummer and Phi2 series, relative
+_SERIES_FLOOR = 1e-300  # Kummer series, absolute
+_MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +78,7 @@ def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
-                     upper: bool, acc: AccuracyBudget = DEFAULT_ACCURACY):
+                     upper: bool):
     """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P.
 
     The weights w_n are negative binomial with mean lam and shape m, Poisson
@@ -115,7 +93,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     the Marcum function).  Each factor of the summand is log-concave in n, so
     the term ratio at a block edge bounds every ratio beyond it (the weights
     for m < 1, which are not, get an explicit bound); a direction stops once
-    the geometric tail so bounded is below 1e-2 * acc.rel_tol of the sum.
+    the geometric tail so bounded is below _MIXTURE_TOL of the sum.
     """
     shape = np.shape(x)  # a float x runs on numpy scalars, cheaper than 1-element arrays
     xs = np.asarray(x, dtype=float).reshape(-1) if shape else np.float64(x)
@@ -126,7 +104,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         return out.reshape(shape) if shape else float(out[0])
     poisson = math.isinf(m)
     theta = 0.0 if poisson else lam / (lam + m)
-    r, tol = math.exp(log_r), 1e-2 * acc.rel_tol
+    r = math.exp(log_r)
     # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)]
     slope = log_r + math.log(lam if poisson else theta)
     const = mu * log_r - (lam if poisson else math.lgamma(m) - m * math.log1p(-theta))
@@ -184,17 +162,18 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         total = np.exp(logt - ref).sum(axis=0)
 
         def remaining(edge, ratio):
-            """Terms to add before the tail bound at the edge falls below tol
-            (<= 0: none; nan: the edge is not yet past the peak)."""
+            """Terms to add before the tail bound at the edge falls below
+            _MIXTURE_TOL of the sum (<= 0: none; nan: the edge is not yet past
+            the peak)."""
             bound = np.exp(edge - ref) * ratio
-            return np.log(tol * total * (1.0 - ratio) / bound) / np.log(ratio)
+            return np.log(_MIXTURE_TOL * total * (1.0 - ratio) / bound) / np.log(ratio)
 
         def grow(size: int, need) -> int:
             """The next block: doubled, or what the bound asks for if fewer."""
-            size = int(min(2 * size, np.max(need) + 8.0, acc.max_terms - (hi - lo)))
+            size = int(min(2 * size, np.max(need) + 8.0, _MAX_TERMS - (hi - lo)))
             if size < 2:
                 raise AccuracyError(
-                    f"gamma-mixture sum needed more than max_terms={acc.max_terms} terms "
+                    f"gamma-mixture sum needed more than {_MAX_TERMS} terms "
                     f"(lam={lam}, m={m}, mu={mu}, k={k}, x={float(np.max(xs))})")
             return size
 
@@ -228,7 +207,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
 # Marcum Q
 # ---------------------------------------------------------------------------
 
-def _marcum(nu: float, a: float, b: float, upper: bool, acc: AccuracyBudget) -> float:
+def _marcum(nu: float, a: float, b: float, upper: bool) -> float:
     """sum_k Pois(k; a^2/2) R(nu + k, b^2/2), R = Q if upper else P."""
     if not nu > 0:
         raise DomainError(f"order must be positive, got nu={nu}")
@@ -236,41 +215,41 @@ def _marcum(nu: float, a: float, b: float, upper: bool, acc: AccuracyBudget) -> 
         raise DomainError("Marcum arguments must be finite and nonnegative")
     if b == 0.0:
         return 1.0 if upper else 0.0
-    v = math.exp(_log_mixture_sum(0.5 * a * a, math.inf, nu, 0, 0.0, 0.5 * b * b, upper, acc))
+    v = math.exp(_log_mixture_sum(0.5 * a * a, math.inf, nu, 0, 0.0, 0.5 * b * b, upper))
     if v > 1.0 + 1e-12:
         raise AccuracyError(f"Marcum {'Q' if upper else 'P'} left [0,1]: {v}")
     return min(max(v, 0.0), 1.0)
 
 
-def marcum_q(nu: float, a: float, b: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def marcum_q(nu: float, a: float, b: float) -> float:
     """Generalized Marcum Q_nu(a, b) for real order nu > 0.
 
     Q_nu(a, b) = sum_k Pois(k; a^2/2) Q(nu + k, b^2/2), the tail probability
     of a noncentral chi-square law.  Nonincreasing in b, with Q(a, 0) = 1.
     """
-    return _marcum(nu, a, b, True, acc)
+    return _marcum(nu, a, b, True)
 
 
-def marcum_p(nu: float, a: float, b: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
+def marcum_p(nu: float, a: float, b: float) -> float:
     """Complementary Marcum function 1 - Q_nu(a, b), summed directly.
 
     Direct summation avoids the cancellation of forming 1 - Q when the result
     is small (noncentral chi-square CDF near the origin).
     """
-    return _marcum(nu, a, b, False, acc)
+    return _marcum(nu, a, b, False)
 
 
 # ---------------------------------------------------------------------------
 # Kummer 1F1
 # ---------------------------------------------------------------------------
 
-def _kummer_series(a: float, b: float, x: float, acc: AccuracyBudget) -> float:
+def _kummer_series(a: float, b: float, x: float) -> float:
     # Plain ascending series with term recurrence and Kahan accumulation.
     total = 1.0
     comp = 0.0
     term = 1.0
     small_streak = 0
-    for j in range(acc.max_terms):
+    for j in range(_MAX_TERMS):
         term *= (a + j) * x / ((b + j) * (j + 1.0))
         y = term - comp
         t = total + y
@@ -280,34 +259,13 @@ def _kummer_series(a: float, b: float, x: float, acc: AccuracyBudget) -> float:
             raise OverflowError(
                 f"1F1({a};{b};{x}) overflows double precision during summation"
             )
-        if abs(term) <= acc.rel_tol * abs(total) + acc.abs_tol:
+        if abs(term) <= _SERIES_TOL * abs(total) + _SERIES_FLOOR:
             small_streak += 1
             if small_streak >= 2 and j > abs(x):
                 return total
         else:
             small_streak = 0
-    raise AccuracyError(f"1F1({a};{b};{x}) did not converge in {acc.max_terms} terms")
-
-
-def kummer_1f1(a: float, b: float, x: float, acc: AccuracyBudget = DEFAULT_ACCURACY) -> float:
-    """Confluent hypergeometric 1F1(a; b; x) for real arguments.
-
-    Negative x is routed through the Kummer transformation
-    1F1(a; b; x) = e^x 1F1(b - a; b; -x) so the series has no exponentially
-    growing alternating terms.
-    """
-    _check_c_parameter(b, "b")
-    if x == 0.0:
-        return 1.0
-    if x < 0:
-        if b - a > 0 and b > 0:
-            # transformed series has positive terms; assemble in log space so
-            # huge |x| stays representable
-            return math.exp(x + _log_hyp1f1_pos(b - a, b, -x))
-        return math.exp(x) * _kummer_series(b - a, b, -x, acc)
-    if x > 700.0:
-        raise OverflowError(f"1F1 argument x={x} exceeds the double-precision range")
-    return _kummer_series(a, b, x, acc)
+    raise AccuracyError(f"1F1({a};{b};{x}) did not converge in {_MAX_TERMS} terms")
 
 
 def _log_hyp1f1_pos(a: float, b: float, z: float) -> float:
@@ -318,7 +276,7 @@ def _log_hyp1f1_pos(a: float, b: float, z: float) -> float:
     if z == 0.0:
         return 0.0
     if z <= 30.0:
-        return math.log(_kummer_series(a, b, z, DEFAULT_ACCURACY))
+        return math.log(_kummer_series(a, b, z))
     n_hi = int(z + 12.0 * math.sqrt(z) + 80.0 + 4.0 * abs(a - b))
     k = np.arange(0, n_hi, dtype=float)
     logt = (sp.gammaln(a + k) - sp.gammaln(a) - sp.gammaln(b + k) + sp.gammaln(b)
@@ -331,8 +289,7 @@ def _log_hyp1f1_pos(a: float, b: float, z: float) -> float:
 # reduced Humbert Phi2 series
 # ---------------------------------------------------------------------------
 
-def _phi2_unit_first_log(b2: float, c: float, u: float, v: float,
-                         acc: AccuracyBudget) -> float:
+def _phi2_unit_first_log(b2: float, c: float, u: float, v: float) -> float:
     """log of exp(-u) * Phi2(1, b2; c; u, v) for u > 0, v >= 0.
 
     Uses the reduction of the inner unit-parameter series to a regularized
@@ -366,7 +323,7 @@ def _phi2_unit_first_log(b2: float, c: float, u: float, v: float,
     n0 = 0
     # summand peak of the weight factor alone (geometric-Poisson balance)
     nb_peak = 0.0 if rho >= 1.0 else max(0.0, (b2 * rho - 1.0) / (1.0 - rho))
-    while n0 < acc.max_terms:
+    while n0 < _MAX_TERMS:
         n = np.arange(n0, n0 + block, dtype=float)
         logw = (sp.gammaln(b2 + n) - lg_b2 - sp.gammaln(n + 1.0) + n * log_rho)
         pvals = sp.gammainc(c - 1.0 + n, u)
@@ -384,11 +341,11 @@ def _phi2_unit_first_log(b2: float, c: float, u: float, v: float,
             # conservative geometric tail bound once the term ratio is < 1
             last = math.exp(logt[-1] - anchor) if np.isfinite(logt[-1]) else 0.0
             ratio = rho * (b2 + n0) / (n0 + 1.0)
-            if ratio < 1.0 and last / (1.0 - ratio) <= acc.rel_tol * total:
+            if ratio < 1.0 and last / (1.0 - ratio) <= _SERIES_TOL * total:
                 return anchor + math.log(total)
-            if last == 0.0 and contrib <= acc.rel_tol * total:
+            if last == 0.0 and contrib <= _SERIES_TOL * total:
                 return anchor + math.log(total)
     raise AccuracyError(
-        f"reduced Phi2 series needed more than {acc.max_terms} terms "
+        f"reduced Phi2 series needed more than {_MAX_TERMS} terms "
         f"(b2={b2}, c={c}, u={u}, v={v})"
     )

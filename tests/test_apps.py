@@ -18,7 +18,8 @@ from imgflib.apps import (
     solve_cutoff,
     spsc,
 )
-from imgflib.errors import DomainError
+from imgflib import apps
+from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, cdf, db_to_linear, mgf, pdf
 from imgflib.oracles import McConfig, mc_aber, mc_opsc
 
@@ -183,6 +184,13 @@ class TestCapacity:
                                  g0, np.inf, epsabs=1e-13, epsrel=1e-11)
         assert abs(tail - 1.0) <= 1e-9
         assert 0.0 < g0 <= 1.0
+
+    def test_cutoff_without_root_raises_accuracy_error(self, monkeypatch):
+        # a tail mass of 2 leaves the residual positive over the whole
+        # bracket; the root search must fail as a numerical error
+        monkeypatch.setattr(apps, "imgf_upper", lambda channel, s, g0: 2.0)
+        with pytest.raises(AccuracyError):
+            solve_cutoff(FadingModel.rayleigh(10.0))
 
     def test_cutoff_monotone_in_mean_snr(self):
         cutoffs = [solve_cutoff(FadingModel.rayleigh(g)) for g in (1.0, 10.0, 100.0)]

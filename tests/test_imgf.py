@@ -6,9 +6,7 @@ import pytest
 from imgflib.errors import DomainError
 from imgflib.fading import FadingModel, canonicalize, cdf, laplace_image, mgf, smallest_pole
 from imgflib.incomplete import (
-    ImgfQuery,
     MAX_DERIV_ORDER,
-    evaluate,
     imgf_deriv_s,
     imgf_generic,
     imgf_lower,
@@ -167,6 +165,16 @@ class TestDerivatives:
         up = imgf_deriv_s(model, -0.5, 2.0, k, "upper")
         assert lo + up == pytest.approx(full, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lower_between_poles_against_quadrature(self, k):
+        # past the MGF pole b = 2.5 the lower series still converges for any
+        # s below the LOS-free rate a = 5
+        model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 1.0)
+        for s in (2.5, 3.4, 4.9):
+            for z in (0.3, 1.0, 3.0):
+                ref = quad_imgf_moment(model, s, z, k, "lower")
+                assert abs(imgf_deriv_s(model, s, z, k, "lower") - ref) <= 1e-9 * ref
+
     def test_order_cap(self):
         with pytest.raises(DomainError):
             imgf_deriv_s(MODELS[0], -0.5, 1.0, MAX_DERIV_ORDER + 1)
@@ -178,11 +186,12 @@ class TestDerivatives:
             imgf_deriv_s(model, -0.5, 0.0, 1, "upper"), rel=1e-12)
 
 
-def quad_imgf_moment(model, s, zeta, k):
+def quad_imgf_moment(model, s, zeta, k, tail="upper"):
     from scipy import integrate
     from imgflib.fading import pdf
+    lo, hi = (zeta, np.inf) if tail == "upper" else (0.0, zeta)
     val, _ = integrate.quad(lambda x: x ** k * math.exp(s * x) * pdf(model, x),
-                            zeta, np.inf, epsabs=1e-300, epsrel=1e-11, limit=400)
+                            lo, hi, epsabs=1e-300, epsrel=1e-11, limit=400)
     return val
 
 
@@ -227,18 +236,20 @@ class TestGenericRoute:
 
 
 class TestQueryDispatch:
+    """imgf_deriv_s checks a (s, zeta, order, tail) query and sends it to
+    imgf_lower, imgf_upper or the derivative series (the CLI's imgf path)."""
+
     def test_query_validation(self):
+        model = FadingModel.rayleigh(1.0)
         with pytest.raises(DomainError):
-            ImgfQuery(s=0.0, zeta=-1.0)
+            imgf_deriv_s(model, 0.0, -1.0, 0, "lower")
         with pytest.raises(DomainError):
-            ImgfQuery(s=0.0, zeta=1.0, tail="middle")
+            imgf_deriv_s(model, 0.0, 1.0, 0, "middle")
         with pytest.raises(DomainError):
-            ImgfQuery(s=0.0, zeta=1.0, deriv_order=13)
+            imgf_deriv_s(model, 0.0, 1.0, 13, "lower")
 
     def test_evaluate(self):
         model = FadingModel.rayleigh(1.0)
-        assert evaluate(model, ImgfQuery(s=-0.5, zeta=1.0)) == pytest.approx(RAY_LOWER, rel=1e-12)
-        assert evaluate(model, ImgfQuery(s=-0.5, zeta=1.0, tail="upper")) == pytest.approx(
-            RAY_UPPER, rel=1e-12)
-        assert evaluate(model, ImgfQuery(s=-0.5, zeta=1.0, tail="upper",
-                                         deriv_order=1)) == pytest.approx(RAY_MOMENT, rel=1e-12)
+        assert imgf_deriv_s(model, -0.5, 1.0, 0, "lower") == pytest.approx(RAY_LOWER, rel=1e-12)
+        assert imgf_deriv_s(model, -0.5, 1.0, 0, "upper") == pytest.approx(RAY_UPPER, rel=1e-12)
+        assert imgf_deriv_s(model, -0.5, 1.0, 1, "upper") == pytest.approx(RAY_MOMENT, rel=1e-12)
