@@ -4,8 +4,10 @@ average BER.
 
 The secrecy outage (and its interference-outage twin) reduces to the CDF of
 the legitimate link plus a finite, mixture-weighted combination of upper-IMGF
-s-derivatives; everything else in this module is bracketing, root finding and
-quadrature glue around the incomplete-transform layer.
+s-derivatives.  The capacity and its water-filling cutoff are sums of the
+gamma-mixture kernel over the canonical mixture; the adaptive-modulation BER
+combines IMGF increments region by region.  What remains here is
+bracketing and root finding around those sums.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from .errors import AccuracyError, DomainError
-from .fading import FadingModel, mgf, mrc_combine, pdf
+from .fading import FadingModel, _canonical_params, mgf, mrc_combine, pdf
 from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
 from .mixture import GammaMixture, mixture_from_model
+from .specfun import _log_mixture_sum
 
 __all__ = [
     "SecrecyScenario",
@@ -211,14 +214,22 @@ def outage_interference(desired: FadingModel, interference: FadingModel,
 def solve_cutoff(channel: FadingModel) -> float:
     """Cutoff SNR of the water-filling power constraint,
 
-        int_g0^inf (1/g0 - 1/g) f(g) dg = 1,
+        int_g0^inf (1/g0 - 1/g) f(g) dg = 1.
 
-    solved by Brent's method on [1e-9, 1] (at g0 = 1 the left side is at
-    most 1); the residual at the returned root is below _CUTOFF_RESIDUAL."""
+    Over the mixture f = sum_n w_n Gamma(mu+n, rate a), with y = a g0, the
+    left side is
+
+        sum_n w_n [Q(mu+n, y) / g0 - a Gamma(mu+n-1, y) / Gamma(mu+n)],
+
+    the gamma-mixture kernel at k = 0 and at k = -1.  Solved by Brent's method
+    on [1e-9, 1] (at g0 = 1 the left side is at most 1); the residual at the
+    returned root is below _CUTOFF_RESIDUAL."""
+    kappa, mu, m, gbar, a, b = _canonical_params(channel)
+
     def residual(g0: float) -> float:
-        tail = imgf_upper(channel, 0.0, g0)
-        inv_mean, _ = integrate.quad(lambda g: pdf(channel, g) / g, g0, np.inf,
-                                     epsabs=1e-13, epsrel=1e-11, limit=400)
+        y = a * g0
+        tail = math.exp(_log_mixture_sum(kappa * mu, m, mu, 0, 0.0, y, True))
+        inv_mean = a * math.exp(_log_mixture_sum(kappa * mu, m, mu, -1, 0.0, y, True))
         return tail / g0 - inv_mean - 1.0
 
     try:
@@ -239,39 +250,48 @@ def _cutoff(scenario: CapacityScenario) -> float:
     return solve_cutoff(scenario.channel)
 
 
+def _capacity_base(mu: float, y: float) -> float:
+    """J(mu, y) = int_y^inf Q(mu, t) / t dt, the integral of ln(t/y) against the
+    unit-rate Gamma(mu) density over t > y.
+
+    J(p+1, y) = J(p, y) + Q(p, y) / p steps it down to the order
+    p0 = mu - ceil(mu) + 1 in (0, 1].  J(1, y) = E1(y); for p0 < 1 the base is
+    one smooth quadrature of Q(p0, y e^v) over v, cut where Q has fallen by
+    e^-50."""
+    steps = math.ceil(mu) - 1
+    p0 = mu - steps
+    p = p0 + np.arange(steps)
+    head = float(np.sum(special.gammaincc(p, y) / p))
+    if p0 == 1.0:
+        return float(special.exp1(y)) + head
+    base, _ = integrate.quad(lambda v: special.gammaincc(p0, y * math.exp(v)),
+                             0.0, math.log1p(50.0 / y), epsabs=0.0, epsrel=1e-12,
+                             limit=200)
+    return base + head
+
+
 def capacity_side_info(scenario: CapacityScenario) -> float:
     """Ergodic capacity (bits/s/Hz, unit bandwidth) with optimal rate and
-    power adaptation, through the exponential-integral transform of the
-    upper IMGF:
+    power adaptation.  The paper writes it through the exponential-integral
+    transform of the upper IMGF,
 
         C = (1/ln 2) int_0^inf Ei(-x) e^x Psi(x, g0) dx,
-        Psi = M_u(-x/g0, g0) - (1/g0) dM_u/ds |_(s=-x/g0, z=g0).
+        Psi = M_u(-x/g0, g0) - (1/g0) dM_u/ds |_(s=-x/g0, z=g0),
 
-    The e^x factor is folded into the prescaled IMGF derivatives, so the
-    integrand stays bounded for large x.  Agrees with the direct
-    log-quadrature route (capacity_direct) to the quadrature tolerance.
-    """
-    from scipy.special import expi
+    which is (1/ln 2) int_g0^inf ln(g/g0) f(g) dg.  Over the mixture
+    f = sum_n w_n Gamma(mu+n, rate a), with y = a g0 and
+    J(p, y) = int_y^inf Q(p, t) / t dt, the recurrence
+    J(p+1, y) = J(p, y) + Q(p, y) / p turns it into
 
-    model = scenario.channel
-    g0 = _cutoff(scenario)
+        C ln 2 = J(mu, y) + sum_j S_j Q(mu+j, y) / (mu+j),
 
-    def integrand(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        s = -x / g0
-        d0 = math.exp(_deriv_log_scaled(model, s, g0, 0))
-        d1 = math.exp(_deriv_log_scaled(model, s, g0, 1))
-        return float(expi(-x)) * (d0 - d1 / g0)
-
-    head, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10,
-                             limit=300)
-    tail, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-13, epsrel=1e-10,
-                             limit=300)
-    c = (head + tail) / math.log(2.0)
-    if c < -1e-9:
-        raise AccuracyError(f"capacity integral came out negative: {c}")
-    return max(c, 0.0)
+    S_j = sum_{n>j} w_n the weights' survival function: one gamma-mixture
+    kernel sum (survival weights, order mu+1, k = -1) plus the base J(mu, y).
+    Agrees with the direct log-quadrature route (capacity_direct)."""
+    kappa, mu, m, gbar, a, b = _canonical_params(scenario.channel)
+    y = a * _cutoff(scenario)
+    series = _log_mixture_sum(kappa * mu, m, mu + 1.0, -1, 0.0, y, True, survival=True)
+    return (_capacity_base(mu, y) + math.exp(series)) / math.log(2.0)
 
 
 def capacity_direct(scenario: CapacityScenario) -> float:

@@ -9,6 +9,7 @@ pole locations and a reproducible sampler all operate on the canonical form.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -201,7 +202,10 @@ def mrc_combine(model: FadingModel, n_branches: int) -> FadingModel:
                                          n_branches * c.mean_snr)
 
 
+@functools.lru_cache(maxsize=256)
 def _canonical_params(model: FadingModel):
+    """(kappa, mu, m, mean_snr, a, b) of the canonical form, computed once per
+    (frozen, hashable) model."""
     c = canonicalize(model)
     kappa, mu, m, gbar = c.kappa, c.mu, c.m, c.mean_snr
     a = mu * (1.0 + kappa) / gbar

@@ -25,6 +25,7 @@ _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-10     # Kummer and Phi2 series, relative
 _SERIES_FLOOR = 1e-300  # Kummer series, absolute
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
+_Q_ONE = math.log1p(-_MIXTURE_TOL)  # log Q at which the kernel adds its rest in closed form
 
 
 # ---------------------------------------------------------------------------
@@ -44,33 +45,83 @@ def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
     """
     r = sp.gammaincc(a, x) if upper else sp.gammainc(a, x)
     out = np.log(r)
-    if r.min() >= _UNDERFLOW:
+    if not (r < _UNDERFLOW).any():
         return out
     far = r < _UNDERFLOW
     a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
     log_pref = a * np.log(x) - x - sp.gammaln(a)
     if upper:
-        b = x + 1.0 - a
-        c, d = np.full_like(x, 1e300), 1.0 / b
-        h = d
-        for i in range(1, _FAR_ITERATIONS):
-            an = -i * (i - a)
-            b = b + 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            h = h * d * c
-            if (np.abs(d * c - 1.0) < 1e-15).all():
-                out[far] = log_pref + np.log(h)
-                return out
-    else:
-        term = total = np.ones_like(x)
-        for j in range(1, _FAR_ITERATIONS):
-            term = term * x / (a + j)
-            total = total + term
-            if (term < 1e-16 * total).all():
-                out[far] = log_pref - np.log(a) + np.log(total)
-                return out
+        out[far] = log_pref + _log_legendre_fraction(a, x)
+        return out
+    term = total = np.ones_like(x)
+    for j in range(1, _FAR_ITERATIONS):
+        term = term * x / (a + j)
+        total = total + term
+        if (term < 1e-16 * total).all():
+            out[far] = log_pref - np.log(a) + np.log(total)
+            return out
     raise AccuracyError("regularized incomplete gamma did not converge in its tail")
+
+
+def _log_legendre_fraction(a, x) -> np.ndarray:
+    """log h for Gamma(a, x) = x^a e^-x h, Legendre's continued fraction
+    (modified Lentz), at any real order a and x > a + 1."""
+    b = x + 1.0 - a
+    c, d = np.full_like(b, 1e300), 1.0 / b
+    h = d
+    for i in range(1, _FAR_ITERATIONS):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * d * c
+        if (np.abs(d * c - 1.0) < 1e-15).all():
+            return np.log(h)
+    raise AccuracyError("incomplete gamma continued fraction did not converge")
+
+
+def _log_betainc(a, b, x: float) -> np.ndarray:
+    """log I_x(a, b) over broadcast arrays a, b, for 0 < x < 1.
+
+    Where scipy's value underflows it is rebuilt in log space from
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * sum_j (a+b)_j / (a+1)_j x^j.
+    """
+    r = sp.betainc(a, b, x)
+    with np.errstate(divide="ignore"):
+        out = np.log(r)
+    if not (r < _UNDERFLOW).any():
+        return out
+    far = r < _UNDERFLOW
+    a, b = np.broadcast_to(a, r.shape)[far], np.broadcast_to(b, r.shape)[far]
+    log_pref = a * math.log(x) + b * math.log1p(-x) - np.log(a) - sp.betaln(a, b)
+    term = total = np.ones_like(a)
+    for j in range(_FAR_ITERATIONS):
+        term = term * x * (a + b + j) / (a + 1.0 + j)
+        total = total + term
+        if (term < 1e-16 * total).all():
+            out[far] = log_pref + np.log(total)
+            return out
+    raise AccuracyError("regularized incomplete beta did not converge in its tail")
+
+
+def _log_gamma_below(mu: float, x) -> np.ndarray:
+    """log Gamma(mu-1, x) / Gamma(mu) for 0 < mu <= 1, where the order mu-1 is
+    not positive: Legendre's continued fraction for x >= 1; below, E1(x) at
+    mu = 1 and otherwise the recurrence
+    (1-mu) Gamma(mu-1, x) = x^(mu-1) e^-x - Gamma(mu, x)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    far = x >= 1.0
+    xf, xn = x[far], x[~far]
+    out[far] = ((mu - 1.0) * np.log(xf) - xf - math.lgamma(mu)
+                + _log_legendre_fraction(mu - 1.0, xf))
+    if mu == 1.0:
+        out[~far] = np.log(sp.exp1(xn))
+    elif xn.size:
+        log_head = (mu - 1.0) * np.log(xn) - xn - math.lgamma(mu)
+        log_q = _log_reg_gamma(np.array([mu]), xn, True)
+        out[~far] = log_head + np.log1p(-np.exp(log_q - log_head)) - math.log1p(-mu)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -78,59 +129,114 @@ def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
-                     upper: bool):
+                     upper: bool, survival: bool = False):
     """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P.
 
     The weights w_n are negative binomial with mean lam and shape m, Poisson
-    when m = inf and a unit mass at n = 0 when lam = 0.  The densities of the
-    family are gamma-scale mixtures with these weights, so with r = a/(a-s)
-    and x = (a-s) zeta this one sum gives every incomplete MGF, its
-    s-derivatives, the CDF and the Marcum functions.  Vectorised over x,
+    when m = inf and a unit mass at n = 0 when lam = 0; survival=True sums
+    their survival function S_n = sum_{j>n} w_j in their place.  The
+    densities of the family are gamma-scale mixtures with these weights, so
+    with r = a/(a-s) and x = (a-s) zeta this one sum gives every incomplete
+    MGF, its s-derivatives, the CDF, the Marcum functions and (at k = -1,
+    upper tail only, where (mu+n)_-1 Q(mu+n-1, x) = Gamma(mu+n-1, x) /
+    Gamma(mu+n) also for mu+n-1 <= 0) the capacity sums.  Vectorised over x,
     which must be positive for the lower tail.
 
     Summation starts at an estimate of the summand peak and works outward in
     doubling blocks (the central-term windowing of Gil, Segura and Temme for
     the Marcum function).  Each factor of the summand is log-concave in n, so
-    the term ratio at a block edge bounds every ratio beyond it (the weights
-    for m < 1, which are not, get an explicit bound); a direction stops once
-    the geometric tail so bounded is below _MIXTURE_TOL of the sum.
+    the term ratio at a block edge bounds every ratio beyond it (the factors
+    that are not, the weights and their survival function for m < 1 and
+    1/(mu+n-1), get explicit bounds); a direction stops once the geometric
+    tail so bounded is below _MIXTURE_TOL of the sum.  Once every later Q is
+    1 to within _MIXTURE_TOL, the upper sum's rest is added in closed form.
     """
     shape = np.shape(x)  # a float x runs on numpy scalars, cheaper than 1-element arrays
     xs = np.asarray(x, dtype=float).reshape(-1) if shape else np.float64(x)
     if lam == 0.0:  # a unit mass at n = 0: the sum is its first term
+        if survival:
+            return np.full(shape, -np.inf) if shape else -math.inf
         with np.errstate(divide="ignore"):
-            out = (mu * log_r + math.lgamma(mu + k) - math.lgamma(mu)
-                   + _log_reg_gamma(np.array([mu + k]), xs, upper))
+            out = mu * log_r + (
+                _log_gamma_below(mu, xs) if mu + k <= 0.0
+                else (math.lgamma(mu + k) - math.lgamma(mu)
+                      + _log_reg_gamma(np.array([mu + k]), xs, upper)))
         return out.reshape(shape) if shape else float(out[0])
     poisson = math.isinf(m)
     theta = 0.0 if poisson else lam / (lam + m)
     r = math.exp(log_r)
+    q = r * theta
     # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)]
     slope = log_r + math.log(lam if poisson else theta)
     const = mu * log_r - (lam if poisson else math.lgamma(m) - m * math.log1p(-theta))
 
+    def log_weights(n: np.ndarray):
+        """log w_n r^(mu+n), or log S_n r^(mu+n) for the survival weights."""
+        if survival:
+            return (mu + n) * log_r + (_log_reg_gamma(n + 1.0, lam, False) if poisson
+                                       else _log_betainc(n + 1.0, m, theta))
+        if poisson:
+            return n * slope + const - sp.gammaln(n + 1.0)
+        return n * slope + const - sp.gammaln(n + 1.0) + sp.gammaln(n + m)
+
+    first_below = mu + k <= 0.0  # k = -1, mu <= 1: no R of order mu-1 at n = 0
+
     def log_terms(n: np.ndarray, cols):
-        base = n * slope + const - sp.gammaln(n + 1.0)
-        if not poisson:
-            base += sp.gammaln(n + m)
-        if k:
-            base += np.log(sp.poch(n + mu, k))
+        logw = log_weights(n)
+        base = logw + np.log(sp.poch(n + mu, k)) if k else logw
+        below = first_below and n[0] == 0.0
         if shape:
-            base, n = base[:, None], n[:, None]
-        log_rg = _log_reg_gamma(n + (mu + k), cols, upper)
-        return base + log_rg, log_rg
+            base, logw, n = base[:, None], logw[:, None], n[:, None]
+        if not below:
+            log_rg = _log_reg_gamma(n + (mu + k), cols, upper)
+            return base + log_rg, log_rg
+        # Gamma(mu-1, x) / Gamma(mu) in place of the n = 0 term; log_rg gets a -inf
+        log_rg = _log_reg_gamma(n[1:] + (mu + k), cols, upper)
+        head = logw[:1] + _log_gamma_below(mu, cols)
+        return (np.concatenate([head, base[1:] + log_rg]),
+                np.concatenate([np.full_like(head, -np.inf), log_rg]))
+
+    def log_rest(start: int) -> float:
+        """log sum_{n >= start} w_n r^(mu+n) (mu+n)_k, the upper sum where
+        every Q is 1.  (mu+n)_k = sum_i C(k,i) (mu+i)_(k-i) n!/(n-i)!, and each
+        falling-factorial moment of the weights' tail is a tail mass of the
+        same family: Poisson with mean lam r, negative binomial with shape m+i
+        and ratio q."""
+        i = np.arange(k + 1.0)
+        log_c = (math.lgamma(k + 1.0) - sp.gammaln(i + 1.0) - sp.gammaln(k - i + 1.0)
+                 + math.lgamma(mu + k) - sp.gammaln(mu + i))
+        if poisson:
+            log_mom = (lam * (r - 1.0) + i * math.log(lam * r)
+                       + _log_reg_gamma(start - i, lam * r, False))
+        else:
+            log_mom = (m * (math.log1p(-theta) - math.log1p(-q)) + sp.gammaln(m + i)
+                       - math.lgamma(m) + i * math.log(q / (1.0 - q))
+                       + _log_betainc(start - i, m + i, q))
+        log_parts = log_c + log_mom
+        top = log_parts.max()
+        return mu * log_r + float(top + np.log(np.exp(log_parts - top).sum()))
 
     def forward_ratio(top: int, log_rg):
         """Bound on the term ratio t(n+1)/t(n) for every n >= top."""
-        w = lam / (top + 1.0) if poisson else theta * max(1.0, (m + top) / (top + 1.0))
+        # w(n+1)/w(n) for n >= t, and S(n+1)/S(n) <= max_{j>n} w(j+1)/w(j);
+        # 1/(mu+n-1) falls, its ratio stays below 1
+        t = top + 1 if survival else top
+        w = lam / (t + 1.0) if poisson else theta * max(1.0, (m + t) / (t + 1.0))
         rg = (np.exp(log_rg[-1] - log_rg[-2]) if upper
               else np.minimum(1.0, xs / (mu + top + k + 1.0)))
-        return w * r * (mu + top + k) / (mu + top) * rg
+        return w * r * (mu + top + k) / (mu + top) * rg if k >= 0 else w * r * rg
 
     def backward_ratio(low: int, log_rg):
         """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low."""
-        w = (low / lam if poisson else low / (theta * (m + low - 1.0)) if m >= 1.0
-             else 1.0 / (theta * m))
+        if survival:  # S(n-1)/S(n) = 1 + w(n)/S(n) <= 1 + w(n)/w(n+1)
+            w = 1.0 + ((low + 1.0) / lam if poisson
+                       else (low + 1.0) / (theta * (m + low)) if m >= 1.0
+                       else 2.0 / (theta * (m + 1.0)))
+        else:
+            w = (low / lam if poisson else low / (theta * (m + low - 1.0)) if m >= 1.0
+                 else 1.0 / (theta * m))
+        if upper and k < 0:  # Gamma(b-1, x) <= Gamma(b, x) / x at every real order b
+            return w / r * (mu + low - 1.0) / xs
         rg = (np.minimum(1.0, (mu + low + k - 1.0) / xs) if upper
               else np.exp(log_rg[0] - log_rg[1]))
         return w / r * (mu + low - 1.0) / (mu + low + k - 1.0) * rg
@@ -140,7 +246,6 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         # to about x, P down), refined on grids around their maximum (the terms
         # are log-concave in n) unless one block from n = 0 covers it
         xc = float(np.median(xs)) if shape else xs
-        q = r * theta
         guess = (lam * r + k if poisson else q * (m + k) / (1.0 - q) if q < 1.0
                  else q * (xc + m + k))
         guess = max(guess, xc) if upper else min(guess, xc + math.sqrt(guess * xc))
@@ -185,8 +290,15 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
 
         ahead = remaining(logt[-1], forward_ratio(hi - 1, log_rg))
         behind = remaining(logt[0], backward_ratio(lo, log_rg)) if lo else ref * 0.0
+        closed_rest = upper and k >= 0 and not survival
         size = block
         while not (ahead <= 0.0).all():
+            # Q rises with n, so past an edge where it is 1 the rest has a
+            # closed form; taken when it is longer than the window so far
+            if (closed_rest and (log_rg[-1] >= _Q_ONE).all()
+                    and not (ahead <= hi - lo).all()):
+                add(np.full((1,) + np.shape(ref), log_rest(hi)))
+                break
             size = grow(size, ahead)
             hi += size
             logt, log_rg = log_terms(np.arange(hi - size, hi, dtype=float), xs)

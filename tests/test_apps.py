@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
+from scipy.integrate import IntegrationWarning
 
 from imgflib.apps import (
     AdaptiveModScheme,
@@ -164,6 +166,38 @@ class TestInterferenceDuality:
         assert val == pytest.approx(1.0 / 11.0, rel=1e-10)  # Pr{gb <= ge}
 
 
+def quad_cutoff(model: FadingModel) -> float:
+    """Cutoff by Brent's method on a pdf quadrature of the power constraint,
+    independent of the gamma-mixture series."""
+    def residual(g0: float) -> float:
+        cut = g0 + 10.0 * model.mean_snr
+        return sum(integrate.quad(lambda g: (1.0 / g0 - 1.0 / g) * pdf(model, g), lo, hi,
+                                  epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+                   for lo, hi in ((g0, cut), (cut, np.inf))) - 1.0
+
+    return optimize.brentq(residual, 1e-9, 1.0, xtol=1e-15, rtol=1e-15)
+
+
+# channels whose canonical form reaches each branch of the capacity series
+SERIES_BRANCH_CHANNELS = {
+    "mu<1 nakagami": FadingModel.nakagami(0.6, 10.0),
+    "mu<1 one-sided-gaussian": FadingModel.one_sided_gaussian(10.0),
+    "mu<1 kappa-mu": FadingModel.kappa_mu(2.0, 0.5, 10.0),
+    "mu=1 rician-shadowed": FadingModel.rician_shadowed(3.0, 2.0, 10.0),
+    "non-integer mu eta-mu": FadingModel.eta_mu(0.3, 0.75, db_to_linear(5.0)),
+    "non-integer mu kms": FadingModel.kappa_mu_shadowed(1.5, 2.3, 2.0, 10.0),
+    "finite m kms": FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, 10.0),
+    "m<1 kms": FadingModel.kappa_mu_shadowed(2.0, 2.0, 0.5, 10.0),
+}
+
+# channels on which the removed quadrature route raised IntegrationWarning
+WARNING_CHANNELS = [
+    FadingModel.eta_mu(0.3, 0.75, db_to_linear(5.0)),
+    FadingModel.nakagami(0.6, 10.0),
+    FadingModel.one_sided_gaussian(10.0),
+]
+
+
 class TestCapacity:
     @pytest.mark.parametrize("gbar", [1.0, 10.0])
     def test_dual_route_rayleigh(self, gbar):
@@ -176,21 +210,49 @@ class TestCapacity:
         sc = CapacityScenario(channel=FadingModel.kappa_mu(2.0, 2.0, 10.0))
         assert capacity_side_info(sc) == pytest.approx(capacity_direct(sc), rel=1e-6)
 
+    @pytest.mark.parametrize("model", SERIES_BRANCH_CHANNELS.values(),
+                             ids=SERIES_BRANCH_CHANNELS.keys())
+    def test_dual_route_series_branches(self, model):
+        sc = CapacityScenario(channel=model, cutoff_snr=quad_cutoff(model))
+        assert capacity_side_info(sc) == pytest.approx(capacity_direct(sc), rel=1e-9)
+
     def test_cutoff_residual(self):
-        model = FadingModel.nakagami(2.0, 10.0)
-        g0 = solve_cutoff(model)
-        from scipy import integrate
-        tail, _ = integrate.quad(lambda g: (1.0 / g0 - 1.0 / g) * pdf(model, g),
-                                 g0, np.inf, epsabs=1e-13, epsrel=1e-11)
-        assert abs(tail - 1.0) <= 1e-9
-        assert 0.0 < g0 <= 1.0
+        for mu in (0.5, 0.6, 1.0, 2.0):  # both sides of the E1 term at mu = 1
+            model = FadingModel.nakagami(mu, 10.0)
+            g0 = solve_cutoff(model)
+            tail, _ = integrate.quad(lambda g: (1.0 / g0 - 1.0 / g) * pdf(model, g),
+                                     g0, np.inf, epsabs=1e-13, epsrel=1e-11)
+            assert abs(tail - 1.0) <= 1e-9, mu
+            assert 0.0 < g0 <= 1.0
 
     def test_cutoff_without_root_raises_accuracy_error(self, monkeypatch):
-        # a tail mass of 2 leaves the residual positive over the whole
-        # bracket; the root search must fail as a numerical error
-        monkeypatch.setattr(apps, "imgf_upper", lambda channel, s, g0: 2.0)
+        # a tail mass of 2 and no inverse-mean term leave the residual positive
+        # over the whole bracket; the root search must fail as a numerical error
+        monkeypatch.setattr(apps, "_log_mixture_sum",
+                            lambda lam, m, mu, k, log_r, x, upper: math.log(2.0) if k == 0
+                            else -math.inf)
         with pytest.raises(AccuracyError):
             solve_cutoff(FadingModel.rayleigh(10.0))
+
+    @pytest.mark.parametrize("model", WARNING_CHANNELS, ids=lambda ch: ch.kind.value)
+    def test_no_integration_warning(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            assert capacity_side_info(CapacityScenario(channel=model)) > 0.0
+
+    @pytest.mark.parametrize("model", [FadingModel.rayleigh(10.0),
+                                       FadingModel.kappa_mu_shadowed(2.0, 2.0, 3.0, 10.0)],
+                             ids=["rayleigh", "kms"])
+    def test_integer_mu_makes_no_quadrature(self, model, monkeypatch):
+        reference = capacity_direct(CapacityScenario(channel=model))
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(apps.integrate, "quad", no_quad)
+        g0 = solve_cutoff(model)
+        c = capacity_side_info(CapacityScenario(channel=model, cutoff_snr=g0))
+        assert c == pytest.approx(reference, rel=1e-9)
 
     def test_cutoff_monotone_in_mean_snr(self):
         cutoffs = [solve_cutoff(FadingModel.rayleigh(g)) for g in (1.0, 10.0, 100.0)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from imgflib import fading
 from imgflib.errors import DomainError
 from imgflib.fading import (
     FadingModel,
@@ -82,6 +83,21 @@ class TestCanonicalize:
     def test_one_sided_gaussian(self):
         c = canonicalize(FadingModel.one_sided_gaussian(1.0))
         assert (c.kappa, c.mu) == (0.0, 0.5)
+
+    def test_equal_models_canonicalize_once(self, monkeypatch):
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return canonicalize(model)
+
+        monkeypatch.setattr(fading, "canonicalize", counting)
+        _canonical_params.cache_clear()
+        first = FadingModel.kappa_mu(2.0, 1.5, 10.0)
+        second = FadingModel.kappa_mu(2.0, 1.5, 10.0)
+        assert first is not second
+        pdf(first, 3.0), mgf(second, -1.0), smallest_pole(second)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("model", MODELS)
     def test_idempotent_and_mean_preserving(self, model):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -120,6 +121,33 @@ class TestUpper:
         model = FadingModel.rayleigh(1.0)
         with pytest.raises(DomainError):
             imgf_upper(model, 1.0, 1.0)
+
+    def test_near_pole_heavy_shadowing(self):
+        # the upper sum's rest past x ~ 5940 would need more terms than the
+        # cap allows; it is added in closed form.  Reference: quad_imgf
+        model = FadingModel.kappa_mu_shadowed(34.32, 10.08, 0.799, 0.384)
+        assert imgf_upper(model, 1.905, 6.42) == pytest.approx(0.99076908356, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_near_pole_sweep(self, k):
+        # m < 1, kappa mu > 100, s up to 0.999 of the pole, against M^(k)(s)
+        # minus the lower tail where that difference loses at most one bit
+        rng = np.random.default_rng(20260)
+        kept = 0
+        for _ in range(60):
+            mu = rng.uniform(2.0, 12.0)
+            kappa, m = rng.uniform(100.0 / mu, 60.0), rng.uniform(0.3, 1.0)
+            model = FadingModel.kappa_mu_shadowed(kappa, mu, m, 10.0 ** rng.uniform(-1, 1))
+            s = smallest_pole(model) * rng.uniform(0.5, 0.999)
+            zeta = model.mean_snr * 10.0 ** rng.uniform(-0.5, 1.5)
+            with mpmath.workdps(30):
+                full = float(mpmath.diff(lambda t: mgf(model, t), s, k))
+            lower = imgf_deriv_s(model, s, zeta, k, "lower")
+            upper = imgf_deriv_s(model, s, zeta, k, "upper")
+            if lower <= full / 2.0:
+                kept += 1
+                assert upper == pytest.approx(full - lower, rel=1e-9)
+        assert kept >= 15
 
 
 class TestDerivatives:

@@ -1,12 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy import special as sp
 
 from imgflib.errors import DomainError
-from imgflib.specfun import _log_hyp1f1_pos, _phi2_unit_first_log, marcum_p, marcum_q
+from imgflib.specfun import (
+    _log_betainc,
+    _log_gamma_below,
+    _log_hyp1f1_pos,
+    _log_mixture_sum,
+    _phi2_unit_first_log,
+    marcum_p,
+    marcum_q,
+)
 
 # Frozen oracle values.  Sources: 40-digit mpmath evaluations of the defining
 # series (Poisson-weighted regularized gammas for Marcum Q, brute-force double
@@ -118,6 +127,63 @@ def noncentral_chi2_tail(dof: float, nc: float, x0: float) -> float:
     cuts = [x0] + [x0 + c * step for c in (1.0, 4.0, 16.0, 64.0)] + [math.inf]
     return sum(integrate.quad(density, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                for lo, hi in zip(cuts, cuts[1:]))
+
+
+# (lam, m, mu): unit mass, Poisson and negative binomial weights (m < 1 and
+# m >= 1), with the order mu - 1 of the first k = -1 term on both sides of 0
+KERNEL_FAMILIES = [(0.0, math.inf, 0.6), (0.0, math.inf, 1.0), (3.0, math.inf, 0.5),
+                   (20.0, math.inf, 2.0), (5.0, 0.5, 1.0), (20.0, 3.0, 2.3), (8.0, 0.7, 0.4)]
+
+
+def weights(lam: float, m: float, n: np.ndarray, survival: bool) -> np.ndarray:
+    if lam == 0.0:
+        return np.where(n == 0, 0.0 if survival else 1.0, 0.0)
+    law = stats.poisson(lam) if math.isinf(m) else stats.nbinom(m, m / (lam + m))
+    return law.sf(n) if survival else law.pmf(n)
+
+
+def direct_sum(lam, m, mu, k, x, survival, terms=3000):
+    """sum_n w_n Gamma(mu+n+k, x) / Gamma(mu+n) (k in {-1, 0, 1}) term by term
+    over a fixed range, the order-(mu-1) <= 0 term from mpmath."""
+    n = np.arange(terms, dtype=float)
+    order = mu + n + k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = sp.gammaincc(order, x) * np.exp(sp.gammaln(order) - sp.gammaln(mu + n))
+    if order[0] <= 0.0:
+        factor[0] = float(mpmath.gammainc(order[0], x) / mpmath.gamma(mu))
+    return float(np.sum(weights(lam, m, n, survival) * factor))
+
+
+class TestMixtureKernel:
+    @pytest.mark.parametrize("lam,m,mu", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("survival", [False, True], ids=["weights", "survival"])
+    def test_upper_orders_against_direct_sum(self, lam, m, mu, survival):
+        for k in (-1, 0, 1):
+            for x in (0.05, 0.5, 2.0, 40.0, 300.0):
+                ref = direct_sum(lam, m, mu, k, x, survival)
+                got = math.exp(_log_mixture_sum(lam, m, mu, k, 0.0, x, True, survival))
+                assert got == pytest.approx(ref, rel=1e-11, abs=0.0), (k, x)
+
+    def test_vectorised_order_minus_one(self):
+        xs = np.array([0.05, 2.0, 40.0])
+        got = np.exp(_log_mixture_sum(3.0, math.inf, 0.5, -1, 0.0, xs, True))
+        ref = [direct_sum(3.0, math.inf, 0.5, -1, x, False) for x in xs]
+        assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.6, 1.0])
+    def test_log_gamma_below(self, mu):
+        for x in (1e-6, 0.5, 20.0, 600.0):
+            ref = mpmath.log(mpmath.gammainc(mu - 1.0, x) / mpmath.gamma(mu))
+            assert float(_log_gamma_below(mu, x)[0]) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_log_betainc_in_and_past_underflow(self):
+        a = np.array([5.0, 2000.0, 9000.0])
+        for b in (0.7, 3.0):
+            for x in (0.5, 0.9):
+                got = _log_betainc(a, b, x)
+                ref = [float(mpmath.log(mpmath.betainc(ai, b, 0, x, regularized=True)))
+                       for ai in a]
+                assert got == pytest.approx(ref, rel=1e-12)
 
 
 class TestKummer:
