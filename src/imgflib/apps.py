@@ -7,7 +7,9 @@ the legitimate link plus a finite, mixture-weighted combination of upper-IMGF
 s-derivatives.  The capacity and its water-filling cutoff are sums of the
 gamma-mixture kernel over the canonical mixture; the adaptive-modulation BER
 combines IMGF increments region by region.  What remains here is
-bracketing and root finding around those sums.
+bracketing and root finding around those sums: Brent's method for the
+cutoff, and for the epsilon-outage secrecy capacity on the outage as a
+function of the rate, with the eavesdropper mixture built once per solve.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
     "aber_adaptive",
 ]
 
-_RATE_TOL = 1e-9          # eps_outage_capacity's bisection stops at this bracket width
+_RATE_TOL = 1e-9          # eps_outage_capacity's bound on the undershoot of the crossing
 _CUTOFF_RESIDUAL = 1e-10  # solve_cutoff's bound on the power-constraint residual
 
 
@@ -165,31 +167,41 @@ def spsc(scenario: SecrecyScenario) -> float:
 def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
-    Monotone bisection on R_S down to _RATE_TOL; returns 0 when even a zero
-    rate violates the epsilon budget.
+    Brent's method on f(R) = Pr{C_S <= R} - epsilon, over a bracket doubled
+    from R = 1, with the eavesdropper mixture built once.  The root is then
+    stepped down by Brent's error bound (and again if f is still positive
+    there), so the returned rate never overshoots the crossing and undershoots
+    it by about _RATE_TOL.  Returns 0 when even a zero rate violates the
+    epsilon budget.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
-    sc0 = replace(scenario, rate_rs=0.0)
-    if opsc(sc0) > epsilon:
+    bob = scenario.bob
+    mix = mixture_from_model(mrc_combine(scenario.eve, scenario.n_eve_antennas))
+
+    def excess(rate: float) -> float:
+        scale = 2.0 ** rate
+        return _outage_core(bob, mix, scale - 1.0, scale) - epsilon
+
+    if excess(0.0) > 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
-    while opsc(replace(scenario, rate_rs=hi)) <= epsilon:
+    while excess(hi) <= 0.0:
         lo = hi
         hi *= 2.0
-        if hi > 2.0 ** 20:
+        if hi > 512.0:  # 2^R overflows a double from R = 1024
             raise AccuracyError("secrecy-rate bracket expansion failed")
-    for _ in range(200):
-        if hi - lo <= _RATE_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if opsc(replace(scenario, rate_rs=mid)) <= epsilon:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise AccuracyError("epsilon-outage bisection did not converge")
-    return lo
+    xtol, rtol = 0.5 * _RATE_TOL, 4.0 * np.finfo(float).eps
+    try:
+        rate = optimize.brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
+    except RuntimeError as exc:  # no convergence within brentq's iteration cap
+        raise AccuracyError(f"epsilon-outage root search failed: {exc}") from exc
+    # the crossing lies within xtol + rtol * rate of the root brentq returns;
+    # step below it, and again while rounding noise leaves the outage above epsilon
+    rate = max(lo, rate - (xtol + rtol * rate))
+    while rate > lo and excess(rate) > 0.0:
+        rate = max(lo, rate - (xtol + rtol * rate))
+    return rate
 
 
 def outage_interference(desired: FadingModel, interference: FadingModel,

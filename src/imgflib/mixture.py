@@ -13,6 +13,7 @@ numerically against the exact CDF, not assumed (see tests).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,9 +108,11 @@ def mixture_params(kappa: float, mu: int, m: int, mean_snr: float) -> GammaMixtu
     return GammaMixture(terms=tuple(terms))
 
 
+@functools.lru_cache(maxsize=256)
 def mixture_from_model(model: FadingModel) -> GammaMixture:
     """Mixture for a model whose canonical form has integer (mu, m), or is a
-    gamma law (kappa = 0, integer mu; m then irrelevant)."""
+    gamma law (kappa = 0, integer mu; m then irrelevant).  Built once per
+    (frozen, hashable) model; the mixture is immutable, so sharing it is safe."""
     c = canonicalize(model)
     if c.kappa == 0.0:
         if c.mu != int(c.mu):

@@ -104,10 +104,22 @@ def _log_betainc(a, b, x: float) -> np.ndarray:
     raise AccuracyError("regularized incomplete beta did not converge in its tail")
 
 
+_ZETA_K = np.arange(2.0, 60.0)
+_ZETA = sp.zeta(_ZETA_K)  # ln Gamma(1+a) = -euler_gamma a + sum_k zeta(k) (-a)^k / k
+_EXP_N = np.arange(1.0, 21.0)
+_EXP_C = (-1.0) ** (_EXP_N + 1.0) / sp.gamma(_EXP_N + 1.0)  # (-1)^(n+1) / n!
+
+
 def _log_gamma_below(mu: float, x) -> np.ndarray:
     """log Gamma(mu-1, x) / Gamma(mu) for 0 < mu <= 1, where the order mu-1 is
     not positive: Legendre's continued fraction for x >= 1; below, E1(x) at
-    mu = 1 and otherwise the recurrence
+    mu = 1.  Otherwise, with a = mu-1, for mu >= 1/2 the expansion
+
+        Gamma(a, x) = (Gamma(1+a) - 1) / a - expm1(a ln x) / a
+                      + x^a sum_{n>=1} (-1)^(n+1) x^n / (n! (a+n)),
+
+    whose first term comes from the zeta series of ln Gamma(1+a), so nothing
+    cancels as a -> 0; for mu < 1/2 the recurrence
     (1-mu) Gamma(mu-1, x) = x^(mu-1) e^-x - Gamma(mu, x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
@@ -117,6 +129,13 @@ def _log_gamma_below(mu: float, x) -> np.ndarray:
                 + _log_legendre_fraction(mu - 1.0, xf))
     if mu == 1.0:
         out[~far] = np.log(sp.exp1(xn))
+    elif mu >= 0.5:
+        a = mu - 1.0
+        log_gamma_mu = -np.euler_gamma * a + float(np.sum(_ZETA * (-a) ** _ZETA_K / _ZETA_K))
+        ax = a * np.log(xn)
+        series = (xn[:, None] ** _EXP_N * _EXP_C / (a + _EXP_N)).sum(axis=1)
+        out[~far] = (np.log(math.expm1(log_gamma_mu) / a - np.expm1(ax) / a
+                            + np.exp(ax) * series) - log_gamma_mu)
     elif xn.size:
         log_head = (mu - 1.0) * np.log(xn) - xn - math.lgamma(mu)
         log_q = _log_reg_gamma(np.array([mu]), xn, True)

@@ -139,6 +139,49 @@ class TestEpsOutageCapacity:
         achieved = opsc(dataclasses.replace(sc, rate_rs=ce))
         assert abs(achieved - 0.5) <= 1e-6
 
+    @pytest.mark.parametrize("bob,eve_db,epsilon", [
+        (FadingModel.kappa_mu_shadowed(1.5, 1.0, 2.0, db_to_linear(20.0)), -10.0, 0.1),
+        (FadingModel.kappa_mu_shadowed(10.0, 6.0, 2.0, db_to_linear(48.0)), -10.0, 0.8),
+        (FadingModel.kappa_mu_shadowed(10.0, 6.0, 2.0, db_to_linear(50.0)), -10.0, 0.8),
+        (FadingModel.eta_mu(0.04, 1.0, db_to_linear(48.0)), -10.0, 0.8),
+        (FadingModel.eta_mu(0.04, 1.0, db_to_linear(50.0)), -10.0, 0.8),
+        (FadingModel.eta_mu(0.9, 4.0, db_to_linear(10.0)), -10.0, 0.1),
+        (FadingModel.kappa_mu(1.5, 2.0, db_to_linear(10.0)), 0.0, 0.05),
+        (FadingModel.kappa_mu(1.5, 2.0, db_to_linear(10.0)), 15.0, 0.75),
+        (FadingModel.kappa_mu(1.5, 2.0, db_to_linear(10.0)), -10.0, 0.95),
+    ], ids=["fig6-k1.5-20dB", "fig6-k10-48dB", "fig6-k10-50dB", "fig7-eta0.04-48dB",
+            "fig7-eta0.04-50dB", "fig7-eta0.9-10dB", "fig8-0dB-0.05", "fig8-15dB-0.75",
+            "fig8--10dB-0.95"])
+    def test_rate_brackets_the_crossing(self, bob, eve_db, epsilon):
+        # outage within epsilon at the returned rate, beyond it one tolerance higher
+        sc = SecrecyScenario(bob=bob, eve=FadingModel.rayleigh(db_to_linear(eve_db)))
+        ce = eps_outage_capacity(sc, epsilon)
+        assert ce > 0.0
+        assert opsc(dataclasses.replace(sc, rate_rs=ce)) <= epsilon
+        assert opsc(dataclasses.replace(sc, rate_rs=ce + 2.0 * apps._RATE_TOL)) > epsilon
+
+    def test_outage_evaluations_per_solve(self, monkeypatch):
+        calls = []
+        real = apps._outage_core
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(apps, "_outage_core", counting)
+        sc = SecrecyScenario(
+            bob=FadingModel.kappa_mu_shadowed(1.5, 1.0, 2.0, db_to_linear(20.0)),
+            eve=FadingModel.rayleigh(db_to_linear(-10.0)))
+        assert eps_outage_capacity(sc, 0.1) > 0.0
+        assert len(calls) <= 18
+
+    def test_bracket_expansion_failure_raises(self, monkeypatch):
+        # an outage that never reaches epsilon leaves no crossing to bracket
+        monkeypatch.setattr(apps, "_outage_core", lambda bob, mix, alpha, scale: 0.0)
+        sc = SecrecyScenario(bob=FadingModel.rayleigh(10.0), eve=FadingModel.rayleigh(1.0))
+        with pytest.raises(AccuracyError):
+            eps_outage_capacity(sc, 0.5)
+
     def test_epsilon_domain(self):
         sc = SecrecyScenario(bob=FadingModel.rayleigh(1.0), eve=FadingModel.rayleigh(1.0))
         with pytest.raises(DomainError):

@@ -181,6 +181,20 @@ class TestSweep:
         assert lines[0].startswith("curve,")
         assert len(lines) > 10
 
+    def test_fig8_nondecreasing_in_epsilon(self, tmp_path, capsys):
+        out = tmp_path / "fig8.json"
+        assert main(["sweep", "--preset", "fig8", "--out", str(out),
+                     "--format", "json"]) == EXIT_OK
+        capsys.readouterr()
+        curves = {}
+        for row in json.loads(out.read_text()):
+            curves.setdefault(row["curve"], []).append((row["axis"], row["value"]))
+        assert len(curves) == 3
+        for curve, points in curves.items():
+            values = [v for _, v in sorted(points)]
+            assert len(values) == 19, curve
+            assert all(b >= a for a, b in zip(values, values[1:])), curve
+
     def test_bad_metric_exits_2(self, tmp_path, capsys):
         spec = json.loads(json.dumps(self.SPEC))
         spec["metric"] = "teleport"
@@ -229,8 +243,14 @@ class TestSelfcheck:
             return mix
 
         monkeypatch.setattr(mixture, "mixture_params", corrupt)
+        # mixtures are memoised per model: build them afresh through the
+        # corrupt table, and drop them again afterwards
+        mixture.mixture_from_model.cache_clear()
         buf = io.StringIO()
-        code = selfcheck(out=buf)
+        try:
+            code = selfcheck(out=buf)
+        finally:
+            mixture.mixture_from_model.cache_clear()
         text = buf.getvalue()
         assert code != EXIT_OK
         assert any(l.startswith("FAIL mixture-vs-cdf") for l in text.splitlines())

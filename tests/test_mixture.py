@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from imgflib import mixture
 from imgflib.errors import DomainError
-from imgflib.fading import FadingModel, cdf
+from imgflib.fading import FadingModel, canonicalize, cdf
 from imgflib.mixture import (
     GammaMixture,
     mixture_cdf,
@@ -72,6 +73,21 @@ class TestParams:
             mixture_from_model(FadingModel.kappa_mu(1.0, 2.0, 1.0))  # m = inf
         mix = mixture_from_model(FadingModel.rayleigh(2.0))
         assert mix.terms == ((1.0, 2.0, 1),)
+
+    def test_equal_models_build_one_mixture(self, monkeypatch):
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return canonicalize(model)
+
+        monkeypatch.setattr(mixture, "canonicalize", counting)
+        mixture_from_model.cache_clear()
+        first = FadingModel.kappa_mu_shadowed(2.0, 2, 3, 10.0)
+        second = FadingModel.kappa_mu_shadowed(2.0, 2, 3, 10.0)
+        assert first is not second
+        assert mixture_from_model(first) is mixture_from_model(second)
+        assert len(calls) == 1
 
     def test_weight_sum_invariant_enforced(self):
         with pytest.raises(DomainError):

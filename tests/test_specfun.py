@@ -176,6 +176,16 @@ class TestMixtureKernel:
             ref = mpmath.log(mpmath.gammainc(mu - 1.0, x) / mpmath.gamma(mu))
             assert float(_log_gamma_below(mu, x)[0]) == pytest.approx(float(ref), rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_log_gamma_below_near_order_zero(self, mu):
+        # order mu-1 just below 0 and x < 1, where the recurrence through
+        # Gamma(mu, x) would cancel by about 1.7 / (1-mu)
+        with mpmath.workdps(30):
+            for x in (0.01, 0.1, 0.5, 0.99):
+                ref = mpmath.gammainc(mpmath.mpf(mu) - 1, x) / mpmath.gamma(mu)
+                got = math.exp(float(_log_gamma_below(mu, x)[0]))
+                assert got == pytest.approx(float(ref), rel=1e-13), x
+
     def test_log_betainc_in_and_past_underflow(self):
         a = np.array([5.0, 2000.0, 9000.0])
         for b in (0.7, 3.0):
