@@ -9,11 +9,14 @@ gamma-mixture kernel over the canonical mixture; the adaptive-modulation BER
 combines IMGF increments region by region.  What remains here is
 bracketing and root finding around those sums: Brent's method for the
 cutoff, and for the epsilon-outage secrecy capacity on the outage as a
-function of the rate, with the eavesdropper mixture built once per solve.
+function of the rate, with the eavesdropper mixture built once per solve and
+the rate bracketed a priori by a Chernoff bound on the legitimate link.
+Both solves evaluate each point once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -21,7 +24,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from .errors import AccuracyError, DomainError
-from .fading import FadingModel, _canonical_params, mgf, mrc_combine, pdf
+from .fading import FadingModel, _canonical_params, mgf, mrc_combine, pdf, smallest_pole
 from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
 from .mixture import GammaMixture, mixture_from_model
 from .specfun import _log_mixture_sum
@@ -164,11 +167,21 @@ def spsc(scenario: SecrecyScenario) -> float:
     return opsc(replace(scenario, rate_rs=0.0))
 
 
+def _chernoff_threshold(bob: FadingModel, epsilon: float) -> float:
+    """SNR t with Pr{gamma_b <= t} >= (1 + epsilon) / 2, from the Chernoff
+    bound Pr{gamma_b > t} <= M_b(s) exp(-s t) at half the MGF pole."""
+    s = 0.5 * smallest_pole(bob)
+    return (math.log(mgf(bob, s)) + math.log(2.0 / (1.0 - epsilon))) / s
+
+
 def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
-    Brent's method on f(R) = Pr{C_S <= R} - epsilon, over a bracket doubled
-    from R = 1, with the eavesdropper mixture built once.  The root is then
+    Brent's method on f(R) = Pr{C_S <= R} - epsilon, with the eavesdropper
+    mixture built once and each rate evaluated once.  The bracket is known
+    before the solve: C_S <= log2(1 + gamma_b), so the outage at
+    R_hi = log2(1 + t) is at least F_b(t) >= (1 + epsilon) / 2 > epsilon for
+    the Chernoff threshold t of the legitimate link.  The root is then
     stepped down by Brent's error bound (and again if f is still positive
     there), so the returned rate never overshoots the crossing and undershoots
     it by about _RATE_TOL.  Returns 0 when even a zero rate violates the
@@ -179,28 +192,27 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     bob = scenario.bob
     mix = mixture_from_model(mrc_combine(scenario.eve, scenario.n_eve_antennas))
 
+    @functools.cache
     def excess(rate: float) -> float:
         scale = 2.0 ** rate
         return _outage_core(bob, mix, scale - 1.0, scale) - epsilon
 
     if excess(0.0) > 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while excess(hi) <= 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 512.0:  # 2^R overflows a double from R = 1024
-            raise AccuracyError("secrecy-rate bracket expansion failed")
+    hi = math.log2(1.0 + _chernoff_threshold(bob, epsilon))
+    if not excess(hi) > 0.0:
+        raise AccuracyError(f"secrecy outage stays within epsilon at the Chernoff "
+                            f"bracket end R = {hi}")
     xtol, rtol = 0.5 * _RATE_TOL, 4.0 * np.finfo(float).eps
     try:
-        rate = optimize.brentq(excess, lo, hi, xtol=xtol, rtol=rtol)
+        rate = optimize.brentq(excess, 0.0, hi, xtol=xtol, rtol=rtol)
     except RuntimeError as exc:  # no convergence within brentq's iteration cap
         raise AccuracyError(f"epsilon-outage root search failed: {exc}") from exc
     # the crossing lies within xtol + rtol * rate of the root brentq returns;
     # step below it, and again while rounding noise leaves the outage above epsilon
-    rate = max(lo, rate - (xtol + rtol * rate))
-    while rate > lo and excess(rate) > 0.0:
-        rate = max(lo, rate - (xtol + rtol * rate))
+    rate = max(0.0, rate - (xtol + rtol * rate))
+    while rate > 0.0 and excess(rate) > 0.0:
+        rate = max(0.0, rate - (xtol + rtol * rate))
     return rate
 
 
@@ -234,10 +246,11 @@ def solve_cutoff(channel: FadingModel) -> float:
         sum_n w_n [Q(mu+n, y) / g0 - a Gamma(mu+n-1, y) / Gamma(mu+n)],
 
     the gamma-mixture kernel at k = 0 and at k = -1.  Solved by Brent's method
-    on [1e-9, 1] (at g0 = 1 the left side is at most 1); the residual at the
-    returned root is below _CUTOFF_RESIDUAL."""
+    on [1e-9, 1] (at g0 = 1 the left side is at most 1), evaluating each g0
+    once; the residual at the returned root is below _CUTOFF_RESIDUAL."""
     kappa, mu, m, gbar, a, b = _canonical_params(channel)
 
+    @functools.cache
     def residual(g0: float) -> float:
         y = a * g0
         tail = math.exp(_log_mixture_sum(kappa * mu, m, mu, 0, 0.0, y, True))
@@ -337,11 +350,14 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     num = 0.0
     den = 0.0
 
+    # neighbouring regions share a threshold, and with it the IMGFs at s = 0
+    @functools.cache
     def lower(s: float, z: float) -> float:
         if z == 0.0:
             return 0.0
         return mgf(channel, s) if math.isinf(z) else imgf_lower(channel, s, z)
 
+    @functools.cache
     def upper(s: float, z: float) -> float:
         return 0.0 if math.isinf(z) else imgf_upper(channel, s, z)
 

@@ -9,6 +9,7 @@ evaluated at t = zeta.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -76,19 +77,34 @@ def _talbot(h, t: float, nodes: int) -> float:
     return (2.0 / (5.0 * t)) * acc
 
 
-def _talbot_mp(h, t: float, nodes: int, dps: int):
+@functools.lru_cache(maxsize=16)
+def _talbot_mp_contour(nodes: int, dps: int) -> tuple:
+    """Nodes u_k = t p_k and weights of the fixed Talbot contour at dps digits:
+    u_k = r theta_k (cot theta_k + i), w_k = exp(u_k) (1 + i(theta_k (1 +
+    cot^2 theta_k) - cot theta_k)), and u_0 = r, w_0 = exp(r) / 2.  Neither
+    depends on t."""
     from mpmath import mp
 
     with mp.workdps(dps):
-        tt = mp.mpf(t)
         r = mp.mpf(2 * nodes) / 5
-        acc = mp.exp(r) / 2 * h(mp.mpc(r / tt)).real
+        out = [(mp.mpc(r), mp.exp(r) / 2)]
         for k in range(1, nodes):
             theta = mp.pi * k / nodes
             cot = mp.cot(theta)
-            p = (r / tt) * theta * mp.mpc(cot, 1)
-            w = mp.exp(tt * p) * mp.mpc(1, theta * (1 + cot * cot) - cot)
-            acc += (w * h(p)).real
+            u = r * theta * mp.mpc(cot, 1)
+            out.append((u, mp.exp(u) * mp.mpc(1, theta * (1 + cot * cot) - cot)))
+        return tuple(out)
+
+
+def _talbot_mp(h, t: float, nodes: int, dps: int):
+    from mpmath import mp
+
+    contour = _talbot_mp_contour(nodes, dps)
+    with mp.workdps(dps):
+        tt = mp.mpf(t)
+        acc = mp.mpf(0)
+        for u, w in contour:
+            acc += (w * h(u / tt)).real
         return float(2 * acc / (5 * tt))
 
 

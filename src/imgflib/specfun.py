@@ -24,6 +24,7 @@ __all__ = [
 _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-10     # Kummer and Phi2 series, relative
 _SERIES_FLOOR = 1e-300  # Kummer series, absolute
+_HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
 _Q_ONE = math.log1p(-_MIXTURE_TOL)  # log Q at which the kernel adds its rest in closed form
 
@@ -408,12 +409,63 @@ def _log_hyp1f1_pos(a: float, b: float, z: float) -> float:
         return 0.0
     if z <= 30.0:
         return math.log(_kummer_series(a, b, z))
-    n_hi = int(z + 12.0 * math.sqrt(z) + 80.0 + 4.0 * abs(a - b))
-    k = np.arange(0, n_hi, dtype=float)
-    logt = (sp.gammaln(a + k) - sp.gammaln(a) - sp.gammaln(b + k) + sp.gammaln(b)
-            + k * math.log(z) - sp.gammaln(k + 1.0))
+    return _log_hyp1f1_peak_sum(a, b, z)[0]
+
+
+def _log_hyp1f1_peak_sum(a: float, b: float, z: float) -> tuple[float, int]:
+    """log 1F1(a; b; z) for a, b, z > 0, and the number of terms summed.
+
+    The term ratio r(k) = t_(k+1) / t_k = z (a+k) / ((b+k)(k+1)) rises at
+    most once (up to k0 below sqrt(b)) and then falls, so the terms peak where
+    r crosses 1 and spread over a few sqrt(z) around it.  The sum starts in a
+    window of +-10 sqrt(z) about the peak and grows each edge until the
+    geometric bound on what lies beyond it, t_edge r / (1 - r) with r the
+    largest ratio past the edge, is below _HYP1F1_TOL of the sum: O(sqrt z)
+    terms instead of the z of the plain series.  Kept apart from the
+    gamma-mixture kernel, since fading.pdf feeds the quadrature oracles.
+    """
+    log_z = math.log(z)
+
+    def log_terms(lo: int, hi: int) -> np.ndarray:  # log t_k, k in [lo, hi)
+        k = np.arange(lo, hi, dtype=float)
+        return sp.gammaln(a + k) - sp.gammaln(b + k) + k * log_z - sp.gammaln(k + 1.0)
+
+    def ratio(k: float) -> float:
+        return z * (a + k) / ((b + k) * (k + 1.0))
+
+    # the peak is the larger root of (b+k)(k+1) = z(a+k); r(k) < 1 for all k
+    # when there is none.  r rises until k0, the larger root of
+    # (a+k)(b+k) = (b-a)(k+1).
+    c = z - b - 1.0
+    disc = c * c + 4.0 * (a * z - b)
+    peak = max(0, int(0.5 * (c + math.sqrt(disc))) + 1) if disc > 0.0 else 0
+    disc0 = a * a - a * b + b - a
+    k0 = -a + math.sqrt(disc0) if disc0 > 0.0 else 0.0
+    width = int(10.0 * math.sqrt(z)) + 16
+    lo, hi = max(0, peak - width), peak + width
+    logt = log_terms(lo, hi)
     anchor = float(logt.max())
-    return anchor + math.log(float(np.exp(logt - anchor).sum()))
+    total = float(np.exp(logt - anchor).sum())
+    log_first, log_last = float(logt[0]), float(logt[-1])
+
+    def beyond(log_edge: float, r: float) -> bool:  # tail past an edge is negligible
+        return r < 1.0 and log_edge - anchor + math.log(r / (1.0 - r)) \
+            <= math.log(_HYP1F1_TOL * total)
+
+    while not (hi - 1 >= k0 and beyond(log_last, ratio(hi - 1))):
+        logt = log_terms(hi, hi + width // 2)
+        total += float(np.exp(logt - anchor).sum())
+        log_last = float(logt[-1])
+        hi += width // 2
+    # going down, t_(k-1) / t_k = 1 / r(k-1) <= 1 / min(r(0), r(lo-1)) for k <= lo
+    while lo > 0 and not beyond(log_first, 1.0 / min(ratio(0.0), ratio(lo - 1.0))):
+        new_lo = max(0, lo - width // 2)
+        logt = log_terms(new_lo, lo)
+        total += float(np.exp(logt - anchor).sum())
+        log_first = float(logt[0])
+        lo = new_lo
+    log_sum = anchor + math.log(total) + sp.gammaln(b) - sp.gammaln(a)
+    return float(log_sum), hi - lo
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,48 @@ from imgflib.apps import (
     solve_cutoff,
     spsc,
 )
-from imgflib import apps
+from imgflib import apps, cli, incomplete
 from imgflib.errors import AccuracyError, DomainError
-from imgflib.fading import FadingModel, cdf, db_to_linear, mgf, pdf
+from imgflib.fading import FadingModel, Kind, cdf, db_to_linear, mgf, model_from_json, pdf
 from imgflib.oracles import McConfig, mc_aber, mc_opsc
 
 # Frozen: 40-digit evaluation of the Rayleigh/Rayleigh secrecy-outage closed
 # form 1 - exp(-a/gb) gb/(gb + 2^Rs ge) at Rs=0.1, gb=10, ge=1.
 OPSC_RAYLEIGH_POINT = 0.1032616836469244
+
+
+# Frozen: aber_adaptive on kappa-mu shadowed (1.5, 2, 2) at 0 dB with the
+# README scheme (thresholds 10.6/53/222.5/900.7, 2/4/6/8 bits), as computed
+# before neighbouring regions shared their threshold IMGFs.
+ABER_KMS_0DB = 0.0007914599347893599
+
+# one legitimate link per FadingModel kind, heavy shadowing and LOS included
+ONE_MODEL_PER_KIND = {
+    Kind.KAPPA_MU_SHADOWED: lambda g: FadingModel.kappa_mu_shadowed(10.0, 6.0, 0.5, g),
+    Kind.RICIAN_SHADOWED: lambda g: FadingModel.rician_shadowed(3.0, 2.0, g),
+    Kind.KAPPA_MU: lambda g: FadingModel.kappa_mu(1.5, 2.0, g),
+    Kind.ETA_MU: lambda g: FadingModel.eta_mu(0.04, 1.0, g),
+    Kind.RICIAN: lambda g: FadingModel.rician(5.0, g),
+    Kind.NAKAGAMI_M: lambda g: FadingModel.nakagami(2.5, g),
+    Kind.HOYT: lambda g: FadingModel.hoyt(0.3, g),
+    Kind.RAYLEIGH: FadingModel.rayleigh,
+    Kind.ONE_SIDED_GAUSSIAN: FadingModel.one_sided_gaussian,
+}
+
+
+def preset_eps_points(names):
+    """(bob, eve, epsilon) of every point of the eps-capacity presets."""
+    for name in names:
+        for spec in cli._preset_specs(name):
+            axis = spec["axis"]
+            for v in cli._axis_values(axis):
+                fixed = spec["fixed"]
+                bob, eps = dict(fixed["bob"]), fixed["epsilon"]
+                if axis["field"] == "epsilon":
+                    eps = v
+                else:
+                    bob["mean_snr_db"] = v
+                yield model_from_json(bob), model_from_json(fixed["eve"]), eps
 
 
 def rayleigh_opsc_reference(rs: float, gb: float, ge: float) -> float:
@@ -173,7 +207,47 @@ class TestEpsOutageCapacity:
             bob=FadingModel.kappa_mu_shadowed(1.5, 1.0, 2.0, db_to_linear(20.0)),
             eve=FadingModel.rayleigh(db_to_linear(-10.0)))
         assert eps_outage_capacity(sc, 0.1) > 0.0
-        assert len(calls) <= 18
+        assert len(calls) <= 13
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("mean_db", [-10.0, 60.0])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.5, 0.95, 1.0 - 1e-6])
+    def test_chernoff_threshold_holds_half_the_excess_mass(self, kind, mean_db, epsilon):
+        # the bracket's premise: the outage at log2(1 + t) is at least
+        # F_b(t) >= (1 + epsilon) / 2 > epsilon
+        bob = ONE_MODEL_PER_KIND[kind](db_to_linear(mean_db))
+        t_hi = apps._chernoff_threshold(bob, epsilon)
+        assert cdf(bob, t_hi) >= (1.0 + epsilon) / 2.0
+
+    def test_presets_evaluate_no_threshold_past_the_bracket(self, monkeypatch):
+        alphas = []
+        real = apps._outage_core
+
+        def recording(bob, mix, alpha, scale):
+            alphas.append(alpha)
+            return real(bob, mix, alpha, scale)
+
+        monkeypatch.setattr(apps, "_outage_core", recording)
+        for bob, eve, eps in preset_eps_points(("fig6", "fig7", "fig8")):
+            alphas.clear()
+            eps_outage_capacity(SecrecyScenario(bob=bob, eve=eve), eps)
+            t_hi = apps._chernoff_threshold(bob, eps)
+            # 2^R - 1 at R = log2(1 + t_hi) may round a few ulps above t_hi
+            assert max(alphas) <= t_hi * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("bob", [FadingModel.eta_mu(0.04, 1.0, 1.0),
+                                     FadingModel.kappa_mu_shadowed(10.0, 6.0, 0.5, 1.0)],
+                             ids=["eta-mu", "kms"])
+    @pytest.mark.parametrize("mean_db", [-10.0, 60.0])
+    def test_epsilon_near_one(self, bob, mean_db):
+        # a Markov bound 2 mean / (1 - epsilon) would put the bracket end near
+        # 2e9 mean, past the kernel's term cap
+        epsilon = 1.0 - 1e-9
+        sc = SecrecyScenario(bob=dataclasses.replace(bob, mean_snr=db_to_linear(mean_db)),
+                             eve=FadingModel.rayleigh(db_to_linear(-10.0)))
+        ce = eps_outage_capacity(sc, epsilon)
+        assert math.isfinite(ce) and ce > 0.0
+        assert opsc(dataclasses.replace(sc, rate_rs=ce)) <= epsilon
 
     def test_bracket_expansion_failure_raises(self, monkeypatch):
         # an outage that never reaches epsilon leaves no crossing to bracket
@@ -297,6 +371,27 @@ class TestCapacity:
         c = capacity_side_info(CapacityScenario(channel=model, cutoff_snr=g0))
         assert c == pytest.approx(reference, rel=1e-9)
 
+    def test_cutoff_evaluates_each_point_once(self, monkeypatch):
+        # two kernel calls per residual, none for the check after the solve
+        kernel_calls = []
+        evaluations = []
+        real_kernel, real_brentq = apps._log_mixture_sum, apps.optimize.brentq
+
+        def counting_kernel(*args):
+            kernel_calls.append(args)
+            return real_kernel(*args)
+
+        def counting_brentq(f, *args, **kwargs):
+            def g(x):
+                evaluations.append(x)
+                return f(x)
+            return real_brentq(g, *args, **kwargs)
+
+        monkeypatch.setattr(apps, "_log_mixture_sum", counting_kernel)
+        monkeypatch.setattr(apps.optimize, "brentq", counting_brentq)
+        solve_cutoff(FadingModel.nakagami(2.0, db_to_linear(10.0)))
+        assert len(kernel_calls) == 2 * len(evaluations)
+
     def test_cutoff_monotone_in_mean_snr(self):
         cutoffs = [solve_cutoff(FadingModel.rayleigh(g)) for g in (1.0, 10.0, 100.0)]
         assert all(b >= a for a, b in zip(cutoffs, cutoffs[1:]))
@@ -356,6 +451,21 @@ class TestAber:
         scheme = AdaptiveModScheme(thresholds=th, bits_per_region=(2, 6))
         val = aber_adaptive(FadingModel.nakagami(2.0, 5.0), scheme)
         assert 0.0 <= val <= 0.2
+
+    def test_shared_thresholds_evaluated_once(self, monkeypatch):
+        calls = []
+        real = incomplete._log_mixture_sum
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(incomplete, "_log_mixture_sum", counting)
+        scheme = AdaptiveModScheme(thresholds=(10.6, 53.0, 222.5, 900.7),
+                                   bits_per_region=(2, 4, 6, 8))
+        val = aber_adaptive(FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, 1.0), scheme)
+        assert val == ABER_KMS_0DB
+        assert len(calls) <= 15
 
     @pytest.mark.parametrize("channel", [
         FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, db_to_linear(0.0)),

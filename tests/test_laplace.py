@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from imgflib import laplace
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, laplace_image
 from imgflib.laplace import (
@@ -14,6 +15,24 @@ from imgflib.laplace import (
 )
 
 RAY_LOWER = 0.5179132265677134  # (2/3)(1 - e^-1.5), analytic
+
+
+def talbot_mp_per_call(h, t, nodes, dps):
+    """Fixed Talbot sum with the contour recomputed at every call, the route
+    the per-(nodes, dps) contour cache replaced."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        tt = mp.mpf(t)
+        r = mp.mpf(2 * nodes) / 5
+        acc = mp.exp(r) / 2 * h(mp.mpc(r / tt)).real
+        for k in range(1, nodes):
+            theta = mp.pi * k / nodes
+            cot = mp.cot(theta)
+            p = (r / tt) * theta * mp.mpc(cot, 1)
+            w = mp.exp(tt * p) * mp.mpc(1, theta * (1 + cot * cot) - cot)
+            acc += (w * h(p)).real
+        return float(2 * acc / (5 * tt))
 
 
 class TestConfig:
@@ -126,3 +145,22 @@ class TestImgfNumeric:
             imgf_lower_numeric(img, 1.0, 1.0)
         with pytest.raises(DomainError):
             imgf_lower_numeric(img, 1.5, 1.0)
+
+
+class TestTalbotContourCache:
+    # models, s and zeta/mean ratios drawn from the acceptance grid
+    @pytest.mark.parametrize("model", [
+        FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, 10.0),
+        FadingModel.kappa_mu(10.0, 6.0, 1.0),
+        FadingModel.eta_mu(0.04, 1.0, 10.0),
+        FadingModel.rician_shadowed(0.5, 0.5, 1.0),
+    ], ids=["kms", "kappa-mu", "eta-mu", "rician-shadowed"])
+    def test_cached_contour_matches_per_call_contour(self, model, monkeypatch):
+        cfg = InversionConfig(node_count=48, dps=40)
+        img = laplace_image(model)
+        points = [(s, zr * model.mean_snr) for s in (-5.0, -0.1, 0.0) for zr in (0.1, 5.0)]
+        cached = [imgf_lower_numeric(img, s, z, cfg) for s, z in points]
+        monkeypatch.setattr(laplace, "_talbot_mp", talbot_mp_per_call)
+        fresh = [imgf_lower_numeric(img, s, z, cfg) for s, z in points]
+        for a, b in zip(cached, fresh):
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0)

@@ -10,6 +10,7 @@ from imgflib.errors import DomainError
 from imgflib.specfun import (
     _log_betainc,
     _log_gamma_below,
+    _log_hyp1f1_peak_sum,
     _log_hyp1f1_pos,
     _log_mixture_sum,
     _phi2_unit_first_log,
@@ -224,6 +225,27 @@ class TestKummer:
             x = float(rng.uniform(0.0, 80.0))
             ref = float(sp.hyp1f1(a, b, x))
             assert math.exp(_log_hyp1f1_pos(a, b, x)) == pytest.approx(ref, rel=1e-8)
+
+    # (a, b) = (m, mu) of canonical finite-m models fading.pdf evaluates:
+    # kappa-mu shadowed (10, 6, 2) and (10, 6, 0.5), eta-mu (0.04, 1) (m = 1,
+    # mu = 2), Rician shadowed (K, m = 0.5) and kappa-mu shadowed (1.5, 2, 2)
+    @pytest.mark.parametrize("a,b", [(2.0, 6.0), (0.5, 6.0), (1.0, 2.0), (0.5, 1.0),
+                                     (2.0, 2.0)])
+    @pytest.mark.parametrize("z", [50.0, 1e3, 4.3e7, 4.3e8])
+    def test_large_argument_against_mpmath(self, a, b, z):
+        ref = float(mpmath.log(mpmath.hyp1f1(a, b, z)))
+        got, terms = _log_hyp1f1_peak_sum(a, b, z)
+        assert got == pytest.approx(ref, rel=1e-12)
+        assert _log_hyp1f1_pos(a, b, z) == got
+        # a window about the peak: O(sqrt z) terms, not the z of the plain series
+        assert terms <= 24.0 * math.sqrt(z) + 100
+
+    def test_window_grows_past_a_skewed_peak(self):
+        # a >> b puts the upper tail beyond the initial +-10 sqrt(z) window
+        a, b, z = 3000.0, 2.0, 100.0
+        got, terms = _log_hyp1f1_peak_sum(a, b, z)
+        assert terms > 2 * (int(10.0 * math.sqrt(z)) + 16)
+        assert got == pytest.approx(float(mpmath.log(mpmath.hyp1f1(a, b, z))), rel=1e-12)
 
 
 def _phi2_structural(b1, b2, x, y):
