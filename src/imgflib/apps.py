@@ -351,15 +351,8 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     den = 0.0
 
     # neighbouring regions share a threshold, and with it the IMGFs at s = 0
-    @functools.cache
-    def lower(s: float, z: float) -> float:
-        if z == 0.0:
-            return 0.0
-        return mgf(channel, s) if math.isinf(z) else imgf_lower(channel, s, z)
-
-    @functools.cache
-    def upper(s: float, z: float) -> float:
-        return 0.0 if math.isinf(z) else imgf_upper(channel, s, z)
+    lower = functools.cache(lambda s, z: imgf_lower(channel, s, z))
+    upper = functools.cache(lambda s, z: imgf_upper(channel, s, z))
 
     for j, k in enumerate(bits):
         lo, hi = edges[j], edges[j + 1]

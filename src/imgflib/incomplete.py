@@ -9,6 +9,9 @@ therefore one positive series of regularized incomplete gammas,
 
 which specfun._log_mixture_sum sums outward from its peak in log space; no
 tail is formed as a difference, so deep tails keep full relative accuracy.
+_log_imgf is the one evaluator of that series: imgf_lower, imgf_upper and
+imgf_deriv_s check their arguments, settle the endpoints zeta = 0 and
+zeta = inf, and exponentiate its result.
 
 A generic numerical route through the inverse Laplace transform of
 M(s - p) / p is available for arbitrary user-supplied MGFs and doubles as an
@@ -24,7 +27,7 @@ from scipy import integrate
 
 from .errors import DomainError
 from . import laplace
-from .fading import FadingModel, mgf, pdf, smallest_pole, _canonical_params
+from .fading import FadingModel, mgf, pdf, _canonical_params
 from .specfun import (
     marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
     marcum_q,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_q
@@ -43,15 +46,19 @@ __all__ = [
 MAX_DERIV_ORDER = 12
 
 
-def _log_imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
-    """log of the lower IMGF; -inf when the mass underflows entirely."""
+def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
+    """log of the k-th s-derivative of the upper (or lower) IMGF at finite zeta
+    (> 0 for the lower tail): the module docstring's series times (a-s)^-k;
+    -inf when it underflows.  The upper series converges for s below the MGF
+    pole b, the lower one for every s below the LOS-free decay rate a >= b;
+    outside, DomainError."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
-    if s >= a:
-        raise DomainError(
-            f"lower IMGF closed form requires s < {a} (LOS-free decay rate); got s={s}"
-        )
-    return _log_mixture_sum(kappa * mu, m, mu, 0, -math.log1p(-s / a), (a - s) * zeta,
-                            False)
+    limit = b if upper else a
+    if not s < limit:
+        raise DomainError(f"{'upper' if upper else 'lower'} IMGF series requires "
+                          f"s < {limit}, got s={s}")
+    return (_log_mixture_sum(kappa * mu, m, mu, k, -math.log1p(-s / a), (a - s) * zeta, upper)
+            - k * math.log(a - s))
 
 
 def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
@@ -67,7 +74,7 @@ def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
         return 0.0
     if math.isinf(zeta):
         return mgf(model, s)
-    return math.exp(_log_imgf_lower(model, s, zeta))
+    return math.exp(_log_imgf(model, s, zeta, 0, False))
 
 
 # unused; perfbench/trace.py hooks incomplete._upper_tail_quadrature
@@ -85,51 +92,18 @@ def _upper_tail_quadrature(model: FadingModel, s: float, zeta: float, k: int,
 def imgf_upper(model: FadingModel, s: float, zeta: float) -> float:
     """Upper IMGF int_zeta^inf exp(s x) f(x) dx = M(s) - lower IMGF.
 
-    Requires s strictly below the smallest MGF pole.  Summed directly as a
-    series of upper incomplete gammas, so it keeps its relative accuracy
-    however small it is next to M(s).
+    Requires s strictly below the smallest MGF pole (the empty tail at
+    zeta = inf is 0 for every s).  Summed directly as a series of upper
+    incomplete gammas, so it keeps its relative accuracy however small it is
+    next to M(s).
     """
     if zeta < 0:
         raise DomainError("zeta must be nonnegative")
-    pole = smallest_pole(model)
-    if s >= pole:
-        raise DomainError(f"upper IMGF requires s < MGF pole {pole}, got s={s}")
     if zeta == 0.0:
         return mgf(model, s)
     if math.isinf(zeta):
         return 0.0
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
-    return math.exp(_log_mixture_sum(kappa * mu, m, mu, 0, -math.log1p(-s / a),
-                                     (a - s) * zeta, True))
-
-
-# ---------------------------------------------------------------------------
-# s-derivatives through the gamma-scale mixture
-# ---------------------------------------------------------------------------
-
-def _deriv_log_series(model: FadingModel, s: float, zeta: float, k: int,
-                      tail: str) -> float:
-    """log of exp(-s*zeta) * d^k/ds^k IMGF_tail(s, zeta).
-
-    The canonical density is a gamma-scale mixture
-    f = sum_n w_n Gamma(mu + n, 1/a), so the truncated k-th moment transform
-    is a positive series of incomplete gamma tails:
-
-        d^k/ds^k M^u(s, z)
-          = sum_n w_n (mu+n)_k a^(mu+n) (a-s)^-(mu+n+k) Q(mu+n+k, (a-s) z).
-
-    The exp(-s*zeta) prefolding keeps every factor representable when s*zeta
-    is large (the consumer reapplies the exact opposite factor).  Converges
-    for s below the MGF pole b; for the lower tail P replaces Q, and the
-    series converges for every s below the LOS-free decay rate a >= b.
-    """
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
-    limit = b if tail == "upper" else a
-    if not s < limit:
-        raise DomainError(f"derivative series requires s < {limit}, got s={s}")
-    return (-s * zeta - k * math.log(a - s)
-            + _log_mixture_sum(kappa * mu, m, mu, k, -math.log1p(-s / a), (a - s) * zeta,
-                               tail == "upper"))
+    return math.exp(_log_imgf(model, s, zeta, 0, True))
 
 
 def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
@@ -138,7 +112,10 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
 
     Equals the truncated moment transform int x^k exp(s x) f(x) dx over the
     tail interval.  k = 0 returns the plain IMGF.  Orders above
-    MAX_DERIV_ORDER are rejected.
+    MAX_DERIV_ORDER are rejected.  Domain: s < a, the LOS-free decay rate,
+    for the lower tail; s < b, the MGF pole, for the upper tail and for the
+    full transform (lower tail at zeta = inf); DomainError outside.  The
+    empty tails (lower at zeta = 0, upper at zeta = inf) are 0 for every s.
     """
     if not 0 <= k <= MAX_DERIV_ORDER:
         raise DomainError(f"derivative order must be in [0, {MAX_DERIV_ORDER}], got {k}")
@@ -148,35 +125,18 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
         raise DomainError("zeta must be nonnegative")
     if k == 0:
         return imgf_lower(model, s, zeta) if tail == "lower" else imgf_upper(model, s, zeta)
-    if math.isinf(zeta):
-        if tail == "upper":
-            return 0.0
-        # full transform: same as the upper tail truncated at zero
-        zeta, tail = 0.0, "upper"
-    if tail == "upper":
-        b = smallest_pole(model)
-        if not s < b:
-            raise DomainError(f"upper-tail derivatives require s < MGF pole {b}")
-    else:
-        if zeta == 0.0:
-            return 0.0
-        a = _canonical_params(model)[4]  # the LOS-free decay rate
-        if not s < a:
-            # at or beyond a only the finite integral exists; integrate directly
-            f = lambda x: (x ** k) * pdf(model, x) * math.exp(s * x)  # noqa: E731
-            val, _ = integrate.quad(f, 0.0, zeta, epsabs=1e-300, epsrel=1e-10, limit=400)
-            return val
-    log_val = _deriv_log_series(model, s, zeta, k, tail)
-    if log_val == -math.inf:
+    if (zeta == 0.0 and tail == "lower") or (math.isinf(zeta) and tail == "upper"):
         return 0.0
-    return math.exp(log_val + s * zeta)
+    if math.isinf(zeta):  # full transform: same as the upper tail truncated at zero
+        zeta, tail = 0.0, "upper"
+    return math.exp(_log_imgf(model, s, zeta, k, tail == "upper"))
 
 
 def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int) -> float:
     """log of int_zeta^inf x^k exp(s (x - zeta)) f(x) dx  (upper tail,
     prescaled by exp(-s*zeta)); overflow-free building block for weighted
     sums with exp(+s*zeta)-sized outer factors."""
-    return _deriv_log_series(model, s, zeta, k, "upper")
+    return -s * zeta + _log_imgf(model, s, zeta, k, True)
 
 
 def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,

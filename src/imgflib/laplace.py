@@ -1,4 +1,4 @@
-"""Numerical inverse Laplace transforms (fixed Talbot and Euler-summed Bromwich).
+"""Numerical inverse Laplace transforms on the fixed Talbot contour.
 
 The main consumer is the generic lower-IMGF route: for a nonnegative random
 variable with Laplace transform L(p) = E[exp(-p X)], the truncated transform
@@ -38,22 +38,18 @@ class LaplaceImage:
     abscissa: float = 0.0
 
 
+# invert raises when its two node counts disagree by over 10x this, relative
+_TARGET_REL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class InversionConfig:
-    method: str = "talbot"          # "talbot" | "euler"
     node_count: int = 48
-    target_rel_tol: float = 1e-8
     dps: int | None = None          # mpmath working digits; None = float64
 
     def __post_init__(self):
-        if self.method not in ("talbot", "euler"):
-            raise ValueError(f"unknown inversion method {self.method!r}")
         if self.node_count < 8:
             raise ValueError("node_count must be >= 8")
-        if self.method == "euler" and self.node_count % 2 != 0:
-            raise ValueError("node_count must be even for the Euler method")
-        if not self.target_rel_tol > 0:
-            raise ValueError("target_rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,58 +104,17 @@ def _talbot_mp(h, t: float, nodes: int, dps: int):
         return float(2 * acc / (5 * tt))
 
 
-def _euler(h, t: float, nodes: int) -> float:
-    # Abate-Whitt Euler algorithm: alternating Bromwich series with binomial
-    # averaging of the last half of the partial sums.
-    half = nodes // 2
-    a0 = half * math.log(10.0) / 3.0
-    # xi weights: 1/2, 1 ... 1, then binomial tail
-    xi = [0.5] + [1.0] * half + [0.0] * half
-    xi[2 * half] = 2.0 ** (-half)
-    for j in range(1, half):
-        xi[2 * half - j] = xi[2 * half - j + 1] + 2.0 ** (-half) * math.comb(half, j)
-    acc = 0.0
-    for k in range(2 * half + 1):
-        beta = complex(a0, math.pi * k)
-        term = xi[k] * (h(beta / t)).real
-        acc += term if k % 2 == 0 else -term
-    return 10.0 ** (half / 3.0) * acc / t
-
-
-def _euler_mp(h, t: float, nodes: int, dps: int):
-    from mpmath import mp
-
-    with mp.workdps(dps):
-        tt = mp.mpf(t)
-        half = nodes // 2
-        a0 = half * mp.log(10) / 3
-        xi = [mp.mpf("0.5")] + [mp.mpf(1)] * half + [mp.mpf(0)] * half
-        xi[2 * half] = mp.mpf(2) ** (-half)
-        for j in range(1, half):
-            xi[2 * half - j] = xi[2 * half - j + 1] + mp.mpf(2) ** (-half) * mp.binomial(half, j)
-        acc = mp.mpf(0)
-        for k in range(2 * half + 1):
-            beta = mp.mpc(a0, mp.pi * k)
-            term = xi[k] * h(beta / tt).real
-            acc += term if k % 2 == 0 else -term
-        return float(mp.mpf(10) ** (mp.mpf(half) / 3) * acc / tt)
-
-
 def _run(h, t: float, cfg: InversionConfig, nodes: int) -> float:
     if cfg.dps is not None:
-        if cfg.method == "talbot":
-            return _talbot_mp(h, t, nodes, cfg.dps)
-        return _euler_mp(h, t, nodes, cfg.dps)
-    if cfg.method == "talbot":
-        return _talbot(h, t, nodes)
-    return _euler(h, t, nodes)
+        return _talbot_mp(h, t, nodes, cfg.dps)
+    return _talbot(h, t, nodes)
 
 
 def invert(image: LaplaceImage, t: float, cfg: InversionConfig = InversionConfig()) -> InversionResult:
     """Invert a Laplace image at t > 0, with a node-refinement error estimate.
 
     The image is evaluated at two node counts; their disagreement is reported
-    as the error estimate.  A disagreement far beyond cfg.target_rel_tol is
+    as the error estimate.  A disagreement far beyond _TARGET_REL_TOL is
     treated as oscillatory divergence and raised, never returned silently.
     Deterministic for a fixed configuration.
     """
@@ -182,8 +137,6 @@ def invert(image: LaplaceImage, t: float, cfg: InversionConfig = InversionConfig
         n1 = max(8, n2 - max(8, n2 // 4))
     else:
         n1 = n2 + max(8, n2 // 3)
-    if cfg.method == "euler":
-        n1 += n1 % 2
     v1 = _run(h, t, cfg, n1)
     v2 = _run(h, t, cfg, n2)
     if sigma > 0.0:
@@ -194,7 +147,7 @@ def invert(image: LaplaceImage, t: float, cfg: InversionConfig = InversionConfig
 
     scale = max(abs(v1), abs(v2))
     floor = 1e-13 if cfg.dps is None else 10.0 ** (8 - cfg.dps)
-    if err > max(10.0 * cfg.target_rel_tol * scale, floor):
+    if err > max(10.0 * _TARGET_REL_TOL * scale, floor):
         raise AccuracyError(
             f"inverse Laplace transform did not stabilize at t={t}: "
             f"{v1!r} with {n1} nodes vs {v2!r} with {n2} nodes"

@@ -8,6 +8,7 @@ from imgflib.errors import DomainError
 from imgflib.fading import FadingModel, canonicalize, cdf, laplace_image, mgf, smallest_pole
 from imgflib.incomplete import (
     MAX_DERIV_ORDER,
+    _deriv_log_scaled,
     imgf_deriv_s,
     imgf_generic,
     imgf_lower,
@@ -202,6 +203,32 @@ class TestDerivatives:
             for z in (0.3, 1.0, 3.0):
                 ref = quad_imgf_moment(model, s, z, k, "lower")
                 assert abs(imgf_deriv_s(model, s, z, k, "lower") - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_scaled_log_matches_upper(self, model):
+        for k in (1, 3):
+            for (s, z) in [(-0.8, 1.2), (0.5 * smallest_pole(model), 4.0)]:
+                ref = math.log(imgf_deriv_s(model, s, z, k, "upper"))
+                assert _deriv_log_scaled(model, s, z, k) + s * z == pytest.approx(
+                    ref, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_lower_domain_error_at_los_rate(self, k):
+        # a = 5: the lower tail's domain is s < a at every order
+        model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 1.0)
+        for s in (5.0, 6.0):
+            with pytest.raises(DomainError):
+                imgf_deriv_s(model, s, 1.0, k, "lower")
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_upper_domain_error_at_pole(self, k):
+        # b = 2.5 < a = 5: the upper tail's domain is s < b; its empty tail
+        # at zeta = inf is 0 for every s
+        model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 1.0)
+        for s in (2.5, 3.0):
+            with pytest.raises(DomainError):
+                imgf_deriv_s(model, s, 1.0, k, "upper")
+            assert imgf_deriv_s(model, s, math.inf, k, "upper") == 0.0
 
     def test_order_cap(self):
         with pytest.raises(DomainError):

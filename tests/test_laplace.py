@@ -38,18 +38,11 @@ def talbot_mp_per_call(h, t, nodes, dps):
 class TestConfig:
     def test_defaults(self):
         cfg = InversionConfig()
-        assert cfg.method == "talbot"
         assert cfg.node_count == 48
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            InversionConfig(method="stehfest")
-        with pytest.raises(ValueError):
             InversionConfig(node_count=4)
-        with pytest.raises(ValueError):
-            InversionConfig(method="euler", node_count=47)
-        with pytest.raises(ValueError):
-            InversionConfig(target_rel_tol=0.0)
 
 
 class TestInvert:
@@ -67,11 +60,6 @@ class TestInvert:
     def test_partial_fraction(self):
         # 1/(p(p+1)) inverts to 1 - e^-t
         res = invert(LaplaceImage(lambda p: 1.0 / (p * (p + 1.0))), 2.0)
-        assert res.value == pytest.approx(1.0 - math.exp(-2.0), rel=1e-8)
-
-    def test_euler_method(self):
-        res = invert(LaplaceImage(lambda p: 1.0 / (p * (p + 1.0))), 2.0,
-                     InversionConfig(method="euler"))
         assert res.value == pytest.approx(1.0 - math.exp(-2.0), rel=1e-8)
 
     def test_extended_precision(self):
