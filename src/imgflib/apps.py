@@ -7,11 +7,12 @@ the legitimate link plus a finite, mixture-weighted combination of upper-IMGF
 s-derivatives.  The capacity and its water-filling cutoff are sums of the
 gamma-mixture kernel over the canonical mixture; the adaptive-modulation BER
 combines IMGF increments region by region.  What remains here is
-bracketing and root finding around those sums: Brent's method for the
-cutoff, and for the epsilon-outage secrecy capacity on the outage as a
-function of the rate, with the eavesdropper mixture built once per solve and
-the rate bracketed a priori by a Chernoff bound on the legitimate link.
-Both solves evaluate each point once.
+bracketing and root finding around those sums: Newton's method for the
+cutoff, on a convex residual whose derivative is one of the sums it already
+holds, and Brent's method for the epsilon-outage secrecy capacity on the
+outage as a function of the rate, with the eavesdropper mixture built once
+per solve and the rate bracketed a priori by a Chernoff bound on the
+legitimate link.  Both solves evaluate each point once.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
 
 _RATE_TOL = 1e-9          # eps_outage_capacity's bound on the undershoot of the crossing
 _CUTOFF_RESIDUAL = 1e-10  # solve_cutoff's bound on the power-constraint residual
+_CUTOFF_ITERATIONS = 100  # solve_cutoff's cap on residual evaluations
 
 
 @dataclass(frozen=True)
@@ -245,28 +247,42 @@ def solve_cutoff(channel: FadingModel) -> float:
 
         sum_n w_n [Q(mu+n, y) / g0 - a Gamma(mu+n-1, y) / Gamma(mu+n)],
 
-    the gamma-mixture kernel at k = 0 and at k = -1.  Solved by Brent's method
-    on [1e-9, 1] (at g0 = 1 the left side is at most 1), evaluating each g0
-    once; the residual at the returned root is below _CUTOFF_RESIDUAL."""
+    the gamma-mixture kernel at k = 0 (the tail Pr{gamma > g0}) and at
+    k = -1.  The residual r(g0) = tail / g0 - inv_mean - 1 has the derivative
+    r'(g0) = -tail / g0^2, the k = 0 sum it already holds, and r'' =
+    f(g0) / g0^2 + 2 tail / g0^3 > 0: r is convex and decreasing.  Newton's
+    method starts at g0 = 1, where r <= 0; its first step lands below the
+    root, as a tangent of a convex function does, and the iterates then rise
+    to it.  The step is formed from the log of the tail, which underflows at
+    low mean SNR, and a step that would leave (0, g0) is replaced by g0 / 4.
+    Each g0 is evaluated once: the last iterate is returned once its Newton
+    step is within 1e-14 + 1e-15 g0 and its residual within _CUTOFF_RESIDUAL.
+
+    Raises AccuracyError when r(1) > 0, when a residual is not finite, or
+    after _CUTOFF_ITERATIONS evaluations; the kernel's DomainError and
+    AccuracyError pass through."""
     kappa, mu, m, gbar, a, b = _canonical_params(channel)
-
-    @functools.cache
-    def residual(g0: float) -> float:
+    g0 = 1.0
+    for _ in range(_CUTOFF_ITERATIONS):
         y = a * g0
-        tail = math.exp(_log_mixture_sum(kappa * mu, m, mu, 0, 0.0, y, True))
+        log_tail = _log_mixture_sum(kappa * mu, m, mu, 0, 0.0, y, True)
         inv_mean = a * math.exp(_log_mixture_sum(kappa * mu, m, mu, -1, 0.0, y, True))
-        return tail / g0 - inv_mean - 1.0
-
-    try:
-        g0 = optimize.brentq(residual, 1e-9, 1.0, xtol=1e-14, rtol=1e-15)
-    except (DomainError, AccuracyError):
-        raise
-    except (ValueError, RuntimeError) as exc:  # no sign change, or no convergence
-        raise AccuracyError(f"cutoff root search failed: {exc}") from exc
-    r = residual(g0)
-    if not abs(r) <= _CUTOFF_RESIDUAL:
-        raise AccuracyError(f"cutoff residual {r} at {g0} exceeds {_CUTOFF_RESIDUAL}")
-    return g0
+        r = math.exp(log_tail) / g0 - inv_mean - 1.0
+        if not math.isfinite(r):
+            raise AccuracyError(f"cutoff residual {r} at {g0}")
+        if g0 == 1.0 and r > 0.0:
+            raise AccuracyError(f"cutoff residual {r} > 0 at g0 = 1: no root below")
+        # Newton step -r / r' = r g0^2 / tail, as g0 * sign(r) * exp(log_h)
+        log_h = math.log(abs(r)) + math.log(g0) - log_tail if r else -math.inf
+        if r < 0.0 and log_h >= 0.0:  # the step would leave (0, g0)
+            g0 *= 0.25
+            continue
+        step = math.copysign(g0 * math.exp(log_h), r)
+        if abs(step) <= 1e-14 + 1e-15 * g0 and abs(r) <= _CUTOFF_RESIDUAL:
+            return g0
+        g0 += step
+    raise AccuracyError(f"cutoff Newton iteration did not converge in "
+                        f"{_CUTOFF_ITERATIONS} steps (last g0 = {g0})")
 
 
 def _cutoff(scenario: CapacityScenario) -> float:

@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 from scipy.special import chndtr
 
 from . import apps, fading, incomplete, laplace, mixture, oracles, specfun
-from .errors import AccuracyError, DomainError
-from .fading import FadingModel, model_from_json
+from .errors import AccuracyError, ConfigError, DomainError
+from .fading import FadingModel, _config_number, model_from_json
 
 __all__ = ["main", "run_sweep", "selfcheck", "PRESETS"]
 
@@ -78,7 +78,9 @@ def _set_path(tree: dict, dotted: str, value) -> None:
 
 
 def _axis_values(axis: dict) -> list[float]:
-    start, stop, step = float(axis["start"]), float(axis["stop"]), float(axis["step"])
+    start = _config_number(axis["start"], "axis.start")
+    stop = _config_number(axis["stop"], "axis.stop")
+    step = _config_number(axis["step"], "axis.step")
     if step <= 0 or stop < start:
         raise DomainError("axis range must be nonempty with positive step")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -95,16 +97,18 @@ class _Metric(NamedTuple):
 
 
 def _imgf(fixed: dict) -> float:
-    return incomplete.imgf_deriv_s(model_from_json(fixed["model"]), float(fixed["s"]),
-                                   float(fixed["zeta"]), int(fixed.get("deriv_order", 0)),
+    return incomplete.imgf_deriv_s(model_from_json(fixed["model"]),
+                                   _config_number(fixed["s"], "s"),
+                                   _config_number(fixed["zeta"], "zeta"),
+                                   _config_number(fixed.get("deriv_order", 0), "deriv_order", int),
                                    fixed.get("tail", "lower"))
 
 
 def _secrecy(fixed: dict) -> apps.SecrecyScenario:
     return apps.SecrecyScenario(
         bob=model_from_json(fixed["bob"]), eve=model_from_json(fixed["eve"]),
-        rate_rs=float(fixed.get("rate_rs", 0.0)),
-        n_eve_antennas=int(fixed.get("n_eve_antennas", 1)))
+        rate_rs=_config_number(fixed.get("rate_rs", 0.0), "rate_rs"),
+        n_eve_antennas=_config_number(fixed.get("n_eve_antennas", 1), "n_eve_antennas", int))
 
 
 def _zero_rate(fixed: dict) -> dict:
@@ -113,7 +117,7 @@ def _zero_rate(fixed: dict) -> dict:
 
 def _eps_capacity(fixed: dict) -> float:
     sc = _secrecy(_zero_rate(fixed))
-    val = apps.eps_outage_capacity(sc, float(fixed["epsilon"]))
+    val = apps.eps_outage_capacity(sc, _config_number(fixed["epsilon"], "epsilon"))
     if fixed.get("normalize"):
         val /= math.log2(1.0 + sc.bob.mean_snr)
     return val
@@ -122,13 +126,22 @@ def _eps_capacity(fixed: dict) -> float:
 def _interference_as_secrecy(fixed: dict) -> apps.SecrecyScenario:
     # same computation under the threshold <-> rate substitution
     return _secrecy({"bob": fixed["desired"], "eve": fixed["interference"],
-                     "rate_rs": math.log2(1.0 + float(fixed["gamma_th"]))})
+                     "rate_rs": math.log2(1.0 + _config_number(fixed["gamma_th"], "gamma_th"))})
 
 
 def _aber_args(fixed: dict):
-    scheme = apps.AdaptiveModScheme(thresholds=tuple(fixed["thresholds"]),
-                                    bits_per_region=tuple(fixed["bits_per_region"]))
+    scheme = apps.AdaptiveModScheme(
+        thresholds=tuple(_config_number(t, "thresholds") for t in fixed["thresholds"]),
+        bits_per_region=tuple(_config_number(b, "bits_per_region", int)
+                              for b in fixed["bits_per_region"]))
     return model_from_json(fixed["channel"]), scheme
+
+
+def _capacity(fixed: dict) -> float:
+    cutoff = fixed.get("cutoff_snr")
+    return apps.capacity_side_info(apps.CapacityScenario(
+        channel=model_from_json(fixed["channel"]),
+        cutoff_snr=None if cutoff is None else _config_number(cutoff, "cutoff_snr")))
 
 
 _METRICS = {
@@ -141,10 +154,9 @@ _METRICS = {
     "op-interference": _Metric(
         lambda f: apps.outage_interference(model_from_json(f["desired"]),
                                            model_from_json(f["interference"]),
-                                           float(f["gamma_th"])),
+                                           _config_number(f["gamma_th"], "gamma_th")),
         lambda f, cfg: oracles.mc_opsc(_interference_as_secrecy(f), cfg)),
-    "capacity": _Metric(lambda f: apps.capacity_side_info(apps.CapacityScenario(
-        channel=model_from_json(f["channel"]), cutoff_snr=f.get("cutoff_snr")))),
+    "capacity": _Metric(_capacity),
     "aber": _Metric(lambda f: apps.aber_adaptive(*_aber_args(f)),
                     lambda f, cfg: oracles.mc_aber(*_aber_args(f), cfg)),
 }
@@ -157,14 +169,19 @@ def _sweep_point(task: tuple):
     try:
         row = {"curve": curve, "axis": axis_value, "value": _METRICS[metric].evaluate(fixed)}
         if validate is not None:
-            cfg = oracles.McConfig(n_samples=int(validate.get("n_samples", 1_000_000)),
-                                   seed=int(validate.get("seed", 20_240_101)),
-                                   confidence_sigmas=float(validate.get("confidence_sigmas", 3.0)))
+            cfg = oracles.McConfig(
+                n_samples=_config_number(validate.get("n_samples", 1_000_000),
+                                         "validate.n_samples", int),
+                seed=_config_number(validate.get("seed", 20_240_101), "validate.seed", int),
+                confidence_sigmas=_config_number(validate.get("confidence_sigmas", 3.0),
+                                                 "validate.confidence_sigmas"))
             mc = _METRICS[metric].mc
             if mc is None:
                 raise DomainError(
                     f"Monte Carlo validation is not available for metric {metric!r}")
             row["mc_estimate"], row["mc_std_error"] = mc(fixed, cfg)
+    except ConfigError:
+        raise  # the spec is wrong at every point, not the evaluation at this one
     except (AccuracyError, DomainError, OverflowError) as exc:
         raise AccuracyError(
             f"sweep failed at {axis_field}={axis_value} (curve {curve!r}): {exc}"
@@ -540,8 +557,8 @@ def _fixed_from_args(args) -> dict:
     if cmd == "capacity":
         return {"channel": _load_json_arg(args.channel), "cutoff_snr": args.cutoff}
     if cmd == "aber":
-        return {"thresholds": [float(t) for t in args.thresholds.split(",")],
-                "bits_per_region": [int(b) for b in args.bits.split(",")],
+        return {"thresholds": args.thresholds.split(","),
+                "bits_per_region": args.bits.split(","),
                 "channel": _load_json_arg(args.channel)}
     fixed = {"bob": _load_json_arg(args.bob), "eve": _load_json_arg(args.eve),
              "n_eve_antennas": args.eve_antennas}

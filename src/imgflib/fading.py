@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .laplace import LaplaceImage
 from .specfun import _log_hyp1f1_pos, _log_mixture_sum
 
@@ -356,6 +356,14 @@ def sample(model: FadingModel, seed, n: int) -> np.ndarray:
 _JSON_FIELDS = ("kappa", "mu", "m", "eta", "K", "q")
 
 
+def _config_number(value, field: str, kind: type = float):
+    """kind(value) for a configuration field, or ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {field!r} must be a number, got {value!r}") from exc
+
+
 def model_from_json(obj: Mapping) -> FadingModel:
     """Build a model from {"kind": ..., parameter fields..., "mean_snr_db": ...}.
 
@@ -371,15 +379,15 @@ def model_from_json(obj: Mapping) -> FadingModel:
     if "mean_snr_db" in obj and "mean_snr" in obj:
         raise DomainError("give mean_snr_db or mean_snr, not both")
     if "mean_snr_db" in obj:
-        snr = db_to_linear(float(obj["mean_snr_db"]))
+        snr = db_to_linear(_config_number(obj["mean_snr_db"], "mean_snr_db"))
     elif "mean_snr" in obj:
-        snr = float(obj["mean_snr"])
+        snr = _config_number(obj["mean_snr"], "mean_snr")
     else:
         raise DomainError("model JSON requires mean_snr_db (or mean_snr)")
     kwargs = {}
     for name in _JSON_FIELDS:
         if name in obj and obj[name] is not None:
-            kwargs[name] = float(obj[name])
+            kwargs[name] = _config_number(obj[name], name)
     unknown = set(obj) - {"kind", "mean_snr_db", "mean_snr", *_JSON_FIELDS}
     if unknown:
         raise DomainError(f"unknown model fields: {sorted(unknown)}")

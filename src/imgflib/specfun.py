@@ -113,8 +113,10 @@ _EXP_C = (-1.0) ** (_EXP_N + 1.0) / sp.gamma(_EXP_N + 1.0)  # (-1)^(n+1) / n!
 
 def _log_gamma_below(mu: float, x) -> np.ndarray:
     """log Gamma(mu-1, x) / Gamma(mu) for 0 < mu <= 1, where the order mu-1 is
-    not positive: Legendre's continued fraction for x >= 1; below, E1(x) at
-    mu = 1.  Otherwise, with a = mu-1, for mu >= 1/2 the expansion
+    not positive.  At mu = 1 this is log E1(x), from E1 up to x = 700 (where it
+    is still a normal double) and Legendre's continued fraction beyond; for
+    mu < 1 the fraction serves x >= 1.  Below, with a = mu-1, for mu >= 1/2
+    the expansion
 
         Gamma(a, x) = (Gamma(1+a) - 1) / a - expm1(a ln x) / a
                       + x^a sum_{n>=1} (-1)^(n+1) x^n / (n! (a+n)),
@@ -124,10 +126,12 @@ def _log_gamma_below(mu: float, x) -> np.ndarray:
     (1-mu) Gamma(mu-1, x) = x^(mu-1) e^-x - Gamma(mu, x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
-    far = x >= 1.0
+    far = x > 700.0 if mu == 1.0 else x >= 1.0
     xf, xn = x[far], x[~far]
-    out[far] = ((mu - 1.0) * np.log(xf) - xf - math.lgamma(mu)
-                + _log_legendre_fraction(mu - 1.0, xf))
+    if xf.size:
+        # a single x runs on a numpy scalar, far cheaper than a 1-element array
+        log_h = _log_legendre_fraction(mu - 1.0, xf[0] if xf.size == 1 else xf)
+        out[far] = (mu - 1.0) * np.log(xf) - xf - math.lgamma(mu) + log_h
     if mu == 1.0:
         out[~far] = np.log(sp.exp1(xn))
     elif mu >= 0.5:

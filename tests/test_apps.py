@@ -295,6 +295,37 @@ def quad_cutoff(model: FadingModel) -> float:
     return optimize.brentq(residual, 1e-9, 1.0, xtol=1e-15, rtol=1e-15)
 
 
+# the cutoff grid: ten families at mean SNRs from -30 to 50 dB
+CUTOFF_FAMILIES = {
+    "rayleigh": FadingModel.rayleigh,
+    "nakagami 0.6": lambda g: FadingModel.nakagami(0.6, g),
+    "nakagami 2": lambda g: FadingModel.nakagami(2.0, g),
+    "kappa-mu 2/2": lambda g: FadingModel.kappa_mu(2.0, 2.0, g),
+    "eta-mu 0.5/1": lambda g: FadingModel.eta_mu(0.5, 1.0, g),
+    "rician shadowed 3/2": lambda g: FadingModel.rician_shadowed(3.0, 2.0, g),
+    "kms 2/2/3": lambda g: FadingModel.kappa_mu_shadowed(2.0, 2.0, 3.0, g),
+    "kms 1.5/0.7/0.6": lambda g: FadingModel.kappa_mu_shadowed(1.5, 0.7, 0.6, g),
+    "kms 10/6/0.5": lambda g: FadingModel.kappa_mu_shadowed(10.0, 6.0, 0.5, g),
+    "kms 34.32/10.08/0.799": lambda g: FadingModel.kappa_mu_shadowed(34.32, 10.08, 0.799, g),
+}
+CUTOFF_SNR_DB = (-30, -20, -10, 0, 10, 20, 30, 40, 50)
+
+
+def solve_cutoff_counted(model: FadingModel, monkeypatch) -> tuple[float, int]:
+    """solve_cutoff's root and its number of residual evaluations, one k = 0
+    kernel call each."""
+    tails = []
+    real_kernel = apps._log_mixture_sum
+
+    def counting_kernel(*args):
+        tails.append(args[3] == 0)
+        return real_kernel(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(apps, "_log_mixture_sum", counting_kernel)
+        return solve_cutoff(model), sum(tails)
+
+
 # channels whose canonical form reaches each branch of the capacity series
 SERIES_BRANCH_CHANNELS = {
     "mu<1 nakagami": FadingModel.nakagami(0.6, 10.0),
@@ -372,25 +403,68 @@ class TestCapacity:
         assert c == pytest.approx(reference, rel=1e-9)
 
     def test_cutoff_evaluates_each_point_once(self, monkeypatch):
-        # two kernel calls per residual, none for the check after the solve
-        kernel_calls = []
-        evaluations = []
-        real_kernel, real_brentq = apps._log_mixture_sum, apps.optimize.brentq
+        # two kernel calls (k = 0 and k = -1) per residual, none for a check
+        # after the solve: no (k, x) pair repeats
+        calls = []
+        real_kernel = apps._log_mixture_sum
 
         def counting_kernel(*args):
-            kernel_calls.append(args)
+            calls.append((args[3], args[5]))
             return real_kernel(*args)
 
-        def counting_brentq(f, *args, **kwargs):
-            def g(x):
-                evaluations.append(x)
-                return f(x)
-            return real_brentq(g, *args, **kwargs)
-
         monkeypatch.setattr(apps, "_log_mixture_sum", counting_kernel)
-        monkeypatch.setattr(apps.optimize, "brentq", counting_brentq)
         solve_cutoff(FadingModel.nakagami(2.0, db_to_linear(10.0)))
-        assert len(kernel_calls) == 2 * len(evaluations)
+        assert len(set(calls)) == len(calls)
+        xs = {x for _, x in calls}
+        assert sorted(calls) == sorted((k, x) for x in xs for k in (0, -1))
+
+    @pytest.mark.parametrize("family", CUTOFF_FAMILIES.values(), ids=CUTOFF_FAMILIES.keys())
+    def test_cutoff_grid(self, family, monkeypatch):
+        # every solve returns a cutoff in (0, 1], nondecreasing in the mean SNR,
+        # within 8 residual evaluations at 0-20 dB and 21 anywhere
+        cutoffs = []
+        for db in CUTOFF_SNR_DB:
+            g0, evaluations = solve_cutoff_counted(family(db_to_linear(db)), monkeypatch)
+            assert 0.0 < g0 <= 1.0, db
+            assert evaluations <= (8 if 0 <= db <= 20 else 21), db
+            cutoffs.append(g0)
+        assert all(b >= a for a, b in zip(cutoffs, cutoffs[1:]))
+
+    @pytest.mark.parametrize("db", [-30.0, -20.0, 40.0])
+    @pytest.mark.parametrize("family", ["nakagami 0.6", "kappa-mu 2/2", "rician shadowed 3/2",
+                                        "kms 10/6/0.5"])
+    def test_cutoff_against_quadrature(self, family, db):
+        model = CUTOFF_FAMILIES[family](db_to_linear(db))
+        assert solve_cutoff(model) == pytest.approx(quad_cutoff(model), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("log_tail, evaluations",
+                             [(math.nan, 1), (-math.inf, apps._CUTOFF_ITERATIONS)],
+                             ids=["nan", "empty-tail"])
+    def test_cutoff_failure_is_accuracy_error(self, log_tail, evaluations, monkeypatch):
+        # a NaN residual fails at once; a residual that stays at -1 shrinks g0
+        # until the iteration cap
+        calls = []
+
+        def kernel(lam, m, mu, k, log_r, x, upper):
+            calls.append(k)
+            return log_tail if k == 0 else -math.inf
+
+        monkeypatch.setattr(apps, "_log_mixture_sum", kernel)
+        with pytest.raises(AccuracyError):
+            solve_cutoff(FadingModel.rayleigh(10.0))
+        assert len(calls) == 2 * evaluations
+
+    @pytest.mark.parametrize("error", [DomainError, AccuracyError])
+    def test_cutoff_passes_kernel_errors_through(self, error, monkeypatch):
+        raised = error("kernel")
+
+        def kernel(*args):
+            raise raised
+
+        monkeypatch.setattr(apps, "_log_mixture_sum", kernel)
+        with pytest.raises(error) as info:
+            solve_cutoff(FadingModel.rayleigh(10.0))
+        assert info.value is raised
 
     def test_cutoff_monotone_in_mean_snr(self):
         cutoffs = [solve_cutoff(FadingModel.rayleigh(g)) for g in (1.0, 10.0, 100.0)]

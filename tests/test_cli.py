@@ -93,6 +93,42 @@ class TestSinglePoint:
         assert code == EXIT_CONFIG
         assert "warp" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--channel", json.dumps({"kind": "rayleigh", "mean_snr_db": "abc"})],
+        ["opsc", "--bob", BOB, "--eve", json.dumps({"kind": "nakagami-m", "m": "abc",
+                                                     "mean_snr_db": 15}), "--rate", "0.1"],
+        ["aber", "--channel", NAKAGAMI, "--thresholds", "1,abc", "--bits", "2,4"],
+    ], ids=["capacity-mean-snr", "opsc-eve-m", "aber-thresholds"])
+    def test_non_numeric_field_exits_2(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert "abc" in err
+
+    @pytest.mark.parametrize("metric, fixed, field", [
+        ("eps-capacity", {"bob": json.loads(BOB), "eve": json.loads(EVE), "epsilon": "abc"},
+         "epsilon"),
+        ("capacity", {"channel": json.loads(RAY10), "cutoff_snr": "abc"}, "cutoff_snr"),
+    ], ids=["eps-capacity-epsilon", "capacity-cutoff"])
+    def test_non_numeric_sweep_field_exits_2(self, metric, fixed, field, tmp_path, capsys):
+        spec = {"metric": metric, "fixed": fixed,
+                "axis": {"field": "bob.mean_snr_db" if "bob" in fixed else "channel.mean_snr_db",
+                         "start": 10, "stop": 10, "step": 1},
+                "output": {"path": str(tmp_path / "x.csv")}}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        code = main(["sweep", "--spec", str(p)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert field in err and "abc" in err
+
+    def test_cutoff_parsed_as_number(self):
+        # "0.5" parses like every other numeric field
+        axis = {"field": "channel.mean_snr_db", "start": 10, "stop": 10, "step": 1}
+        rows = [run_sweep({"metric": "capacity", "axis": axis,
+                           "fixed": {"channel": json.loads(RAY10), "cutoff_snr": cutoff}})
+                for cutoff in (0.5, "0.5")]
+        assert rows[0] == rows[1]
+
     def test_bad_json_exits_2(self, capsys):
         code, _, _ = run(["opsc", "--bob", "{not json", "--eve", EVE,
                           "--rate", "0.1"], capsys)

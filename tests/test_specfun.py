@@ -173,9 +173,13 @@ class TestMixtureKernel:
 
     @pytest.mark.parametrize("mu", [0.3, 0.6, 1.0])
     def test_log_gamma_below(self, mu):
-        for x in (1e-6, 0.5, 20.0, 600.0):
+        # x = 699/701 straddle the switch from E1 to the fraction at mu = 1
+        for x in (1e-6, 0.5, 1.0, 1.5, 20.0, 600.0, 699.0, 701.0, 900.0):
             ref = mpmath.log(mpmath.gammainc(mu - 1.0, x) / mpmath.gamma(mu))
-            assert float(_log_gamma_below(mu, x)[0]) == pytest.approx(float(ref), rel=1e-12)
+            got = _log_gamma_below(mu, x)
+            assert float(got[0]) == pytest.approx(float(ref), rel=1e-12), x
+            # a single x runs the fraction on a numpy scalar: the same bits
+            assert np.array_equal(_log_gamma_below(mu, np.full(3, x)), np.repeat(got, 3)), x
 
     @pytest.mark.parametrize("mu", [0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
     def test_log_gamma_below_near_order_zero(self, mu):
