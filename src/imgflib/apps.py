@@ -47,6 +47,7 @@ __all__ = [
 _RATE_TOL = 1e-9          # eps_outage_capacity's bound on the undershoot of the crossing
 _CUTOFF_RESIDUAL = 1e-10  # solve_cutoff's bound on the power-constraint residual
 _CUTOFF_ITERATIONS = 100  # solve_cutoff's cap on residual evaluations
+_LOG_LOG_4 = math.log(math.log(4.0))  # solve_cutoff's largest step down in log g0
 
 
 @dataclass(frozen=True)
@@ -249,14 +250,17 @@ def solve_cutoff(channel: FadingModel) -> float:
 
     the gamma-mixture kernel at k = 0 (the tail Pr{gamma > g0}) and at
     k = -1.  The residual r(g0) = tail / g0 - inv_mean - 1 has the derivative
-    r'(g0) = -tail / g0^2, the k = 0 sum it already holds, and r'' =
-    f(g0) / g0^2 + 2 tail / g0^3 > 0: r is convex and decreasing.  Newton's
-    method starts at g0 = 1, where r <= 0; its first step lands below the
-    root, as a tangent of a convex function does, and the iterates then rise
-    to it.  The step is formed from the log of the tail, which underflows at
-    low mean SNR, and a step that would leave (0, g0) is replaced by g0 / 4.
-    Each g0 is evaluated once: the last iterate is returned once its Newton
-    step is within 1e-14 + 1e-15 g0 and its residual within _CUTOFF_RESIDUAL.
+    r'(g0) = -tail / g0^2, the k = 0 sum it already holds.  In u = log g0,
+    dr/du = -tail / g0 and d2r/du2 = f(g0) + tail / g0 > 0: r is convex and
+    decreasing in u.  Newton's method in u starts at g0 = 1, where r <= 0;
+    its first step lands below the root, as a tangent of a convex function
+    does, and the iterates then rise to it.  In u no step leaves g0 > 0, and
+    one from above the root falls short of where the tangent in g0 would go
+    (at Nakagami m = 2, -30 dB, to 0.50 of the root, not 0.024).  The step
+    r g0 / tail is formed from the log of the tail, which underflows at low
+    mean SNR, and a step below -log 4 is replaced by g0 / 4.  Each g0 is
+    evaluated once: the last iterate is returned once its step in g0 is
+    within 1e-14 + 1e-15 g0 and its residual within _CUTOFF_RESIDUAL.
 
     Raises AccuracyError when r(1) > 0, when a residual is not finite, or
     after _CUTOFF_ITERATIONS evaluations; the kernel's DomainError and
@@ -272,12 +276,13 @@ def solve_cutoff(channel: FadingModel) -> float:
             raise AccuracyError(f"cutoff residual {r} at {g0}")
         if g0 == 1.0 and r > 0.0:
             raise AccuracyError(f"cutoff residual {r} > 0 at g0 = 1: no root below")
-        # Newton step -r / r' = r g0^2 / tail, as g0 * sign(r) * exp(log_h)
-        log_h = math.log(abs(r)) + math.log(g0) - log_tail if r else -math.inf
-        if r < 0.0 and log_h >= 0.0:  # the step would leave (0, g0)
+        # Newton step in log g0, -r / (dr/du) = r g0 / tail = sign(r) exp(log_du);
+        # below the root r < tail / g0, so a rising step is under 1
+        log_du = math.log(abs(r)) + math.log(g0) - log_tail if r else -math.inf
+        if r < 0.0 and log_du >= _LOG_LOG_4:  # the step would shrink g0 more than 4-fold
             g0 *= 0.25
             continue
-        step = math.copysign(g0 * math.exp(log_h), r)
+        step = g0 * math.expm1(math.copysign(math.exp(log_du), r))
         if abs(step) <= 1e-14 + 1e-15 * g0 and abs(r) <= _CUTOFF_RESIDUAL:
             return g0
         g0 += step

@@ -2,6 +2,12 @@
 (and the Marcum functions built on it), log-space regularized incomplete
 gammas, the positive-term Kummer 1F1 and the reduced Humbert Phi2 series.
 
+The mixture sum takes scipy's incomplete gamma once per block of terms and
+walks the block by the recurrences between neighbouring orders, in plain
+float (or, over an array of x, array) arithmetic; where scipy's value
+underflows or rounds poorly, Legendre's continued fraction or the ascending
+series with a Stirling-form prefactor take its place.
+
 All kernels are pure double-precision functions, reentrant and
 thread-safe.  Running out of the term budget raises AccuracyError rather than
 silently truncating.
@@ -26,7 +32,6 @@ _SERIES_TOL = 1e-10     # Kummer and Phi2 series, relative
 _SERIES_FLOOR = 1e-300  # Kummer series, absolute
 _HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
-_Q_ONE = math.log1p(-_MIXTURE_TOL)  # log Q at which the kernel adds its rest in closed form
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +42,16 @@ _UNDERFLOW = 1e-280
 _FAR_ITERATIONS = 20_000
 
 
+def _every(cond) -> bool:
+    """cond.all() for an array, cond itself for a Python bool."""
+    return cond if isinstance(cond, bool) else bool(np.all(cond))
+
+
 def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
     """log Q(a, x) (upper) or log P(a, x) over broadcast arrays, for x > 0.
 
-    Where scipy's value underflows it is rebuilt in log space as
-    x^a e^-x / Gamma(a) times Legendre's continued fraction for Q (x > a) or
-    the ascending series for P (x < a), both fast that far from x ~ a.
+    Where scipy's value underflows it is rebuilt in log space by
+    _far_reg_gamma.
     """
     r = sp.gammaincc(a, x) if upper else sp.gammainc(a, x)
     out = np.log(r)
@@ -50,25 +59,96 @@ def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
         return out
     far = r < _UNDERFLOW
     a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
-    log_pref = a * np.log(x) - x - sp.gammaln(a)
+    out[far] = _far_reg_gamma(a, x, upper)[0]
+    return out
+
+
+def _log_reg_gamma_seed(a: float, x, upper: bool):
+    """log R(a, x) and d/R, with R = Q and d = d(a) (upper) or R = P and
+    d = d(a-1) (lower), d(a) = x^a e^-x / Gamma(a+1): the seed of the
+    recurrences Q(a+1, x) = Q(a, x) + d(a) and P(a-1, x) = P(a, x) + d(a-1).
+    1 + d/R is scipy's R(a+1)/R(a) (upper) or R(a-1)/R(a) (lower), which
+    keeps their full relative accuracy.  _far_reg_gamma takes over where R
+    underflows, and also where R is small, |x - a| > 0.4 a and a + x >= 1000:
+    there scipy forms x^a e^-x / Gamma(a) as exp(a log x - x - log Gamma(a)),
+    whose rounding error (about 2e-12 relative at a, x ~ 3000) would carry
+    over to every term of the block.  On Python floats for a float x, else
+    over the array x."""
+    orders = np.array([a, a + 1.0 if upper else a - 1.0])
+    reg = sp.gammaincc if upper else sp.gammainc
+    own = (x > 1.4 * a if upper else x < 0.6 * a) & (a + x >= 1000.0)
+    if isinstance(x, float):
+        if not own:
+            r0, r1 = reg(orders, x).tolist()
+            if r0 >= _UNDERFLOW:  # R(a+-1) >= R(a): neither underflows
+                return math.log(r0), r1 / r0 - 1.0
+        log_r, d_r = _far_reg_gamma(a, x, upper)
+        return float(log_r), float(d_r)
+    r0, r1 = reg(orders[:, None], x)
+    log_r, d_r = np.log(r0), r1 / r0 - 1.0
+    far = own | (r0 < _UNDERFLOW)
+    if far.any():
+        log_r[far], d_r[far] = _far_reg_gamma(a, x[far], upper)
+    return log_r, d_r
+
+
+def _stirling_rest(a):
+    """c(a) = log Gamma(a) - (a-1/2) log a + a - log(2 pi)/2 by Stirling's
+    series 1/(12a) - 1/(360a^3) + ..., to 2e-15 for a >= 20."""
+    b = 1.0 / (a * a)
+    return ((((b / 1188.0 - 1.0 / 1680.0) * b + 1.0 / 1260.0) * b - 1.0 / 360.0) * b
+            + 1.0 / 12.0) / a
+
+
+def _log_poisson_term(a, x):
+    """log d(a) = log(x^a e^-x / Gamma(a+1)) over broadcast arrays or for
+    floats, a >= 0, x > 0.  For a >= 20 it is -a (t - log1p(t)) -
+    log(2 pi a)/2 - c(a), t = x/a - 1, whose rounding error is about
+    eps |x - a|, where that of a log x - x - log Gamma(a+1) is eps a log x."""
+    if isinstance(a, float) and isinstance(x, float):
+        if a < 20.0:
+            return a * math.log(x) - x - math.lgamma(a + 1.0)
+        t = x / a - 1.0
+        return -a * (t - math.log1p(t)) - 0.5 * math.log(2.0 * math.pi * a) - _stirling_rest(a)
+    t = x / a - 1.0
+    return np.where(a >= 20.0,
+                    -a * (t - np.log1p(t)) - 0.5 * np.log(2.0 * np.pi * a) - _stirling_rest(a),
+                    a * np.log(x) - x - sp.gammaln(a + 1.0))
+
+
+def _log_gamma_ratio(z: float, d: float) -> float:
+    """log Gamma(z+d) / Gamma(z) for z, z+d > 0.  Past 20 by Stirling's series,
+    (z-1/2) log1p(d/z) + d log(z+d) - d + c(z+d) - c(z), whose rounding error
+    is about eps |d| log z, where a difference of log-gammas has eps z log z."""
+    if min(z, z + d) < 20.0:
+        return math.lgamma(z + d) - math.lgamma(z)
+    return ((z - 0.5) * math.log1p(d / z) + d * math.log(z + d) - d
+            + _stirling_rest(z + d) - _stirling_rest(z))
+
+
+def _far_reg_gamma(a, x, upper: bool):
+    """log R(a, x) and d/R as in _log_reg_gamma_seed, where scipy's R
+    underflows: Q = d(a) a h with Gamma(a, x) = x^a e^-x h by Legendre's
+    continued fraction (x > a), P = d(a) sum_j x^j / ((a+1)...(a+j)) by the
+    ascending series (x < a), both fast that far from x ~ a."""
+    log_d = _log_poisson_term(a, x)
     if upper:
-        out[far] = log_pref + _log_legendre_fraction(a, x)
-        return out
-    term = total = np.ones_like(x)
+        log_ah = np.log(a) + _log_legendre_fraction(a, x)
+        return log_d + log_ah, np.exp(-log_ah)
+    term = total = x * 0.0 + 1.0
     for j in range(1, _FAR_ITERATIONS):
         term = term * x / (a + j)
         total = total + term
-        if (term < 1e-16 * total).all():
-            out[far] = log_pref - np.log(a) + np.log(total)
-            return out
+        if _every(term < 1e-16 * total):
+            return log_d + np.log(total), a / (x * total)
     raise AccuracyError("regularized incomplete gamma did not converge in its tail")
 
 
 def _log_legendre_fraction(a, x) -> np.ndarray:
     """log h for Gamma(a, x) = x^a e^-x h, Legendre's continued fraction
-    (modified Lentz), at any real order a and x > a + 1."""
+    (modified Lentz), at any real order a and x > a + 1; on arrays or floats."""
     b = x + 1.0 - a
-    c, d = np.full_like(b, 1e300), 1.0 / b
+    c, d = b * 0.0 + 1e300, 1.0 / b
     h = d
     for i in range(1, _FAR_ITERATIONS):
         an = -i * (i - a)
@@ -76,7 +156,7 @@ def _log_legendre_fraction(a, x) -> np.ndarray:
         d = 1.0 / (an * d + b)
         c = b + an / c
         h = h * d * c
-        if (np.abs(d * c - 1.0) < 1e-15).all():
+        if _every(abs(d * c - 1.0) < 1e-15):
             return np.log(h)
     raise AccuracyError("incomplete gamma continued fraction did not converge")
 
@@ -152,6 +232,26 @@ def _log_gamma_below(mu: float, x) -> np.ndarray:
 # the gamma-mixture kernel
 # ---------------------------------------------------------------------------
 
+_LOG_Q_ONE = 1.0 - math.log(_MIXTURE_TOL)
+
+
+def _q_one_order(x: float) -> float:
+    """An order a from which P(a', x) <= _MIXTURE_TOL / e for every a' >= a.
+
+    By the Chernoff bound P(a, x) <= exp(-f(a)), f(a) = a log(a/x) - a + x
+    for a > x; f is convex and rises, so Newton's method on f(a) = 1 -
+    log(_MIXTURE_TOL) from a = x + sqrt(2 L x) + L, where f is already past
+    it, stays above the root (the 1 keeps the last iterate's rounding safe).
+    """
+    if x == 0.0:
+        return 0.0
+    a = x + math.sqrt(2.0 * _LOG_Q_ONE * x) + _LOG_Q_ONE
+    for _ in range(3):
+        log_ratio = math.log(a / x)
+        a -= (a * log_ratio - a + x - _LOG_Q_ONE) / log_ratio
+    return a
+
+
 def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                      upper: bool, survival: bool = False):
     """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P.
@@ -164,7 +264,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     MGF, its s-derivatives, the CDF, the Marcum functions and (at k = -1,
     upper tail only, where (mu+n)_-1 Q(mu+n-1, x) = Gamma(mu+n-1, x) /
     Gamma(mu+n) also for mu+n-1 <= 0) the capacity sums.  Vectorised over x,
-    which must be positive for the lower tail.
+    which must be positive for the lower tail; a lower sum whose first order
+    mu + k is not positive diverges and raises DomainError.
 
     Summation starts at an estimate of the summand peak and works outward in
     doubling blocks (the central-term windowing of Gil, Segura and Temme for
@@ -173,10 +274,32 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     that are not, the weights and their survival function for m < 1 and
     1/(mu+n-1), get explicit bounds); a direction stops once the geometric
     tail so bounded is below _MIXTURE_TOL of the sum.  Once every later Q is
-    1 to within _MIXTURE_TOL, the upper sum's rest is added in closed form.
+    1 to within _MIXTURE_TOL, the upper sum's rest is added in closed form;
+    when the peak estimate lies beyond that point, the window is centred
+    there, so a peak far out (heavy shadowing near the pole) costs no walk.
+
+    A block takes R and R's next value once (_log_reg_gamma_seed), at the
+    end from which the recurrence Q(a+1, x) = Q(a, x) + d_a (upward) or
+    P(a, x) = P(a+1, x) + d_a (downward), d_a = x^a e^-x / Gamma(a+1), adds
+    positive terms only, and walks to its other end in plain arithmetic:
+    each term is the last one times the weight ratio, the Pochhammer ratio
+    and R's ratio 1 + d/R, all relative to the seed term, and d/R follows
+    from d(a+1) = d(a) x / (a+1) (Gil, Segura and Temme, ch. 4).  The one
+    loop runs on floats for a float x and on arrays for an array x.  The
+    seed term's weight is taken in Stirling form, so a block far out keeps
+    the accuracy of its first term.  A block whose terms outgrow the double
+    range of its seed is split in two.
     """
-    shape = np.shape(x)  # a float x runs on numpy scalars, cheaper than 1-element arrays
-    xs = np.asarray(x, dtype=float).reshape(-1) if shape else np.float64(x)
+    # a float x runs on Python floats, far cheaper than 1-element arrays;
+    # every, largest, minimum, maximum and isfinite act on either
+    shape = () if isinstance(x, (int, float)) else np.shape(x)
+    xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
+    xmax = float(np.max(xs)) if shape else xs
+    every, largest, minimum, maximum, isfinite = (
+        (np.all, np.max, np.minimum, np.maximum, np.isfinite) if shape
+        else (bool, float, min, max, math.isfinite))
+    if not upper and mu + k <= 0.0:
+        raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
     if lam == 0.0:  # a unit mass at n = 0: the sum is its first term
         if survival:
             return np.full(shape, -np.inf) if shape else -math.inf
@@ -191,8 +314,10 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     r = math.exp(log_r)
     q = r * theta
     # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)]
-    slope = log_r + math.log(lam if poisson else theta)
-    const = mu * log_r - (lam if poisson else math.lgamma(m) - m * math.log1p(-theta))
+    log_1m_theta = 0.0 if poisson else math.log(m / (lam + m))
+    slope = log_r + (math.log(lam) if poisson else -math.log1p(m / lam))
+    const = mu * log_r - (lam if poisson else math.lgamma(m) - m * log_1m_theta)
+    w0, w1 = (lam, 0.0) if poisson else (theta * m, theta)  # w_(n+1)/w_n = (w0 + w1 n)/(n+1)
 
     def log_weights(n: np.ndarray):
         """log w_n r^(mu+n), or log S_n r^(mu+n) for the survival weights."""
@@ -203,22 +328,63 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             return n * slope + const - sp.gammaln(n + 1.0)
         return n * slope + const - sp.gammaln(n + 1.0) + sp.gammaln(n + m)
 
+    def log_weight(n: int) -> float:
+        """log w_n r^(mu+n) at one n, with the log-gamma differences that round
+        to about eps n in log_weights taken accurately."""
+        if poisson:  # lam^n / n! (r^n e^-lam)
+            return _log_poisson_term(float(n), lam * r) + lam * math.expm1(log_r) + mu * log_r
+        return n * slope + const + _log_gamma_ratio(n + 1.0, m - 1.0)
+
     first_below = mu + k <= 0.0  # k = -1, mu <= 1: no R of order mu-1 at n = 0
 
-    def log_terms(n: np.ndarray, cols):
-        logw = log_weights(n)
-        base = logw + np.log(sp.poch(n + mu, k)) if k else logw
-        below = first_below and n[0] == 0.0
-        if shape:
-            base, logw, n = base[:, None], logw[:, None], n[:, None]
-        if not below:
-            log_rg = _log_reg_gamma(n + (mu + k), cols, upper)
-            return base + log_rg, log_rg
-        # Gamma(mu-1, x) / Gamma(mu) in place of the n = 0 term; log_rg gets a -inf
-        log_rg = _log_reg_gamma(n[1:] + (mu + k), cols, upper)
-        head = logw[:1] + _log_gamma_below(mu, cols)
-        return (np.concatenate([head, base[1:] + log_rg]),
-                np.concatenate([np.full_like(head, -np.inf), log_rg]))
+    def log_head(x):
+        """log of the n = 0 term w_0 r^mu Gamma(mu-1, x) / Gamma(mu), over x."""
+        return log_weights(np.zeros(1))[0] + _log_gamma_below(mu, x)
+
+    def walk(lo: int, hi: int):
+        """The terms n in [lo, hi): log of their sum, of the first and of the
+        last one, and R's ratio one step past the end the walk stops at,
+        R(a+1)/R(a) above hi-1 (upper) or R(a-1)/R(a) below lo (lower)."""
+        if first_below and lo == 0:
+            head = log_head(xs) if shape else float(log_head(xs)[0])
+            if hi == 1:
+                return head, head, head, math.nan
+            log_sum, _, last, ratio = walk(1, hi)
+            return np.logaddexp(head, log_sum), head, last, ratio
+        # the step from n to n+1, lo <= n < hi-1: t(n+1)/t(n) = u (R's ratio);
+        # w(n+1) r^(mu+n+1)/(w(n) r^(mu+n)) = r (w0 + w1 n)/(n+1), at j = n+1
+        j = np.arange(lo + 1.0, hi)
+        if survival:
+            logw = log_weights(np.arange(lo, hi, dtype=float))
+            u = np.exp(np.diff(logw))
+        else:
+            u = r * w1 + (r * (w0 - w1)) / j
+        if k:  # the Pochhammer ratio (mu+n+k)/(mu+n)
+            u *= 1.0 + k / (j + (mu - 1.0))
+        seed = lo if upper else hi - 1
+        log_rg, d_r = _log_reg_gamma_seed(mu + seed + k, xs, upper)
+        log_seed = ((logw[seed - lo] if survival else log_weight(seed))
+                    + (_log_gamma_ratio(mu + seed, k) if k else 0.0) + log_rg)
+        if upper:  # d(a+1) = d(a) x / (a+1), a = mu+n+k
+            g, y = 1.0 / (j + (mu + k)), xs
+        else:  # d(a-2) = d(a-1) (a-1) / x, the walk going down
+            u, g, y = 1.0 / u[::-1], (j + (mu + k - 1.0))[::-1], inv_x
+        term = total = 1.0
+        for u_n, g_n in zip(u.tolist(), g.tolist()):
+            rise = 1.0 + d_r  # R's ratio from this term to the next
+            term = term * u_n * rise
+            d_r = d_r * y * g_n / rise
+            total = total + term
+        if not every(isfinite(total)):  # the terms outgrew the double range
+            mid = (lo + hi) // 2
+            first, second = walk(lo, mid), walk(mid, hi)
+            return (np.logaddexp(first[0], second[0]), first[1], second[2],
+                    (second if upper else first)[3])
+        log_end = log_seed + np.log(term)
+        log_sum = log_seed + np.log(total)
+        if upper:
+            return log_sum, log_seed, log_end, 1.0 + d_r
+        return log_sum, log_end, log_seed, 1.0 + d_r
 
     def log_rest(start: int) -> float:
         """log sum_{n >= start} w_n r^(mu+n) (mu+n)_k, the upper sum where
@@ -230,28 +396,31 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         log_c = (math.lgamma(k + 1.0) - sp.gammaln(i + 1.0) - sp.gammaln(k - i + 1.0)
                  + math.lgamma(mu + k) - sp.gammaln(mu + i))
         if poisson:
-            log_mom = (lam * (r - 1.0) + i * math.log(lam * r)
+            log_mom = (lam * math.expm1(log_r) + i * slope
                        + _log_reg_gamma(start - i, lam * r, False))
-        else:
-            log_mom = (m * (math.log1p(-theta) - math.log1p(-q)) + sp.gammaln(m + i)
-                       - math.lgamma(m) + i * math.log(q / (1.0 - q))
+        else:  # 1 - q = (m - lam (r-1)) / (lam + m) keeps its digits as q -> 1
+            log_1mq = math.log((m - lam * math.expm1(log_r)) / (lam + m))
+            log_mom = (m * (log_1m_theta - log_1mq) + sp.gammaln(m + i)
+                       - math.lgamma(m) + i * (slope - log_1mq)
                        + _log_betainc(start - i, m + i, q))
         log_parts = log_c + log_mom
         top = log_parts.max()
         return mu * log_r + float(top + np.log(np.exp(log_parts - top).sum()))
 
-    def forward_ratio(top: int, log_rg):
-        """Bound on the term ratio t(n+1)/t(n) for every n >= top."""
+    def forward_ratio(top: int, rg):
+        """Bound on the term ratio t(n+1)/t(n) for every n >= top; rg is
+        Q(a+1)/Q(a) at n = top (upper tail)."""
         # w(n+1)/w(n) for n >= t, and S(n+1)/S(n) <= max_{j>n} w(j+1)/w(j);
         # 1/(mu+n-1) falls, its ratio stays below 1
         t = top + 1 if survival else top
         w = lam / (t + 1.0) if poisson else theta * max(1.0, (m + t) / (t + 1.0))
-        rg = (np.exp(log_rg[-1] - log_rg[-2]) if upper
-              else np.minimum(1.0, xs / (mu + top + k + 1.0)))
+        if not upper:
+            rg = minimum(1.0, xs / (mu + top + k + 1.0))
         return w * r * (mu + top + k) / (mu + top) * rg if k >= 0 else w * r * rg
 
-    def backward_ratio(low: int, log_rg):
-        """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low."""
+    def backward_ratio(low: int, rg):
+        """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low; rg is
+        P(a-1)/P(a) at n = low (lower tail)."""
         if survival:  # S(n-1)/S(n) = 1 + w(n)/S(n) <= 1 + w(n)/w(n+1)
             w = 1.0 + ((low + 1.0) / lam if poisson
                        else (low + 1.0) / (theta * (m + low)) if m >= 1.0
@@ -260,9 +429,9 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             w = (low / lam if poisson else low / (theta * (m + low - 1.0)) if m >= 1.0
                  else 1.0 / (theta * m))
         if upper and k < 0:  # Gamma(b-1, x) <= Gamma(b, x) / x at every real order b
-            return w / r * (mu + low - 1.0) / xs
-        rg = (np.minimum(1.0, (mu + low + k - 1.0) / xs) if upper
-              else np.exp(log_rg[0] - log_rg[1]))
+            return w / r * (mu + low - 1.0) * inv_x
+        if upper:
+            rg = minimum(1.0, (mu + low + k - 1.0) * inv_x)
         return w / r * (mu + low - 1.0) / (mu + low + k - 1.0) * rg
 
     with np.errstate(all="ignore"):
@@ -270,25 +439,36 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         # to about x, P down), refined on grids around their maximum (the terms
         # are log-concave in n) unless one block from n = 0 covers it
         xc = float(np.median(xs)) if shape else xs
-        guess = (lam * r + k if poisson else q * (m + k) / (1.0 - q) if q < 1.0
-                 else q * (xc + m + k))
+        inv_x = 1.0 / xs if shape or xs else math.inf
+        guess = max(0.0, lam * r + k if poisson else q * (m + k) / (1.0 - q) if q < 1.0
+                    else q * (xc + m + k))
         guess = max(guess, xc) if upper else min(guess, xc + math.sqrt(guess * xc))
+        closed_rest = upper and k >= 0 and not survival
+        if closed_rest:  # every Q(mu+n+k, x) is 1 to within _MIXTURE_TOL from n1 on
+            n1 = max(0, math.ceil(_q_one_order(xmax) - mu - k))
         center, lo, hi = 0, 0.0, 2.0 * guess + 16.0
         block = int(hi) if hi <= 256.0 else 32
-        col = np.array([xc]) if shape else xs
-        while hi - lo > 2 * block:
-            grid = np.unique(np.floor(np.linspace(lo, hi, 33)))
-            i = int(log_terms(grid, col)[0].argmax())
-            center, block = int(grid[i]), 32 + int(6.0 * math.sqrt(grid[i]))
-            if i == grid.size - 1:
-                lo, hi = grid[-2], 16.0 * hi
-            else:
-                lo, hi = grid[max(i - 1, 0)], grid[i + 1]
+        if closed_rest and guess > n1:
+            # the terms past n1 are the closed-form rest: sum up to it
+            center, block = n1, 32 + int(6.0 * math.sqrt(n1))
+        else:
+            while hi - lo > 2 * block:
+                grid = np.unique(np.floor(np.linspace(lo, hi, 33)))
+                logt = log_weights(grid) + (np.log(sp.poch(grid + mu, k)) if k else 0.0)
+                below = int(first_below and grid[0] == 0.0)
+                logt[below:] += _log_reg_gamma(grid[below:] + (mu + k), xc, upper)
+                if below:
+                    logt[0] = log_head(xc)[0]
+                i = int(logt.argmax())
+                center, block = int(grid[i]), 32 + int(6.0 * math.sqrt(grid[i]))
+                if i == grid.size - 1:
+                    lo, hi = grid[-2], 16.0 * hi
+                else:
+                    lo, hi = grid[max(i - 1, 0)], grid[i + 1]
 
         lo, hi = max(0, center - block), center + block
-        logt, log_rg = log_terms(np.arange(lo, hi, dtype=float), xs)
-        ref = logt.max(axis=0)
-        total = np.exp(logt - ref).sum(axis=0)
+        ref, first, last, ratio = walk(lo, hi)
+        total = 1.0
 
         def remaining(edge, ratio):
             """Terms to add before the tail bound at the edge falls below
@@ -299,42 +479,40 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
 
         def grow(size: int, need) -> int:
             """The next block: doubled, or what the bound asks for if fewer."""
-            size = int(min(2 * size, np.max(need) + 8.0, _MAX_TERMS - (hi - lo)))
+            size = int(min(2 * size, largest(need) + 8.0, _MAX_TERMS - (hi - lo)))
             if size < 2:
                 raise AccuracyError(
                     f"gamma-mixture sum needed more than {_MAX_TERMS} terms "
-                    f"(lam={lam}, m={m}, mu={mu}, k={k}, x={float(np.max(xs))})")
+                    f"(lam={lam}, m={m}, mu={mu}, k={k}, x={xmax})")
             return size
 
-        def add(logt):
+        def add(log_part):
             nonlocal ref, total
-            new = np.maximum(ref, logt.max(axis=0))
-            total = total * np.exp(ref - new) + np.exp(logt - new).sum(axis=0)
+            new = maximum(ref, log_part)
+            total = total * np.exp(ref - new) + np.exp(log_part - new)
             ref = new
 
-        ahead = remaining(logt[-1], forward_ratio(hi - 1, log_rg))
-        behind = remaining(logt[0], backward_ratio(lo, log_rg)) if lo else ref * 0.0
-        closed_rest = upper and k >= 0 and not survival
+        ahead = remaining(last, forward_ratio(hi - 1, ratio))
+        behind = remaining(first, backward_ratio(lo, ratio)) if lo else ref * 0.0
         size = block
-        while not (ahead <= 0.0).all():
-            # Q rises with n, so past an edge where it is 1 the rest has a
-            # closed form; taken when it is longer than the window so far
-            if (closed_rest and (log_rg[-1] >= _Q_ONE).all()
-                    and not (ahead <= hi - lo).all()):
-                add(np.full((1,) + np.shape(ref), log_rest(hi)))
+        while not every(ahead <= 0.0):
+            # Q rises with n, so past n1, where it is 1, the rest has a closed
+            # form; taken when it is longer than the window so far
+            if closed_rest and hi > n1 and not every(ahead <= hi - lo):
+                add(log_rest(hi))
                 break
             size = grow(size, ahead)
+            log_part, _, last, ratio = walk(hi, hi + size)
             hi += size
-            logt, log_rg = log_terms(np.arange(hi - size, hi, dtype=float), xs)
-            add(logt)
-            ahead = remaining(logt[-1], forward_ratio(hi - 1, log_rg))
+            add(log_part)
+            ahead = remaining(last, forward_ratio(hi - 1, ratio))
         size = block
-        while not (behind <= 0.0).all():
+        while not every(behind <= 0.0):
             size = grow(size, behind)
             top, lo = lo, max(0, lo - size)
-            logt, log_rg = log_terms(np.arange(lo, top, dtype=float), xs)
-            add(logt)
-            behind = remaining(logt[0], backward_ratio(lo, log_rg)) if lo else ref * 0.0
+            log_part, first, _, ratio = walk(lo, top)
+            add(log_part)
+            behind = remaining(first, backward_ratio(lo, ratio)) if lo else ref * 0.0
         out = ref + np.log(total)
     return out.reshape(shape) if shape else float(out)
 

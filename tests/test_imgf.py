@@ -250,6 +250,57 @@ def quad_imgf_moment(model, s, zeta, k, tail="upper"):
     return val
 
 
+def heavy_shadowing_oracle(kappa, mu, m, gbar, s, zeta, k, densities):
+    """int_zeta^inf x^k e^(s x) f(x) dx at dps 30 for kappa-mu shadowed
+    fading, apart from the gamma-mixture kernel: M^(k)(s) by mp.diff of the
+    closed-form MGF, less mp.quad of the same integrand over [0, zeta] with
+    the density from mp.hyp1f1 (the tail itself decays over 1 / (b - s),
+    5e4 at 0.99999 of the pole; 30 digits absorb the subtraction).  The
+    densities dict keeps f at the quadrature nodes, which every s and k
+    share."""
+    with mpmath.workdps(30):
+        kappa, mu, m, gbar, s = map(mpmath.mpf, (kappa, mu, m, gbar, s))
+        a = mu * (1 + kappa) / gbar
+        b = a * m / (mu * kappa + m)
+        full = mpmath.diff(lambda t: ((a - t) / a) ** (m - mu) * ((b - t) / b) ** (-m), s, k)
+        if zeta == 0.0:
+            return full
+        log_amp = (mu * mpmath.log(mu) + m * mpmath.log(m) + mu * mpmath.log1p(kappa)
+                   - mu * mpmath.log(gbar) - m * mpmath.log(mu * kappa + m) - mpmath.loggamma(mu))
+
+        def integrand(x):
+            if x not in densities:
+                densities[x] = mpmath.exp(log_amp + (mu - 1) * mpmath.log(x) - a * x
+                                          + mpmath.log(mpmath.hyp1f1(m, mu, (a - b) * x)))
+            return x ** k * mpmath.exp(s * x) * densities[x]
+
+        cuts = [0] + [c for c in (0.1, gbar, 1, 4) if c < zeta] + [zeta]
+        return full - mpmath.quad(integrand, cuts)
+
+
+class TestHeavyShadowingNearPole:
+    """kappa-mu shadowed (34.32, 10.08, 0.799), mean 0.384: with m < 1 the
+    factor (mu+n)_k puts the summand peak at about (m+k-1) q / (1-q), 3.5e5
+    terms out at 0.999 of the pole, while every Q is 1 from about x +
+    7 sqrt(x).  The window stops there and the rest is added in closed form."""
+
+    MODEL = (34.32, 10.08, 0.799, 0.384)
+    DENSITIES: dict = {}
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.99, 0.999, 0.99999])
+    def test_upper_derivatives_against_mpmath(self, fraction):
+        model = FadingModel.kappa_mu_shadowed(*self.MODEL)
+        s = fraction * smallest_pole(model)
+        for k in (1, 2, 3):
+            # the kernel's 1e-11, and the value's condition number in s, about
+            # (m+k) s / (b-s), times a few units of rounding
+            tol = 1e-11 + 1e-15 * (self.MODEL[2] + k) / (1.0 - fraction)
+            for zeta in (0.0, 0.0192, 1.15, 15.4):
+                ref = float(heavy_shadowing_oracle(*self.MODEL, s, zeta, k, self.DENSITIES))
+                got = imgf_deriv_s(model, s, zeta, k, "upper")
+                assert got == pytest.approx(ref, rel=tol, abs=0.0), (k, zeta)
+
+
 class TestReductionCoherence:
     def test_rician_shadowed_structural(self):
         rs = FadingModel.rician_shadowed(3.0, 2.0, 4.0)

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, stats
 from scipy import special as sp
 
+from imgflib import specfun
 from imgflib.errors import DomainError
 from imgflib.specfun import (
     _log_betainc,
@@ -90,6 +91,14 @@ class TestMarcumQ:
                 ref = float(sp.chndtr(beta * beta, 2.0 * mu, alpha * alpha))
                 assert marcum_p(mu, alpha, beta) == pytest.approx(ref, rel=1e-9)
 
+    def test_p_at_tiny_b(self):
+        # x = b^2/2 down to 5e-29: the lower-tail terms grow by about 1/x a
+        # step from the seed at the window's top, past the double range,
+        # and the block is split
+        for b in (1e-3, 1e-6, 1e-10, 1e-14):
+            ref = float(sp.chndtr(b * b, 3.0, 4.0))
+            assert marcum_p(1.5, 2.0, b) == pytest.approx(ref, rel=1e-12), b
+
     def test_p_q_complementarity(self):
         for (nu, a, b) in [(0.5, 0.3, 1.0), (2.7, 4.0, 3.0), (6.0, 1.0, 8.0)]:
             assert marcum_p(nu, a, b) + marcum_q(nu, a, b) == pytest.approx(1.0, abs=1e-12)
@@ -155,7 +164,133 @@ def direct_sum(lam, m, mu, k, x, survival, terms=3000):
     return float(np.sum(weights(lam, m, n, survival) * factor))
 
 
+def mp_mixture_sum(lam, m, mu, k, log_r, x, upper, survival=False):
+    """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x) at dps 30, term by term as
+    w_n r^(mu+n) Gamma(mu+n+k, x) / Gamma(mu+n), with the lower gamma for the
+    lower tail.  The incomplete gammas come from mp.gammainc at one end of
+    the range and Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x run the way it
+    adds (up for the upper, down for the lower gamma); the range doubles
+    until a geometric bound puts the rest below 1e-25 of the sum."""
+    if lam == 0.0 and survival:
+        return -math.inf
+    with mpmath.workdps(30):
+        x, r, mu = mpmath.mpf(x), mpmath.exp(mpmath.mpf(log_r)), mpmath.mpf(mu)
+        poisson = math.isinf(m)
+        theta = 0 if poisson else mpmath.mpf(lam) / (lam + m)
+
+        def weight_ratio(n):  # w(n+1)/w(n), and a bound on it for every later n
+            now = lam / mpmath.mpf(n + 1) if poisson else theta * (m + n) / (n + 1)
+            return now, (now if poisson or m >= 1 else theta)
+
+        span = float(r * x) + lam + 60.0 / (1.0 - float(theta))  # where the terms have fallen
+        size = 64 * 2 ** math.ceil(math.log2(1.0 + span / 64.0))
+        while True:
+            w = [mpmath.mpf(1)] if lam == 0.0 else [
+                mpmath.exp(-lam) if poisson else (1 - theta) ** m]
+            for n in range(size - 1):
+                w.append(0 if lam == 0.0 else w[-1] * weight_ratio(n)[0])
+            if survival:  # S_n = sum_{j>n} w_j, from the tail mass past the range
+                s = (mpmath.gammainc(size, 0, lam, regularized=True) if poisson
+                     else mpmath.betainc(size, m, 0, theta, regularized=True))
+                for n in reversed(range(size)):
+                    w[n], s = s, s + w[n]
+            pure = [w[0] * r ** mu / mpmath.gamma(mu)]  # w_n r^(mu+n) / Gamma(mu+n)
+            for n in range(size - 1):
+                pure.append(pure[-1] * (w[n + 1] / w[n] if w[n] else 0) * r / (mu + n))
+            a = [mu + n + k for n in range(size)]
+            total = mpmath.mpf(0)
+            if upper:
+                g, step = mpmath.gammainc(a[0], x, mpmath.inf), x ** a[0] * mpmath.exp(-x)
+                for n in range(size):
+                    total += pure[n] * g
+                    g, step = a[n] * g + step, step * x
+                edge = pure[-1] * mpmath.gamma(a[-1])  # Q <= 1
+            else:
+                g, step = mpmath.gammainc(a[-1], 0, x), x ** (a[-1] - 1) * mpmath.exp(-x)
+                edge = pure[-1] * g  # P falls as the order rises
+                for n in reversed(range(size)):
+                    total += pure[n] * g
+                    if n:
+                        g, step = (g + step) / a[n - 1], step / x
+            if lam == 0.0:
+                return float(mpmath.log(total))
+            ratio = weight_ratio(size - 1)[1] * r * max(1, (mu + size - 1 + k) / (mu + size - 1))
+            if ratio < 1 and edge * ratio / (1 - ratio) < mpmath.mpf(10) ** -25 * total:
+                return float(mpmath.log(total))
+            size *= 2
+
+
+# (lam, m): negative binomial weights with m < 1 and m > 1, Poisson, unit mass
+ORACLE_FAMILIES = [(3.0, 0.5), (3.0, 2.0), (20.0, math.inf), (0.0, math.inf)]
+ORACLE_X = (1e-3, 0.7, 30.0, 400.0, 3e3)  # 3e3: the upper R underflow in scipy
+
+
 class TestMixtureKernel:
+    @pytest.mark.parametrize("lam,m,upper,survival", [
+        (lam, m, upper, survival) for lam, m in ORACLE_FAMILIES
+        for upper, survival in ((True, False), (True, True), (False, False))
+        if lam or not survival])  # a unit mass at 0 has no survival weights
+    def test_against_mpmath_sum(self, lam, m, upper, survival):
+        # every order the callers use and beyond, on both sides of the peak;
+        # the lower tail at k = -1 needs mu > 1
+        mu = 0.6 if upper else 1.7
+        for k in (-1, 0, 1, 3, 12):
+            for x in ORACLE_X:
+                log_r = 0.0 if x < 100.0 else -1.5  # r < 1 keeps deep sums short
+                ref = mp_mixture_sum(lam, m, mu, k, log_r, x, upper, survival)
+                got = _log_mixture_sum(lam, m, mu, k, log_r, x, upper, survival)
+                assert math.exp(got - ref) == pytest.approx(1.0, rel=1e-11, abs=0.0), (k, x)
+
+    @pytest.mark.parametrize("lam", [0.0, 3.0])
+    def test_divergent_lower_sum_is_domain_error(self, lam):
+        # P of order mu-1 <= 0 is infinite; the upper sum has Gamma(mu-1, x)
+        with pytest.raises(DomainError):
+            _log_mixture_sum(lam, math.inf, 0.6, -1, 0.0, 1.0, False)
+        assert math.isfinite(_log_mixture_sum(lam, math.inf, 0.6, -1, 0.0, 1.0, True))
+
+    @pytest.mark.parametrize("lam,m", ORACLE_FAMILIES[:3])
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_vector_matches_scalar(self, lam, m, upper):
+        # one call over an array of x runs the same recurrences as the float
+        # calls, with array state.  Its blocks are shared by every column, so
+        # each column may stop at another term than its float call: within
+        # _MIXTURE_TOL = 1e-12 of the sum, where logs near -1e3 have an ulp
+        # of 1.1e-13
+        xs = np.array(ORACLE_X)
+        for k in (0, 1, 3):
+            got = _log_mixture_sum(lam, m, 1.7, k, -0.1, xs, upper)
+            ref = [_log_mixture_sum(lam, m, 1.7, k, -0.1, x, upper) for x in ORACLE_X]
+            assert np.exp(got - ref) == pytest.approx(np.ones(xs.size), rel=1e-12, abs=0.0), k
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_one_incomplete_gamma_call_per_block(self, upper, monkeypatch):
+        # Poisson weights with mean 5000 put the sum on about 800 terms around
+        # n = 5000; scipy is asked for R at two orders per block and at the 33
+        # points of each peak-search grid, never term by term
+        sizes = []
+
+        class CountingSpecial:
+            def __getattr__(self, name):
+                return getattr(sp, name)
+
+            def gammainc(self, a, x):
+                sizes.append(np.size(a))
+                return sp.gammainc(a, x)
+
+            def gammaincc(self, a, x):
+                sizes.append(np.size(a))
+                return sp.gammaincc(a, x)
+
+        monkeypatch.setattr(specfun, "sp", CountingSpecial())
+        got = _log_mixture_sum(5000.0, math.inf, 2.0, 0, 0.0, 5000.0, upper)
+        monkeypatch.undo()
+        assert got == pytest.approx(mp_mixture_sum(5000.0, math.inf, 2.0, 0, 0.0, 5000.0, upper),
+                                    rel=1e-11, abs=0.0)
+        seeds = [n for n in sizes if n <= 2]
+        grids = [n for n in sizes if n > 2]
+        assert all(n <= 33 for n in grids) and len(grids) <= 4, sizes
+        assert 1 <= len(seeds) <= 6, sizes
+
     @pytest.mark.parametrize("lam,m,mu", KERNEL_FAMILIES)
     @pytest.mark.parametrize("survival", [False, True], ids=["weights", "survival"])
     def test_upper_orders_against_direct_sum(self, lam, m, mu, survival):
