@@ -46,7 +46,7 @@ from .incomplete import (
     imgf_lower,
     imgf_upper,
 )
-from .laplace import InversionConfig, InversionResult, LaplaceImage, imgf_lower_numeric, invert
+from .laplace import InversionResult, LaplaceImage, imgf_lower_numeric, invert
 from .mixture import GammaMixture, mixture_cdf, mixture_from_model, mixture_params
 from .oracles import McConfig, mc_aber, mc_opsc, quad_imgf
 from .specfun import marcum_p, marcum_q

@@ -209,8 +209,8 @@ def _canonical_params(model: FadingModel):
     c = canonicalize(model)
     kappa, mu, m, gbar = c.kappa, c.mu, c.m, c.mean_snr
     a = mu * (1.0 + kappa) / gbar
-    if math.isinf(m):
-        b = a
+    if kappa == 0.0 or math.isinf(m):
+        b = a  # gamma and unshadowed laws: the pole is the decay rate
     else:
         b = a * m / (mu * kappa + m)
     return kappa, mu, m, gbar, a, b
@@ -218,10 +218,7 @@ def _canonical_params(model: FadingModel):
 
 def smallest_pole(model: FadingModel) -> float:
     """Smallest real singularity of the MGF; M(s) is finite for s < pole."""
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
-    if kappa == 0.0 or math.isinf(m):
-        return a
-    return b
+    return _canonical_params(model)[5]
 
 
 def _is_mp(z) -> bool:
@@ -244,11 +241,10 @@ def mgf(model: FadingModel, s):
             return exp_(mu * (log_(a) - log_(a - s)) + kappa * mu * s / (a - s))
         return exp_((m - mu) * (log_(a - s) - log_(a)) - m * (log_(b - s) - log_(b)))
     s = float(s)
-    pole = a if (kappa == 0.0 or math.isinf(m)) else b
-    if s >= pole:
-        raise DomainError(f"MGF pole: s={s} >= {pole}")
+    if s >= b:
+        raise DomainError(f"MGF pole: s={s} >= {b}")
     if kappa == 0.0:
-        return math.exp(-mu * math.log1p(-s * gbar / mu))
+        return math.exp(-mu * math.log((a - s) / a))
     if math.isinf(m):
         return math.exp(mu * math.log(a / (a - s)) + kappa * mu * s / (a - s))
     # amplitude folded in log space; (a-s), (b-s) are positive here

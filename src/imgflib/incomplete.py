@@ -140,13 +140,14 @@ def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int) -> floa
 
 
 def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,
-                 cfg: laplace.InversionConfig = laplace.InversionConfig()) -> float:
+                 dps: int | None = None) -> float:
     """Model-agnostic lower IMGF for any MGF supplied as a Laplace image.
 
-    Delegates to the numerical inversion of M(s - p) / p at t = zeta; see
+    Delegates to the fixed-Talbot inversion of M(s - p) / p at t = zeta, in
+    float64 or, with dps set, in mpmath at dps digits; see
     laplace.imgf_lower_numeric for the contract.
     """
-    return laplace.imgf_lower_numeric(mgf_image, s, zeta, cfg)
+    return laplace.imgf_lower_numeric(mgf_image, s, zeta, dps)
 
 
 def imgf_lower_eta_mu_direct(eta: float, mu: float, mean_snr: float, s: float,

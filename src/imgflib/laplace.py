@@ -4,11 +4,17 @@ The main consumer is the generic lower-IMGF route: for a nonnegative random
 variable with Laplace transform L(p) = E[exp(-p X)], the truncated transform
 int_0^zeta exp(s x) f(x) dx is the inverse Laplace transform of L(p - s) / p
 evaluated at t = zeta.
+
+There is one inversion path: the fixed Talbot sum at a constant node count,
+over a contour built once per (node count, precision) on first use.  It runs
+in float64 by default, or in mpmath at a requested number of digits (the
+extended-precision oracle of the closed forms).
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -18,7 +24,6 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "LaplaceImage",
-    "InversionConfig",
     "InversionResult",
     "invert",
     "imgf_lower_numeric",
@@ -41,15 +46,12 @@ class LaplaceImage:
 # invert raises when its two node counts disagree by over 10x this, relative
 _TARGET_REL_TOL = 1e-8
 
-
-@dataclass(frozen=True)
-class InversionConfig:
-    node_count: int = 48
-    dps: int | None = None          # mpmath working digits; None = float64
-
-    def __post_init__(self):
-        if self.node_count < 8:
-            raise ValueError("node_count must be >= 8")
+# Talbot nodes of the reported value.  The companion run behind the error
+# estimate uses fewer in float64, whose sums lose digits as the count grows
+# (the exp(r) weight amplifies roundoff), and more in mpmath.
+_NODES = 48
+_COMPANION_NODES = 36
+_COMPANION_NODES_MP = 64
 
 
 @dataclass(frozen=True)
@@ -58,27 +60,22 @@ class InversionResult:
     error_estimate: float
 
 
-def _talbot(h, t: float, nodes: int) -> float:
-    # Fixed Talbot contour (Abate & Valko): p = (r/t) theta (cot theta + i),
-    # r = 2*nodes/5.  Float64 accuracy saturates near node_count ~ 48 because
-    # the exp(r) contour weight amplifies roundoff.
-    r = 0.4 * nodes
-    acc = 0.5 * math.exp(r) * h(complex(r / t, 0.0)).real
-    for k in range(1, nodes):
-        theta = math.pi * k / nodes
-        cot = 1.0 / math.tan(theta)
-        p = (r / t) * theta * complex(cot, 1.0)
-        w = cmath.exp(t * p) * complex(1.0, theta * (1.0 + cot * cot) - cot)
-        acc += (w * h(p)).real
-    return (2.0 / (5.0 * t)) * acc
-
-
 @functools.lru_cache(maxsize=16)
-def _talbot_mp_contour(nodes: int, dps: int) -> tuple:
-    """Nodes u_k = t p_k and weights of the fixed Talbot contour at dps digits:
-    u_k = r theta_k (cot theta_k + i), w_k = exp(u_k) (1 + i(theta_k (1 +
-    cot^2 theta_k) - cot theta_k)), and u_0 = r, w_0 = exp(r) / 2.  Neither
-    depends on t."""
+def _talbot_contour(nodes: int, dps: int | None) -> tuple:
+    """Nodes u_k = t p_k and weights of the fixed Talbot contour (Abate &
+    Valko), r = 2 nodes / 5: u_k = r theta_k (cot theta_k + i), w_k = exp(u_k)
+    (1 + i(theta_k (1 + cot^2 theta_k) - cot theta_k)), and u_0 = r, w_0 =
+    exp(r) / 2.  Neither depends on t.  Complex floats when dps is None,
+    mpmath numbers at dps digits otherwise."""
+    if dps is None:
+        r = 0.4 * nodes
+        out = [(complex(r), math.exp(r) / 2)]
+        for k in range(1, nodes):
+            theta = math.pi * k / nodes
+            cot = 1.0 / math.tan(theta)
+            u = r * theta * complex(cot, 1.0)
+            out.append((u, cmath.exp(u) * complex(1.0, theta * (1.0 + cot * cot) - cot)))
+        return tuple(out)
     from mpmath import mp
 
     with mp.workdps(dps):
@@ -92,31 +89,32 @@ def _talbot_mp_contour(nodes: int, dps: int) -> tuple:
         return tuple(out)
 
 
-def _talbot_mp(h, t: float, nodes: int, dps: int):
-    from mpmath import mp
+def _talbot(h, t: float, nodes: int, dps: int | None) -> float:
+    """(2 / 5t) sum_k Re(w_k h(u_k / t)) over the cached contour, in float64
+    or at dps digits."""
+    contour = _talbot_contour(nodes, dps)
+    if dps is None:
+        ctx = contextlib.nullcontext()
+    else:
+        from mpmath import mp
 
-    contour = _talbot_mp_contour(nodes, dps)
-    with mp.workdps(dps):
-        tt = mp.mpf(t)
-        acc = mp.mpf(0)
+        ctx = mp.workdps(dps)
+        t = mp.mpf(t)
+    with ctx:
+        acc = 0.0
         for u, w in contour:
-            acc += (w * h(u / tt)).real
-        return float(2 * acc / (5 * tt))
+            acc += (w * h(u / t)).real
+        return float(2 * acc / (5 * t))
 
 
-def _run(h, t: float, cfg: InversionConfig, nodes: int) -> float:
-    if cfg.dps is not None:
-        return _talbot_mp(h, t, nodes, cfg.dps)
-    return _talbot(h, t, nodes)
-
-
-def invert(image: LaplaceImage, t: float, cfg: InversionConfig = InversionConfig()) -> InversionResult:
+def invert(image: LaplaceImage, t: float, dps: int | None = None) -> InversionResult:
     """Invert a Laplace image at t > 0, with a node-refinement error estimate.
 
     The image is evaluated at two node counts; their disagreement is reported
     as the error estimate.  A disagreement far beyond _TARGET_REL_TOL is
     treated as oscillatory divergence and raised, never returned silently.
-    Deterministic for a fixed configuration.
+    dps=None sums in float64; an integer sums with mpmath at that many
+    digits (the image must then accept mpmath numbers).  Deterministic.
     """
     if not (t > 0 and math.isfinite(t)):
         raise DomainError(f"inversion requires finite t > 0, got t={t}")
@@ -130,15 +128,9 @@ def invert(image: LaplaceImage, t: float, cfg: InversionConfig = InversionConfig
     else:
         h = image.evaluator
 
-    n2 = cfg.node_count
-    if cfg.dps is None:
-        # float64 contour sums lose digits as node counts grow (the exp(r)
-        # weight amplifies roundoff), so the companion run uses fewer nodes
-        n1 = max(8, n2 - max(8, n2 // 4))
-    else:
-        n1 = n2 + max(8, n2 // 3)
-    v1 = _run(h, t, cfg, n1)
-    v2 = _run(h, t, cfg, n2)
+    n1 = _COMPANION_NODES if dps is None else _COMPANION_NODES_MP
+    v1 = _talbot(h, t, n1, dps)
+    v2 = _talbot(h, t, _NODES, dps)
     if sigma > 0.0:
         shift = math.exp(sigma * t)
         v1 *= shift
@@ -146,17 +138,17 @@ def invert(image: LaplaceImage, t: float, cfg: InversionConfig = InversionConfig
     err = abs(v2 - v1)
 
     scale = max(abs(v1), abs(v2))
-    floor = 1e-13 if cfg.dps is None else 10.0 ** (8 - cfg.dps)
+    floor = 1e-13 if dps is None else 10.0 ** (8 - dps)
     if err > max(10.0 * _TARGET_REL_TOL * scale, floor):
         raise AccuracyError(
             f"inverse Laplace transform did not stabilize at t={t}: "
-            f"{v1!r} with {n1} nodes vs {v2!r} with {n2} nodes"
+            f"{v1!r} with {n1} nodes vs {v2!r} with {_NODES} nodes"
         )
     return InversionResult(value=v2, error_estimate=err)
 
 
 def imgf_lower_numeric(pdf_image: LaplaceImage, s: float, zeta: float,
-                       cfg: InversionConfig = InversionConfig()) -> float:
+                       dps: int | None = None) -> float:
     """Lower IMGF of a nonnegative variable from its Laplace transform.
 
     ``pdf_image`` is the Laplace transform L(p) = E[exp(-p X)] of the density,
@@ -173,7 +165,7 @@ def imgf_lower_numeric(pdf_image: LaplaceImage, s: float, zeta: float,
         )
     ev = pdf_image.evaluator
     shifted = LaplaceImage(evaluator=lambda p: ev(p - s) / p, abscissa=0.0)
-    value = invert(shifted, zeta, cfg).value
+    value = invert(shifted, zeta, dps).value
     # the target integral lies in [0, M(s)]; keep inversion noise inside it
     mgf_value = float(abs(ev(complex(-s, 0.0))))
     return min(max(value, 0.0), mgf_value)

@@ -26,13 +26,10 @@ _SHARD = 1_000_000
 class McConfig:
     n_samples: int = 1_000_000
     seed: int = 20_240_101
-    confidence_sigmas: float = 3.0
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if not self.confidence_sigmas > 0:
-            raise ValueError("confidence_sigmas must be positive")
 
 
 def quad_imgf(model: FadingModel, s: float, zeta: float, tail: str = "lower",

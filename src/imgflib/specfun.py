@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
-_SERIES_TOL = 1e-10     # Kummer and Phi2 series, relative
-_SERIES_FLOOR = 1e-300  # Kummer series, absolute
+_SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relative
 _HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
 
@@ -558,11 +557,19 @@ def marcum_p(nu: float, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _kummer_series(a: float, b: float, x: float) -> float:
-    # Plain ascending series with term recurrence and Kahan accumulation.
+    """1F1(a; b; x) for a, b > 0 and x >= 0 by the plain ascending series,
+    with term recurrence and Kahan accumulation.
+
+    The term ratio r_j = t_(j+1) / t_j = x (a+j) / ((b+j)(j+1)) falls for
+    j >= k0, the larger root of (a+j)(b+j) = (b-a)(j+1), so there the terms
+    past t_j sum to at most t_j r_j / (1 - r_j) once r_j < 1; the sum stops
+    when that bound is below _SERIES_TOL of it.
+    """
+    disc0 = a * a - a * b + b - a
+    k0 = -a + math.sqrt(disc0) if disc0 > 0.0 else 0.0
     total = 1.0
     comp = 0.0
     term = 1.0
-    small_streak = 0
     for j in range(_MAX_TERMS):
         term *= (a + j) * x / ((b + j) * (j + 1.0))
         y = term - comp
@@ -573,12 +580,9 @@ def _kummer_series(a: float, b: float, x: float) -> float:
             raise OverflowError(
                 f"1F1({a};{b};{x}) overflows double precision during summation"
             )
-        if abs(term) <= _SERIES_TOL * abs(total) + _SERIES_FLOOR:
-            small_streak += 1
-            if small_streak >= 2 and j > abs(x):
-                return total
-        else:
-            small_streak = 0
+        r = (a + j + 1.0) * x / ((b + j + 1.0) * (j + 2.0))
+        if j + 1 >= k0 and r < 1.0 and term * r <= _SERIES_TOL * (1.0 - r) * total:
+            return total
     raise AccuracyError(f"1F1({a};{b};{x}) did not converge in {_MAX_TERMS} terms")
 
 

@@ -39,7 +39,7 @@ from imgflib.incomplete import (
     imgf_lower_eta_mu_direct,
     imgf_upper,
 )
-from imgflib.laplace import InversionConfig, imgf_lower_numeric
+from imgflib.laplace import imgf_lower_numeric
 from imgflib.mixture import mixture_cdf, mixture_params
 from imgflib.oracles import McConfig, mc_aber, mc_opsc, quad_imgf
 
@@ -96,14 +96,13 @@ def test_criterion_01_closed_forms_vs_definitional_quadrature():
 
 
 def test_criterion_02_inversion_route_vs_closed_forms():
-    cfg = InversionConfig(node_count=48, dps=40)
     worst = 0.0
     for model in _grid_models():
         img = laplace_image(model)
         for s in S_GRID:
             for zr in Z_RATIOS:
                 z = zr * model.mean_snr
-                num = imgf_lower_numeric(img, s, z, cfg)
+                num = imgf_lower_numeric(img, s, z, dps=40)
                 ref = imgf_lower(model, s, z)
                 worst = max(worst, abs(num - ref) / max(abs(ref), 1e-280))
     _report(2, "inverse-transform route vs closed forms", worst <= 1e-6,

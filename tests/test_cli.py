@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from imgflib import mixture
+from imgflib import incomplete, mixture
 from imgflib.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, PRESETS, _fmt, main,
                          run_sweep, selfcheck)
 
@@ -166,7 +166,8 @@ class TestSweep:
             "rate_rs": 0.1,
         },
         "output": {"path": "", "format": "csv"},
-        "validate": {"n_samples": 50_000, "seed": 12},
+        # validate keys other than n_samples and seed are ignored
+        "validate": {"n_samples": 50_000, "seed": 12, "confidence_sigmas": 2.0},
     }
 
     def test_rows_sorted_and_complete(self):
@@ -265,6 +266,18 @@ class TestSelfcheck:
         lines = [l for l in buf.getvalue().splitlines() if l]
         assert len(lines) >= 10  # at least one check per acceptance criterion
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_text_stable_under_rounding_changes(self, monkeypatch):
+        # a passing check prints its bound, not its defect, so a kernel change
+        # at the rounding level leaves the output byte-identical
+        buf = io.StringIO()
+        assert selfcheck(out=buf) == EXIT_OK
+        real = incomplete.imgf_lower
+        monkeypatch.setattr(incomplete, "imgf_lower",
+                            lambda *args: real(*args) * (1.0 + 1e-14))
+        perturbed = io.StringIO()
+        assert selfcheck(out=perturbed) == EXIT_OK
+        assert perturbed.getvalue() == buf.getvalue()
 
     def test_fault_injection_names_failure(self, monkeypatch):
         # corrupt one mixture coefficient and expect the named check to fail

@@ -130,12 +130,25 @@ class TestMgf:
         d = (mgf(model, h) - mgf(model, -h)) / (2.0 * h)
         assert d == pytest.approx(model.mean_snr, rel=1e-5)
 
-    @pytest.mark.parametrize("model", MODELS)
+    # kappa = 0 with finite m (kappa-mu shadowed, eta-mu at eta = 1) is a gamma law
+    @pytest.mark.parametrize("model", MODELS + [FadingModel.kappa_mu_shadowed(0.0, 2.0, 3.0, 1.0),
+                                                FadingModel.eta_mu(1.0, 1.2, 3.0)])
     def test_pole_raises(self, model):
+        b = _canonical_params(model)[5]
+        assert smallest_pole(model) == b
         with pytest.raises(DomainError):
-            mgf(model, smallest_pole(model))
+            mgf(model, b)
         with pytest.raises(DomainError):
-            mgf(model, smallest_pole(model) + 0.5)
+            mgf(model, b + 0.5)
+        assert 0.0 < mgf(model, b * (1.0 - 1e-2)) < math.inf
+
+    @pytest.mark.parametrize("mean", [0.1, 3.0, 7.0])
+    def test_gamma_law_finite_just_below_pole(self, mean):
+        # (1 - s/a)^-mu is finite at the last double below the pole a
+        for model in (FadingModel.nakagami(2.5, mean), FadingModel.rayleigh(mean),
+                      FadingModel.kappa_mu_shadowed(0.0, 3.0, 0.8, mean)):
+            b = smallest_pole(model)
+            assert 0.0 < mgf(model, math.nextafter(b, -math.inf)) < math.inf
 
     def test_complex_argument_matches_real(self):
         model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 1.0)

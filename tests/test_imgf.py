@@ -15,7 +15,6 @@ from imgflib.incomplete import (
     imgf_lower_eta_mu_direct,
     imgf_upper,
 )
-from imgflib.laplace import InversionConfig
 from imgflib.oracles import quad_imgf
 
 # Frozen: 40-digit quadrature of exp(-x) f(x) over [0, 2] for the shadowed
@@ -332,11 +331,10 @@ class TestGenericRoute:
         assert got == pytest.approx(KMS_GOLDEN, rel=1e-7)
 
     def test_matches_closed_forms_on_sample(self):
-        cfg = InversionConfig(node_count=48)
         for model in (MODELS[0], MODELS[3], MODELS[6]):
             img = laplace_image(model)
             for (s, z) in [(-0.5, 1.0), (-2.0, 4.0)]:
-                num = imgf_generic(img, s, z, cfg)
+                num = imgf_generic(img, s, z, dps=40)
                 ref = imgf_lower(model, s, z)
                 assert num == pytest.approx(ref, rel=1e-6)
 

@@ -7,7 +7,6 @@ from imgflib import laplace
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, laplace_image
 from imgflib.laplace import (
-    InversionConfig,
     InversionResult,
     LaplaceImage,
     imgf_lower_numeric,
@@ -18,8 +17,8 @@ RAY_LOWER = 0.5179132265677134  # (2/3)(1 - e^-1.5), analytic
 
 
 def talbot_mp_per_call(h, t, nodes, dps):
-    """Fixed Talbot sum with the contour recomputed at every call, the route
-    the per-(nodes, dps) contour cache replaced."""
+    """mpmath fixed Talbot sum with the contour recomputed at every call: the
+    reference for laplace._talbot's cached contour."""
     from mpmath import mp
 
     with mp.workdps(dps):
@@ -33,16 +32,6 @@ def talbot_mp_per_call(h, t, nodes, dps):
             w = mp.exp(tt * p) * mp.mpc(1, theta * (1 + cot * cot) - cot)
             acc += (w * h(p)).real
         return float(2 * acc / (5 * tt))
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = InversionConfig()
-        assert cfg.node_count == 48
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InversionConfig(node_count=4)
 
 
 class TestInvert:
@@ -63,20 +52,19 @@ class TestInvert:
         assert res.value == pytest.approx(1.0 - math.exp(-2.0), rel=1e-8)
 
     def test_extended_precision(self):
-        res = invert(LaplaceImage(lambda p: 1.0 / (p * (p + 1.0))), 2.0,
-                     InversionConfig(node_count=64, dps=40))
+        res = invert(LaplaceImage(lambda p: 1.0 / (p * (p + 1.0))), 2.0, dps=40)
         assert res.value == pytest.approx(1.0 - math.exp(-2.0), rel=1e-14)
 
     def test_node_doubling_self_consistency(self):
-        # doubling node_count moves well-scaled results by less than the target
+        # doubling the node count moves well-scaled results by less than the target
         cases = [
-            (LaplaceImage(lambda p: 1.0 / p), 1.0, 1.0),
-            (LaplaceImage(lambda p: 1.0 / (p * (p + 1.0))), 2.0, 1.0 - math.exp(-2.0)),
-            (LaplaceImage(lambda p: 1.0 / (p + 0.5) ** 2), 1.5, 1.5 * math.exp(-0.75)),
+            (lambda p: 1.0 / p, 1.0, 1.0),
+            (lambda p: 1.0 / (p * (p + 1.0)), 2.0, 1.0 - math.exp(-2.0)),
+            (lambda p: 1.0 / (p + 0.5) ** 2, 1.5, 1.5 * math.exp(-0.75)),
         ]
-        for (img, t, ref) in cases:
-            v24 = invert(img, t, InversionConfig(node_count=24)).value
-            v48 = invert(img, t, InversionConfig(node_count=48)).value
+        for (h, t, ref) in cases:
+            v24 = laplace._talbot(h, t, 24, None)
+            v48 = laplace._talbot(h, t, 48, None)
             assert abs(v48 - v24) < 1e-8 * max(1.0, abs(ref))
 
     def test_exponential_shift(self):
@@ -144,11 +132,13 @@ class TestTalbotContourCache:
         FadingModel.rician_shadowed(0.5, 0.5, 1.0),
     ], ids=["kms", "kappa-mu", "eta-mu", "rician-shadowed"])
     def test_cached_contour_matches_per_call_contour(self, model, monkeypatch):
-        cfg = InversionConfig(node_count=48, dps=40)
         img = laplace_image(model)
         points = [(s, zr * model.mean_snr) for s in (-5.0, -0.1, 0.0) for zr in (0.1, 5.0)]
-        cached = [imgf_lower_numeric(img, s, z, cfg) for s, z in points]
-        monkeypatch.setattr(laplace, "_talbot_mp", talbot_mp_per_call)
-        fresh = [imgf_lower_numeric(img, s, z, cfg) for s, z in points]
+        cached = [imgf_lower_numeric(img, s, z, dps=40) for s, z in points]
+        # the float64 route (its own cached contour) agrees to its roundoff floor
+        for (s, z), ref in zip(points, cached):
+            assert imgf_lower_numeric(img, s, z) == pytest.approx(ref, rel=1e-7, abs=0.0)
+        monkeypatch.setattr(laplace, "_talbot", talbot_mp_per_call)
+        fresh = [imgf_lower_numeric(img, s, z, dps=40) for s, z in points]
         for a, b in zip(cached, fresh):
             assert a == pytest.approx(b, rel=1e-14, abs=0.0)

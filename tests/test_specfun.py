@@ -365,6 +365,16 @@ class TestKummer:
             ref = float(sp.hyp1f1(a, b, x))
             assert math.exp(_log_hyp1f1_pos(a, b, x)) == pytest.approx(ref, rel=1e-8)
 
+    # 1F1(m; mu; (a - b) x) behind fading.pdf below the log-space switch at 30,
+    # so behind the quadrature oracles; (0.5, 60) rises for five terms first
+    @pytest.mark.parametrize("a,b,z", [(60.0, 6.0, 29.9), (0.5, 6.0, 29.9), (12.0, 0.5, 29.9),
+                                       (0.5, 60.0, 29.9), (2.0, 2.3, 5.0), (3.0, 1.0, 15.0),
+                                       (12.0, 6.0, 0.7), (0.5, 0.5, 1e-3)])
+    def test_series_against_mpmath(self, a, b, z):
+        with mpmath.workdps(30):
+            ref = mpmath.hyp1f1(a, b, z)
+            assert abs(mpmath.mpf(specfun._kummer_series(a, b, z)) / ref - 1) <= 1e-13
+
     # (a, b) = (m, mu) of canonical finite-m models fading.pdf evaluates:
     # kappa-mu shadowed (10, 6, 2) and (10, 6, 0.5), eta-mu (0.04, 1) (m = 1,
     # mu = 2), Rician shadowed (K, m = 0.5) and kappa-mu shadowed (1.5, 2, 2)
@@ -395,7 +405,36 @@ def _phi2_structural(b1, b2, x, y):
     return math.exp(_phi2_unit_first_log(b2, 1.0 + b1 + b2, -x, y - x))
 
 
+def _phi2_unit_first_mpmath(b2, c, u, v):
+    """log of exp(-u) Phi2(1, b2; c; u, v) at 30 digits: Gamma(c) u^(1-c)
+    sum_n (b2)_n (v/u)^n / n! P(c + n - 1, u), summed past its peak until a
+    term falls below 1e-25 of the sum."""
+    with mpmath.workdps(30):
+        b2, c, u, v = map(mpmath.mpf, (b2, c, u, v))
+        total, n = mpmath.mpf(0), 0
+        while True:
+            term = (mpmath.rf(b2, n) * (v / u) ** n / mpmath.factorial(n)
+                    * mpmath.gammainc(c + n - 1, 0, u, regularized=True))
+            total += term
+            if n > b2 * v / (u - v) and term < total * mpmath.mpf(10) ** -25:
+                return mpmath.log(mpmath.gamma(c) * u ** (1 - c) * total)
+            n += 1
+
+
 class TestPhi2:
+    # (eta, mu, mean, s, zeta / mean) of imgf_lower_eta_mu_direct on the
+    # acceptance grid: its Phi2 series has b2 = mu, c = 2 mu + 1,
+    # u = (h1 - s) zeta and v = (h1 - h2) zeta
+    @pytest.mark.parametrize("eta,mu,mean,s,zr", [(0.04, 6.0, 1.0, -5.0, 5.0),
+                                                  (0.04, 6.0, 10.0, -1.0, 20.0),
+                                                  (0.5, 2.0, 10.0, -0.1, 1.0),
+                                                  (0.9, 0.5, 1.0, 0.0, 0.1)])
+    def test_eta_mu_series_against_mpmath(self, eta, mu, mean, s, zr):
+        h1, h2 = mu * (1.0 + eta) / (eta * mean), mu * (1.0 + eta) / mean
+        args = (mu, 2.0 * mu + 1.0, (h1 - s) * zr * mean, (h1 - h2) * zr * mean)
+        ref = _phi2_unit_first_mpmath(*args)
+        assert abs(mpmath.expm1(_phi2_unit_first_log(*args) - ref)) <= 1e-13
+
     def test_equal_argument_confluence(self):
         # Phi2(b1, b2; c; x, x) = 1F1(b1 + b2; c; x), here from scipy
         for x in (-50.0, -20.0, -5.0, -0.5):
