@@ -10,9 +10,10 @@ combines IMGF increments region by region.  What remains here is
 bracketing and root finding around those sums: Newton's method for the
 cutoff, on a convex residual whose derivative is one of the sums it already
 holds, and Brent's method for the epsilon-outage secrecy capacity on the
-outage as a function of the rate, with the eavesdropper mixture built once
-per solve and the rate bracketed a priori by a Chernoff bound on the
-legitimate link.  Both solves evaluate each point once.
+logit of the outage as a function of the rate, with the eavesdropper
+mixture built once per solve and the rate bracketed a priori by a Chernoff
+bound on the legitimate link.  Both solves evaluate each point once; the
+capacity is the largest evaluated rate whose outage is within epsilon.
 """
 
 from __future__ import annotations
@@ -180,43 +181,51 @@ def _chernoff_threshold(bob: FadingModel, epsilon: float) -> float:
 def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
-    Brent's method on f(R) = Pr{C_S <= R} - epsilon, with the eavesdropper
-    mixture built once and each rate evaluated once.  The bracket is known
-    before the solve: C_S <= log2(1 + gamma_b), so the outage at
-    R_hi = log2(1 + t) is at least F_b(t) >= (1 + epsilon) / 2 > epsilon for
-    the Chernoff threshold t of the legitimate link.  The root is then
-    stepped down by Brent's error bound (and again if f is still positive
-    there), so the returned rate never overshoots the crossing and undershoots
-    it by about _RATE_TOL.  Returns 0 when even a zero rate violates the
-    epsilon budget.
+    Brent's method on g(R) = logit O(R) - logit epsilon, the outage
+    O(R) = Pr{C_S <= R} seen on the log-odds scale, where its CDF shape
+    flattens towards a line.  g carries the sign of O(R) - epsilon at every
+    rate, with O = epsilon counted as below: a logit difference that rounds
+    to 0 or to the wrong sign becomes the smallest subnormal of that sign,
+    and O = 0 or 1 becomes -inf or +inf.  The bracket is known before the
+    solve: C_S <= log2(1 + gamma_b), so the outage at R_hi = log2(1 + t) is
+    at least F_b(t) >= (1 + epsilon) / 2 > epsilon for the Chernoff
+    threshold t of the legitimate link.  The eavesdropper mixture is built
+    once and each rate is evaluated once.  Brent's final bracket holds an
+    evaluated rate on each side of the crossing within
+    _RATE_TOL / 2 + 8.9e-16 R of each other; the largest evaluated rate whose
+    outage is within epsilon is returned, so the result never overshoots
+    the crossing.  Returns 0 when even a zero rate violates the epsilon
+    budget.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
     bob = scenario.bob
     mix = mixture_from_model(mrc_combine(scenario.eve, scenario.n_eve_antennas))
+    logit_eps = math.log(epsilon) - math.log1p(-epsilon)
+    outage: dict[float, float] = {}  # every evaluated rate and its outage
 
-    @functools.cache
-    def excess(rate: float) -> float:
-        scale = 2.0 ** rate
-        return _outage_core(bob, mix, scale - 1.0, scale) - epsilon
+    def g(rate: float) -> float:
+        if rate not in outage:
+            scale = 2.0 ** rate
+            outage[rate] = _outage_core(bob, mix, scale - 1.0, scale)
+        o = outage[rate]
+        sign = 1.0 if o > epsilon else -1.0
+        if o == 0.0 or o == 1.0:
+            return sign * math.inf
+        t = math.log(o) - math.log1p(-o) - logit_eps
+        return t if t * sign > 0.0 else sign * 5e-324
 
-    if excess(0.0) > 0.0:
+    if g(0.0) > 0.0:
         return 0.0
     hi = math.log2(1.0 + _chernoff_threshold(bob, epsilon))
-    if not excess(hi) > 0.0:
+    if not g(hi) > 0.0:
         raise AccuracyError(f"secrecy outage stays within epsilon at the Chernoff "
                             f"bracket end R = {hi}")
-    xtol, rtol = 0.5 * _RATE_TOL, 4.0 * np.finfo(float).eps
     try:
-        rate = optimize.brentq(excess, 0.0, hi, xtol=xtol, rtol=rtol)
+        optimize.brentq(g, 0.0, hi, xtol=0.5 * _RATE_TOL, rtol=4.0 * np.finfo(float).eps)
     except RuntimeError as exc:  # no convergence within brentq's iteration cap
         raise AccuracyError(f"epsilon-outage root search failed: {exc}") from exc
-    # the crossing lies within xtol + rtol * rate of the root brentq returns;
-    # step below it, and again while rounding noise leaves the outage above epsilon
-    rate = max(0.0, rate - (xtol + rtol * rate))
-    while rate > 0.0 and excess(rate) > 0.0:
-        rate = max(0.0, rate - (xtol + rtol * rate))
-    return rate
+    return max(rate for rate, o in outage.items() if o <= epsilon)
 
 
 def outage_interference(desired: FadingModel, interference: FadingModel,

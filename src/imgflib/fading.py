@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 from scipy import special as sp
 
-from .errors import ConfigError, DomainError
+from .errors import AccuracyError, ConfigError, DomainError
 from .laplace import LaplaceImage
 from .specfun import _log_hyp1f1_pos, _log_mixture_sum
 
@@ -241,14 +241,25 @@ def mgf(model: FadingModel, s):
             return exp_(mu * (log_(a) - log_(a - s)) + kappa * mu * s / (a - s))
         return exp_((m - mu) * (log_(a - s) - log_(a)) - m * (log_(b - s) - log_(b)))
     s = float(s)
+    log_m = _log_mgf(model, s)
+    try:
+        return math.exp(log_m)
+    except OverflowError:
+        raise AccuracyError(f"MGF overflows at s={s}, below the pole {b}") from None
+
+
+def _log_mgf(model: FadingModel, s: float) -> float:
+    """log M(s) for real s below the MGF pole b, DomainError at or past it;
+    finite also where M(s) itself overflows a float."""
+    kappa, mu, m, gbar, a, b = _canonical_params(model)
     if s >= b:
         raise DomainError(f"MGF pole: s={s} >= {b}")
     if kappa == 0.0:
-        return math.exp(-mu * math.log((a - s) / a))
+        return -mu * math.log((a - s) / a)
     if math.isinf(m):
-        return math.exp(mu * math.log(a / (a - s)) + kappa * mu * s / (a - s))
+        return mu * math.log(a / (a - s)) + kappa * mu * s / (a - s)
     # amplitude folded in log space; (a-s), (b-s) are positive here
-    return math.exp((m - mu) * math.log((a - s) / a) - m * math.log((b - s) / b))
+    return (m - mu) * math.log((a - s) / a) - m * math.log((b - s) / b)
 
 
 def laplace_image(model: FadingModel) -> LaplaceImage:

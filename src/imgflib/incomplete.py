@@ -27,7 +27,7 @@ from scipy import integrate
 
 from .errors import DomainError
 from . import laplace
-from .fading import FadingModel, mgf, pdf, _canonical_params
+from .fading import FadingModel, mgf, pdf, _canonical_params, _log_mgf
 from .specfun import (
     marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
     marcum_q,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_q
@@ -135,7 +135,10 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
 def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int) -> float:
     """log of int_zeta^inf x^k exp(s (x - zeta)) f(x) dx  (upper tail,
     prescaled by exp(-s*zeta)); overflow-free building block for weighted
-    sums with exp(+s*zeta)-sized outer factors."""
+    sums with exp(+s*zeta)-sized outer factors.  At zeta = 0 and k = 0 it is
+    the whole MGF, in closed form, as imgf_upper takes it at zeta = 0."""
+    if zeta == 0.0 and k == 0:
+        return _log_mgf(model, s)
     return -s * zeta + _log_imgf(model, s, zeta, k, True)
 
 

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import integrate
 from scipy import special as sp
 
@@ -76,6 +77,7 @@ def _report(num: int, name: str, ok: bool, detail: str):
     assert ok, f"criterion {num} [{name}]: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_01_closed_forms_vs_definitional_quadrature():
     t0 = time.time()
     worst = {"lower": 0.0, "upper": 0.0}
@@ -95,6 +97,7 @@ def test_criterion_01_closed_forms_vs_definitional_quadrature():
             f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_02_inversion_route_vs_closed_forms():
     worst = 0.0
     for model in _grid_models():
@@ -235,6 +238,7 @@ def _figure_scenarios():
     return [(tag, SecrecyScenario(bob=bob, eve=eve, rate_rs=0.1)) for tag, bob in sets]
 
 
+@pytest.mark.slow
 def test_criterion_06_secrecy_outage():
     sc = SecrecyScenario(bob=FadingModel.rayleigh(10.0),
                          eve=FadingModel.rayleigh(1.0), rate_rs=0.1)

@@ -66,6 +66,19 @@ def preset_eps_points(names):
                 yield model_from_json(bob), model_from_json(fixed["eve"]), eps
 
 
+def record_outages(monkeypatch) -> list:
+    """Record (2^R, outage) of every apps._outage_core call."""
+    outages = []
+    real = apps._outage_core
+
+    def recording(bob, mix, alpha, scale):
+        outages.append((scale, real(bob, mix, alpha, scale)))
+        return outages[-1][1]
+
+    monkeypatch.setattr(apps, "_outage_core", recording)
+    return outages
+
+
 def rayleigh_opsc_reference(rs: float, gb: float, ge: float) -> float:
     alpha = 2.0 ** rs - 1.0
     return 1.0 - math.exp(-alpha / gb) * gb / (gb + 2.0 ** rs * ge)
@@ -209,7 +222,94 @@ class TestEpsOutageCapacity:
             bob=FadingModel.kappa_mu_shadowed(1.5, 1.0, 2.0, db_to_linear(20.0)),
             eve=FadingModel.rayleigh(db_to_linear(-10.0)))
         assert eps_outage_capacity(sc, 0.1) > 0.0
-        assert len(calls) <= 13
+        assert len(calls) <= 9
+
+    def test_presets_solve_in_eight_evaluations(self, monkeypatch):
+        # 7.98 evaluations per solve on the outage's logit (10.8 on the outage)
+        outages = record_outages(monkeypatch)
+        counts = []
+        for bob, eve, eps in preset_eps_points(("fig6", "fig7", "fig8")):
+            outages.clear()
+            eps_outage_capacity(SecrecyScenario(bob=bob, eve=eve), eps)
+            scales = [scale for scale, _ in outages]
+            assert len(set(scales)) == len(scales)  # no rate evaluated twice
+            counts.append(len(scales))
+        assert sum(counts) / len(counts) <= 8.0
+
+    def test_rate_is_the_safe_end_of_the_final_bracket(self, monkeypatch):
+        # the largest evaluated rate with outage within epsilon, and the next
+        # evaluated rate above it, outside epsilon, within brentq's tolerance
+        outages = record_outages(monkeypatch)
+        xtol, rtol = 0.5 * apps._RATE_TOL, 4.0 * np.finfo(float).eps
+        for bob, eve, eps in preset_eps_points(("fig6", "fig7", "fig8")):
+            outages.clear()
+            ce = eps_outage_capacity(SecrecyScenario(bob=bob, eve=eve), eps)
+            if ce == 0.0:  # only the zero rate was evaluated
+                assert len(outages) == 1 and outages[0][0] == 1.0 and outages[0][1] > eps
+                continue
+            assert 2.0 ** ce == max(scale for scale, o in outages if o <= eps)
+            above = min((scale, o) for scale, o in outages if scale > 2.0 ** ce)
+            assert above[1] > eps
+            assert math.log2(above[0]) - ce <= xtol + rtol * ce + 1e-15
+
+    @pytest.mark.parametrize("shape", ["step", "plateau"])
+    def test_sign_exact_on_degenerate_outages(self, shape, monkeypatch):
+        # a step from 0 to 1 (logit -inf to +inf), and an outage equal to
+        # epsilon over [1, r0] (logit difference 0): the crossing is r0
+        epsilon, r0 = 0.3, 2.345678901
+
+        def step(bob, mix, alpha, scale):
+            return 0.0 if math.log2(scale) <= r0 else 1.0
+
+        def plateau(bob, mix, alpha, scale):
+            r = math.log2(scale)
+            return epsilon * min(r, 1.0) if r <= r0 else min(1.0, epsilon + (r - r0))
+
+        fake = step if shape == "step" else plateau
+        monkeypatch.setattr(apps, "_outage_core", fake)
+        sc = SecrecyScenario(bob=FadingModel.rayleigh(100.0), eve=FadingModel.rayleigh(1.0))
+        ce = eps_outage_capacity(sc, epsilon)
+        assert fake(None, None, 2.0 ** ce - 1.0, 2.0 ** ce) <= epsilon
+        assert 0.0 <= r0 - ce <= apps._RATE_TOL
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_zero_rate_outage_is_the_mgf(self, kind, monkeypatch):
+        # with a Rayleigh eavesdropper Pr{gamma_b <= gamma_e} = M_b(-1 / Omega_e),
+        # the whole-transform term of the kernel route, taken in closed form
+        bob = ONE_MODEL_PER_KIND[kind](db_to_linear(10.0))
+        omega_e = db_to_linear(-3.0)
+        kernel_route = math.exp(incomplete._log_imgf(bob, -1.0 / omega_e, 0.0, 0, True))
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("gamma-mixture kernel called")
+
+        monkeypatch.setattr(incomplete, "_log_mixture_sum", no_kernel)
+        monkeypatch.setattr(apps, "_log_mixture_sum", no_kernel)
+        val = spsc(SecrecyScenario(bob=bob, eve=FadingModel.rayleigh(omega_e)))
+        assert val == pytest.approx(mgf(bob, -1.0 / omega_e), rel=1e-13)
+        assert val == pytest.approx(kernel_route, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_zero_rate_higher_orders_use_the_kernel(self, kind, monkeypatch):
+        # a Nakagami m = 3 eavesdropper adds the orders k = 1, 2 at
+        # beta = 3 / Omega_e, still summed by the kernel
+        bob = ONE_MODEL_PER_KIND[kind](db_to_linear(10.0))
+        omega_e = db_to_linear(-3.0)
+        beta = 3.0 / omega_e
+        kernel_route = sum(beta ** k / math.factorial(k)
+                           * math.exp(incomplete._log_imgf(bob, -beta, 0.0, k, True))
+                           for k in range(3))
+        calls = []
+        real = incomplete._log_mixture_sum
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])  # the derivative order
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(incomplete, "_log_mixture_sum", counting)
+        val = spsc(SecrecyScenario(bob=bob, eve=FadingModel.nakagami(3.0, omega_e)))
+        assert val == pytest.approx(kernel_route, rel=1e-13)
+        assert sorted(calls) == [1, 2]
 
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
     @pytest.mark.parametrize("mean_db", [-10.0, 60.0])

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from imgflib import fading
-from imgflib.errors import DomainError
+from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import (
     FadingModel,
     Kind,
@@ -149,6 +149,21 @@ class TestMgf:
                       FadingModel.kappa_mu_shadowed(0.0, 3.0, 0.8, mean)):
             b = smallest_pole(model)
             assert 0.0 < mgf(model, math.nextafter(b, -math.inf)) < math.inf
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.kind.value)
+    def test_last_double_below_pole(self, model):
+        # an unshadowed LOS law's exp(kappa mu s / (a - s)) leaves the float
+        # range there, which is an AccuracyError naming s and the pole; every
+        # other kind's MGF stays finite
+        b = smallest_pole(model)
+        s = math.nextafter(b, -math.inf)
+        kappa, mu, m = _canonical_params(model)[:3]
+        if kappa > 0.0 and math.isinf(m):
+            with pytest.raises(AccuracyError) as info:
+                mgf(model, s)
+            assert repr(s) in str(info.value) and repr(b) in str(info.value)
+        else:
+            assert 0.0 < mgf(model, s) < math.inf
 
     def test_complex_argument_matches_real(self):
         model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 1.0)
