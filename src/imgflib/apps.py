@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from .errors import AccuracyError, DomainError
-from .fading import FadingModel, _canonical_params, mgf, mrc_combine, pdf, smallest_pole
+from .fading import FadingModel, _gamma_mixture, mgf, mrc_combine, pdf, smallest_pole
 from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
 from .mixture import GammaMixture, mixture_from_model
 from .specfun import _log_mixture_sum
@@ -252,10 +252,10 @@ def solve_cutoff(channel: FadingModel) -> float:
 
         int_g0^inf (1/g0 - 1/g) f(g) dg = 1.
 
-    Over the mixture f = sum_n w_n Gamma(mu+n, rate a), with y = a g0, the
-    left side is
+    Over the mixture f = sum_n w_n Gamma(mu+n, rate c) of
+    fading._gamma_mixture, with y = c g0, the left side is
 
-        sum_n w_n [Q(mu+n, y) / g0 - a Gamma(mu+n-1, y) / Gamma(mu+n)],
+        sum_n w_n [Q(mu+n, y) / g0 - c Gamma(mu+n-1, y) / Gamma(mu+n)],
 
     the gamma-mixture kernel at k = 0 (the tail Pr{gamma > g0}) and at
     k = -1.  The residual r(g0) = tail / g0 - inv_mean - 1 has the derivative
@@ -274,12 +274,12 @@ def solve_cutoff(channel: FadingModel) -> float:
     Raises AccuracyError when r(1) > 0, when a residual is not finite, or
     after _CUTOFF_ITERATIONS evaluations; the kernel's DomainError and
     AccuracyError pass through."""
-    kappa, mu, m, gbar, a, b = _canonical_params(channel)
+    lam, m, mu, rate = _gamma_mixture(channel)
     g0 = 1.0
     for _ in range(_CUTOFF_ITERATIONS):
-        y = a * g0
-        log_tail = _log_mixture_sum(kappa * mu, m, mu, 0, 0.0, y, True)
-        inv_mean = a * math.exp(_log_mixture_sum(kappa * mu, m, mu, -1, 0.0, y, True))
+        y = rate * g0
+        log_tail = _log_mixture_sum(lam, m, mu, 0, 0.0, y, True)
+        inv_mean = rate * math.exp(_log_mixture_sum(lam, m, mu, -1, 0.0, y, True))
         r = math.exp(log_tail) / g0 - inv_mean - 1.0
         if not math.isfinite(r):
             raise AccuracyError(f"cutoff residual {r} at {g0}")
@@ -334,8 +334,8 @@ def capacity_side_info(scenario: CapacityScenario) -> float:
         Psi = M_u(-x/g0, g0) - (1/g0) dM_u/ds |_(s=-x/g0, z=g0),
 
     which is (1/ln 2) int_g0^inf ln(g/g0) f(g) dg.  Over the mixture
-    f = sum_n w_n Gamma(mu+n, rate a), with y = a g0 and
-    J(p, y) = int_y^inf Q(p, t) / t dt, the recurrence
+    f = sum_n w_n Gamma(mu+n, rate c) of fading._gamma_mixture, with
+    y = c g0 and J(p, y) = int_y^inf Q(p, t) / t dt, the recurrence
     J(p+1, y) = J(p, y) + Q(p, y) / p turns it into
 
         C ln 2 = J(mu, y) + sum_j S_j Q(mu+j, y) / (mu+j),
@@ -343,9 +343,9 @@ def capacity_side_info(scenario: CapacityScenario) -> float:
     S_j = sum_{n>j} w_n the weights' survival function: one gamma-mixture
     kernel sum (survival weights, order mu+1, k = -1) plus the base J(mu, y).
     Agrees with the direct log-quadrature route (capacity_direct)."""
-    kappa, mu, m, gbar, a, b = _canonical_params(scenario.channel)
-    y = a * _cutoff(scenario)
-    series = _log_mixture_sum(kappa * mu, m, mu + 1.0, -1, 0.0, y, True, survival=True)
+    lam, m, mu, rate = _gamma_mixture(scenario.channel)
+    y = rate * _cutoff(scenario)
+    series = _log_mixture_sum(lam, m, mu + 1.0, -1, 0.0, y, True, survival=True)
     return (_capacity_base(mu, y) + math.exp(series)) / math.log(2.0)
 
 

@@ -216,6 +216,33 @@ def _canonical_params(model: FadingModel):
     return kappa, mu, m, gbar, a, b
 
 
+# the finite form's cap on m - mu: a walk of this many terms costs about what
+# the series' fixed work (peak search, tail bounds) does
+_BINOMIAL_TRIALS = 64
+
+
+@functools.lru_cache(maxsize=256)
+def _gamma_mixture(model: FadingModel) -> tuple[float, float, float, float]:
+    """(lam, m, mu, c): the density as the gamma-mixture kernel's weights
+    (specfun._log_mixture_sum's lam, m, mu) over the laws Gamma(mu+n, rate c).
+
+    When kappa > 0, m is finite and N = m - mu is an exact integer in
+    [0, _BINOMIAL_TRIALS), the MGF ((a-s)/a)^N (b/(b-s))^m is
+    (b/(b-s))^mu (1 - p + p b/(b-s))^N, p = kappa mu/(kappa mu + m): the
+    N + 1 laws Gamma(mu+n, rate b) with Binomial(N, p) weights, passed as
+    lam = N p and m = -N (Lopez-Martinez, Paris and Romero-Jerez, "The
+    kappa-mu shadowed fading model with integer fading parameters", IEEE
+    TVT 2017).  Otherwise negative binomial (finite m), Poisson (m = inf) or
+    unit-mass (kappa = 0) weights with mean kappa mu over Gamma(mu+n, rate a).
+    The finite form converges for s < b only; a lower tail at b <= s < a
+    takes the series at rate a."""
+    kappa, mu, m, gbar, a, b = _canonical_params(model)
+    trials = m - mu
+    if kappa > 0.0 and 0.0 <= trials < _BINOMIAL_TRIALS and float(trials).is_integer():
+        return trials * (kappa * mu / (kappa * mu + m)), -trials, mu, b
+    return kappa * mu, m, mu, a
+
+
 def smallest_pole(model: FadingModel) -> float:
     """Smallest real singularity of the MGF; M(s) is finite for s < pole."""
     return _canonical_params(model)[5]
@@ -315,18 +342,19 @@ def cdf(model: FadingModel, x: float) -> float:
 
 def cdf_grid(model: FadingModel, xs) -> np.ndarray:
     """Vectorized CDF over an array of points (relative accuracy ~1e-12):
-    one batched gamma-mixture sum per chunk of 2^15 points, which bounds the
-    memory a million-point Kolmogorov-Smirnov check takes."""
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
+    one batched gamma-mixture sum over the model's mixture at its rate c
+    (_gamma_mixture), sum_n w_n P(mu+n, c x), per chunk of 2^15 points,
+    which bounds the memory a million-point Kolmogorov-Smirnov check takes."""
+    lam, m, mu, rate = _gamma_mixture(model)
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs >= 0):
         raise DomainError("SNR support is [0, inf)")
-    flat = a * xs.reshape(-1)
+    flat = rate * xs.reshape(-1)
     out = np.zeros(flat.size)
     live = np.flatnonzero(flat)  # F(0) = 0
     for lo in range(0, live.size, 1 << 15):
         idx = live[lo:lo + (1 << 15)]
-        out[idx] = np.exp(_log_mixture_sum(kappa * mu, m, mu, 0, 0.0, flat[idx], False))
+        out[idx] = np.exp(_log_mixture_sum(lam, m, mu, 0, 0.0, flat[idx], False))
     return out.reshape(xs.shape)
 
 

@@ -1,14 +1,18 @@
 """Lower/upper incomplete MGFs of the fading family, with s-derivatives.
 
-Every canonical density is a gamma-scale mixture sum_n w_n Gamma(mu + n, 1/a)
+Every canonical density is a gamma-scale mixture sum_n w_n Gamma(mu + n, 1/c)
 with negative binomial (finite m), Poisson (m = inf) or single-term
-(kappa = 0) weights.  Each lower or upper IMGF and each s-derivative is
-therefore one positive series of regularized incomplete gammas,
+(kappa = 0) weights at the LOS-free decay rate c = a, or, when m - mu is a
+small nonnegative integer N, the N + 1 terms with binomial weights at the
+MGF pole c = b (fading._gamma_mixture).  Each lower or upper IMGF and each
+s-derivative is therefore one positive series of regularized incomplete
+gammas,
 
-    sum_n w_n (mu+n)_k (a/(a-s))^(mu+n) R(mu+n+k, (a-s) zeta),   R = P or Q,
+    sum_n w_n (mu+n)_k (c/(c-s))^(mu+n) R(mu+n+k, (c-s) zeta),   R = P or Q,
 
-which specfun._log_mixture_sum sums outward from its peak in log space; no
-tail is formed as a difference, so deep tails keep full relative accuracy.
+which specfun._log_mixture_sum sums in log space, outward from its peak or,
+for binomial weights, over their whole support; no tail is formed as a
+difference, so deep tails keep full relative accuracy.
 _log_imgf is the one evaluator of that series: imgf_lower, imgf_upper and
 imgf_deriv_s check their arguments, settle the endpoints zeta = 0 and
 zeta = inf, and exponentiate its result.
@@ -27,7 +31,7 @@ from scipy import integrate
 
 from .errors import DomainError
 from . import laplace
-from .fading import FadingModel, mgf, pdf, _canonical_params, _log_mgf
+from .fading import FadingModel, mgf, pdf, _canonical_params, _gamma_mixture, _log_mgf
 from .specfun import (
     marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
     marcum_q,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_q
@@ -48,17 +52,22 @@ MAX_DERIV_ORDER = 12
 
 def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
     """log of the k-th s-derivative of the upper (or lower) IMGF at finite zeta
-    (> 0 for the lower tail): the module docstring's series times (a-s)^-k;
+    (> 0 for the lower tail): the module docstring's series times (c-s)^-k;
     -inf when it underflows.  The upper series converges for s below the MGF
-    pole b, the lower one for every s below the LOS-free decay rate a >= b;
-    outside, DomainError."""
+    pole b, the lower one at rate a for every s below the LOS-free decay
+    rate a >= b; outside, DomainError.  A lower tail at b <= s < a, where
+    the finite form at rate b diverges, takes the series at rate a."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     limit = b if upper else a
     if not s < limit:
         raise DomainError(f"{'upper' if upper else 'lower'} IMGF series requires "
                           f"s < {limit}, got s={s}")
-    return (_log_mixture_sum(kappa * mu, m, mu, k, -math.log1p(-s / a), (a - s) * zeta, upper)
-            - k * math.log(a - s))
+    lam, shape, mu, rate = _gamma_mixture(model)
+    if not s < rate:
+        lam, shape, rate = kappa * mu, m, a
+    return (_log_mixture_sum(lam, shape, mu, k, -math.log1p(-s / rate), (rate - s) * zeta,
+                             upper)
+            - k * math.log(rate - s))
 
 
 def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:

@@ -256,15 +256,21 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P.
 
     The weights w_n are negative binomial with mean lam and shape m, Poisson
-    when m = inf and a unit mass at n = 0 when lam = 0; survival=True sums
-    their survival function S_n = sum_{j>n} w_j in their place.  The
-    densities of the family are gamma-scale mixtures with these weights, so
-    with r = a/(a-s) and x = (a-s) zeta this one sum gives every incomplete
-    MGF, its s-derivatives, the CDF, the Marcum functions and (at k = -1,
-    upper tail only, where (mu+n)_-1 Q(mu+n-1, x) = Gamma(mu+n-1, x) /
-    Gamma(mu+n) also for mu+n-1 <= 0) the capacity sums.  Vectorised over x,
-    which must be positive for the lower tail; a lower sum whose first order
-    mu + k is not positive diverges and raises DomainError.
+    when m = inf, binomial with N = -m trials and mean lam when m < 0 (the
+    negative binomial law of shape -N), and a unit mass at n = 0 when
+    lam = 0; survival=True sums their survival function S_n = sum_{j>n} w_j
+    in their place.  The densities of the family are gamma-scale mixtures
+    with these weights at a rate c (fading._gamma_mixture), so with
+    r = c/(c-s) and x = (c-s) zeta this one sum gives every incomplete MGF,
+    its s-derivatives, the CDF, the Marcum functions and (at k = -1, upper
+    tail only, where (mu+n)_-1 Q(mu+n-1, x) = Gamma(mu+n-1, x) / Gamma(mu+n)
+    also for mu+n-1 <= 0) the capacity sums.  Vectorised over x, which must
+    be positive for the lower tail; a lower sum whose first order mu + k is
+    not positive diverges and raises DomainError.
+
+    Binomial weights have the finite support [0, N]: one walk sums all of it
+    (S_N = 0, so the survival sum stops at N - 1), with no peak search and
+    no tail bound.  The other families are summed as follows.
 
     Summation starts at an estimate of the summand peak and works outward in
     doubling blocks (the central-term windowing of Gil, Segura and Temme for
@@ -309,22 +315,30 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                       + _log_reg_gamma(np.array([mu + k]), xs, upper)))
         return out.reshape(shape) if shape else float(out[0])
     poisson = math.isinf(m)
+    binomial = m < 0.0  # theta = -p/(1-p), p = lam/N the success probability
     theta = 0.0 if poisson else lam / (lam + m)
     r = math.exp(log_r)
     q = r * theta
-    # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)]
+    # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)],
+    # for binomial weights n * slope + const + log C(N, n)
     log_1m_theta = 0.0 if poisson else math.log(m / (lam + m))
-    slope = log_r + (math.log(lam) if poisson else -math.log1p(m / lam))
-    const = mu * log_r - (lam if poisson else math.lgamma(m) - m * log_1m_theta)
+    slope = log_r + (math.log(lam) if poisson else math.log(-theta) if binomial
+                     else -math.log1p(m / lam))
+    const = mu * log_r - (lam if poisson else (0.0 if binomial else math.lgamma(m))
+                          - m * log_1m_theta)
     w0, w1 = (lam, 0.0) if poisson else (theta * m, theta)  # w_(n+1)/w_n = (w0 + w1 n)/(n+1)
 
     def log_weights(n: np.ndarray):
         """log w_n r^(mu+n), or log S_n r^(mu+n) for the survival weights."""
         if survival:
             return (mu + n) * log_r + (_log_reg_gamma(n + 1.0, lam, False) if poisson
+                                       else _log_betainc(n + 1.0, -m - n, lam / -m) if binomial
                                        else _log_betainc(n + 1.0, m, theta))
         if poisson:
             return n * slope + const - sp.gammaln(n + 1.0)
+        if binomial:
+            return n * slope + const - sp.gammaln(n + 1.0) + sp.gammaln(1.0 - m) \
+                - sp.gammaln(1.0 - m - n)
         return n * slope + const - sp.gammaln(n + 1.0) + sp.gammaln(n + m)
 
     def log_weight(n: int) -> float:
@@ -332,6 +346,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         to about eps n in log_weights taken accurately."""
         if poisson:  # lam^n / n! (r^n e^-lam)
             return _log_poisson_term(float(n), lam * r) + lam * math.expm1(log_r) + mu * log_r
+        if binomial:
+            return n * slope + const + math.log(math.comb(int(-m), n))
         return n * slope + const + _log_gamma_ratio(n + 1.0, m - 1.0)
 
     first_below = mu + k <= 0.0  # k = -1, mu <= 1: no R of order mu-1 at n = 0
@@ -434,11 +450,14 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         return w / r * (mu + low - 1.0) / (mu + low + k - 1.0) * rg
 
     with np.errstate(all="ignore"):
+        inv_x = 1.0 / xs if shape or xs else math.inf
+        if binomial:
+            out = walk(0, int(-m) + (0 if survival else 1))[0]
+            return out.reshape(shape) if shape else float(out)
         # the peak of the median column (Q pulls it from the weights' peak up
         # to about x, P down), refined on grids around their maximum (the terms
         # are log-concave in n) unless one block from n = 0 covers it
         xc = float(np.median(xs)) if shape else xs
-        inv_x = 1.0 / xs if shape or xs else math.inf
         guess = max(0.0, lam * r + k if poisson else q * (m + k) / (1.0 - q) if q < 1.0
                     else q * (xc + m + k))
         guess = max(guess, xc) if upper else min(guess, xc + math.sqrt(guess * xc))

@@ -34,8 +34,10 @@ OPSC_RAYLEIGH_POINT = 0.1032616836469244
 # README scheme (thresholds 10.6/53/222.5/900.7, 2/4/6/8 bits), as computed
 # before neighbouring regions shared their threshold IMGFs, then re-frozen
 # when the gamma-mixture kernel moved to term recurrences (it was
-# 0.0007914599347893599, 1.4e-14 relative below).
-ABER_KMS_0DB = 0.000791459934789371
+# 0.0007914599347893599, 1.4e-14 relative below), and again when m = mu made
+# the channel a single gamma law at rate b (it was 0.000791459934789371;
+# against aber_by_region_quadrature 4.2e-15 relative then, -3.0e-15 now).
+ABER_KMS_0DB = 0.0007914599347893654
 
 # one legitimate link per FadingModel kind, heavy shadowing and LOS included
 ONE_MODEL_PER_KIND = {
@@ -290,7 +292,7 @@ class TestEpsOutageCapacity:
         assert val == pytest.approx(kernel_route, rel=1e-13)
 
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
-    def test_zero_rate_higher_orders_use_the_kernel(self, kind, monkeypatch):
+    def test_zero_rate_higher_orders_use_the_kernel(self, kind, kernel_calls):
         # a Nakagami m = 3 eavesdropper adds the orders k = 1, 2 at
         # beta = 3 / Omega_e, still summed by the kernel
         bob = ONE_MODEL_PER_KIND[kind](db_to_linear(10.0))
@@ -299,17 +301,10 @@ class TestEpsOutageCapacity:
         kernel_route = sum(beta ** k / math.factorial(k)
                            * math.exp(incomplete._log_imgf(bob, -beta, 0.0, k, True))
                            for k in range(3))
-        calls = []
-        real = incomplete._log_mixture_sum
-
-        def counting(*args, **kwargs):
-            calls.append(args[3])  # the derivative order
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(incomplete, "_log_mixture_sum", counting)
+        kernel_calls.clear()
         val = spsc(SecrecyScenario(bob=bob, eve=FadingModel.nakagami(3.0, omega_e)))
         assert val == pytest.approx(kernel_route, rel=1e-13)
-        assert sorted(calls) == [1, 2]
+        assert sorted(call["k"] for call in kernel_calls) == [1, 2]
 
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
     @pytest.mark.parametrize("mean_db", [-10.0, 60.0])
@@ -385,23 +380,27 @@ class TestInterferenceDuality:
         assert val == pytest.approx(1.0 / 11.0, rel=1e-10)  # Pr{gb <= ge}
 
 
+def quad_tail(model: FadingModel, g0: float, f) -> float:
+    """int_g0^inf f(g) pdf(g) dg by quadrature, independent of the
+    gamma-mixture series, split at 10 mean and at the decades 1, 10, ..., 1e7
+    below 1e3 mean (one split at g0 + 10 mean left a 1e-3 residual at 50 dB)."""
+    cuts = {10.0 * model.mean_snr} | {
+        10.0 ** e for e in range(8) if 10.0 ** e < 1e3 * model.mean_snr}
+    cuts = [g0] + sorted(c for c in cuts if c > g0) + [np.inf]
+    return sum(integrate.quad(lambda g: f(g) * pdf(model, g), lo, hi,
+                              epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
+
+
 def quad_cutoff(model: FadingModel) -> float:
-    """Cutoff by Brent's method on a pdf quadrature of the power constraint,
-    independent of the gamma-mixture series, split at 10 mean and at the
-    decades 1, 10, ..., 1e7 below 1e3 mean (one split at g0 + 10 mean left a
-    1e-3 residual at 50 dB)."""
+    """Cutoff by Brent's method on a pdf quadrature of the power constraint."""
     def residual(g0: float) -> float:
-        cuts = {10.0 * model.mean_snr} | {
-            10.0 ** e for e in range(8) if 10.0 ** e < 1e3 * model.mean_snr}
-        cuts = [g0] + sorted(c for c in cuts if c > g0) + [np.inf]
-        return sum(integrate.quad(lambda g: (1.0 / g0 - 1.0 / g) * pdf(model, g), lo, hi,
-                                  epsabs=1e-13, epsrel=1e-11, limit=400)[0]
-                   for lo, hi in zip(cuts, cuts[1:])) - 1.0
+        return quad_tail(model, g0, lambda g: 1.0 / g0 - 1.0 / g) - 1.0
 
     return optimize.brentq(residual, 1e-9, 1.0, xtol=1e-15, rtol=1e-15)
 
 
-# the cutoff grid: ten families at mean SNRs from -30 to 50 dB
+# the cutoff grid: eleven families at mean SNRs from -30 to 50 dB
 CUTOFF_FAMILIES = {
     "rayleigh": FadingModel.rayleigh,
     "nakagami 0.6": lambda g: FadingModel.nakagami(0.6, g),
@@ -410,6 +409,7 @@ CUTOFF_FAMILIES = {
     "eta-mu 0.5/1": lambda g: FadingModel.eta_mu(0.5, 1.0, g),
     "rician shadowed 3/2": lambda g: FadingModel.rician_shadowed(3.0, 2.0, g),
     "kms 2/2/3": lambda g: FadingModel.kappa_mu_shadowed(2.0, 2.0, 3.0, g),
+    "kms 1.5/0.5/2.5": lambda g: FadingModel.kappa_mu_shadowed(1.5, 0.5, 2.5, g),
     "kms 1.5/0.7/0.6": lambda g: FadingModel.kappa_mu_shadowed(1.5, 0.7, 0.6, g),
     "kms 10/6/0.5": lambda g: FadingModel.kappa_mu_shadowed(10.0, 6.0, 0.5, g),
     "kms 34.32/10.08/0.799": lambda g: FadingModel.kappa_mu_shadowed(34.32, 10.08, 0.799, g),
@@ -417,19 +417,12 @@ CUTOFF_FAMILIES = {
 CUTOFF_SNR_DB = (-30, -20, -10, 0, 10, 20, 30, 40, 50)
 
 
-def solve_cutoff_counted(model: FadingModel, monkeypatch) -> tuple[float, int]:
+def solve_cutoff_counted(model: FadingModel, kernel_calls) -> tuple[float, int]:
     """solve_cutoff's root and its number of residual evaluations, one k = 0
     kernel call each."""
-    tails = []
-    real_kernel = apps._log_mixture_sum
-
-    def counting_kernel(*args):
-        tails.append(args[3] == 0)
-        return real_kernel(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(apps, "_log_mixture_sum", counting_kernel)
-        return solve_cutoff(model), sum(tails)
+    kernel_calls.clear()
+    g0 = solve_cutoff(model)
+    return g0, sum(call["k"] == 0 for call in kernel_calls)
 
 
 # channels whose canonical form reaches each branch of the capacity series
@@ -508,29 +501,22 @@ class TestCapacity:
         c = capacity_side_info(CapacityScenario(channel=model, cutoff_snr=g0))
         assert c == pytest.approx(reference, rel=1e-9)
 
-    def test_cutoff_evaluates_each_point_once(self, monkeypatch):
+    def test_cutoff_evaluates_each_point_once(self, kernel_calls):
         # two kernel calls (k = 0 and k = -1) per residual, none for a check
         # after the solve: no (k, x) pair repeats
-        calls = []
-        real_kernel = apps._log_mixture_sum
-
-        def counting_kernel(*args):
-            calls.append((args[3], args[5]))
-            return real_kernel(*args)
-
-        monkeypatch.setattr(apps, "_log_mixture_sum", counting_kernel)
         solve_cutoff(FadingModel.nakagami(2.0, db_to_linear(10.0)))
+        calls = [(call["k"], call["x"]) for call in kernel_calls]
         assert len(set(calls)) == len(calls)
         xs = {x for _, x in calls}
         assert sorted(calls) == sorted((k, x) for x in xs for k in (0, -1))
 
     @pytest.mark.parametrize("family", CUTOFF_FAMILIES.values(), ids=CUTOFF_FAMILIES.keys())
-    def test_cutoff_grid(self, family, monkeypatch):
+    def test_cutoff_grid(self, family, kernel_calls):
         # every solve returns a cutoff in (0, 1], nondecreasing in the mean SNR,
         # within 7 residual evaluations at 0-20 dB and 15 anywhere
         cutoffs = []
         for db in CUTOFF_SNR_DB:
-            g0, evaluations = solve_cutoff_counted(family(db_to_linear(db)), monkeypatch)
+            g0, evaluations = solve_cutoff_counted(family(db_to_linear(db)), kernel_calls)
             assert 0.0 < g0 <= 1.0, db
             assert evaluations <= (7 if 0 <= db <= 20 else 15), db
             cutoffs.append(g0)
@@ -542,6 +528,22 @@ class TestCapacity:
     def test_cutoff_against_quadrature(self, family, db):
         model = CUTOFF_FAMILIES[family](db_to_linear(db))
         assert solve_cutoff(model) == pytest.approx(quad_cutoff(model), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("db", [-30.0, 0.0, 20.0, 50.0])
+    @pytest.mark.parametrize("family", ["rician shadowed 3/2", "kms 2/2/3", "kms 1.5/0.5/2.5"])
+    def test_finite_mixture_against_quadrature(self, family, db):
+        # m - mu = 1, 1, 2: the binomial gamma mixture at rate b; mu = 0.5
+        # takes the k = -1 head Gamma(mu-1, y).  capacity_direct's single
+        # quad misses the mass at 50 dB, so the capacity reference is split
+        model = CUTOFF_FAMILIES[family](db_to_linear(db))
+        g0 = solve_cutoff(model)
+        assert g0 == pytest.approx(quad_cutoff(model), rel=1e-10, abs=0.0)
+        capacity = capacity_side_info(CapacityScenario(channel=model, cutoff_snr=g0))
+        ref = quad_tail(model, g0, lambda g: math.log2(g / g0))
+        assert capacity == pytest.approx(ref, rel=1e-9, abs=0.0)
+        if db < 50.0:
+            direct = capacity_direct(CapacityScenario(channel=model, cutoff_snr=g0))
+            assert capacity == pytest.approx(direct, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("log_tail, evaluations",
                              [(math.nan, 1), (-math.inf, apps._CUTOFF_ITERATIONS)],
@@ -632,20 +634,12 @@ class TestAber:
         val = aber_adaptive(FadingModel.nakagami(2.0, 5.0), scheme)
         assert 0.0 <= val <= 0.2
 
-    def test_shared_thresholds_evaluated_once(self, monkeypatch):
-        calls = []
-        real = incomplete._log_mixture_sum
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(incomplete, "_log_mixture_sum", counting)
+    def test_shared_thresholds_evaluated_once(self, kernel_calls):
         scheme = AdaptiveModScheme(thresholds=(10.6, 53.0, 222.5, 900.7),
                                    bits_per_region=(2, 4, 6, 8))
         val = aber_adaptive(FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, 1.0), scheme)
         assert val == ABER_KMS_0DB
-        assert len(calls) <= 15
+        assert len(kernel_calls) <= 15
 
     @pytest.mark.parametrize("channel", [
         FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, db_to_linear(0.0)),
