@@ -254,14 +254,20 @@ def _is_mp(z) -> bool:
 
 def mgf(model: FadingModel, s):
     """MGF E[exp(s * gamma)].  Real s must satisfy s < smallest_pole(model);
-    complex (or mpmath) arguments are evaluated on the principal branch."""
+    complex, mpmath and complex-ndarray arguments are evaluated on the
+    principal branch (an array elementwise, into an array)."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
-    if isinstance(s, complex) or _is_mp(s):
-        if _is_mp(s):
-            from mpmath import mp
-            exp_, log_ = mp.exp, mp.log
-        else:
-            exp_, log_ = cmath.exp, cmath.log
+    if isinstance(s, np.ndarray) and s.dtype.kind == "c":
+        branch = np.exp, np.log
+    elif isinstance(s, complex):
+        branch = cmath.exp, cmath.log
+    elif _is_mp(s):
+        from mpmath import mp
+        branch = mp.exp, mp.log
+    else:
+        branch = None
+    if branch:
+        exp_, log_ = branch
         if kappa == 0.0:
             return exp_(-mu * log_(1.0 - s * gbar / mu))
         if math.isinf(m):
@@ -291,7 +297,8 @@ def _log_mgf(model: FadingModel, s: float) -> float:
 
 def laplace_image(model: FadingModel) -> LaplaceImage:
     """Laplace transform of the SNR density, L(p) = E[exp(-p gamma)],
-    packaged with its abscissa of convergence (-smallest pole)."""
+    packaged with its abscissa of convergence (-smallest pole); it maps a
+    complex ndarray elementwise, as the float64 inversion calls it."""
     return LaplaceImage(evaluator=lambda p: mgf(model, -p),
                         abscissa=-smallest_pole(model))
 

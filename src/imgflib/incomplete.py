@@ -156,8 +156,10 @@ def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,
     """Model-agnostic lower IMGF for any MGF supplied as a Laplace image.
 
     Delegates to the fixed-Talbot inversion of M(s - p) / p at t = zeta, in
-    float64 or, with dps set, in mpmath at dps digits; see
-    laplace.imgf_lower_numeric for the contract.
+    float64, where the image's evaluator receives a complex ndarray of
+    contour nodes, or, with dps set, in mpmath at dps digits, one node at a
+    time; see laplace.LaplaceImage and laplace.imgf_lower_numeric for the
+    contract.
     """
     return laplace.imgf_lower_numeric(mgf_image, s, zeta, dps)
 

@@ -533,17 +533,29 @@ class TestCapacity:
     @pytest.mark.parametrize("family", ["rician shadowed 3/2", "kms 2/2/3", "kms 1.5/0.5/2.5"])
     def test_finite_mixture_against_quadrature(self, family, db):
         # m - mu = 1, 1, 2: the binomial gamma mixture at rate b; mu = 0.5
-        # takes the k = -1 head Gamma(mu-1, y).  capacity_direct's single
-        # quad misses the mass at 50 dB, so the capacity reference is split
+        # takes the k = -1 head Gamma(mu-1, y)
         model = CUTOFF_FAMILIES[family](db_to_linear(db))
         g0 = solve_cutoff(model)
         assert g0 == pytest.approx(quad_cutoff(model), rel=1e-10, abs=0.0)
         capacity = capacity_side_info(CapacityScenario(channel=model, cutoff_snr=g0))
         ref = quad_tail(model, g0, lambda g: math.log2(g / g0))
         assert capacity == pytest.approx(ref, rel=1e-9, abs=0.0)
-        if db < 50.0:
-            direct = capacity_direct(CapacityScenario(channel=model, cutoff_snr=g0))
-            assert capacity == pytest.approx(direct, rel=1e-9, abs=0.0)
+        direct = capacity_direct(CapacityScenario(channel=model, cutoff_snr=g0))
+        assert capacity == pytest.approx(direct, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("db", [-30.0, 0.0, 20.0, 50.0])
+    @pytest.mark.parametrize("family", ["rayleigh", "kappa-mu 2/2", "rician shadowed 3/2",
+                                        "kms 2/2/3", "kms 10/6/0.5"])
+    def test_capacity_direct_at_high_mean_snr(self, family, db):
+        # one quad over [g0, inf) missed the mass at 50 dB (off by 1.0
+        # relative for Rician shadowed 3/2); the split quadrature must not
+        # warn either
+        model = CUTOFF_FAMILIES[family](db_to_linear(db))
+        sc = CapacityScenario(channel=model, cutoff_snr=solve_cutoff(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            direct = capacity_direct(sc)
+        assert direct == pytest.approx(capacity_side_info(sc), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("log_tail, evaluations",
                              [(math.nan, 1), (-math.inf, apps._CUTOFF_ITERATIONS)],

@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 from imgflib import fading
 from imgflib.errors import AccuracyError, DomainError
+from imgflib.incomplete import imgf_lower
 from imgflib.fading import (
     FadingModel,
     Kind,
@@ -190,6 +191,16 @@ class TestMgf:
             ref = amplitude * (a - s) ** (m - mu) * (b - s) ** (-m)
             assert mgf(model, s) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_complex_array_matches_complex_scalars(self, model):
+        # the float64 inversion's image: NumPy's principal branch, elementwise
+        ps = np.array([0.3, 2.0 + 5.0j, -40.0 - 3.0j, -1e3 + 1e3j, 1e-4j])
+        got = mgf(model, ps)
+        assert isinstance(got, np.ndarray) and got.shape == ps.shape
+        for p, g in zip(ps.tolist(), got):
+            ref = mgf(model, complex(p))
+            assert abs(g - ref) <= 1e-13 * abs(ref)
+
     def test_laplace_image_is_mgf_mirror(self):
         model = FadingModel.kappa_mu(2.0, 2.5, 1.5)
         img = laplace_image(model)
@@ -221,6 +232,19 @@ class TestPdfCdf:
         grid = cdf_grid(model, xs)
         for x, g in zip(xs, grid):
             assert g == pytest.approx(cdf(model, float(x)), abs=5e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["unscaled", "mean"])
+    @pytest.mark.parametrize("kappa, mu, m", [(10.0, 6.0, 2.0), (34.0, 6.0, 0.8),
+                                              (34.0, 6.0, 12.5), (34.0, 6.0, 70.0)])
+    def test_cdf_grid_over_ten_decades(self, kappa, mu, m, scale):
+        # one array call over ten decades: its blocks serve every column, so a
+        # seed far from a column's x must keep that column's accuracy (the
+        # seed's x^a e^-x / Gamma(a+1) at x << a lost eps a^2/x relative)
+        model = FadingModel.kappa_mu_shadowed(kappa, mu, m, 3.0)
+        xs = np.logspace(-6, 4, 400) * scale
+        grid = cdf_grid(model, xs)
+        ref = np.array([imgf_lower(model, 0.0, float(x)) for x in xs])
+        assert np.all(np.abs(grid - ref) <= 1e-12 * ref)
 
     def test_special_cases_match_canonical_closed_forms(self):
         # finite-parameter reductions must agree essentially exactly
