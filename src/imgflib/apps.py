@@ -29,7 +29,7 @@ from .errors import AccuracyError, DomainError
 from .fading import FadingModel, _gamma_mixture, mgf, mrc_combine, pdf, smallest_pole
 from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
 from .mixture import GammaMixture, mixture_from_model
-from .specfun import _log_mixture_sum
+from .specfun import _MIXTURE_TOL, _log_mixture_sum
 
 __all__ = [
     "SecrecyScenario",
@@ -49,6 +49,7 @@ _RATE_TOL = 1e-9          # eps_outage_capacity's bound on the undershoot of the
 _CUTOFF_RESIDUAL = 1e-10  # solve_cutoff's bound on the power-constraint residual
 _CUTOFF_ITERATIONS = 100  # solve_cutoff's cap on residual evaluations
 _LOG_LOG_4 = math.log(math.log(4.0))  # solve_cutoff's largest step down in log g0
+_OUTAGE_RTOL = 1e-8       # _outage_core's bound on its error, relative to the outage
 
 
 @dataclass(frozen=True)
@@ -123,33 +124,47 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     W_ik = beta_i^k / k! * sum_{d <= m_i-1-k} (-alpha beta_i)^d / d!.
     The integrals are exp(alpha beta_i)-scaled upper-IMGF derivatives, which
     the transform layer provides in that prescaled form directly.
+
+    The signs of C_i and of the partial sums' terms alternate, so the sum can
+    cancel.  Its magnitude M, the same sum with every sign made positive,
+    bounds the error: each integral is within _MIXTURE_TOL relative, so
+    AccuracyError is raised when M _MIXTURE_TOL exceeds _OUTAGE_RTOL of the
+    result.
     """
     if alpha < 0:
         raise DomainError("threshold must be nonnegative")
     f_alpha = imgf_lower(bob, 0.0, alpha) if alpha > 0 else 0.0
-    total = f_alpha
+    total = magnitude = f_alpha
     cache: dict[tuple[float, int], float] = {}
     for (c_i, omega_i, m_i) in eve_mixture.terms:
         if c_i == 0.0 or m_i <= 0:
             continue
         beta = 1.0 / (scale * omega_i)
         ab = alpha * beta
-        # W_k via the partial exponential sums of exp(-alpha*beta)
+        # W_k via the partial exponential sums of exp(-alpha*beta), and the
+        # same sums of |terms|
         term = 1.0
         partial = [1.0]
+        partial_abs = [1.0]
         for d in range(1, m_i):
             term *= -ab / d
             partial.append(partial[-1] + term)
+            partial_abs.append(partial_abs[-1] + abs(term))
         bk = 1.0
-        contrib = 0.0
+        contrib = contrib_abs = 0.0
         for k in range(m_i):
             w_k = bk * partial[m_i - 1 - k]
             key = (beta, k)
             if key not in cache:
                 cache[key] = math.exp(_deriv_log_scaled(bob, -beta, alpha, k))
             contrib += w_k * cache[key]
+            contrib_abs += bk * partial_abs[m_i - 1 - k] * cache[key]
             bk *= beta / (k + 1.0)
         total += c_i * contrib
+        magnitude += abs(c_i) * contrib_abs
+    if magnitude * _MIXTURE_TOL > _OUTAGE_RTOL * total:
+        raise AccuracyError(f"outage sum cancels: magnitude {magnitude:.3e} against "
+                            f"result {total:.3e}")
     return _clamp_probability(total, "outage probability")
 
 

@@ -1,6 +1,11 @@
 """Command-line front end: single-point evaluations, figure-style sweeps with
 CSV/JSON output, Monte Carlo validation columns, and a self-check battery.
 
+Every metric is a registry entry: a parser from the JSON 'fixed' block to
+typed arguments, and the library call on them.  A sweep parses every axis
+point before it evaluates any, so a spec error exits 2 with nothing
+evaluated; only a failed evaluation exits 3.
+
 dB <-> linear conversion happens only here; the library itself works in
 linear SNR units throughout.
 """
@@ -9,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -18,7 +24,7 @@ from typing import Callable, NamedTuple
 from scipy.special import chndtr
 
 from . import apps, fading, incomplete, laplace, mixture, oracles, specfun
-from .errors import AccuracyError, ConfigError, DomainError
+from .errors import AccuracyError, DomainError
 from .fading import FadingModel, _config_number, model_from_json
 
 __all__ = ["main", "run_sweep", "selfcheck", "PRESETS"]
@@ -67,14 +73,14 @@ def _fmt(x: float) -> str:
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-def _set_path(tree: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = tree
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
+def _with_path(tree: dict, dotted: str, value) -> dict:
+    """tree with the dotted field set to value, copying only the dicts on the path."""
+    head, _, rest = dotted.partition(".")
+    if rest:
+        if not isinstance(tree.get(head), dict):
             raise DomainError(f"axis field {dotted!r} does not resolve in 'fixed'")
-        node = node[p]
-    node[parts[-1]] = value
+        value = _with_path(tree[head], rest, value)
+    return {**tree, head: value}
 
 
 def _axis_values(axis: dict) -> list[float]:
@@ -92,98 +98,81 @@ def _axis_values(axis: dict) -> list[float]:
 # ---------------------------------------------------------------------------
 
 class _Metric(NamedTuple):
-    evaluate: Callable[[dict], float]
-    mc: Callable[[dict, oracles.McConfig], tuple[float, float]] | None = None
+    """parse: 'fixed' block -> args, or DomainError; evaluate(*args) is the
+    metric, mc(*args, cfg) its Monte Carlo (estimate, standard error).  Both
+    look the library function up at call time, so a rebinding is seen."""
+    parse: Callable[[dict], tuple]
+    evaluate: Callable[..., float]
+    mc: Callable[..., tuple[float, float]] | None = None
 
 
-def _imgf(fixed: dict) -> float:
-    return incomplete.imgf_deriv_s(model_from_json(fixed["model"]),
-                                   _config_number(fixed["s"], "s"),
-                                   _config_number(fixed["zeta"], "zeta"),
-                                   _config_number(fixed.get("deriv_order", 0), "deriv_order", int),
-                                   fixed.get("tail", "lower"))
+def _parse_imgf(fixed: dict) -> tuple:
+    return (model_from_json(fixed["model"]), _config_number(fixed["s"], "s"),
+            _config_number(fixed["zeta"], "zeta"),
+            _config_number(fixed.get("deriv_order", 0), "deriv_order", int),
+            fixed.get("tail", "lower"))
 
 
-def _secrecy(fixed: dict) -> apps.SecrecyScenario:
+def _secrecy(fixed: dict, rate_rs: float) -> apps.SecrecyScenario:
     return apps.SecrecyScenario(
-        bob=model_from_json(fixed["bob"]), eve=model_from_json(fixed["eve"]),
-        rate_rs=_config_number(fixed.get("rate_rs", 0.0), "rate_rs"),
+        bob=model_from_json(fixed["bob"]), eve=model_from_json(fixed["eve"]), rate_rs=rate_rs,
         n_eve_antennas=_config_number(fixed.get("n_eve_antennas", 1), "n_eve_antennas", int))
 
 
-def _zero_rate(fixed: dict) -> dict:
-    return {**fixed, "rate_rs": 0.0}
+def _parse_interference(fixed: dict) -> tuple:
+    desired = model_from_json(fixed["desired"])
+    interference = model_from_json(fixed["interference"])
+    mixture.mixture_from_model(interference)  # as SecrecyScenario checks its eavesdropper
+    return desired, interference, _config_number(fixed["gamma_th"], "gamma_th")
 
 
-def _eps_capacity(fixed: dict) -> float:
-    sc = _secrecy(_zero_rate(fixed))
-    val = apps.eps_outage_capacity(sc, _config_number(fixed["epsilon"], "epsilon"))
-    if fixed.get("normalize"):
-        val /= math.log2(1.0 + sc.bob.mean_snr)
-    return val
+def _parse_capacity(fixed: dict) -> tuple:
+    cutoff = fixed.get("cutoff_snr")
+    return (apps.CapacityScenario(
+        channel=model_from_json(fixed["channel"]),
+        cutoff_snr=None if cutoff is None else _config_number(cutoff, "cutoff_snr")),)
 
 
-def _interference_as_secrecy(fixed: dict) -> apps.SecrecyScenario:
-    # same computation under the threshold <-> rate substitution
-    return _secrecy({"bob": fixed["desired"], "eve": fixed["interference"],
-                     "rate_rs": math.log2(1.0 + _config_number(fixed["gamma_th"], "gamma_th"))})
-
-
-def _aber_args(fixed: dict):
-    scheme = apps.AdaptiveModScheme(
+def _parse_aber(fixed: dict) -> tuple:
+    return (model_from_json(fixed["channel"]), apps.AdaptiveModScheme(
         thresholds=tuple(_config_number(t, "thresholds") for t in fixed["thresholds"]),
         bits_per_region=tuple(_config_number(b, "bits_per_region", int)
-                              for b in fixed["bits_per_region"]))
-    return model_from_json(fixed["channel"]), scheme
+                              for b in fixed["bits_per_region"])))
 
 
-def _capacity(fixed: dict) -> float:
-    cutoff = fixed.get("cutoff_snr")
-    return apps.capacity_side_info(apps.CapacityScenario(
-        channel=model_from_json(fixed["channel"]),
-        cutoff_snr=None if cutoff is None else _config_number(cutoff, "cutoff_snr")))
+def _eps_capacity(sc: apps.SecrecyScenario, epsilon: float, normalize: bool) -> float:
+    val = apps.eps_outage_capacity(sc, epsilon)
+    return val / math.log2(1.0 + sc.bob.mean_snr) if normalize else val
 
 
 _METRICS = {
-    "imgf": _Metric(_imgf),
-    "opsc": _Metric(lambda f: apps.opsc(_secrecy(f)),
-                    lambda f, cfg: oracles.mc_opsc(_secrecy(f), cfg)),
-    "spsc": _Metric(lambda f: apps.opsc(_secrecy(_zero_rate(f))),
-                    lambda f, cfg: oracles.mc_opsc(_secrecy(_zero_rate(f)), cfg)),
-    "eps-capacity": _Metric(_eps_capacity),
+    "imgf": _Metric(_parse_imgf, lambda *a: incomplete.imgf_deriv_s(*a)),
+    "opsc": _Metric(lambda f: (_secrecy(f, _config_number(f.get("rate_rs", 0.0), "rate_rs")),),
+                    lambda sc: apps.opsc(sc), lambda sc, cfg: oracles.mc_opsc(sc, cfg)),
+    "spsc": _Metric(lambda f: (_secrecy(f, 0.0),),
+                    lambda sc: apps.opsc(sc), lambda sc, cfg: oracles.mc_opsc(sc, cfg)),
+    "eps-capacity": _Metric(lambda f: (_secrecy(f, 0.0), _config_number(f["epsilon"], "epsilon"),
+                                       bool(f.get("normalize"))), _eps_capacity),
     "op-interference": _Metric(
-        lambda f: apps.outage_interference(model_from_json(f["desired"]),
-                                           model_from_json(f["interference"]),
-                                           _config_number(f["gamma_th"], "gamma_th")),
-        lambda f, cfg: oracles.mc_opsc(_interference_as_secrecy(f), cfg)),
-    "capacity": _Metric(_capacity),
-    "aber": _Metric(lambda f: apps.aber_adaptive(*_aber_args(f)),
-                    lambda f, cfg: oracles.mc_aber(*_aber_args(f), cfg)),
+        _parse_interference, lambda *a: apps.outage_interference(*a),
+        # the secrecy outage at the rate log2(1 + gamma_th) is the same probability
+        lambda d, i, th, cfg: oracles.mc_opsc(
+            apps.SecrecyScenario(bob=d, eve=i, rate_rs=math.log2(1.0 + th)), cfg)),
+    "capacity": _Metric(_parse_capacity, lambda sc: apps.capacity_side_info(sc)),
+    "aber": _Metric(_parse_aber, lambda ch, scheme: apps.aber_adaptive(ch, scheme),
+                    lambda ch, scheme, cfg: oracles.mc_aber(ch, scheme, cfg)),
 }
 
 
-def _sweep_point(task: tuple):
-    metric, fixed, axis_field, axis_value, validate, curve = task
-    fixed = json.loads(json.dumps(fixed))  # deep copy, keeps workers independent
-    _set_path(fixed, axis_field, axis_value)
+def _sweep_point(task: tuple) -> dict:
+    metric, args, cfg, field, value, curve = task
     try:
-        row = {"curve": curve, "axis": axis_value, "value": _METRICS[metric].evaluate(fixed)}
-        if validate is not None:
-            cfg = oracles.McConfig(
-                n_samples=_config_number(validate.get("n_samples", 1_000_000),
-                                         "validate.n_samples", int),
-                seed=_config_number(validate.get("seed", 20_240_101), "validate.seed", int))
-            mc = _METRICS[metric].mc
-            if mc is None:
-                raise DomainError(
-                    f"Monte Carlo validation is not available for metric {metric!r}")
-            row["mc_estimate"], row["mc_std_error"] = mc(fixed, cfg)
-    except ConfigError:
-        raise  # the spec is wrong at every point, not the evaluation at this one
+        row = {"curve": curve, "axis": value, "value": _METRICS[metric].evaluate(*args)}
+        if cfg is not None:
+            row["mc_estimate"], row["mc_std_error"] = _METRICS[metric].mc(*args, cfg)
     except (AccuracyError, DomainError, OverflowError) as exc:
         raise AccuracyError(
-            f"sweep failed at {axis_field}={axis_value} (curve {curve!r}): {exc}"
-        ) from exc
+            f"sweep failed at {field}={value} (curve {curve!r}): {exc}") from exc
     return row
 
 
@@ -195,16 +184,34 @@ def _worker_count() -> int:
 
 
 def run_sweep(spec: dict) -> list[dict]:
-    """Evaluate a sweep specification and return its rows (sorted)."""
+    """Evaluate a sweep specification and return its rows (sorted).
+
+    Every point is parsed before any is evaluated, so a spec error raises
+    DomainError naming its axis point with nothing evaluated (AccuracyError
+    where an eavesdropper's mixture coefficients cancel).  A failed
+    evaluation raises AccuracyError naming its point."""
     metric = spec.get("metric")
     if metric not in _METRICS:
         raise DomainError(f"metric must be one of {tuple(_METRICS)}, got {metric!r}")
-    axis = spec["axis"]
-    fixed = spec["fixed"]
     validate = spec.get("validate")
+    cfg = None
+    if validate is not None:
+        if _METRICS[metric].mc is None:
+            raise DomainError(f"Monte Carlo validation is not available for metric {metric!r}")
+        cfg = oracles.McConfig(
+            n_samples=_config_number(validate.get("n_samples", 1_000_000),
+                                     "validate.n_samples", int),
+            seed=_config_number(validate.get("seed", 20_240_101), "validate.seed", int))
+    axis = spec["axis"]
+    field = axis["field"]
     curve = spec.get("curve", "")
-    tasks = [(metric, fixed, axis["field"], v, validate, curve)
-             for v in _axis_values(axis)]
+    tasks = []
+    for v in _axis_values(axis):
+        try:
+            args = _METRICS[metric].parse(_with_path(spec["fixed"], field, v))
+        except (AccuracyError, DomainError) as exc:
+            raise type(exc)(f"bad spec at {field}={v} (curve {curve!r}): {exc}") from exc
+        tasks.append((metric, args, cfg, field, v, curve))
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -221,21 +228,17 @@ def _write_rows(rows: list[dict], path: str, fmt: str, axis_label: str) -> None:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
-    def quote(cell: str) -> str:
-        if "," in cell or '"' in cell:
-            return '"' + cell.replace('"', '""') + '"'
-        return cell
-
     has_mc = any("mc_estimate" in r for r in rows)
-    header = ["curve", axis_label, "value"] + (["mc_estimate", "mc_std_error"] if has_mc else [])
-    lines = [",".join(header)]
-    for r in rows:
-        cells = [quote(str(r["curve"])), _fmt(r["axis"]), _fmt(r["value"])]
-        if has_mc:
-            cells += [_fmt(r.get("mc_estimate", math.nan)), _fmt(r.get("mc_std_error", math.nan))]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["curve", axis_label, "value"]
+                        + (["mc_estimate", "mc_std_error"] if has_mc else []))
+        for r in rows:
+            cells = [r["curve"], _fmt(r["axis"]), _fmt(r["value"])]
+            if has_mc:
+                cells += [_fmt(r.get("mc_estimate", math.nan)),
+                          _fmt(r.get("mc_std_error", math.nan))]
+            writer.writerow(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +579,10 @@ def _fixed_from_args(args) -> dict:
 
 def _cmd_point(args) -> int:
     metric = _METRICS[args.command]
-    fixed = _fixed_from_args(args)
-    line = _fmt(metric.evaluate(fixed))
+    parsed = metric.parse(_fixed_from_args(args))
+    line = _fmt(metric.evaluate(*parsed))
     if getattr(args, "validate", None):
-        est, se = metric.mc(fixed, oracles.McConfig(n_samples=args.validate, seed=args.seed))
+        est, se = metric.mc(*parsed, oracles.McConfig(n_samples=args.validate, seed=args.seed))
         line += f" mc={_fmt(est)} mc_std_error={_fmt(se)}"
     print(line)
     return EXIT_OK

@@ -10,8 +10,3 @@ class AccuracyError(RuntimeError):
 
 class DomainError(ValueError):
     """Arguments outside the mathematical domain of an operation."""
-
-
-class ConfigError(DomainError):
-    """A configuration field whose value does not parse, such as a number
-    given as "abc": wrong at every point of a sweep, not at one."""

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 from scipy import special as sp
 
-from .errors import AccuracyError, ConfigError, DomainError
+from .errors import AccuracyError, DomainError
 from .laplace import LaplaceImage
 from .specfun import _log_hyp1f1_pos, _log_mixture_sum
 
@@ -399,11 +399,11 @@ _JSON_FIELDS = ("kappa", "mu", "m", "eta", "K", "q")
 
 
 def _config_number(value, field: str, kind: type = float):
-    """kind(value) for a configuration field, or ConfigError naming the field."""
+    """kind(value) for a configuration field, or DomainError naming the field."""
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {field!r} must be a number, got {value!r}") from exc
+        raise DomainError(f"field {field!r} must be a number, got {value!r}") from exc
 
 
 def model_from_json(obj: Mapping) -> FadingModel:

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .fading import FadingModel, canonicalize
 
 __all__ = ["GammaMixture", "mixture_params", "mixture_from_model", "mixture_cdf"]
@@ -105,6 +105,11 @@ def mixture_params(kappa: float, mu: int, m: int, mean_snr: float) -> GammaMixtu
         terms = _params_mu_le_m(kappa, mu, m, mean_snr)
     else:
         terms = _params_mu_gt_m(kappa, mu, m, mean_snr)
+    # the mu > m coefficients alternate in sign and grow like q^-(mu-1): at
+    # small kappa they cancel, and their sum drifts from 1 by rounding alone
+    total = sum(c for (c, _, mi) in terms if mi > 0)
+    if abs(total - 1.0) > 1e-9:
+        raise AccuracyError(f"mixture coefficients cancel: their sum is {total!r}, not 1")
     return GammaMixture(terms=tuple(terms))
 
 

@@ -29,7 +29,7 @@ class McConfig:
 
     def __post_init__(self):
         if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+            raise DomainError("n_samples must be >= 1")
 
 
 def quad_imgf(model: FadingModel, s: float, zeta: float, tail: str = "lower",

@@ -105,14 +105,14 @@ def _log_poisson_term(a, x):
     log(2 pi a)/2 - c(a), t = x/a - 1, whose rounding error is about
     eps |x - a|, where that of a log x - x - log Gamma(a+1) is eps a log x.
     log(x/a) is taken as log1p(t) from x = a/2 up; below, t's rounding,
-    eps, would be eps a/x relative in 1 + t, so the array form takes
-    log(x/a) itself there.  The float form still takes log1p(t), which
-    loses eps a^2/x in the result at x << a."""
+    eps, would be eps a/x relative in 1 + t (eps a^2/x in the result), so
+    log(x/a) itself is taken there."""
     if isinstance(a, float) and isinstance(x, float):
         if a < 20.0:
             return a * math.log(x) - x - math.lgamma(a + 1.0)
         t = x / a - 1.0
-        return -a * (t - math.log1p(t)) - 0.5 * math.log(2.0 * math.pi * a) - _stirling_rest(a)
+        log_ratio = math.log(x / a) if t < -0.5 else math.log1p(t)
+        return -a * (t - log_ratio) - 0.5 * math.log(2.0 * math.pi * a) - _stirling_rest(a)
     t = x / a - 1.0
     log_ratio = np.where(t < -0.5, np.log(x / a), np.log1p(np.maximum(t, -0.5)))
     return np.where(a >= 20.0,

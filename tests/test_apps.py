@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 from scipy.integrate import IntegrationWarning
 
 from imgflib.apps import (
@@ -23,6 +23,7 @@ from imgflib.apps import (
 from imgflib import apps, cli, incomplete
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, Kind, cdf, db_to_linear, mgf, model_from_json, pdf
+from imgflib.mixture import mixture_from_model
 from imgflib.oracles import McConfig, mc_aber, mc_opsc
 
 # Frozen: 40-digit evaluation of the Rayleigh/Rayleigh secrecy-outage closed
@@ -378,6 +379,80 @@ class TestInterferenceDuality:
     def test_zero_threshold(self):
         val = outage_interference(FadingModel.rayleigh(10.0), FadingModel.rayleigh(1.0), 0.0)
         assert val == pytest.approx(1.0 / 11.0, rel=1e-10)  # Pr{gb <= ge}
+
+
+def quad_over(f, cuts) -> float:
+    edges = sorted(set(cuts)) + [np.inf]
+    return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for lo, hi in zip(edges, edges[1:]))
+
+
+def secrecy_outage_rayleigh_bob(gb: float, eve: FadingModel, rs: float) -> float:
+    """Pr{C_S <= R_S} as the Rayleigh bob's closed-form CDF at 2^R_S (1 + g) - 1
+    against the eavesdropper's pdf, by quadrature."""
+    scale = 2.0 ** rs
+    ge = eve.mean_snr
+    return quad_over(lambda g: -math.expm1(-(scale - 1.0 + scale * g) / gb) * pdf(eve, g),
+                     (0.0, ge, 10.0 * ge, 100.0 * ge))
+
+
+def interference_outage_nakagami(desired: FadingModel, m: float, mean: float,
+                                 gamma_th: float) -> float:
+    """Pr{gamma_d <= gamma_th + (1 + gamma_th) gamma_i} for a Nakagami-m
+    interferer, as the desired link's pdf against the interferer's gamma
+    survival function, by quadrature."""
+    def f(g):
+        return pdf(desired, g) * stats.gamma.sf(max(g - gamma_th, 0.0) / (1.0 + gamma_th),
+                                                m, scale=mean / m)
+
+    spread = (1.0 + gamma_th) * mean
+    gd = desired.mean_snr
+    return quad_over(f, (0.0, gamma_th, gamma_th + spread, gamma_th + 10.0 * spread,
+                         gd, 10.0 * gd, 100.0 * gd))
+
+
+class TestOutageCancellation:
+    """Eavesdroppers with integer mu > m and small kappa, whose mixture
+    coefficients alternate in sign, and Nakagami interferers far below the
+    threshold, whose partial sums of exp(-alpha beta) alternate: each point
+    matches a quadrature that uses no kernel to 1e-9 relative, or raises
+    AccuracyError.  must_raise marks the points that returned a wrong value,
+    or raised DomainError, before the guard."""
+
+    @staticmethod
+    def check(compute, ref: float, must_raise: bool) -> None:
+        if must_raise:
+            with pytest.raises(AccuracyError):
+                compute()
+            return
+        try:
+            val = compute()
+        except AccuracyError:
+            return
+        assert val == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("kappa, mu, m, must_raise", [
+        (0.02, 10, 3, True), (0.01, 6, 2, True), (0.005, 6, 2, True), (0.01, 10, 3, True),
+        (0.02, 4, 1, False)])
+    def test_eavesdropper(self, kappa, mu, m, must_raise):
+        eve = FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0)
+        ref = secrecy_outage_rayleigh_bob(10.0, eve, 0.5)
+        self.check(lambda: opsc(SecrecyScenario(bob=FadingModel.rayleigh(10.0), eve=eve,
+                                                rate_rs=0.5)), ref, must_raise)
+
+    @pytest.mark.parametrize("m, mean, must_raise", [
+        (10, 0.05, True), (8, 0.1, True), (6, 0.1, True), (6, 0.05, True),
+        (4, 0.1, False), (4, 0.05, False)])
+    def test_nakagami_interferer(self, m, mean, must_raise):
+        desired = FadingModel.kappa_mu_shadowed(1.5, 2.3, 2.0, 100.0)
+        ref = interference_outage_nakagami(desired, m, mean, 3.0)
+        self.check(lambda: outage_interference(desired, FadingModel.nakagami(m, mean), 3.0),
+                   ref, must_raise)
+
+    @pytest.mark.parametrize("kappa, mu, m", [(0.005, 6, 2), (0.01, 10, 3)])
+    def test_cancelling_mixture_is_accuracy_error(self, kappa, mu, m):
+        with pytest.raises(AccuracyError):
+            mixture_from_model(FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0))
 
 
 def quad_tail(model: FadingModel, g0: float, f) -> float:

@@ -1,9 +1,10 @@
+import csv
 import io
 import json
 
 import pytest
 
-from imgflib import incomplete, mixture
+from imgflib import apps, incomplete, mixture, oracles
 from imgflib.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, PRESETS, _fmt, main,
                          run_sweep, selfcheck)
 
@@ -13,6 +14,8 @@ BOB = json.dumps({"kind": "kappa-mu-shadowed", "kappa": 1.5, "mu": 2, "m": 2,
 EVE = json.dumps({"kind": "rayleigh", "mean_snr_db": 15})
 RAY10 = json.dumps({"kind": "rayleigh", "mean_snr_db": 10})
 NAKAGAMI = json.dumps({"kind": "nakagami-m", "m": 2, "mean_snr_db": 15})
+KMS_0DB = {"kind": "kappa-mu-shadowed", "kappa": 1.5, "mu": 2, "m": 2, "mean_snr_db": 0}
+NAKAGAMI_2_5 = {"kind": "nakagami-m", "m": 2.5, "mean_snr_db": 15}
 
 # (argv of a single-point subcommand, the equivalent sweep metric and 'fixed'
 # block, and the field a one-point sweep puts its axis on)
@@ -47,6 +50,30 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_spec(spec: dict, tmp_path, capsys) -> tuple[int, str]:
+    """Run a sweep spec file writing tmp_path/x.csv; (exit code, stderr)."""
+    spec = {**spec, "output": {"path": str(tmp_path / "x.csv")}}
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    code = main(["sweep", "--spec", str(p)])
+    return code, capsys.readouterr().err
+
+
+def record_evaluations(monkeypatch) -> list:
+    """Record the name of every metric and Monte Carlo evaluation."""
+    calls = []
+    for module, name in ((apps, "opsc"), (apps, "eps_outage_capacity"),
+                         (apps, "outage_interference"), (apps, "capacity_side_info"),
+                         (apps, "aber_adaptive"), (incomplete, "imgf_deriv_s"),
+                         (oracles, "mc_opsc"), (oracles, "mc_aber")):
+        def recording(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 class TestSinglePoint:
@@ -241,6 +268,62 @@ class TestSweep:
         code = main(["sweep", "--spec", str(p)])
         capsys.readouterr()
         assert code == EXIT_CONFIG
+
+    # each is wrong at every point: exit 2 before any point is evaluated
+    BAD_SPECS = {
+        "unknown-eve-kind": ("opsc", {"bob": KMS_0DB, "eve": {"kind": "warp",
+                                                              "mean_snr_db": 15}}, None),
+        "non-integer-nakagami-eve": ("opsc", {"bob": KMS_0DB, "eve": NAKAGAMI_2_5}, None),
+        "non-integer-nakagami-interferer": (
+            "op-interference",
+            {"desired": KMS_0DB, "interference": NAKAGAMI_2_5, "gamma_th": 1.0}, None),
+        "capacity-validate": ("capacity", {"channel": KMS_0DB}, {"n_samples": 1000}),
+        "zero-mc-samples": ("opsc", {"bob": KMS_0DB, "eve": json.loads(EVE)},
+                            {"n_samples": 0}),
+    }
+
+    @pytest.mark.parametrize("case", BAD_SPECS)
+    def test_bad_spec_exits_2_before_any_evaluation(self, case, tmp_path, capsys,
+                                                    monkeypatch):
+        metric, fixed, validate = self.BAD_SPECS[case]
+        spec = {"metric": metric, "fixed": fixed,
+                "axis": {"field": f"{next(iter(fixed))}.mean_snr_db",
+                         "start": 0, "stop": 10, "step": 5}}
+        if validate is not None:
+            spec["validate"] = validate
+        calls = record_evaluations(monkeypatch)
+        code, err = run_spec(spec, tmp_path, capsys)
+        assert code == EXIT_CONFIG, err
+        assert calls == []
+
+    def test_bad_axis_point_is_named_before_any_evaluation(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # eve.m = 1 is a valid Nakagami eavesdropper, 1.5 is not
+        spec = {"metric": "opsc",
+                "fixed": {"bob": KMS_0DB, "eve": {**NAKAGAMI_2_5, "m": 1}},
+                "axis": {"field": "eve.m", "start": 1.0, "stop": 1.5, "step": 0.5}}
+        calls = record_evaluations(monkeypatch)
+        code, err = run_spec(spec, tmp_path, capsys)
+        assert code == EXIT_CONFIG
+        assert "eve.m=1.5" in err
+        assert calls == []
+
+    def test_spec_left_unchanged(self):
+        spec = json.loads(json.dumps(self.SPEC))
+        run_sweep(spec)
+        assert spec == self.SPEC
+
+    @pytest.mark.parametrize("label", ["two\nlines", 'a comma, and "quotes"'],
+                             ids=["newline", "comma-quotes"])
+    def test_curve_label_round_trips_through_csv(self, label, tmp_path, capsys):
+        spec = json.loads(json.dumps(self.SPEC))
+        del spec["validate"]
+        spec["curve"] = label
+        assert run_spec(spec, tmp_path, capsys)[0] == EXIT_OK
+        with open(tmp_path / "x.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 4
+        assert [r[0] for r in rows[1:]] == [label] * 3
 
     def test_numerical_failure_names_grid_point(self, tmp_path, capsys):
         spec = {

@@ -14,6 +14,7 @@ from imgflib.specfun import (
     _log_hyp1f1_peak_sum,
     _log_hyp1f1_pos,
     _log_mixture_sum,
+    _log_poisson_term,
     _phi2_unit_first_log,
     marcum_p,
     marcum_q,
@@ -334,6 +335,16 @@ class TestMixtureKernel:
                 ref = [float(mpmath.log(mpmath.betainc(ai, b, 0, x, regularized=True)))
                        for ai in a]
                 assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("a, x", [(40.0, 1e-5), (25.0, 1e-14), (40.0, 1e-16),
+                                      (40.0, 19.0), (40.0, 21.0), (300.0, 700.0)])
+    def test_log_poisson_term(self, a, x):
+        # x << a loses eps a^2/x through log1p(x/a - 1), and raises at 1e-16
+        with mpmath.workdps(40):
+            ref = float(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
+        assert _log_poisson_term(a, x) == pytest.approx(ref, rel=1e-14)
+        got = _log_poisson_term(np.array([a]), np.array([x]))
+        assert float(got[0]) == pytest.approx(ref, rel=1e-14)
 
 
 class TestKummer:
