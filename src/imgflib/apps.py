@@ -111,6 +111,18 @@ def _clamp_probability(p: float, where: str, tol: float = 1e-8) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _check_threshold(gamma_th: float) -> None:
+    """DomainError unless the outage threshold is nonnegative."""
+    if gamma_th < 0:
+        raise DomainError("threshold must be nonnegative")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """DomainError unless the outage budget epsilon lies in (0, 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError("epsilon must lie in (0, 1)")
+
+
 def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
                  scale: float) -> float:
     """Pr{gamma_b <= alpha + scale * gamma_e} for a mixture-form eavesdropper.
@@ -131,8 +143,7 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     AccuracyError is raised when M _MIXTURE_TOL exceeds _OUTAGE_RTOL of the
     result.
     """
-    if alpha < 0:
-        raise DomainError("threshold must be nonnegative")
+    _check_threshold(alpha)
     f_alpha = imgf_lower(bob, 0.0, alpha) if alpha > 0 else 0.0
     total = magnitude = f_alpha
     cache: dict[tuple[float, int], float] = {}
@@ -212,8 +223,7 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     the crossing.  Returns 0 when even a zero rate violates the epsilon
     budget.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     bob = scenario.bob
     mix = mixture_from_model(mrc_combine(scenario.eve, scenario.n_eve_antennas))
     logit_eps = math.log(epsilon) - math.log1p(-epsilon)
@@ -252,8 +262,7 @@ def outage_interference(desired: FadingModel, interference: FadingModel,
     the same computation under threshold <-> rate substitution
     gamma_th = 2^R_S - 1, so equal inputs give bit-identical outputs.
     """
-    if gamma_th < 0:
-        raise DomainError("threshold must be nonnegative")
+    _check_threshold(gamma_th)
     mix = mixture_from_model(interference)
     return _outage_core(desired, mix, gamma_th, gamma_th + 1.0)
 

@@ -107,10 +107,12 @@ class _Metric(NamedTuple):
 
 
 def _parse_imgf(fixed: dict) -> tuple:
-    return (model_from_json(fixed["model"]), _config_number(fixed["s"], "s"),
+    args = (model_from_json(fixed["model"]), _config_number(fixed["s"], "s"),
             _config_number(fixed["zeta"], "zeta"),
             _config_number(fixed.get("deriv_order", 0), "deriv_order", int),
             fixed.get("tail", "lower"))
+    incomplete._check_deriv_args(*args[2:])
+    return args
 
 
 def _secrecy(fixed: dict, rate_rs: float) -> apps.SecrecyScenario:
@@ -123,7 +125,9 @@ def _parse_interference(fixed: dict) -> tuple:
     desired = model_from_json(fixed["desired"])
     interference = model_from_json(fixed["interference"])
     mixture.mixture_from_model(interference)  # as SecrecyScenario checks its eavesdropper
-    return desired, interference, _config_number(fixed["gamma_th"], "gamma_th")
+    gamma_th = _config_number(fixed["gamma_th"], "gamma_th")
+    apps._check_threshold(gamma_th)
+    return desired, interference, gamma_th
 
 
 def _parse_capacity(fixed: dict) -> tuple:
@@ -140,6 +144,12 @@ def _parse_aber(fixed: dict) -> tuple:
                               for b in fixed["bits_per_region"])))
 
 
+def _parse_eps_capacity(fixed: dict) -> tuple:
+    epsilon = _config_number(fixed["epsilon"], "epsilon")
+    apps._check_epsilon(epsilon)
+    return _secrecy(fixed, 0.0), epsilon, bool(fixed.get("normalize"))
+
+
 def _eps_capacity(sc: apps.SecrecyScenario, epsilon: float, normalize: bool) -> float:
     val = apps.eps_outage_capacity(sc, epsilon)
     return val / math.log2(1.0 + sc.bob.mean_snr) if normalize else val
@@ -151,8 +161,7 @@ _METRICS = {
                     lambda sc: apps.opsc(sc), lambda sc, cfg: oracles.mc_opsc(sc, cfg)),
     "spsc": _Metric(lambda f: (_secrecy(f, 0.0),),
                     lambda sc: apps.opsc(sc), lambda sc, cfg: oracles.mc_opsc(sc, cfg)),
-    "eps-capacity": _Metric(lambda f: (_secrecy(f, 0.0), _config_number(f["epsilon"], "epsilon"),
-                                       bool(f.get("normalize"))), _eps_capacity),
+    "eps-capacity": _Metric(_parse_eps_capacity, _eps_capacity),
     "op-interference": _Metric(
         _parse_interference, lambda *a: apps.outage_interference(*a),
         # the secrecy outage at the rate log2(1 + gamma_th) is the same probability
@@ -177,10 +186,15 @@ def _sweep_point(task: tuple) -> dict:
 
 
 def _worker_count() -> int:
+    """IMGFLIB_WORKERS, 1 when unset; DomainError unless an integer >= 1."""
+    text = os.environ.get("IMGFLIB_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("IMGFLIB_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise DomainError(f"IMGFLIB_WORKERS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def run_sweep(spec: dict) -> list[dict]:

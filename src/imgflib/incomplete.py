@@ -115,6 +115,17 @@ def imgf_upper(model: FadingModel, s: float, zeta: float) -> float:
     return math.exp(_log_imgf(model, s, zeta, 0, True))
 
 
+def _check_deriv_args(zeta: float, k: int, tail: str) -> None:
+    """DomainError unless 0 <= k <= MAX_DERIV_ORDER, tail is 'lower' or
+    'upper' and zeta >= 0: imgf_deriv_s's domain apart from s."""
+    if not 0 <= k <= MAX_DERIV_ORDER:
+        raise DomainError(f"derivative order must be in [0, {MAX_DERIV_ORDER}], got {k}")
+    if tail not in ("lower", "upper"):
+        raise DomainError(f"tail must be 'lower' or 'upper', got {tail!r}")
+    if zeta < 0:
+        raise DomainError("zeta must be nonnegative")
+
+
 def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
                  tail: str = "upper") -> float:
     """k-th partial s-derivative of the selected IMGF tail.
@@ -126,12 +137,7 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
     full transform (lower tail at zeta = inf); DomainError outside.  The
     empty tails (lower at zeta = 0, upper at zeta = inf) are 0 for every s.
     """
-    if not 0 <= k <= MAX_DERIV_ORDER:
-        raise DomainError(f"derivative order must be in [0, {MAX_DERIV_ORDER}], got {k}")
-    if tail not in ("lower", "upper"):
-        raise DomainError(f"tail must be 'lower' or 'upper', got {tail!r}")
-    if zeta < 0:
-        raise DomainError("zeta must be nonnegative")
+    _check_deriv_args(zeta, k, tail)
     if k == 0:
         return imgf_lower(model, s, zeta) if tail == "lower" else imgf_upper(model, s, zeta)
     if (zeta == 0.0 and tail == "lower") or (math.isinf(zeta) and tail == "upper"):

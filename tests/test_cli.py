@@ -236,6 +236,17 @@ class TestSweep:
         pooled = run_sweep(json.loads(json.dumps(spec)))
         assert pooled == serial
 
+    @pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5", ""])
+    def test_malformed_worker_count_exits_2(self, workers, tmp_path, capsys, monkeypatch):
+        spec = json.loads(json.dumps(self.SPEC))
+        del spec["validate"]
+        monkeypatch.setenv("IMGFLIB_WORKERS", workers)
+        calls = record_evaluations(monkeypatch)
+        code, err = run_spec(spec, tmp_path, capsys)
+        assert code == EXIT_CONFIG
+        assert "IMGFLIB_WORKERS" in err
+        assert calls == []
+
     @pytest.mark.parametrize("preset", PRESETS)
     def test_preset_runs(self, preset, tmp_path, capsys):
         out = tmp_path / f"{preset}.csv"
@@ -280,6 +291,15 @@ class TestSweep:
         "capacity-validate": ("capacity", {"channel": KMS_0DB}, {"n_samples": 1000}),
         "zero-mc-samples": ("opsc", {"bob": KMS_0DB, "eve": json.loads(EVE)},
                             {"n_samples": 0}),
+        "epsilon-above-1": ("eps-capacity", {"bob": KMS_0DB, "eve": json.loads(EVE),
+                                             "epsilon": 1.5}, None),
+        "negative-threshold": ("op-interference", {"desired": KMS_0DB,
+                                                   "interference": json.loads(EVE),
+                                                   "gamma_th": -0.5}, None),
+        "unknown-tail": ("imgf", {"model": KMS_0DB, "s": -0.5, "zeta": 1.0,
+                                  "tail": "sideways"}, None),
+        "deriv-order-13": ("imgf", {"model": KMS_0DB, "s": -0.5, "zeta": 1.0,
+                                    "tail": "upper", "deriv_order": 13}, None),
     }
 
     @pytest.mark.parametrize("case", BAD_SPECS)

@@ -249,19 +249,32 @@ class TestMixtureKernel:
             _log_mixture_sum(lam, math.inf, 0.6, -1, 0.0, 1.0, False)
         assert math.isfinite(_log_mixture_sum(lam, math.inf, 0.6, -1, 0.0, 1.0, True))
 
-    @pytest.mark.parametrize("lam,m", ORACLE_FAMILIES[:3])
+    @pytest.mark.parametrize("lam,m,mu,log_r,xs,oracle", [
+        *[pytest.param(lam, m, 1.7, -0.1, ORACLE_X, False, id=f"{lam}-{m}")
+          for lam, m in ORACLE_FAMILIES[:3]],
+        # past specfun._LONG_WALK terms a float x walks by cumulative products
+        # and an array x by the loop, so these compare the two forms: about
+        # 800 terms around n = 5000 in one block on either tail; and an
+        # upper block from n = 42 to 390 whose R ratio leaves the double
+        # range while the loop's terms do not, so it is split
+        pytest.param(5000.0, math.inf, 2.0, 0.0, (4900.0, 5000.0, 5100.0), True,
+                     id="long-poisson-5000"),
+        pytest.param(3.0, 0.5, 9.0, -1.5, (2900.0, 3e3, 3100.0), True,
+                     id="long-r-ratio-overflow")])
     @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
-    def test_vector_matches_scalar(self, lam, m, upper):
+    def test_vector_matches_scalar(self, lam, m, mu, log_r, xs, oracle, upper):
         # one call over an array of x runs the same recurrences as the float
         # calls, with array state.  Its blocks are shared by every column, so
         # each column may stop at another term than its float call: within
         # _MIXTURE_TOL = 1e-12 of the sum, where logs near -1e3 have an ulp
         # of 1.1e-13
-        xs = np.array(ORACLE_X)
         for k in (0, 1, 3):
-            got = _log_mixture_sum(lam, m, 1.7, k, -0.1, xs, upper)
-            ref = [_log_mixture_sum(lam, m, 1.7, k, -0.1, x, upper) for x in ORACLE_X]
-            assert np.exp(got - ref) == pytest.approx(np.ones(xs.size), rel=1e-12, abs=0.0), k
+            got = _log_mixture_sum(lam, m, mu, k, log_r, np.array(xs), upper)
+            ref = [_log_mixture_sum(lam, m, mu, k, log_r, x, upper) for x in xs]
+            assert np.exp(got - ref) == pytest.approx(np.ones(len(xs)), rel=1e-12, abs=0.0), k
+            if oracle:
+                mp_ref = mp_mixture_sum(lam, m, mu, k, log_r, xs[1], upper)
+                assert math.exp(ref[1] - mp_ref) == pytest.approx(1.0, rel=1e-11, abs=0.0), k
 
     @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
     def test_one_incomplete_gamma_call_per_block(self, upper, monkeypatch):
