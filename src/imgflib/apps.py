@@ -106,7 +106,7 @@ class CapacityScenario:
 
 
 def _clamp_probability(p: float, where: str, tol: float = 1e-8) -> float:
-    if p < -tol or p > 1.0 + tol:
+    if not -tol <= p <= 1.0 + tol:  # a NaN fails it too
         raise AccuracyError(f"{where} produced {p!r}, outside [0,1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
@@ -134,8 +134,11 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
 
     with beta_i = 1 / (scale * Omega_i) and polynomial weights
     W_ik = beta_i^k / k! * sum_{d <= m_i-1-k} (-alpha beta_i)^d / d!.
-    The integrals are exp(alpha beta_i)-scaled upper-IMGF derivatives, which
-    the transform layer provides in that prescaled form directly.
+    The integrals T_k are exp(alpha beta_i)-scaled upper-IMGF derivatives,
+    which the transform layer provides in that prescaled form, as logs.
+    At high orders beta^k / k! underflows where T_k overflows, so their
+    logs are added before the exponential; AccuracyError is raised where
+    the product itself is past the double range.
 
     The signs of C_i and of the partial sums' terms alternate, so the sum can
     cancel.  Its magnitude M, the same sum with every sign made positive,
@@ -146,7 +149,7 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     _check_threshold(alpha)
     f_alpha = imgf_lower(bob, 0.0, alpha) if alpha > 0 else 0.0
     total = magnitude = f_alpha
-    cache: dict[tuple[float, int], float] = {}
+    cache: dict[tuple[float, int], float] = {}  # log T_k
     for (c_i, omega_i, m_i) in eve_mixture.terms:
         if c_i == 0.0 or m_i <= 0:
             continue
@@ -161,16 +164,21 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
             term *= -ab / d
             partial.append(partial[-1] + term)
             partial_abs.append(partial_abs[-1] + abs(term))
-        bk = 1.0
+        log_beta = math.log(beta)
+        log_bk = 0.0  # log(beta^k / k!)
         contrib = contrib_abs = 0.0
         for k in range(m_i):
-            w_k = bk * partial[m_i - 1 - k]
             key = (beta, k)
             if key not in cache:
-                cache[key] = math.exp(_deriv_log_scaled(bob, -beta, alpha, k))
-            contrib += w_k * cache[key]
-            contrib_abs += bk * partial_abs[m_i - 1 - k] * cache[key]
-            bk *= beta / (k + 1.0)
+                cache[key] = _deriv_log_scaled(bob, -beta, alpha, k)
+            try:
+                t_k = math.exp(log_bk + cache[key])  # beta^k / k! T_k
+            except OverflowError:
+                raise AccuracyError(f"outage term of order {k} overflows at beta = "
+                                    f"{beta!r}, alpha = {alpha!r}") from None
+            contrib += partial[m_i - 1 - k] * t_k
+            contrib_abs += partial_abs[m_i - 1 - k] * t_k
+            log_bk += log_beta - math.log(k + 1.0)
         total += c_i * contrib
         magnitude += abs(c_i) * contrib_abs
     if magnitude * _MIXTURE_TOL > _OUTAGE_RTOL * total:
@@ -428,6 +436,6 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     if den <= 0.0:
         raise DomainError("no probability mass falls in any transmission region")
     val = 0.2 * num / den
-    if val < -1e-10 or val > 0.2 + 1e-10:
+    if not -1e-10 <= val <= 0.2 + 1e-10:
         raise AccuracyError(f"adaptive-modulation BER left [0, 0.2]: {val}")
     return min(max(val, 0.0), 0.2)

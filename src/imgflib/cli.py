@@ -1,10 +1,11 @@
 """Command-line front end: single-point evaluations, figure-style sweeps with
 CSV/JSON output, Monte Carlo validation columns, and a self-check battery.
 
-Every metric is a registry entry: a parser from the JSON 'fixed' block to
-typed arguments, and the library call on them.  A sweep parses every axis
-point before it evaluates any, so a spec error exits 2 with nothing
-evaluated; only a failed evaluation exits 3.
+Every metric is a registry entry: its point subcommand's help and flags,
+each flag with the 'fixed' field it sets, a parser from the JSON 'fixed'
+block to typed arguments, and the library call on them.  A sweep parses
+every axis point before it evaluates any, so a spec error exits 2 with
+nothing evaluated; only a failed evaluation exits 3.
 
 dB <-> linear conversion happens only here; the library itself works in
 linear SNR units throughout.
@@ -45,26 +46,6 @@ def _load_json_arg(text: str) -> dict:
     return json.loads(text)
 
 
-def _model_json_from_flags(args) -> dict:
-    obj = {"kind": args.model}
-    for name in ("kappa", "mu", "m", "eta", "K", "q", "mean_snr_db", "mean_snr"):
-        if getattr(args, name) is not None:
-            obj[name] = getattr(args, name)
-    return obj
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="fading model kind, e.g. rayleigh, kappa-mu-shadowed")
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--m", type=float)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--K", type=float)
-    parser.add_argument("--q", type=float)
-    parser.add_argument("--mean-snr-db", dest="mean_snr_db", type=float)
-    parser.add_argument("--mean-snr", dest="mean_snr", type=float)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -97,10 +78,27 @@ def _axis_values(axis: dict) -> list[float]:
 # metric registry: every subcommand and sweep evaluates through it
 # ---------------------------------------------------------------------------
 
+def _flag(flag: str, field: str | None = None, convert: Callable | None = None,
+          **kwargs) -> tuple:
+    """One option of a point subcommand, as a row: the flag, the dotted
+    'fixed' field it sets (None: not a scenario field), a converter applied
+    after parsing (None: the parsed value as is), and the argparse keywords."""
+    return flag, field, convert, kwargs
+
+
+def _json_flag(name: str, help: str | None = None) -> tuple:
+    """A required model, as JSON text or @file; loaded after parsing, so a
+    bad or missing file is a configuration error, not a usage error."""
+    return _flag(f"--{name}", name, _load_json_arg, required=True, help=help)
+
+
 class _Metric(NamedTuple):
-    """parse: 'fixed' block -> args, or DomainError; evaluate(*args) is the
-    metric, mc(*args, cfg) its Monte Carlo (estimate, standard error).  Both
-    look the library function up at call time, so a rebinding is seen."""
+    """help and flags: the point subcommand.  parse: 'fixed' block -> args,
+    or DomainError; evaluate(*args) is the metric, mc(*args, cfg) its Monte
+    Carlo (estimate, standard error).  Both look the library function up at
+    call time, so a rebinding is seen."""
+    help: str
+    flags: tuple[tuple, ...]
     parse: Callable[[dict], tuple]
     evaluate: Callable[..., float]
     mc: Callable[..., tuple[float, float]] | None = None
@@ -155,21 +153,66 @@ def _eps_capacity(sc: apps.SecrecyScenario, epsilon: float, normalize: bool) -> 
     return val / math.log2(1.0 + sc.bob.mean_snr) if normalize else val
 
 
+_MC_FLAGS = (_flag("--validate", type=int, default=None, metavar="N",
+                   help="also run Monte Carlo with N samples"),
+             _flag("--seed", type=int, default=20240101))
+_EVE_ANTENNAS = _flag("--eve-antennas", "n_eve_antennas", type=int, default=1)
+
+
+def _secrecy_metric(name: str, parse: Callable[[dict], tuple], *flags: tuple) -> _Metric:
+    return _Metric(f"{name} for a secrecy scenario",
+                   (_json_flag("bob", "bob model JSON (or @file)"),
+                    _json_flag("eve", "eve model JSON (or @file)"),
+                    *flags, _EVE_ANTENNAS, *_MC_FLAGS),
+                   parse, lambda sc: apps.opsc(sc), lambda sc, cfg: oracles.mc_opsc(sc, cfg))
+
+
 _METRICS = {
-    "imgf": _Metric(_parse_imgf, lambda *a: incomplete.imgf_deriv_s(*a)),
-    "opsc": _Metric(lambda f: (_secrecy(f, _config_number(f.get("rate_rs", 0.0), "rate_rs")),),
-                    lambda sc: apps.opsc(sc), lambda sc, cfg: oracles.mc_opsc(sc, cfg)),
-    "spsc": _Metric(lambda f: (_secrecy(f, 0.0),),
-                    lambda sc: apps.opsc(sc), lambda sc, cfg: oracles.mc_opsc(sc, cfg)),
-    "eps-capacity": _Metric(_parse_eps_capacity, _eps_capacity),
+    "imgf": _Metric(
+        "evaluate one IMGF point",
+        (_flag("--model", "model", lambda kind: {"kind": kind}, required=True,
+               help="fading model kind, e.g. rayleigh, kappa-mu-shadowed"),
+         *(_flag(f"--{name}", f"model.{name}", type=float)
+           for name in ("kappa", "mu", "m", "eta", "K", "q")),
+         _flag("--mean-snr-db", "model.mean_snr_db", type=float),
+         _flag("--mean-snr", "model.mean_snr", type=float),
+         _flag("--s", "s", type=float, required=True),
+         _flag("--zeta", "zeta", type=float, required=True),
+         _flag("--tail", "tail", choices=("lower", "upper"), default="lower"),
+         _flag("--deriv-order", "deriv_order", type=int, default=0)),
+        _parse_imgf, lambda *a: incomplete.imgf_deriv_s(*a)),
+    "opsc": _secrecy_metric(
+        "opsc", lambda f: (_secrecy(f, _config_number(f.get("rate_rs", 0.0), "rate_rs")),),
+        _flag("--rate", "rate_rs", type=float, required=True, help="secrecy rate R_S")),
+    "spsc": _secrecy_metric("spsc", lambda f: (_secrecy(f, 0.0),)),
+    "eps-capacity": _Metric(
+        "epsilon-outage secrecy capacity",
+        (_json_flag("bob"), _json_flag("eve"),
+         _flag("--epsilon", "epsilon", type=float, required=True), _EVE_ANTENNAS,
+         _flag("--normalize", "normalize", action="store_true",
+               help="divide by log2(1 + mean bob SNR)")),
+        _parse_eps_capacity, _eps_capacity),
     "op-interference": _Metric(
+        "outage with interference and noise",
+        (_json_flag("desired"), _json_flag("interference"),
+         _flag("--gamma-th", "gamma_th", type=float, required=True)),
         _parse_interference, lambda *a: apps.outage_interference(*a),
         # the secrecy outage at the rate log2(1 + gamma_th) is the same probability
         lambda d, i, th, cfg: oracles.mc_opsc(
             apps.SecrecyScenario(bob=d, eve=i, rate_rs=math.log2(1.0 + th)), cfg)),
-    "capacity": _Metric(_parse_capacity, lambda sc: apps.capacity_side_info(sc)),
-    "aber": _Metric(_parse_aber, lambda ch, scheme: apps.aber_adaptive(ch, scheme),
-                    lambda ch, scheme, cfg: oracles.mc_aber(ch, scheme, cfg)),
+    "capacity": _Metric(
+        "capacity with TX/RX side information",
+        (_json_flag("channel"), _flag("--cutoff", "cutoff_snr", type=float, default=None)),
+        _parse_capacity, lambda sc: apps.capacity_side_info(sc)),
+    "aber": _Metric(
+        "adaptive-modulation average BER",
+        (_json_flag("channel"),
+         _flag("--thresholds", "thresholds", lambda text: text.split(","), required=True,
+               help="comma-separated ascending SNR thresholds (linear)"),
+         _flag("--bits", "bits_per_region", lambda text: text.split(","), required=True,
+               help="comma-separated bits per region")),
+        _parse_aber, lambda ch, scheme: apps.aber_adaptive(ch, scheme),
+        lambda ch, scheme, cfg: oracles.mc_aber(ch, scheme, cfg)),
 }
 
 
@@ -259,97 +302,61 @@ def _write_rows(rows: list[dict], path: str, fmt: str, axis_label: str) -> None:
 # figure presets
 # ---------------------------------------------------------------------------
 
-def _secrecy_sweep(curve: str, bob: dict, eve_db: float, rs: float,
-                   lo=0.0, hi=60.0, step=2.0) -> dict:
-    return {
-        "metric": "opsc",
-        "curve": curve,
-        "axis": {"field": "bob.mean_snr_db", "start": lo, "stop": hi, "step": step,
-                 "unit": "db"},
-        "fixed": {"bob": {**bob, "mean_snr_db": lo},
-                  "eve": {"kind": "rayleigh", "mean_snr_db": eve_db},
-                  "rate_rs": rs},
-    }
+def _kms(kappa: float, mu: float, m: float) -> dict:
+    return {"kind": "kappa-mu-shadowed", "kappa": kappa, "mu": mu, "m": m}
 
 
-def _eps_cap_sweep(curve: str, bob: dict, eve_db: float, eps: float,
-                   lo=-10.0, hi=50.0, step=2.0) -> dict:
+# the curves of each figure sweeping the bob SNR: (label, bob) for the secrecy
+# outage (fig1-fig5), (label, bob, epsilon) for the epsilon-outage capacity
+_PRESET_CURVES = {
+    "fig1": [(f"mu={mu} m={m}", _kms(1.5, mu, m)) for mu in (1, 2, 6) for m in (0.5, 12)],
+    "fig2": [(f"mu={mu} m={m}", _kms(10, mu, m)) for mu in (1, 2, 6) for m in (0.5, 12)],
+    "fig3": [(f"K={K} m={m}", {"kind": "rician-shadowed", "K": K, "m": m})
+             for K in (1.5, 10) for m in (0.5, 12)],
+    "fig4": [(f"kappa={k} mu={mu}", {"kind": "kappa-mu", "kappa": k, "mu": mu})
+             for k in (1.5, 10) for mu in (1, 2, 6)],
+    "fig5": [(f"eta={eta} mu={mu}", {"kind": "eta-mu", "eta": eta, "mu": mu})
+             for eta in (0.04, 0.9) for mu in (1, 2, 4)],
+    "fig6": [(f"kappa={k} mu={mu} eps={eps}", _kms(k, mu, 2), eps)
+             for (k, mu) in ((1.5, 1), (10, 6)) for eps in (0.1, 0.8)],
+    "fig7": [(f"eta={eta} mu={mu} eps={eps}", {"kind": "eta-mu", "eta": eta, "mu": mu}, eps)
+             for (eta, mu) in ((0.04, 1), (0.9, 4)) for eps in (0.1, 0.8)],
+}
+
+
+def _curve_spec(curve: str, bob: dict, epsilon: float | None = None) -> dict:
+    """A preset curve over the bob SNR in 2 dB steps, against a Rayleigh
+    eavesdropper: the secrecy outage at R_S = 0.1 from 0 to 60 dB with eve at
+    15 dB, or with epsilon the normalized epsilon-outage capacity from -10
+    to 50 dB with eve at -10 dB."""
+    if epsilon is None:
+        metric, lo, hi, eve_db, rest = "opsc", 0.0, 60.0, 15.0, {"rate_rs": 0.1}
+    else:
+        metric, lo, hi, eve_db = "eps-capacity", -10.0, 50.0, -10.0
+        rest = {"epsilon": epsilon, "normalize": True}
     return {
-        "metric": "eps-capacity",
+        "metric": metric,
         "curve": curve,
-        "axis": {"field": "bob.mean_snr_db", "start": lo, "stop": hi, "step": step,
+        "axis": {"field": "bob.mean_snr_db", "start": lo, "stop": hi, "step": 2.0,
                  "unit": "db"},
         "fixed": {"bob": {**bob, "mean_snr_db": lo},
-                  "eve": {"kind": "rayleigh", "mean_snr_db": eve_db},
-                  "epsilon": eps, "normalize": True},
+                  "eve": {"kind": "rayleigh", "mean_snr_db": eve_db}, **rest},
     }
 
 
 def _preset_specs(name: str) -> list[dict]:
-    rs, eve_db = 0.1, 15.0
-    if name == "fig1":
-        return [
-            _secrecy_sweep(f"mu={mu} m={m}",
-                           {"kind": "kappa-mu-shadowed", "kappa": 1.5, "mu": mu, "m": m},
-                           eve_db, rs)
-            for mu in (1, 2, 6) for m in (0.5, 12)
-        ]
-    if name == "fig2":
-        return [
-            _secrecy_sweep(f"mu={mu} m={m}",
-                           {"kind": "kappa-mu-shadowed", "kappa": 10, "mu": mu, "m": m},
-                           eve_db, rs)
-            for mu in (1, 2, 6) for m in (0.5, 12)
-        ]
-    if name == "fig3":
-        return [
-            _secrecy_sweep(f"K={K} m={m}",
-                           {"kind": "rician-shadowed", "K": K, "m": m},
-                           eve_db, rs)
-            for K in (1.5, 10) for m in (0.5, 12)
-        ]
-    if name == "fig4":
-        return [
-            _secrecy_sweep(f"kappa={k} mu={mu}",
-                           {"kind": "kappa-mu", "kappa": k, "mu": mu},
-                           eve_db, rs)
-            for k in (1.5, 10) for mu in (1, 2, 6)
-        ]
-    if name == "fig5":
-        return [
-            _secrecy_sweep(f"eta={eta} mu={mu}",
-                           {"kind": "eta-mu", "eta": eta, "mu": mu},
-                           eve_db, rs)
-            for eta in (0.04, 0.9) for mu in (1, 2, 4)
-        ]
-    if name == "fig6":
-        return [
-            _eps_cap_sweep(f"kappa={k} mu={mu} eps={eps}",
-                           {"kind": "kappa-mu-shadowed", "kappa": k, "mu": mu, "m": 2},
-                           -10.0, eps)
-            for (k, mu) in ((1.5, 1), (10, 6)) for eps in (0.1, 0.8)
-        ]
-    if name == "fig7":
-        return [
-            _eps_cap_sweep(f"eta={eta} mu={mu} eps={eps}",
-                           {"kind": "eta-mu", "eta": eta, "mu": mu},
-                           -10.0, eps)
-            for (eta, mu) in ((0.04, 1), (0.9, 4)) for eps in (0.1, 0.8)
-        ]
-    if name == "fig8":
-        out = []
-        for ge_db in (-10.0, 0.0, 15.0):
-            out.append({
-                "metric": "eps-capacity",
-                "curve": f"eve_snr_db={ge_db}",
-                "axis": {"field": "epsilon", "start": 0.05, "stop": 0.95, "step": 0.05,
-                         "unit": "linear"},
-                "fixed": {"bob": {"kind": "kappa-mu", "kappa": 1.5, "mu": 2,
-                                   "mean_snr_db": 10.0},
-                          "eve": {"kind": "rayleigh", "mean_snr_db": ge_db},
-                          "epsilon": 0.05, "normalize": True},
-            })
-        return out
+    if name in _PRESET_CURVES:
+        return [_curve_spec(*curve) for curve in _PRESET_CURVES[name]]
+    if name == "fig8":  # eps-capacity over epsilon, one curve per eve SNR
+        return [{
+            "metric": "eps-capacity",
+            "curve": f"eve_snr_db={ge_db}",
+            "axis": {"field": "epsilon", "start": 0.05, "stop": 0.95, "step": 0.05,
+                     "unit": "linear"},
+            "fixed": {"bob": {"kind": "kappa-mu", "kappa": 1.5, "mu": 2, "mean_snr_db": 10.0},
+                      "eve": {"kind": "rayleigh", "mean_snr_db": ge_db},
+                      "epsilon": 0.05, "normalize": True},
+        } for ge_db in (-10.0, 0.0, 15.0)]
     raise DomainError(f"unknown preset {name!r}; figures fig1..fig8 are available")
 
 
@@ -512,46 +519,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="incomplete-MGF toolkit for generalized fading")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("imgf", help="evaluate one IMGF point")
-    _add_model_flags(sp)
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--zeta", type=float, required=True)
-    sp.add_argument("--tail", choices=("lower", "upper"), default="lower")
-    sp.add_argument("--deriv-order", type=int, default=0)
-
-    for name in ("opsc", "spsc"):
-        sp = sub.add_parser(name, help=f"{name} for a secrecy scenario")
-        sp.add_argument("--bob", required=True, help="bob model JSON (or @file)")
-        sp.add_argument("--eve", required=True, help="eve model JSON (or @file)")
-        if name == "opsc":
-            sp.add_argument("--rate", type=float, required=True, help="secrecy rate R_S")
-        sp.add_argument("--eve-antennas", type=int, default=1)
-        sp.add_argument("--validate", type=int, default=None, metavar="N",
-                        help="also run Monte Carlo with N samples")
-        sp.add_argument("--seed", type=int, default=20240101)
-
-    sp = sub.add_parser("eps-capacity", help="epsilon-outage secrecy capacity")
-    sp.add_argument("--bob", required=True)
-    sp.add_argument("--eve", required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--eve-antennas", type=int, default=1)
-    sp.add_argument("--normalize", action="store_true",
-                    help="divide by log2(1 + mean bob SNR)")
-
-    sp = sub.add_parser("op-interference", help="outage with interference and noise")
-    sp.add_argument("--desired", required=True)
-    sp.add_argument("--interference", required=True)
-    sp.add_argument("--gamma-th", type=float, required=True)
-
-    sp = sub.add_parser("capacity", help="capacity with TX/RX side information")
-    sp.add_argument("--channel", required=True)
-    sp.add_argument("--cutoff", type=float, default=None)
-
-    sp = sub.add_parser("aber", help="adaptive-modulation average BER")
-    sp.add_argument("--channel", required=True)
-    sp.add_argument("--thresholds", required=True,
-                    help="comma-separated ascending SNR thresholds (linear)")
-    sp.add_argument("--bits", required=True, help="comma-separated bits per region")
+    for name, metric in _METRICS.items():
+        sp = sub.add_parser(name, help=metric.help)
+        for flag, _, _, kwargs in metric.flags:
+            sp.add_argument(flag, **kwargs)
 
     sp = sub.add_parser("sweep", help="grid sweep from a spec file or preset")
     group = sp.add_mutually_exclusive_group(required=True)
@@ -567,27 +538,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fixed_from_args(args) -> dict:
-    """The sweep-spec 'fixed' block equivalent to a single-point subcommand."""
-    cmd = args.command
-    if cmd == "imgf":
-        return {"model": _model_json_from_flags(args), "s": args.s, "zeta": args.zeta,
-                "tail": args.tail, "deriv_order": args.deriv_order}
-    if cmd == "op-interference":
-        return {"desired": _load_json_arg(args.desired),
-                "interference": _load_json_arg(args.interference),
-                "gamma_th": args.gamma_th}
-    if cmd == "capacity":
-        return {"channel": _load_json_arg(args.channel), "cutoff_snr": args.cutoff}
-    if cmd == "aber":
-        return {"thresholds": args.thresholds.split(","),
-                "bits_per_region": args.bits.split(","),
-                "channel": _load_json_arg(args.channel)}
-    fixed = {"bob": _load_json_arg(args.bob), "eve": _load_json_arg(args.eve),
-             "n_eve_antennas": args.eve_antennas}
-    if cmd == "opsc":
-        fixed["rate_rs"] = args.rate
-    if cmd == "eps-capacity":
-        fixed.update(epsilon=args.epsilon, normalize=args.normalize)
+    """The sweep-spec 'fixed' block equivalent to a point subcommand: each
+    flag given a value sets its field, converted, in flag order."""
+    fixed: dict = {}
+    for flag, field, convert, _ in _METRICS[args.command].flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if field is not None and value is not None:
+            fixed = _with_path(fixed, field, convert(value) if convert else value)
     return fixed
 
 

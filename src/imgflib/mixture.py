@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
 from .fading import FadingModel, canonicalize
 
 __all__ = ["GammaMixture", "mixture_params", "mixture_from_model", "mixture_cdf"]
+
+_CDF_ATOL = 1e-9  # mixture_cdf's bound on its absolute error
 
 
 def _binom_general(n: int, k: int) -> float:
@@ -133,12 +136,16 @@ def mixture_from_model(model: FadingModel) -> GammaMixture:
 
 
 def mixture_cdf(mix: GammaMixture, gamma: float) -> float:
-    """Evaluate the mixture CDF; in [0, 1] and nondecreasing."""
+    """Evaluate the mixture CDF; in [0, 1] and nondecreasing, within 1e-9.
+
+    The coefficients alternate in sign for mu > m, and the rounding error of
+    the sum tracks machine epsilon times sum |C_i|: AccuracyError where that
+    bound exceeds 1e-9, and where the value leaves [0, 1]."""
     if gamma < 0:
         raise DomainError("SNR support is [0, inf)")
     if gamma == 0.0:
         return 0.0
-    acc = 0.0
+    acc = scale = 0.0
     for (c, omega, mi) in mix.terms:
         if c == 0.0 or mi <= 0:
             continue
@@ -150,7 +157,12 @@ def mixture_cdf(mix: GammaMixture, gamma: float) -> float:
             term *= z / r
             partial += term
         acc += c * partial
+        scale += abs(c)
+    rounding = sys.float_info.epsilon * scale
+    if rounding > _CDF_ATOL:
+        raise AccuracyError(f"mixture CDF coefficients cancel: rounding bound "
+                            f"{rounding:.3e} exceeds {_CDF_ATOL:g}")
     val = 1.0 - acc
-    if val < -1e-8 or val > 1.0 + 1e-8:
-        raise DomainError(f"mixture CDF left [0,1]: {val}")
+    if not -1e-8 <= val <= 1.0 + 1e-8:
+        raise AccuracyError(f"mixture CDF left [0,1]: {val}")
     return min(max(val, 0.0), 1.0)

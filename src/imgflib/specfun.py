@@ -470,18 +470,21 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         every Q is 1.  (mu+n)_k = sum_i C(k,i) (mu+i)_(k-i) n!/(n-i)!, and each
         falling-factorial moment of the weights' tail is a tail mass of the
         same family: Poisson with mean lam r, negative binomial with shape m+i
-        and ratio q."""
+        and ratio q.  The tail from an order start - i <= 0 on is the whole
+        mass, whose log is 0."""
         i = np.arange(k + 1.0)
         log_c = (math.lgamma(k + 1.0) - sp.gammaln(i + 1.0) - sp.gammaln(k - i + 1.0)
                  + math.lgamma(mu + k) - sp.gammaln(mu + i))
+        order = np.maximum(start - i, 1.0)  # any positive order where masked below
         if poisson:
-            log_mom = (lam * math.expm1(log_r) + i * slope
-                       + _log_reg_gamma(start - i, lam * r, False))
+            log_tail = _log_reg_gamma(order, lam * r, False)
+            log_mom = lam * math.expm1(log_r) + i * slope
         else:  # 1 - q = (m - lam (r-1)) / (lam + m) keeps its digits as q -> 1
+            log_tail = _log_betainc(order, m + i, q)
             log_1mq = math.log((m - lam * math.expm1(log_r)) / (lam + m))
             log_mom = (m * (log_1m_theta - log_1mq) + sp.gammaln(m + i)
-                       - math.lgamma(m) + i * (slope - log_1mq)
-                       + _log_betainc(start - i, m + i, q))
+                       - math.lgamma(m) + i * (slope - log_1mq))
+        log_mom = log_mom + np.where(i < start, log_tail, 0.0)
         log_parts = log_c + log_mom
         top = log_parts.max()
         return mu * log_r + float(top + np.log(np.exp(log_parts - top).sum()))
@@ -612,7 +615,7 @@ def _marcum(nu: float, a: float, b: float, upper: bool) -> float:
     if b == 0.0:
         return 1.0 if upper else 0.0
     v = math.exp(_log_mixture_sum(0.5 * a * a, math.inf, nu, 0, 0.0, 0.5 * b * b, upper))
-    if v > 1.0 + 1e-12:
+    if not 0.0 <= v <= 1.0 + 1e-12:  # a NaN fails it too
         raise AccuracyError(f"Marcum {'Q' if upper else 'P'} left [0,1]: {v}")
     return min(max(v, 0.0), 1.0)
 

@@ -455,6 +455,63 @@ class TestOutageCancellation:
             mixture_from_model(FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0))
 
 
+class TestHighOrderOutage:
+    """An eavesdropper or interferer of Erlang shape m_i sums T_k up to order
+    m_i - 1.  Past order 32 (one kernel block) the kernel's closed-form rest
+    takes tail masses from orders <= 0 (a NaN before), and at high orders
+    beta^k / k! underflows where T_k overflows (a bare OverflowError
+    before)."""
+
+    @pytest.mark.parametrize("mean, gamma_th", [(6.0, 1.0), (12.0, 0.1), (20.0, 1.0)])
+    def test_nakagami_40_interferer(self, mean, gamma_th):
+        desired = FadingModel.kappa_mu_shadowed(10.0, 6.0, 0.5, 30.0)
+        got = outage_interference(desired, FadingModel.nakagami(40.0, mean), gamma_th)
+        ref = interference_outage_nakagami(desired, 40.0, mean, gamma_th)
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("gb, m, ge", [(1e6, 100, 1e4), (1e6, 150, 1e5), (1e5, 200, 1e5)])
+    def test_nakagami_eavesdropper_of_high_order(self, gb, m, ge):
+        # Rayleigh bob: O = 1 - exp(-alpha/gb) (1 + 2^R ge/(m gb))^-m
+        rs = 0.1
+        ref = -math.expm1(-(2.0 ** rs - 1.0) / gb - m * math.log1p(2.0 ** rs * ge / (m * gb)))
+        got = opsc(SecrecyScenario(bob=FadingModel.rayleigh(gb),
+                                   eve=FadingModel.nakagami(m, ge), rate_rs=rs))
+        assert got == pytest.approx(ref, rel=1e-9)
+
+
+class TestNanIsAccuracyError:
+    """A NaN from the layer below fails every comparison, so each range check
+    is written to fail it: the metric raises AccuracyError, never returns it."""
+
+    SC = SecrecyScenario(bob=FadingModel.rayleigh(10.0), eve=FadingModel.rayleigh(1.0),
+                         rate_rs=0.5)
+
+    def test_opsc(self, monkeypatch):
+        monkeypatch.setattr(apps, "_deriv_log_scaled", lambda *args: math.nan)
+        with pytest.raises(AccuracyError):
+            opsc(self.SC)
+
+    def test_eps_outage_capacity(self, monkeypatch):
+        # NaN at every rate inside the Chernoff bracket: no rate within
+        # epsilon was evaluated, which was a bare ValueError
+        t = apps._chernoff_threshold(self.SC.bob, 0.5)
+        real = apps._deriv_log_scaled
+        monkeypatch.setattr(apps, "_deriv_log_scaled",
+                            lambda bob, s, alpha, k: (math.nan if alpha < 0.99 * t
+                                                      else real(bob, s, alpha, k)))
+        with pytest.raises(AccuracyError):
+            eps_outage_capacity(self.SC, 0.5)
+
+    def test_aber_adaptive(self, monkeypatch):
+        # the BER numerator's lower IMGFs (s < 0) are NaN
+        real = apps.imgf_lower
+        monkeypatch.setattr(apps, "imgf_lower",
+                            lambda ch, s, z: math.nan if s else real(ch, s, z))
+        scheme = AdaptiveModScheme(thresholds=(0.0, 5.0), bits_per_region=(2, 4))
+        with pytest.raises(AccuracyError):
+            aber_adaptive(FadingModel.rayleigh(10.0), scheme)
+
+
 def quad_tail(model: FadingModel, g0: float, f) -> float:
     """int_g0^inf f(g) pdf(g) dg by quadrature, independent of the
     gamma-mixture series, split at 10 mean and at the decades 1, 10, ..., 1e7

@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from imgflib import apps, incomplete, mixture, oracles
+from imgflib import apps, cli, incomplete, mixture, oracles
 from imgflib.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, PRESETS, _fmt, main,
                          run_sweep, selfcheck)
 
@@ -255,6 +256,18 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("curve,")
         assert len(lines) > 10
+
+    # SHA-256 of each preset's specs (json.dumps with sorted keys), first 16
+    # hex digits, frozen when the presets became tables of curves
+    PRESET_DIGESTS = {"fig1": "6bdef7618d718e52", "fig2": "8cf4100a383f0438",
+                      "fig3": "43a786ef07ae08f8", "fig4": "238bc9e07a2222c0",
+                      "fig5": "2e5c712afb709c3a", "fig6": "12ed9d3bcadcd9c6",
+                      "fig7": "fa20d5e01044920b", "fig8": "990003e7b75b4af5"}
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_preset_specs_pinned(self, preset):
+        text = json.dumps(cli._preset_specs(preset), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.PRESET_DIGESTS[preset]
 
     def test_fig8_nondecreasing_in_epsilon(self, tmp_path, capsys):
         out = tmp_path / "fig8.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from imgflib import mixture
-from imgflib.errors import DomainError
+from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, canonicalize, cdf
 from imgflib.mixture import (
     GammaMixture,
@@ -110,6 +110,15 @@ class TestCdf:
         vals = [mixture_cdf(mix, float(x)) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.02])
+    def test_cancelling_coefficients_are_accuracy_error(self, kappa):
+        # mu > m at small kappa: sum |C_i| of 1.7e9 (0.05) puts the rounding
+        # bound at 3.7e-7, and the value was 5.9e-8 off; at 0.02 it left [0, 1]
+        mix = mixture_params(kappa, 10, 3, 1.0)
+        for z in (0.05, 0.2, 1.0, 4.0, 15.0):
+            with pytest.raises(AccuracyError):
+                mixture_cdf(mix, z)
 
     def test_immutable(self):
         mix = mixture_params(1.5, 2, 3, 1.0)

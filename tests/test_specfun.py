@@ -7,7 +7,7 @@ from scipy import integrate, stats
 from scipy import special as sp
 
 from imgflib import specfun
-from imgflib.errors import DomainError
+from imgflib.errors import AccuracyError, DomainError
 from imgflib.specfun import (
     _log_betainc,
     _log_gamma_below,
@@ -52,6 +52,12 @@ class TestMarcumQ:
             qs = [marcum_q(nu, a, float(b)) for b in bs]
             assert all(q1 >= q2 - 1e-13 for q1, q2 in zip(qs, qs[1:]))
             assert 0.0 <= min(qs) and max(qs) <= 1.0
+
+    def test_nan_sum_is_accuracy_error(self, monkeypatch):
+        # a NaN fails every comparison, so the range check is written to fail it
+        monkeypatch.setattr(specfun, "_log_mixture_sum", lambda *args: math.nan)
+        with pytest.raises(AccuracyError):
+            marcum_q(1.0, 1.0, 1.0)
 
     def test_limits(self):
         assert marcum_q(1.7, 2.0, 1e-9) == pytest.approx(1.0, abs=1e-12)
@@ -226,21 +232,35 @@ ORACLE_FAMILIES = [(3.0, 0.5), (3.0, 2.0), (20.0, math.inf), (0.0, math.inf)]
 ORACLE_X = (1e-3, 0.7, 30.0, 400.0, 3e3)  # 3e3: the upper R underflow in scipy
 
 
+def oracle_points(upper: bool) -> list:
+    """(mu, k, log_r, x): every order the callers use and beyond, on both
+    sides of the peak; the lower tail at k = -1 needs mu > 1."""
+    mu = 0.6 if upper else 1.7
+    return [(mu, k, 0.0 if x < 100.0 else -1.5, x)  # r < 1 keeps deep sums short
+            for k in (-1, 0, 1, 3, 12) for x in ORACLE_X]
+
+
+ORACLE_CASES = [
+    pytest.param(lam, m, upper, survival, oracle_points(upper),
+                 id=f"{lam}-{m}-{upper}-{survival}")
+    for lam, m in ORACLE_FAMILIES
+    for upper, survival in ((True, False), (True, True), (False, False))
+    if lam or not survival]  # a unit mass at 0 has no survival weights
+# orders k past the closed-form rest's start (32 terms, one block): its tail
+# masses from order start - i <= 0 on are the whole mass, not a NaN
+# (the secrecy outage's T_k of a Nakagami-40 eavesdropper)
+ORACLE_CASES.append(pytest.param(
+    60.0, 0.5, True, False, [(6.0, k, -math.log1p(3.5 / 2.2), 0.4104) for k in (33, 40)],
+    id="60.0-0.5-rest-from-order-0"))
+
+
 class TestMixtureKernel:
-    @pytest.mark.parametrize("lam,m,upper,survival", [
-        (lam, m, upper, survival) for lam, m in ORACLE_FAMILIES
-        for upper, survival in ((True, False), (True, True), (False, False))
-        if lam or not survival])  # a unit mass at 0 has no survival weights
-    def test_against_mpmath_sum(self, lam, m, upper, survival):
-        # every order the callers use and beyond, on both sides of the peak;
-        # the lower tail at k = -1 needs mu > 1
-        mu = 0.6 if upper else 1.7
-        for k in (-1, 0, 1, 3, 12):
-            for x in ORACLE_X:
-                log_r = 0.0 if x < 100.0 else -1.5  # r < 1 keeps deep sums short
-                ref = mp_mixture_sum(lam, m, mu, k, log_r, x, upper, survival)
-                got = _log_mixture_sum(lam, m, mu, k, log_r, x, upper, survival)
-                assert math.exp(got - ref) == pytest.approx(1.0, rel=1e-11, abs=0.0), (k, x)
+    @pytest.mark.parametrize("lam,m,upper,survival,points", ORACLE_CASES)
+    def test_against_mpmath_sum(self, lam, m, upper, survival, points):
+        for mu, k, log_r, x in points:
+            ref = mp_mixture_sum(lam, m, mu, k, log_r, x, upper, survival)
+            got = _log_mixture_sum(lam, m, mu, k, log_r, x, upper, survival)
+            assert math.exp(got - ref) == pytest.approx(1.0, rel=1e-11, abs=0.0), (k, x)
 
     @pytest.mark.parametrize("lam", [0.0, 3.0])
     def test_divergent_lower_sum_is_domain_error(self, lam):
