@@ -26,7 +26,9 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from .errors import AccuracyError, DomainError
-from .fading import FadingModel, _gamma_mixture, mgf, mrc_combine, pdf, smallest_pole
+from .fading import (FadingModel, _from_log, _gamma_mixture, _log_mgf, mrc_combine, pdf,
+                     smallest_pole)
+from .fading import mgf  # noqa: F401  unused; perfbench/trace.py hooks apps.mgf
 from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
 from .mixture import GammaMixture, mixture_from_model
 from .specfun import _MIXTURE_TOL, _log_mixture_sum
@@ -64,8 +66,9 @@ class SecrecyScenario:
     n_eve_antennas: int = 1
 
     def __post_init__(self):
-        if self.rate_rs < 0:
-            raise DomainError("secrecy rate must be nonnegative")
+        if not 0 <= self.rate_rs < math.inf:  # a NaN fails it too
+            raise DomainError(f"secrecy rate must be nonnegative and finite, got "
+                              f"{self.rate_rs}")
         if self.n_eve_antennas < 1:
             raise DomainError("need at least one eavesdropper antenna")
         # validate eve eagerly so misconfigurations fail at construction
@@ -89,8 +92,9 @@ class AdaptiveModScheme:
             raise DomainError("scheme needs at least one region")
         if len(bits) != len(th):
             raise DomainError("one bits-per-symbol entry per region is required")
-        if th[0] < 0 or any(b <= a for a, b in zip(th, th[1:])):
-            raise DomainError("thresholds must be nonnegative and strictly ascending")
+        # a NaN fails every comparison, so it fails this check wherever it is
+        if not (0 <= th[0] and all(a < b for a, b in zip(th, th[1:])) and th[-1] < math.inf):
+            raise DomainError("thresholds must be finite, nonnegative and strictly ascending")
         if any(b < 1 for b in bits):
             raise DomainError("bits per region must be positive integers")
 
@@ -101,8 +105,8 @@ class CapacityScenario:
     cutoff_snr: float | None = None  # solved from the power constraint if absent
 
     def __post_init__(self):
-        if self.cutoff_snr is not None and not self.cutoff_snr > 0:
-            raise DomainError("cutoff SNR must be positive")
+        if self.cutoff_snr is not None and not 0 < self.cutoff_snr < math.inf:
+            raise DomainError(f"cutoff SNR must be positive and finite, got {self.cutoff_snr}")
 
 
 def _clamp_probability(p: float, where: str, tol: float = 1e-8) -> float:
@@ -112,9 +116,9 @@ def _clamp_probability(p: float, where: str, tol: float = 1e-8) -> float:
 
 
 def _check_threshold(gamma_th: float) -> None:
-    """DomainError unless the outage threshold is nonnegative."""
-    if gamma_th < 0:
-        raise DomainError("threshold must be nonnegative")
+    """DomainError unless the outage threshold is nonnegative and finite."""
+    if not 0 <= gamma_th < math.inf:  # a NaN fails it too
+        raise DomainError(f"threshold must be nonnegative and finite, got {gamma_th}")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -147,8 +151,7 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     result.
     """
     _check_threshold(alpha)
-    f_alpha = imgf_lower(bob, 0.0, alpha) if alpha > 0 else 0.0
-    total = magnitude = f_alpha
+    total = magnitude = imgf_lower(bob, 0.0, alpha)
     cache: dict[tuple[float, int], float] = {}  # log T_k
     for (c_i, omega_i, m_i) in eve_mixture.terms:
         if c_i == 0.0 or m_i <= 0:
@@ -171,11 +174,8 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
             key = (beta, k)
             if key not in cache:
                 cache[key] = _deriv_log_scaled(bob, -beta, alpha, k)
-            try:
-                t_k = math.exp(log_bk + cache[key])  # beta^k / k! T_k
-            except OverflowError:
-                raise AccuracyError(f"outage term of order {k} overflows at beta = "
-                                    f"{beta!r}, alpha = {alpha!r}") from None
+            t_k = _from_log(log_bk + cache[key], "outage term of order {} overflows at "
+                            "beta = {!r}, alpha = {!r}", k, beta, alpha)  # beta^k / k! T_k
             contrib += partial[m_i - 1 - k] * t_k
             contrib_abs += partial_abs[m_i - 1 - k] * t_k
             log_bk += log_beta - math.log(k + 1.0)
@@ -207,9 +207,9 @@ def spsc(scenario: SecrecyScenario) -> float:
 
 def _chernoff_threshold(bob: FadingModel, epsilon: float) -> float:
     """SNR t with Pr{gamma_b <= t} >= (1 + epsilon) / 2, from the Chernoff
-    bound Pr{gamma_b > t} <= M_b(s) exp(-s t) at half the MGF pole."""
+    bound Pr{gamma_b > t} <= M_b(s) exp(-s t) at half the MGF pole, in logs."""
     s = 0.5 * smallest_pole(bob)
-    return (math.log(mgf(bob, s)) + math.log(2.0 / (1.0 - epsilon))) / s
+    return (_log_mgf(bob, s) + math.log(2.0 / (1.0 - epsilon))) / s
 
 
 def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:

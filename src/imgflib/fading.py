@@ -94,8 +94,9 @@ class FadingModel:
     def __post_init__(self):
         kind = Kind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if not self.mean_snr > 0:
-            raise DomainError(f"mean_snr must be positive, got {self.mean_snr}")
+        # every range check below is written so that NaN fails it
+        if not 0 < self.mean_snr < math.inf:
+            raise DomainError(f"mean_snr must be positive and finite, got {self.mean_snr}")
         required = _REQUIRED_FIELDS[kind]
         for name in required:
             if getattr(self, name) is None:
@@ -103,18 +104,20 @@ class FadingModel:
         for name in ("kappa", "mu", "m", "eta", "K", "q"):
             if name not in required and getattr(self, name) is not None:
                 raise DomainError(f"parameter {name!r} is not meaningful for {kind.value}")
-        if self.kappa is not None and self.kappa < 0:
-            raise DomainError("kappa must be nonnegative")
-        if self.K is not None and self.K < 0:
-            raise DomainError("K must be nonnegative")
-        if self.mu is not None and not self.mu > 0:
-            raise DomainError("mu must be positive")
-        if self.m is not None and not self.m > 0:
-            raise DomainError("m must be positive")
-        if self.eta is not None and not self.eta > 0:
-            raise DomainError("eta must be positive (format 1)")
+        if self.kappa is not None and not 0 <= self.kappa < math.inf:
+            raise DomainError(f"kappa must be nonnegative and finite, got {self.kappa}")
+        if self.K is not None and not 0 <= self.K < math.inf:
+            raise DomainError(f"K must be nonnegative and finite, got {self.K}")
+        if self.mu is not None and not 0 < self.mu < math.inf:
+            raise DomainError(f"mu must be positive and finite, got {self.mu}")
+        if self.m is not None and not (0 < self.m < math.inf or (
+                self.m == math.inf and kind is not Kind.NAKAGAMI_M)):
+            raise DomainError(f"m must be positive and finite (inf only as the unshadowed "
+                              f"limit of a shadowed law), got {self.m}")
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise DomainError(f"eta must be positive and finite (format 1), got {self.eta}")
         if self.q is not None and not 0 < self.q <= 1:
-            raise DomainError("Hoyt q must lie in (0, 1]")
+            raise DomainError(f"Hoyt q must lie in (0, 1], got {self.q}")
 
     # convenience constructors -------------------------------------------------
     @classmethod
@@ -248,51 +251,46 @@ def smallest_pole(model: FadingModel) -> float:
     return _canonical_params(model)[5]
 
 
-def _is_mp(z) -> bool:
-    return type(z).__module__.split(".")[0] == "mpmath"
-
-
 def mgf(model: FadingModel, s):
     """MGF E[exp(s * gamma)].  Real s must satisfy s < smallest_pole(model);
     complex, mpmath and complex-ndarray arguments are evaluated on the
     principal branch (an array elementwise, into an array)."""
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
     if isinstance(s, np.ndarray) and s.dtype.kind == "c":
-        branch = np.exp, np.log
-    elif isinstance(s, complex):
-        branch = cmath.exp, cmath.log
-    elif _is_mp(s):
+        return np.exp(_log_mgf(model, s, np.log))
+    if isinstance(s, complex):
+        return cmath.exp(_log_mgf(model, s, cmath.log))
+    if type(s).__module__.split(".")[0] == "mpmath":
         from mpmath import mp
-        branch = mp.exp, mp.log
-    else:
-        branch = None
-    if branch:
-        exp_, log_ = branch
-        if kappa == 0.0:
-            return exp_(-mu * log_(1.0 - s * gbar / mu))
-        if math.isinf(m):
-            return exp_(mu * (log_(a) - log_(a - s)) + kappa * mu * s / (a - s))
-        return exp_((m - mu) * (log_(a - s) - log_(a)) - m * (log_(b - s) - log_(b)))
+        return mp.exp(_log_mgf(model, s, mp.log))
     s = float(s)
-    log_m = _log_mgf(model, s)
-    try:
-        return math.exp(log_m)
-    except OverflowError:
-        raise AccuracyError(f"MGF overflows at s={s}, below the pole {b}") from None
+    return _from_log(_log_mgf(model, s), "MGF overflows at s={}, below the pole {}",
+                     s, smallest_pole(model))
 
 
-def _log_mgf(model: FadingModel, s: float) -> float:
-    """log M(s) for real s below the MGF pole b, DomainError at or past it;
+def _log_mgf(model: FadingModel, s, log=math.log):
+    """log M(s), with the principal-branch log of s's type; a real s must lie
+    below the MGF pole b (DomainError otherwise, NaN too), and its log is
     finite also where M(s) itself overflows a float."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
-    if s >= b:
-        raise DomainError(f"MGF pole: s={s} >= {b}")
+    if log is math.log:
+        if not s < b:
+            raise DomainError(f"MGF pole: s={s} >= {b}")
+        if s == -math.inf:
+            return -math.inf  # no atom at 0: M(s) -> 0
     if kappa == 0.0:
-        return -mu * math.log((a - s) / a)
+        return -mu * log((a - s) / a)
     if math.isinf(m):
-        return mu * math.log(a / (a - s)) + kappa * mu * s / (a - s)
-    # amplitude folded in log space; (a-s), (b-s) are positive here
-    return (m - mu) * math.log((a - s) / a) - m * math.log((b - s) / b)
+        return mu * log(a / (a - s)) + kappa * mu * s / (a - s)
+    # amplitude folded in log space; (a-s), (b-s) are positive for real s
+    return (m - mu) * log((a - s) / a) - m * log((b - s) / b)
+
+
+def _from_log(log_value: float, message: str, *args) -> float:
+    """exp(log_value), or AccuracyError(message.format(*args)) past the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise AccuracyError(message.format(*args)) from None
 
 
 def laplace_image(model: FadingModel) -> LaplaceImage:
@@ -308,9 +306,11 @@ def laplace_image(model: FadingModel) -> LaplaceImage:
 # ---------------------------------------------------------------------------
 
 def pdf(model: FadingModel, x: float) -> float:
-    """SNR density at x >= 0."""
-    if x < 0:
-        raise DomainError("SNR support is [0, inf)")
+    """SNR density at x >= 0; 0 at x = inf."""
+    if not x >= 0:  # a NaN fails it too
+        raise DomainError(f"SNR support is [0, inf), got x={x}")
+    if x == math.inf:
+        return 0.0
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     if x == 0.0:
         if mu < 1.0:
@@ -331,10 +331,12 @@ def pdf(model: FadingModel, x: float) -> float:
                      + math.log(float(iv)))
             return math.exp(log_f)
         return 0.0
-    log_amp = (mu * math.log(mu) + m * math.log(m) + mu * math.log1p(kappa)
-               - mu * math.log(gbar) - m * math.log(mu * kappa + m))
+    # m log(m / (mu kappa + m)) and the 1F1 argument (a - b) x, both without
+    # the cancellation their plain forms suffer at large m
+    log_amp = (mu * math.log(mu) + mu * math.log1p(kappa) - mu * math.log(gbar)
+               - m * math.log1p(mu * kappa / m))
     log_f = (log_amp - math.lgamma(mu) + (mu - 1.0) * math.log(x) - a * x
-             + _log_hyp1f1_pos(m, mu, (a - b) * x))
+             + _log_hyp1f1_pos(m, mu, a * mu * kappa / (mu * kappa + m) * x))
     return math.exp(log_f)
 
 
@@ -342,8 +344,8 @@ def cdf(model: FadingModel, x: float) -> float:
     """Distribution function; evaluated as the lower IMGF at s = 0."""
     from .incomplete import imgf_lower
 
-    if x < 0:
-        raise DomainError("SNR support is [0, inf)")
+    if not x >= 0:  # a NaN fails it too
+        raise DomainError(f"SNR support is [0, inf), got x={x}")
     return imgf_lower(model, 0.0, x)
 
 

@@ -13,9 +13,9 @@ gammas,
 which specfun._log_mixture_sum sums in log space, outward from its peak or,
 for binomial weights, over their whole support; no tail is formed as a
 difference, so deep tails keep full relative accuracy.
-_log_imgf is the one evaluator of that series: imgf_lower, imgf_upper and
-imgf_deriv_s check their arguments, settle the endpoints zeta = 0 and
-zeta = inf, and exponentiate its result.
+_log_imgf is the one evaluator of that series and _log_tail the one rule
+for the endpoints zeta = 0 and zeta = inf; imgf_lower, imgf_upper and
+imgf_deriv_s exponentiate its result, AccuracyError past the double range.
 
 A generic numerical route through the inverse Laplace transform of
 M(s - p) / p is available for arbitrary user-supplied MGFs and doubles as an
@@ -31,7 +31,8 @@ from scipy import integrate
 
 from .errors import DomainError
 from . import laplace
-from .fading import FadingModel, mgf, pdf, _canonical_params, _gamma_mixture, _log_mgf
+from .fading import FadingModel, pdf, _canonical_params, _from_log, _gamma_mixture, _log_mgf
+from .fading import mgf  # noqa: F401  unused; perfbench/trace.py hooks incomplete.mgf
 from .specfun import (
     marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
     marcum_q,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_q
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 MAX_DERIV_ORDER = 12
+_OVERFLOW = "IMGF overflows at s={}, zeta={}"
 
 
 def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
@@ -55,19 +57,33 @@ def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool) ->
     (> 0 for the lower tail): the module docstring's series times (c-s)^-k;
     -inf when it underflows.  The upper series converges for s below the MGF
     pole b, the lower one at rate a for every s below the LOS-free decay
-    rate a >= b; outside, DomainError.  A lower tail at b <= s < a, where
-    the finite form at rate b diverges, takes the series at rate a."""
+    rate a >= b; outside (s = -inf too), DomainError.  A lower tail at
+    b <= s < a, where the finite form at rate b diverges, takes rate a."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     limit = b if upper else a
-    if not s < limit:
+    if not -math.inf < s < limit:
         raise DomainError(f"{'upper' if upper else 'lower'} IMGF series requires "
-                          f"s < {limit}, got s={s}")
+                          f"-inf < s < {limit}, got s={s}")
     lam, shape, mu, rate = _gamma_mixture(model)
     if not s < rate:
         lam, shape, rate = kappa * mu, m, a
     return (_log_mixture_sum(lam, shape, mu, k, -math.log1p(-s / rate), (rate - s) * zeta,
                              upper)
             - k * math.log(rate - s))
+
+
+def _log_tail(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
+    """_log_imgf at any zeta in [0, inf]: -inf for the empty tail (lower at
+    0, upper at inf) at every real s, the closed-form log MGF (k = 0) or the
+    upper series from 0 (k >= 1) for the whole transform (lower at inf,
+    upper at 0).  DomainError for a NaN s and a NaN or negative zeta."""
+    if math.isnan(s) or not zeta >= 0.0:
+        raise DomainError(f"IMGF needs a number s and zeta >= 0, got s={s}, zeta={zeta}")
+    if zeta == (math.inf if upper else 0.0):
+        return -math.inf
+    if zeta == (0.0 if upper else math.inf):
+        return _log_mgf(model, s) if k == 0 else _log_imgf(model, s, 0.0, k, True)
+    return _log_imgf(model, s, zeta, k, upper)
 
 
 def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
@@ -77,13 +93,7 @@ def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
     (for s at or beyond that rate the closed forms leave their domain and a
     DomainError is raised).
     """
-    if zeta < 0:
-        raise DomainError("zeta must be nonnegative")
-    if zeta == 0.0:
-        return 0.0
-    if math.isinf(zeta):
-        return mgf(model, s)
-    return math.exp(_log_imgf(model, s, zeta, 0, False))
+    return _from_log(_log_tail(model, s, zeta, 0, False), _OVERFLOW, s, zeta)
 
 
 # unused; perfbench/trace.py hooks incomplete._upper_tail_quadrature
@@ -106,13 +116,7 @@ def imgf_upper(model: FadingModel, s: float, zeta: float) -> float:
     incomplete gammas, so it keeps its relative accuracy however small it is
     next to M(s).
     """
-    if zeta < 0:
-        raise DomainError("zeta must be nonnegative")
-    if zeta == 0.0:
-        return mgf(model, s)
-    if math.isinf(zeta):
-        return 0.0
-    return math.exp(_log_imgf(model, s, zeta, 0, True))
+    return _from_log(_log_tail(model, s, zeta, 0, True), _OVERFLOW, s, zeta)
 
 
 def _check_deriv_args(zeta: float, k: int, tail: str) -> None:
@@ -122,7 +126,7 @@ def _check_deriv_args(zeta: float, k: int, tail: str) -> None:
         raise DomainError(f"derivative order must be in [0, {MAX_DERIV_ORDER}], got {k}")
     if tail not in ("lower", "upper"):
         raise DomainError(f"tail must be 'lower' or 'upper', got {tail!r}")
-    if zeta < 0:
+    if not zeta >= 0:
         raise DomainError("zeta must be nonnegative")
 
 
@@ -138,23 +142,15 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
     empty tails (lower at zeta = 0, upper at zeta = inf) are 0 for every s.
     """
     _check_deriv_args(zeta, k, tail)
-    if k == 0:
-        return imgf_lower(model, s, zeta) if tail == "lower" else imgf_upper(model, s, zeta)
-    if (zeta == 0.0 and tail == "lower") or (math.isinf(zeta) and tail == "upper"):
-        return 0.0
-    if math.isinf(zeta):  # full transform: same as the upper tail truncated at zero
-        zeta, tail = 0.0, "upper"
-    return math.exp(_log_imgf(model, s, zeta, k, tail == "upper"))
+    return _from_log(_log_tail(model, s, zeta, k, tail == "upper"), _OVERFLOW, s, zeta)
 
 
 def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int) -> float:
-    """log of int_zeta^inf x^k exp(s (x - zeta)) f(x) dx  (upper tail,
-    prescaled by exp(-s*zeta)); overflow-free building block for weighted
-    sums with exp(+s*zeta)-sized outer factors.  At zeta = 0 and k = 0 it is
-    the whole MGF, in closed form, as imgf_upper takes it at zeta = 0."""
-    if zeta == 0.0 and k == 0:
-        return _log_mgf(model, s)
-    return -s * zeta + _log_imgf(model, s, zeta, k, True)
+    """log of int_zeta^inf x^k exp(s (x - zeta)) f(x) dx  (upper tail at a
+    finite zeta, prescaled by exp(-s*zeta)); overflow-free building block
+    for weighted sums with exp(+s*zeta)-sized outer factors.  At zeta = 0
+    and k = 0 it is the whole MGF, in closed form, as imgf_upper takes it."""
+    return -s * zeta + _log_tail(model, s, zeta, k, True)
 
 
 def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,

@@ -188,13 +188,14 @@ def imgf_lower_numeric(pdf_image: LaplaceImage, s: float, zeta: float,
     inversion calls the evaluator once on the 84 nodes of its two contours
     (36 and 48) and once more on [-s] for M(s), which bounds the result.
     """
-    if zeta < 0:
-        raise DomainError("zeta must be nonnegative")
+    if math.isnan(s) or not zeta >= 0:
+        raise DomainError(f"need a number s and zeta >= 0, got s={s}, zeta={zeta}")
     if zeta == 0.0:
         return 0.0
-    if s + pdf_image.abscissa >= 0:
+    if not -math.inf < s < -pdf_image.abscissa:
         raise DomainError(
-            f"s={s} is not strictly below the MGF singularity at {-pdf_image.abscissa}"
+            f"s={s} is not finite and strictly below the MGF singularity at "
+            f"{-pdf_image.abscissa}"
         )
     ev = pdf_image.evaluator
     shifted = LaplaceImage(evaluator=lambda p: ev(p - s) / p, abscissa=0.0)

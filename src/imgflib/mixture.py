@@ -93,14 +93,15 @@ def mixture_params(kappa: float, mu: int, m: int, mean_snr: float) -> GammaMixtu
     kappa = 0 degenerates the coefficient formulas (0^0 powers), so that case
     is built directly from its analytic limit: a single gamma term of shape mu.
     """
-    if not (mu == int(mu) and mu >= 1):
+    # each check is written so that NaN and inf fail it
+    if not (1 <= mu < math.inf and mu == int(mu)):
         raise DomainError(f"mu must be a positive integer, got {mu}")
-    if not (m == int(m) and m >= 1):
+    if not (1 <= m < math.inf and m == int(m)):
         raise DomainError(f"m must be a positive integer, got {m}")
-    if kappa < 0:
-        raise DomainError("kappa must be nonnegative")
-    if not mean_snr > 0:
-        raise DomainError("mean_snr must be positive")
+    if not 0 <= kappa < math.inf:
+        raise DomainError(f"kappa must be nonnegative and finite, got {kappa}")
+    if not 0 < mean_snr < math.inf:
+        raise DomainError(f"mean_snr must be positive and finite, got {mean_snr}")
     mu, m = int(mu), int(m)
     if kappa == 0.0:
         return GammaMixture(terms=((1.0, mean_snr / mu, mu),))
@@ -141,10 +142,12 @@ def mixture_cdf(mix: GammaMixture, gamma: float) -> float:
     The coefficients alternate in sign for mu > m, and the rounding error of
     the sum tracks machine epsilon times sum |C_i|: AccuracyError where that
     bound exceeds 1e-9, and where the value leaves [0, 1]."""
-    if gamma < 0:
-        raise DomainError("SNR support is [0, inf)")
+    if not gamma >= 0:  # a NaN fails it too
+        raise DomainError(f"SNR support is [0, inf), got {gamma}")
     if gamma == 0.0:
         return 0.0
+    if gamma == math.inf:
+        return 1.0
     acc = scale = 0.0
     for (c, omega, mi) in mix.terms:
         if c == 0.0 or mi <= 0:

@@ -40,8 +40,10 @@ def quad_imgf(model: FadingModel, s: float, zeta: float, tail: str = "lower",
     relative stopping, semi-infinite upper tails handled by the library's
     infinite-interval transformation.
     """
-    if zeta < 0:
-        raise DomainError("zeta must be nonnegative")
+    if not -math.inf < s < math.inf:
+        raise DomainError(f"s must be finite, got {s}")
+    if not zeta >= 0:  # a NaN fails it too
+        raise DomainError(f"zeta must be nonnegative, got {zeta}")
     if tail not in ("lower", "upper"):
         raise DomainError(f"tail must be 'lower' or 'upper', got {tail!r}")
 
@@ -53,7 +55,8 @@ def quad_imgf(model: FadingModel, s: float, zeta: float, tail: str = "lower",
     if tail == "lower":
         if zeta == 0.0:
             return 0.0
-        pts = [p for p in (model.mean_snr, 0.5 * zeta) if 0.0 < p < zeta]
+        # quad takes break points on a finite interval only
+        pts = [p for p in (model.mean_snr, 0.5 * zeta) if 0.0 < p < zeta < math.inf]
         val, _ = integrate.quad(f, 0.0, zeta, epsabs=1e-300, epsrel=tol,
                                 limit=500, points=sorted(set(pts)) or None)
         return val

@@ -608,8 +608,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
 
 def _marcum(nu: float, a: float, b: float, upper: bool) -> float:
     """sum_k Pois(k; a^2/2) R(nu + k, b^2/2), R = Q if upper else P."""
-    if not nu > 0:
-        raise DomainError(f"order must be positive, got nu={nu}")
+    if not 0 < nu < math.inf:
+        raise DomainError(f"order must be positive and finite, got nu={nu}")
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
         raise DomainError("Marcum arguments must be finite and nonnegative")
     if b == 0.0:
@@ -675,12 +675,18 @@ def _kummer_series(a: float, b: float, x: float) -> float:
 def _log_hyp1f1_pos(a: float, b: float, z: float) -> float:
     """log 1F1(a; b; z) for a, b > 0 and z >= 0 (all series terms positive).
 
-    Anchored log-space summation; immune to overflow for large z.
+    The plain series up to z = 30, where it is the more accurate (within
+    7.3e-15 relative of mpmath at 400 random points with a in [0.2, 100],
+    b in [0.3, 40], against 1.4e-13 for the peak sum); the anchored
+    log-space peak sum past 30 and where the plain series would overflow.
     """
     if z == 0.0:
         return 0.0
     if z <= 30.0:
-        return math.log(_kummer_series(a, b, z))
+        try:
+            return math.log(_kummer_series(a, b, z))
+        except OverflowError:  # the plain series passed 1e305; its log does not
+            pass
     return _log_hyp1f1_peak_sum(a, b, z)[0]
 
 

@@ -1,0 +1,200 @@
+"""Non-finite inputs at every public float argument, and the edges of the
+double range.
+
+Each case feeds NaN, +inf or -inf to one argument.  It either returns the
+limit the documentation gives (upper IMGF at zeta = inf is 0, lower IMGF at
+zeta = inf is M(s), M(-inf) = 0, pdf(inf) = 0, cdf(inf) = 1, m = inf of a
+shadowed law is its unshadowed limit) or raises DomainError or
+AccuracyError: no other exception type, and never a NaN.  Values past the
+double range raise AccuracyError."""
+
+import json
+import math
+
+import pytest
+
+from imgflib import (AccuracyError, AdaptiveModScheme, CapacityScenario, DomainError,
+                     FadingModel, Kind, McConfig, SecrecyScenario, cdf, cdf_grid,
+                     eps_outage_capacity, imgf_deriv_s, imgf_generic, imgf_lower,
+                     imgf_lower_numeric, imgf_upper, invert, laplace_image, marcum_p,
+                     marcum_q, mc_aber, mc_opsc, mgf, mixture_cdf, mixture_from_model,
+                     mixture_params, model_from_json, opsc, outage_interference, pdf,
+                     quad_imgf, smallest_pole)
+from imgflib.apps import _check_threshold, _outage_core
+from imgflib.cli import EXIT_CONFIG, main
+from imgflib.fading import _REQUIRED_FIELDS
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = {"nan": NAN, "+inf": INF, "-inf": -INF}
+
+# one model per closed-form branch: shadowed series, unshadowed, gamma law
+MODELS = {
+    "kappa-mu-shadowed": FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 5.0),
+    "kappa-mu": FadingModel.kappa_mu(2.0, 1.7, 3.0),
+    "nakagami": FadingModel.nakagami(2.5, 4.0),
+}
+RAY = FadingModel.rayleigh(2.0)
+NAK2 = FadingModel.nakagami(2, 3.0)
+MC = McConfig(n_samples=100, seed=1)
+
+
+def _model_cases(name, model):
+    """(id, f(x), {x: limit}) for the IMGF, MGF and distribution entry points."""
+    s = -0.5
+    return [
+        (f"imgf_lower.s[{name}]", lambda x: imgf_lower(model, x, 1.0), {}),
+        # the empty tail is 0 at every s, but not at a NaN s
+        (f"imgf_lower.s.empty[{name}]", lambda x: imgf_lower(model, x, 0.0),
+         {INF: 0.0, -INF: 0.0}),
+        (f"imgf_lower.s.whole[{name}]", lambda x: imgf_lower(model, x, INF), {-INF: 0.0}),
+        (f"imgf_lower.zeta[{name}]", lambda x: imgf_lower(model, s, x),
+         {INF: mgf(model, s)}),
+        (f"imgf_upper.s[{name}]", lambda x: imgf_upper(model, x, 1.0), {}),
+        (f"imgf_upper.s.empty[{name}]", lambda x: imgf_upper(model, x, INF),
+         {INF: 0.0, -INF: 0.0}),
+        (f"imgf_upper.s.whole[{name}]", lambda x: imgf_upper(model, x, 0.0), {-INF: 0.0}),
+        (f"imgf_upper.zeta[{name}]", lambda x: imgf_upper(model, s, x), {INF: 0.0}),
+        (f"imgf_deriv_s.s.lower[{name}]", lambda x: imgf_deriv_s(model, x, 1.0, 2, "lower"),
+         {}),
+        (f"imgf_deriv_s.s.upper[{name}]", lambda x: imgf_deriv_s(model, x, 1.0, 2, "upper"),
+         {}),
+        (f"imgf_deriv_s.zeta.lower[{name}]", lambda x: imgf_deriv_s(model, s, x, 2, "lower"),
+         {INF: imgf_deriv_s(model, s, 0.0, 2, "upper")}),
+        (f"imgf_deriv_s.zeta.upper[{name}]", lambda x: imgf_deriv_s(model, s, x, 2, "upper"),
+         {INF: 0.0}),
+        (f"mgf[{name}]", lambda x: mgf(model, x), {-INF: 0.0}),
+        (f"pdf[{name}]", lambda x: pdf(model, x), {INF: 0.0}),
+        (f"cdf[{name}]", lambda x: cdf(model, x), {INF: 1.0}),
+        (f"cdf_grid[{name}]", lambda x: float(cdf_grid(model, [1.0, x])[1]), {INF: 1.0}),
+        (f"imgf_generic.s[{name}]", lambda x: imgf_generic(laplace_image(model), x, 1.0),
+         {}),
+        (f"imgf_generic.zeta[{name}]", lambda x: imgf_generic(laplace_image(model), s, x),
+         {}),
+        (f"quad_imgf.s[{name}]", lambda x: quad_imgf(model, x, 1.0), {}),
+        (f"quad_imgf.zeta.lower[{name}]", lambda x: quad_imgf(model, s, x, "lower"),
+         {INF: mgf(model, s)}),
+        (f"quad_imgf.zeta.upper[{name}]", lambda x: quad_imgf(model, s, x, "upper"),
+         {INF: 0.0}),
+    ]
+
+
+def _field_cases():
+    """Every model field of every kind, the unshadowed m = inf included."""
+    defaults = {"kappa": 1.5, "mu": 2.0, "m": 3.0, "eta": 0.5, "K": 2.0, "q": 0.5}
+    unshadowed = {Kind.KAPPA_MU_SHADOWED: FadingModel.kappa_mu(1.5, 2.0, 2.0),
+                  Kind.RICIAN_SHADOWED: FadingModel.rician(2.0, 2.0)}
+    cases = []
+    for kind in Kind:
+        fields = {name: defaults[name] for name in _REQUIRED_FIELDS[kind]}
+        for name in (*fields, "mean_snr"):
+            def build(x, kind=kind, fields=fields, name=name):
+                return FadingModel(kind, **{"mean_snr": 2.0, **fields, name: x})
+            limits = {}
+            if name == "m" and kind in unshadowed:
+                limits[INF] = mgf(unshadowed[kind], -0.5)
+            cases.append((f"FadingModel.{name}[{kind.value}]",
+                          lambda x, build=build: mgf(build(x), -0.5), limits))
+    cases.append(("model_from_json.mean_snr_db",
+                  lambda x: model_from_json({"kind": "rayleigh", "mean_snr_db": x}), {}))
+    return cases
+
+
+def _scenario_cases():
+    sc = SecrecyScenario(bob=RAY, eve=NAK2)
+    mix = mixture_from_model(NAK2)
+    return [
+        ("SecrecyScenario.rate_rs", lambda x: SecrecyScenario(RAY, NAK2, x), {}),
+        ("mc_opsc.rate_rs", lambda x: mc_opsc(SecrecyScenario(RAY, NAK2, x), MC), {}),
+        ("eps_outage_capacity.epsilon", lambda x: eps_outage_capacity(sc, x), {}),
+        ("outage_interference.gamma_th", lambda x: outage_interference(RAY, NAK2, x), {}),
+        ("check_threshold", _check_threshold, {}),
+        ("outage_core.alpha", lambda x: _outage_core(RAY, mix, x, 1.0), {}),
+        ("CapacityScenario.cutoff_snr", lambda x: CapacityScenario(RAY, x), {}),
+        ("AdaptiveModScheme.first", lambda x: AdaptiveModScheme((x, 5.0), (2, 4)), {}),
+        ("AdaptiveModScheme.last", lambda x: AdaptiveModScheme((0.0, x), (2, 4)), {}),
+        ("mc_aber.threshold",
+         lambda x: mc_aber(RAY, AdaptiveModScheme((1.0, x), (2, 4)), MC), {}),
+    ]
+
+
+def _kernel_cases():
+    img = laplace_image(RAY)
+    mix = mixture_from_model(NAK2)
+    return [
+        ("marcum_q.nu", lambda x: marcum_q(x, 1.0, 1.0), {}),
+        ("marcum_q.a", lambda x: marcum_q(1.5, x, 1.0), {}),
+        ("marcum_q.b", lambda x: marcum_q(1.5, 1.0, x), {}),
+        ("marcum_p.nu", lambda x: marcum_p(x, 1.0, 1.0), {}),
+        ("marcum_p.a", lambda x: marcum_p(1.5, x, 1.0), {}),
+        ("marcum_p.b", lambda x: marcum_p(1.5, 1.0, x), {}),
+        ("imgf_lower_numeric.s", lambda x: imgf_lower_numeric(img, x, 1.0), {}),
+        ("imgf_lower_numeric.zeta", lambda x: imgf_lower_numeric(img, -0.5, x), {}),
+        ("invert.t", lambda x: invert(img, x), {}),
+        ("mixture_cdf", lambda x: mixture_cdf(mix, x), {INF: 1.0}),
+        ("mixture_params.kappa", lambda x: mixture_params(x, 2, 3, 1.0), {}),
+        ("mixture_params.mu", lambda x: mixture_params(1.5, x, 3, 1.0), {}),
+        ("mixture_params.m", lambda x: mixture_params(1.5, 2, x, 1.0), {}),
+        ("mixture_params.mean_snr", lambda x: mixture_params(1.5, 2, 3, x), {}),
+    ]
+
+
+CASES = [c for name, model in MODELS.items() for c in _model_cases(name, model)]
+CASES += _field_cases() + _scenario_cases() + _kernel_cases()
+
+
+@pytest.mark.parametrize("x_id", list(NON_FINITE))
+@pytest.mark.parametrize("case_id, f, limits", CASES, ids=[c[0] for c in CASES])
+def test_non_finite_argument(case_id, f, limits, x_id):
+    x = NON_FINITE[x_id]
+    if x in limits:
+        value = f(x)
+        assert value == pytest.approx(limits[x], rel=1e-10, abs=0.0)
+    else:
+        with pytest.raises((DomainError, AccuracyError)):
+            f(x)
+
+
+class TestPastTheDoubleRange:
+    # Nakagami m = 200 at mean 1: the MGF pole is 200, and the values at
+    # 0.999 of it are past the double range
+    NAK200 = FadingModel.nakagami(200, 1.0)
+
+    @pytest.mark.parametrize("f", [
+        lambda m, s: imgf_lower(m, s, 1e6),
+        lambda m, s: imgf_upper(m, s, 1.0),
+        lambda m, s: imgf_deriv_s(m, s, 1e6, 2, "lower"),
+        lambda m, s: mgf(m, s),
+    ], ids=["imgf_lower", "imgf_upper", "imgf_deriv_s", "mgf"])
+    def test_overflow_is_accuracy_error(self, f):
+        s = 0.999 * smallest_pole(self.NAK200)
+        with pytest.raises(AccuracyError, match="overflows"):
+            f(self.NAK200, s)
+
+    @pytest.mark.parametrize("m, expected", [(1200, 1.7341951), (2000, 1.7348514)])
+    def test_eps_capacity_with_the_mgf_past_the_double_range(self, m, expected):
+        # the Chernoff bracket's M_b at half the pole is past the double range
+        # for m > 1023; the returned rate brackets epsilon
+        sc = SecrecyScenario(bob=FadingModel.nakagami(m, 10.0), eve=FadingModel.rayleigh(1.0))
+        rate = eps_outage_capacity(sc, 0.1)
+        assert rate == pytest.approx(expected, abs=1e-7)
+        assert opsc(SecrecyScenario(sc.bob, sc.eve, rate)) <= 0.1
+        assert opsc(SecrecyScenario(sc.bob, sc.eve, rate * (1.0 + 1e-8))) > 0.1
+
+
+RAY_JSON = json.dumps({"kind": "rayleigh", "mean_snr_db": 5})
+
+
+@pytest.mark.parametrize("argv", [
+    ["imgf", "--model", "rayleigh", "--mean-snr", "inf", "--s", "-0.5", "--zeta", "1"],
+    ["imgf", "--model", "kappa-mu", "--kappa", "inf", "--mu", "1", "--mean-snr", "1",
+     "--s", "-0.5", "--zeta", "1"],
+    ["imgf", "--model", "rayleigh", "--mean-snr", "1", "--s", "-0.5", "--zeta", "nan"],
+    ["opsc", "--bob", RAY_JSON, "--eve", RAY_JSON, "--rate", "nan"],
+    ["opsc", "--bob", '{"kind": "rayleigh", "mean_snr_db": NaN}', "--eve", RAY_JSON,
+     "--rate", "0.1"],
+    ["opsc", "--bob", '{"kind": "rician", "K": Infinity, "mean_snr_db": 3}', "--eve",
+     RAY_JSON, "--rate", "0.1"],
+], ids=["mean-snr-inf", "kappa-inf", "zeta-nan", "rate-nan", "json-NaN", "json-Infinity"])
+def test_cli_non_finite_is_configuration_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err

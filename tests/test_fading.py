@@ -273,6 +273,35 @@ class TestPdfCdf:
         for s in (-2.0, -0.3):
             assert mgf(km, s) == pytest.approx(mgf(approx, s), rel=1e-3)
 
+    @pytest.mark.parametrize("kappa, mu, mean", [(10.0, 2.0, 1.0), (2.0, 2.5, 1.5)])
+    @pytest.mark.parametrize("x", [0.3, 1.0, 4.0, 20.0])
+    def test_large_m_density_against_mpmath(self, kappa, mu, mean, x):
+        # m log m - m log(mu kappa + m) and a - b cancel at m = 1e4; the
+        # 1F1 form of the density at 40 digits
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            k, u, m, g, y = (mp.mpf(v) for v in (kappa, mu, 1.0e4, mean, x))
+            ref = (u ** u * m ** m * (1 + k) ** u / (mp.gamma(u) * g ** u * (u * k + m) ** m)
+                   * y ** (u - 1) * mp.exp(-u * (1 + k) * y / g)
+                   * mp.hyp1f1(m, u, u * u * k * (1 + k) * y / ((u * k + m) * g)))
+            ref = float(ref)
+        model = FadingModel.kappa_mu_shadowed(kappa, mu, 1.0e4, mean)
+        assert pdf(model, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("x", [300.0, 683.0])
+    def test_large_m_density_vanishes_where_1f1_overflows(self, x):
+        # 1F1(1e4; 2; z) passes the double range from x = 284 on, z <= 30
+        assert pdf(FadingModel.kappa_mu_shadowed(10.0, 2.0, 1.0e4, 1.0), x) == 0.0
+
+    def test_large_m_upper_quadrature_matches_closed_form(self):
+        from imgflib.incomplete import imgf_upper
+        from imgflib.oracles import quad_imgf
+
+        model = FadingModel.kappa_mu_shadowed(10.0, 2.0, 1.0e4, 1.0)
+        closed = imgf_upper(model, -1.0, 2.0)
+        assert closed == pytest.approx(2.5333e-4, rel=1e-4)
+        assert quad_imgf(model, -1.0, 2.0, "upper") == pytest.approx(closed, rel=1e-10)
+
 
 class TestSampler:
     def test_deterministic(self):
