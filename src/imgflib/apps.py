@@ -52,6 +52,7 @@ _CUTOFF_RESIDUAL = 1e-10  # solve_cutoff's bound on the power-constraint residua
 _CUTOFF_ITERATIONS = 100  # solve_cutoff's cap on residual evaluations
 _LOG_LOG_4 = math.log(math.log(4.0))  # solve_cutoff's largest step down in log g0
 _OUTAGE_RTOL = 1e-8       # _outage_core's bound on its error, relative to the outage
+_MAX_EXPONENT = 1024      # 2.0 ** x is a finite double for every x below it
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,9 @@ class SecrecyScenario:
     n_eve_antennas: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.rate_rs < math.inf:  # a NaN fails it too
-            raise DomainError(f"secrecy rate must be nonnegative and finite, got "
-                              f"{self.rate_rs}")
+        if not 0 <= self.rate_rs < _MAX_EXPONENT:  # a NaN fails it too
+            raise DomainError(f"secrecy rate must be nonnegative and below 1024 (2^R_S a "
+                              f"finite double), got {self.rate_rs}")
         if self.n_eve_antennas < 1:
             raise DomainError("need at least one eavesdropper antenna")
         # validate eve eagerly so misconfigurations fail at construction
@@ -95,8 +96,9 @@ class AdaptiveModScheme:
         # a NaN fails every comparison, so it fails this check wherever it is
         if not (0 <= th[0] and all(a < b for a, b in zip(th, th[1:])) and th[-1] < math.inf):
             raise DomainError("thresholds must be finite, nonnegative and strictly ascending")
-        if any(b < 1 for b in bits):
-            raise DomainError("bits per region must be positive integers")
+        if not all(1 <= b < _MAX_EXPONENT for b in bits):
+            raise DomainError("bits per region must be integers from 1 to 1023 "
+                              "(2^k a finite double)")
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def _eps_capacity(sc: apps.SecrecyScenario, epsilon: float, normalize: bool) -> 
 
 _MC_FLAGS = (_flag("--validate", type=int, default=None, metavar="N",
                    help="also run Monte Carlo with N samples"),
-             _flag("--seed", type=int, default=20240101))
+             _flag("--seed", type=int, default=oracles.McConfig.seed))
 _EVE_ANTENNAS = _flag("--eve-antennas", "n_eve_antennas", type=int, default=1)
 
 
@@ -172,8 +172,7 @@ _METRICS = {
         "evaluate one IMGF point",
         (_flag("--model", "model", lambda kind: {"kind": kind}, required=True,
                help="fading model kind, e.g. rayleigh, kappa-mu-shadowed"),
-         *(_flag(f"--{name}", f"model.{name}", type=float)
-           for name in ("kappa", "mu", "m", "eta", "K", "q")),
+         *(_flag(f"--{name}", f"model.{name}", type=float) for name in fading._FIELDS),
          _flag("--mean-snr-db", "model.mean_snr_db", type=float),
          _flag("--mean-snr", "model.mean_snr", type=float),
          _flag("--s", "s", type=float, required=True),
@@ -256,9 +255,10 @@ def run_sweep(spec: dict) -> list[dict]:
         if _METRICS[metric].mc is None:
             raise DomainError(f"Monte Carlo validation is not available for metric {metric!r}")
         cfg = oracles.McConfig(
-            n_samples=_config_number(validate.get("n_samples", 1_000_000),
+            n_samples=_config_number(validate.get("n_samples", oracles.McConfig.n_samples),
                                      "validate.n_samples", int),
-            seed=_config_number(validate.get("seed", 20_240_101), "validate.seed", int))
+            seed=_config_number(validate.get("seed", oracles.McConfig.seed),
+                                "validate.seed", int))
     axis = spec["axis"]
     field = axis["field"]
     curve = spec.get("curve", "")
@@ -531,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output path (overrides the spec file)")
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.add_argument("--validate", type=int, default=None, metavar="N")
-    sp.add_argument("--seed", type=int, default=20240101)
+    sp.add_argument("--seed", type=int, default=oracles.McConfig.seed)
 
     sub.add_parser("selfcheck", help="run the invariant battery")
     return p

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -54,23 +55,62 @@ class Kind(str, Enum):
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x_db/10); DomainError where it passes the double range."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{x_db} dB is past the double range") from None
 
 
 def linear_to_db(x: float) -> float:
+    """10 log10(x) of a positive x; DomainError otherwise, NaN too."""
+    if not x > 0:
+        raise DomainError(f"only a positive value has a dB value, got {x}")
     return 10.0 * math.log10(x)
 
 
-_REQUIRED_FIELDS = {
-    Kind.KAPPA_MU_SHADOWED: ("kappa", "mu", "m"),
-    Kind.RICIAN_SHADOWED: ("K", "m"),
-    Kind.KAPPA_MU: ("kappa", "mu"),
-    Kind.ETA_MU: ("eta", "mu"),
-    Kind.RICIAN: ("K",),
-    Kind.NAKAGAMI_M: ("m",),
-    Kind.HOYT: ("q",),
-    Kind.RAYLEIGH: (),
-    Kind.ONE_SIDED_GAUSSIAN: (),
+def _eta_mu(eta, mu):
+    """Canonical (kappa, mu, m) of the format-1 eta-mu law, which is invariant
+    under swapping the in-phase and quadrature powers: eta -> 1/eta."""
+    if eta > 1.0:
+        eta = 1.0 / eta
+    return (1.0 - eta) / (2.0 * eta), 2.0 * mu, mu
+
+
+# each model field: its range check, written so that NaN fails it, given the
+# value and the kind, and the DomainError words for a value that fails it
+_FIELDS = {
+    "kappa": (lambda v, kind: 0 <= v < math.inf, "kappa must be nonnegative and finite"),
+    "mu": (lambda v, kind: 0 < v < math.inf, "mu must be positive and finite"),
+    "m": (lambda v, kind: 0 < v < math.inf or (v == math.inf and kind is not Kind.NAKAGAMI_M),
+          "m must be positive and finite (inf only as the unshadowed limit of a shadowed law)"),
+    "eta": (lambda v, kind: 0 < v < math.inf, "eta must be positive and finite (format 1)"),
+    "K": (lambda v, kind: 0 <= v < math.inf, "K must be nonnegative and finite"),
+    "q": (lambda v, kind: 0 < v <= 1, "Hoyt q must lie in (0, 1]"),
+}
+
+
+def _check_field(name: str, value: float, kind: Kind) -> float:
+    ok, words = _FIELDS[name]
+    if not ok(value, kind):
+        raise DomainError(f"{words}, got {value}")
+    return value
+
+
+# each kind: its fields, and the function of them that gives its canonical
+# kappa-mu shadowed (kappa, mu, m), m = inf marking an unshadowed law (None:
+# the model is its own canonical form)
+_KINDS = {
+    Kind.KAPPA_MU_SHADOWED: (("kappa", "mu", "m"), None),
+    Kind.RICIAN_SHADOWED: (("K", "m"), lambda K, m: (K, 1.0, m)),
+    Kind.KAPPA_MU: (("kappa", "mu"), lambda kappa, mu: (kappa, mu, math.inf)),
+    Kind.ETA_MU: (("eta", "mu"), _eta_mu),
+    Kind.RICIAN: (("K",), lambda K: (K, 1.0, math.inf)),
+    Kind.NAKAGAMI_M: (("m",), lambda m: (0.0, m, math.inf)),
+    # q ** 2 underflows to 0 below q = 2e-162, and the eta check rejects it
+    Kind.HOYT: (("q",), lambda q: _eta_mu(_check_field("eta", q ** 2, Kind.ETA_MU), 0.5)),
+    Kind.RAYLEIGH: ((), lambda: (0.0, 1.0, math.inf)),
+    Kind.ONE_SIDED_GAUSSIAN: ((), lambda: (0.0, 0.5, math.inf)),
 }
 
 
@@ -94,30 +134,17 @@ class FadingModel:
     def __post_init__(self):
         kind = Kind(self.kind)
         object.__setattr__(self, "kind", kind)
-        # every range check below is written so that NaN fails it
-        if not 0 < self.mean_snr < math.inf:
+        if not 0 < self.mean_snr < math.inf:  # a NaN fails it too
             raise DomainError(f"mean_snr must be positive and finite, got {self.mean_snr}")
-        required = _REQUIRED_FIELDS[kind]
+        required = _KINDS[kind][0]
         for name in required:
             if getattr(self, name) is None:
                 raise DomainError(f"{kind.value} model requires parameter {name!r}")
-        for name in ("kappa", "mu", "m", "eta", "K", "q"):
+        for name in _FIELDS:
             if name not in required and getattr(self, name) is not None:
                 raise DomainError(f"parameter {name!r} is not meaningful for {kind.value}")
-        if self.kappa is not None and not 0 <= self.kappa < math.inf:
-            raise DomainError(f"kappa must be nonnegative and finite, got {self.kappa}")
-        if self.K is not None and not 0 <= self.K < math.inf:
-            raise DomainError(f"K must be nonnegative and finite, got {self.K}")
-        if self.mu is not None and not 0 < self.mu < math.inf:
-            raise DomainError(f"mu must be positive and finite, got {self.mu}")
-        if self.m is not None and not (0 < self.m < math.inf or (
-                self.m == math.inf and kind is not Kind.NAKAGAMI_M)):
-            raise DomainError(f"m must be positive and finite (inf only as the unshadowed "
-                              f"limit of a shadowed law), got {self.m}")
-        if self.eta is not None and not 0 < self.eta < math.inf:
-            raise DomainError(f"eta must be positive and finite (format 1), got {self.eta}")
-        if self.q is not None and not 0 < self.q <= 1:
-            raise DomainError(f"Hoyt q must lie in (0, 1], got {self.q}")
+        for name in required:
+            _check_field(name, getattr(self, name), kind)
 
     # convenience constructors -------------------------------------------------
     @classmethod
@@ -161,32 +188,11 @@ def canonicalize(model: FadingModel) -> FadingModel:
     """Equivalent kappa-mu shadowed parameterization (m = inf for unshadowed
     LOS; kappa = 0 for the gamma/Nakagami degeneracies).  Idempotent and
     mean-SNR preserving."""
-    k = model.kind
-    snr = model.mean_snr
-    if k is Kind.KAPPA_MU_SHADOWED:
+    fields, canonical = _KINDS[model.kind]
+    if canonical is None:
         return model
-    if k is Kind.RICIAN_SHADOWED:
-        return FadingModel.kappa_mu_shadowed(model.K, 1.0, model.m, snr)
-    if k is Kind.KAPPA_MU:
-        return FadingModel.kappa_mu_shadowed(model.kappa, model.mu, math.inf, snr)
-    if k is Kind.ETA_MU:
-        eta = model.eta
-        if eta > 1.0:
-            # format-1 law is invariant under swapping in-phase/quadrature powers
-            eta = 1.0 / eta
-        kappa = (1.0 - eta) / (2.0 * eta)
-        return FadingModel.kappa_mu_shadowed(kappa, 2.0 * model.mu, model.mu, snr)
-    if k is Kind.RICIAN:
-        return FadingModel.kappa_mu_shadowed(model.K, 1.0, math.inf, snr)
-    if k is Kind.NAKAGAMI_M:
-        return FadingModel.kappa_mu_shadowed(0.0, model.m, math.inf, snr)
-    if k is Kind.HOYT:
-        return canonicalize(FadingModel.eta_mu(model.q ** 2, 0.5, snr))
-    if k is Kind.RAYLEIGH:
-        return FadingModel.kappa_mu_shadowed(0.0, 1.0, math.inf, snr)
-    if k is Kind.ONE_SIDED_GAUSSIAN:
-        return FadingModel.kappa_mu_shadowed(0.0, 0.5, math.inf, snr)
-    raise DomainError(f"unhandled kind {k}")
+    return FadingModel.kappa_mu_shadowed(*canonical(*(getattr(model, f) for f in fields)),
+                                         model.mean_snr)
 
 
 def mrc_combine(model: FadingModel, n_branches: int) -> FadingModel:
@@ -208,7 +214,8 @@ def mrc_combine(model: FadingModel, n_branches: int) -> FadingModel:
 @functools.lru_cache(maxsize=256)
 def _canonical_params(model: FadingModel):
     """(kappa, mu, m, mean_snr, a, b) of the canonical form, computed once per
-    (frozen, hashable) model."""
+    (frozen, hashable) model; DomainError unless the rates a and b are
+    positive and finite doubles (a subnormal mean SNR makes a infinite)."""
     c = canonicalize(model)
     kappa, mu, m, gbar = c.kappa, c.mu, c.m, c.mean_snr
     a = mu * (1.0 + kappa) / gbar
@@ -216,6 +223,10 @@ def _canonical_params(model: FadingModel):
         b = a  # gamma and unshadowed laws: the pole is the decay rate
     else:
         b = a * m / (mu * kappa + m)
+    if not (0 < a < math.inf and 0 < b < math.inf):  # a NaN fails it too
+        raise DomainError(f"{model.kind.value} model with canonical kappa={kappa}, mu={mu}, "
+                          f"m={m}, mean_snr={gbar} has rates a={a}, b={b}; both must be "
+                          f"positive and finite")
     return kappa, mu, m, gbar, a, b
 
 
@@ -325,12 +336,18 @@ def pdf(model: FadingModel, x: float) -> float:
         # noncentral chi-square in disguise; scaled Bessel keeps the tail exact
         w = 2.0 * math.sqrt(kappa * mu * a * x)
         iv = sp.ive(mu - 1.0, w)
-        if iv > 0.0:
+        if iv >= sys.float_info.min:
             log_f = (math.log(a) - kappa * mu - a * x + w
                      + 0.5 * (mu - 1.0) * math.log(a * x / (kappa * mu))
                      + math.log(float(iv)))
-            return math.exp(log_f)
-        return 0.0
+        else:
+            # ive underflows (order mu - 1 > 0 at a small w): log I_nu(w) is
+            # nu log(w/2) - lgamma(nu+1) - w + log 1F1(nu+1/2; 2nu+1; 2w) (DLMF
+            # 10.39.5), and (a x/(kappa mu))^(nu/2) (w/2)^nu is (a x)^nu
+            log_f = (math.log(a) - kappa * mu - a * x
+                     + (mu - 1.0) * (math.log(a) + math.log(x)) - math.lgamma(mu) - w
+                     + _log_hyp1f1_pos(mu - 0.5, 2.0 * mu - 1.0, 2.0 * w))
+        return math.exp(log_f)
     # m log(m / (mu kappa + m)) and the 1F1 argument (a - b) x, both without
     # the cancellation their plain forms suffer at large m
     log_amp = (mu * math.log(mu) + mu * math.log1p(kappa) - mu * math.log(gbar)
@@ -397,9 +414,6 @@ def sample(model: FadingModel, seed, n: int) -> np.ndarray:
 # JSON boundary
 # ---------------------------------------------------------------------------
 
-_JSON_FIELDS = ("kappa", "mu", "m", "eta", "K", "q")
-
-
 def _config_number(value, field: str, kind: type = float):
     """kind(value) for a configuration field, or DomainError naming the field."""
     try:
@@ -429,10 +443,10 @@ def model_from_json(obj: Mapping) -> FadingModel:
     else:
         raise DomainError("model JSON requires mean_snr_db (or mean_snr)")
     kwargs = {}
-    for name in _JSON_FIELDS:
+    for name in _FIELDS:
         if name in obj and obj[name] is not None:
             kwargs[name] = _config_number(obj[name], name)
-    unknown = set(obj) - {"kind", "mean_snr_db", "mean_snr", *_JSON_FIELDS}
+    unknown = set(obj) - {"kind", "mean_snr_db", "mean_snr", *_FIELDS}
     if unknown:
         raise DomainError(f"unknown model fields: {sorted(unknown)}")
     return FadingModel(kind, snr, **kwargs)
@@ -440,7 +454,7 @@ def model_from_json(obj: Mapping) -> FadingModel:
 
 def model_to_json(model: FadingModel) -> dict:
     out = {"kind": model.kind.value, "mean_snr_db": linear_to_db(model.mean_snr)}
-    for name in _JSON_FIELDS:
+    for name in _FIELDS:
         value = getattr(model, name)
         if value is not None:
             out[name] = value

@@ -1,5 +1,5 @@
-"""Non-finite inputs at every public float argument, and the edges of the
-double range.
+"""Non-finite inputs at every public float argument, finite inputs whose
+derived values leave the double range, and the edges of the double range.
 
 Each case feeds NaN, +inf or -inf to one argument.  It either returns the
 limit the documentation gives (upper IMGF at zeta = inf is 0, lower IMGF at
@@ -14,15 +14,15 @@ import math
 import pytest
 
 from imgflib import (AccuracyError, AdaptiveModScheme, CapacityScenario, DomainError,
-                     FadingModel, Kind, McConfig, SecrecyScenario, cdf, cdf_grid,
-                     eps_outage_capacity, imgf_deriv_s, imgf_generic, imgf_lower,
-                     imgf_lower_numeric, imgf_upper, invert, laplace_image, marcum_p,
-                     marcum_q, mc_aber, mc_opsc, mgf, mixture_cdf, mixture_from_model,
-                     mixture_params, model_from_json, opsc, outage_interference, pdf,
-                     quad_imgf, smallest_pole)
+                     FadingModel, Kind, McConfig, SecrecyScenario, aber_adaptive, cdf,
+                     cdf_grid, db_to_linear, eps_outage_capacity, imgf_deriv_s, imgf_generic,
+                     imgf_lower, imgf_lower_numeric, imgf_upper, invert, laplace_image,
+                     linear_to_db, marcum_p, marcum_q, mc_aber, mc_opsc, mgf, mixture_cdf,
+                     mixture_from_model, mixture_params, model_from_json, opsc,
+                     outage_interference, pdf, quad_imgf, smallest_pole)
 from imgflib.apps import _check_threshold, _outage_core
 from imgflib.cli import EXIT_CONFIG, main
-from imgflib.fading import _REQUIRED_FIELDS
+from imgflib.fading import _KINDS
 
 NAN, INF = math.nan, math.inf
 NON_FINITE = {"nan": NAN, "+inf": INF, "-inf": -INF}
@@ -85,7 +85,7 @@ def _field_cases():
                   Kind.RICIAN_SHADOWED: FadingModel.rician(2.0, 2.0)}
     cases = []
     for kind in Kind:
-        fields = {name: defaults[name] for name in _REQUIRED_FIELDS[kind]}
+        fields = {name: defaults[name] for name in _KINDS[kind][0]}
         for name in (*fields, "mean_snr"):
             def build(x, kind=kind, fields=fields, name=name):
                 return FadingModel(kind, **{"mean_snr": 2.0, **fields, name: x})
@@ -154,6 +154,58 @@ def test_non_finite_argument(case_id, f, limits, x_id):
             f(x)
 
 
+def _finite_extreme_cases():
+    """(id, f) for finite arguments whose derived doubles leave the range:
+    each must raise DomainError."""
+    cases = []
+    for snr in (1e-310, 1e-320, 5e-324):  # a = mu (1 + kappa) / mean is inf
+        model = FadingModel.rayleigh(snr)
+        cases += [(f"imgf_lower[rayleigh({snr})]", lambda m=model: imgf_lower(m, -0.5, 1.0)),
+                  (f"cdf[rayleigh({snr})]", lambda m=model: cdf(m, 1.0)),
+                  (f"mgf[rayleigh({snr})]", lambda m=model: mgf(m, -0.5))]
+    cases += [
+        ("imgf_lower[nakagami(1e300, 1e-10)]",
+         lambda: imgf_lower(FadingModel.nakagami(1e300, 1e-10), -0.5, 1.0)),
+        ("cdf[kappa_mu_shadowed(1e308, 2, 3, 1)]",  # a = inf, b = nan
+         lambda: cdf(FadingModel.kappa_mu_shadowed(1e308, 2, 3, 1), 1.0)),
+        ("mgf[hoyt(1e-200)]",  # q^2 underflows to eta = 0
+         lambda: mgf(FadingModel.hoyt(1e-200, 1.0), -0.5)),
+        ("SecrecyScenario.rate_rs[1024]", lambda: SecrecyScenario(RAY, NAK2, 1024.0)),
+        ("SecrecyScenario.rate_rs[2000]", lambda: SecrecyScenario(RAY, NAK2, 2000.0)),
+        ("AdaptiveModScheme.bits[1024]", lambda: AdaptiveModScheme((0.0,), (1024,))),
+        ("AdaptiveModScheme.bits[2000]", lambda: AdaptiveModScheme((0.0, 1.0), (2, 2000))),
+        ("linear_to_db[0]", lambda: linear_to_db(0.0)),
+        ("linear_to_db[-1]", lambda: linear_to_db(-1.0)),
+        ("linear_to_db[nan]", lambda: linear_to_db(NAN)),
+        ("db_to_linear[1e5]", lambda: db_to_linear(1e5)),
+        ("model_from_json.mean_snr_db[1e5]",
+         lambda: model_from_json({"kind": "rayleigh", "mean_snr_db": 1e5})),
+    ]
+    return cases
+
+
+FINITE_EXTREMES = _finite_extreme_cases()
+
+
+@pytest.mark.parametrize("case_id, f", FINITE_EXTREMES, ids=[c[0] for c in FINITE_EXTREMES])
+def test_finite_extreme_is_domain_error(case_id, f):
+    with pytest.raises(DomainError):
+        f()
+
+
+@pytest.mark.parametrize("f, expected", [
+    (lambda: imgf_lower(FadingModel.rayleigh(1e-308), -0.5, 1.0), 1.0),  # a = 1e308
+    (lambda: cdf(FadingModel.rayleigh(1e-308), 1e-308), 1.0 - math.exp(-1.0)),
+    (lambda: opsc(SecrecyScenario(RAY, NAK2, 1023.0)), 1.0),
+    (lambda: aber_adaptive(RAY, AdaptiveModScheme((0.0,), (1023,))), 0.2),
+    (lambda: db_to_linear(3000.0), 1e300),
+    (lambda: linear_to_db(5e-324), -3233.0621534),
+], ids=["imgf_lower[rayleigh(1e-308)]", "cdf[rayleigh(1e-308)]", "opsc.rate_rs[1023]",
+        "aber_adaptive.bits[1023]", "db_to_linear[3000]", "linear_to_db[5e-324]"])
+def test_finite_extreme_keeps_its_value(f, expected):
+    assert f() == pytest.approx(expected, rel=1e-8)
+
+
 class TestPastTheDoubleRange:
     # Nakagami m = 200 at mean 1: the MGF pole is 200, and the values at
     # 0.999 of it are past the double range
@@ -196,5 +248,16 @@ RAY_JSON = json.dumps({"kind": "rayleigh", "mean_snr_db": 5})
      RAY_JSON, "--rate", "0.1"],
 ], ids=["mean-snr-inf", "kappa-inf", "zeta-nan", "rate-nan", "json-NaN", "json-Infinity"])
 def test_cli_non_finite_is_configuration_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["imgf", "--model", "rayleigh", "--mean-snr", "1e-320", "--s", "-0.5", "--zeta", "1"],
+    ["imgf", "--model", "rayleigh", "--mean-snr-db", "1e5", "--s", "-0.5", "--zeta", "1"],
+    ["opsc", "--bob", RAY_JSON, "--eve", RAY_JSON, "--rate", "2000"],
+    ["aber", "--channel", RAY_JSON, "--thresholds", "0", "--bits", "2000"],
+], ids=["mean-snr-subnormal", "mean-snr-db-1e5", "rate-2000", "bits-2000"])
+def test_cli_finite_extreme_is_configuration_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err

@@ -237,6 +237,21 @@ class TestSweep:
         pooled = run_sweep(json.loads(json.dumps(spec)))
         assert pooled == serial
 
+    def test_monte_carlo_defaults_are_mc_config_defaults(self, monkeypatch):
+        # an empty validate block, and --seed left out of a point command or
+        # a sweep, take McConfig's defaults
+        configs = []
+        monkeypatch.setattr(oracles, "mc_opsc",
+                            lambda sc, cfg: configs.append(cfg) or (0.0, 0.0))
+        spec = json.loads(json.dumps(self.SPEC))
+        spec["validate"] = {}
+        run_sweep(spec)
+        assert set(configs) == {oracles.McConfig()}
+        parser = cli._build_parser()
+        for argv in (["sweep", "--preset", "fig1"],
+                     ["opsc", "--bob", "{}", "--eve", "{}", "--rate", "0.1"]):
+            assert parser.parse_args(argv).seed == oracles.McConfig().seed
+
     @pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5", ""])
     def test_malformed_worker_count_exits_2(self, workers, tmp_path, capsys, monkeypatch):
         spec = json.loads(json.dumps(self.SPEC))

@@ -293,6 +293,41 @@ class TestPdfCdf:
         # 1F1(1e4; 2; z) passes the double range from x = 284 on, z <= 30
         assert pdf(FadingModel.kappa_mu_shadowed(10.0, 2.0, 1.0e4, 1.0), x) == 0.0
 
+    @pytest.mark.parametrize("kappa, mu, x", [(1e-200, 5.0, 1.0), (1e-10, 200.0, 1.0)])
+    def test_unshadowed_density_where_the_scaled_bessel_underflows(self, kappa, mu, x):
+        # ive(mu - 1, w) is 0 at w = 1e-99 and w = 0.004: log I_nu(w) then comes
+        # from 1F1 (DLMF 10.39.5); the density is the gamma limit, not 0
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            k, u, y = (mp.mpf(v) for v in (kappa, mu, x))
+            a = u * (1 + k)
+            ref = float(a * mp.exp(-k * u - a * y) * (a * y / (k * u)) ** ((u - 1) / 2)
+                        * mp.besseli(u - 1, 2 * mp.sqrt(k * u * a * y)))
+        assert pdf(FadingModel.kappa_mu(kappa, mu, 1.0), x) == pytest.approx(
+            ref, rel=1e-13, abs=0.0)
+
+    def test_quadrature_where_the_scaled_bessel_underflows(self):
+        from imgflib.oracles import quad_imgf
+
+        model = FadingModel.kappa_mu(1e-200, 5.0, 1.0)
+        assert cdf(model, 1.0) == pytest.approx(0.559507, rel=1e-6)
+        assert quad_imgf(model, 0.0, 1.0) == pytest.approx(cdf(model, 1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("model, intercept", [
+        (FadingModel.one_sided_gaussian(1.0), math.inf),
+        (FadingModel.kappa_mu(2.0, 0.5, 1.0), math.inf),
+        (FadingModel.kappa_mu_shadowed(2.0, 0.5, 3.0, 1.0), math.inf),
+        (FadingModel.nakagami(2.5, 1.0), 0.0),
+        (FadingModel.kappa_mu(2.0, 2.5, 1.0), 0.0),
+        (FadingModel.kappa_mu_shadowed(2.0, 2.5, 3.0, 1.0), 0.0),
+        # mu = 1: a, a e^-kappa and a (m/(m + kappa))^m
+        (FadingModel.rayleigh(2.0), 0.5),
+        (FadingModel.rician(2.0, 1.0), 3.0 * math.exp(-2.0)),
+        (FadingModel.kappa_mu_shadowed(2.0, 1.0, 3.0, 1.0), 0.648),
+    ])
+    def test_density_at_zero(self, model, intercept):
+        assert pdf(model, 0.0) == pytest.approx(intercept, rel=1e-12)
+
     def test_large_m_upper_quadrature_matches_closed_form(self):
         from imgflib.incomplete import imgf_upper
         from imgflib.oracles import quad_imgf
