@@ -7,13 +7,15 @@ the legitimate link plus a finite, mixture-weighted combination of upper-IMGF
 s-derivatives.  The capacity and its water-filling cutoff are sums of the
 gamma-mixture kernel over the canonical mixture; the adaptive-modulation BER
 combines IMGF increments region by region.  What remains here is
-bracketing and root finding around those sums: Newton's method for the
-cutoff, on a convex residual whose derivative is one of the sums it already
-holds, and Brent's method for the epsilon-outage secrecy capacity on the
-logit of the outage as a function of the rate, with the eavesdropper
-mixture built once per solve and the rate bracketed a priori by a Chernoff
-bound on the legitimate link.  Both solves evaluate each point once; the
-capacity is the largest evaluated rate whose outage is within epsilon.
+bracketing and root finding around those sums, both by Newton's method with
+a derivative from the sums themselves: for the cutoff, on a convex residual
+whose derivative is one of the sums it already holds; for the
+epsilon-outage secrecy capacity, on the outage on a Weibull scale against
+the log threshold, whose rate derivative comes from the same kernel walks
+as the outage, with the eavesdropper mixture built once per solve and the
+rate bracketed a priori by a Chernoff bound on the legitimate link.  Both
+solves evaluate each point once; the capacity is the largest evaluated rate
+whose outage is within epsilon.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError
-from .fading import (FadingModel, _from_log, _gamma_mixture, _log_mgf, mrc_combine, pdf,
-                     smallest_pole)
+from .fading import (FadingModel, _canonical_params, _from_log, _gamma_mixture, _log_mgf,
+                     mrc_combine, pdf, smallest_pole)
 from .fading import mgf  # noqa: F401  unused; perfbench/trace.py hooks apps.mgf
 from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
 from .mixture import GammaMixture, mixture_from_model
@@ -48,11 +50,15 @@ __all__ = [
 ]
 
 _RATE_TOL = 1e-9          # eps_outage_capacity's bound on the undershoot of the crossing
+_RATE_ITERATIONS = 100    # eps_outage_capacity's cap on outage evaluations
+_EPS = float(np.finfo(float).eps)  # the rate tolerance is _RATE_TOL/2 + 4 _EPS R, as brentq's was
 _CUTOFF_RESIDUAL = 1e-10  # solve_cutoff's bound on the power-constraint residual
 _CUTOFF_ITERATIONS = 100  # solve_cutoff's cap on residual evaluations
 _LOG_LOG_4 = math.log(math.log(4.0))  # solve_cutoff's largest step down in log g0
 _OUTAGE_RTOL = 1e-8       # _outage_core's bound on its error, relative to the outage
 _MAX_EXPONENT = 1024      # 2.0 ** x is a finite double for every x below it
+_LOG_FLOAT_MAX = 709.78   # math.exp(x) is a finite double for every x below it
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,8 @@ class SecrecyScenario:
                               f"finite double), got {self.rate_rs}")
         if self.n_eve_antennas < 1:
             raise DomainError("need at least one eavesdropper antenna")
-        # validate eve eagerly so misconfigurations fail at construction
+        # validate both links eagerly so misconfigurations fail at construction
+        _canonical_params(self.bob)
         mixture_from_model(mrc_combine(self.eve, self.n_eve_antennas))
 
 
@@ -130,7 +137,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
-                 scale: float) -> float:
+                 scale: float, slope: list | None = None) -> float:
     """Pr{gamma_b <= alpha + scale * gamma_e} for a mixture-form eavesdropper.
 
     Expanding the eavesdropper CDF termwise turns the probability into
@@ -151,9 +158,22 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     bounds the error: each integral is within _MIXTURE_TOL relative, so
     AccuracyError is raised when M _MIXTURE_TOL exceeds _OUTAGE_RTOL of the
     result.
+
+    Given a list as slope, the derivative in the rate of the secrecy outage
+    (alpha = 2^R - 1, scale = 2^R) is appended to it:
+
+      dO/dR = ln 2 int_alpha^inf (x + 1) f_e((x - alpha)/scale)/scale f_b(x) dx
+            = ln 2 sum_i C_i sum_{k<=m_i} (beta_i a_k + k a_(k-1)) beta_i^k/k! T_k,
+
+    a_d = (-alpha beta_i)^(m_i-1-d) / (m_i-1-d)! for 0 <= d < m_i and 0
+    otherwise (for a Rayleigh eavesdropper, ln 2 beta (T_0 + T_1)).  It
+    takes each T_k one order higher, up to m_i, and the orders come in pairs
+    from one kernel walk each.  The slope is inf where a top-order term
+    overflows; it has no cancellation guard of its own.
     """
     _check_threshold(alpha)
     total = magnitude = imgf_lower(bob, 0.0, alpha)
+    rise = 0.0  # dO/dR / ln 2
     cache: dict[tuple[float, int], float] = {}  # log T_k
     for (c_i, omega_i, m_i) in eve_mixture.terms:
         if c_i == 0.0 or m_i <= 0:
@@ -163,29 +183,45 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
         # W_k via the partial exponential sums of exp(-alpha*beta), and the
         # same sums of |terms|
         term = 1.0
+        powers = [1.0]  # (-alpha beta)^d / d!
         partial = [1.0]
         partial_abs = [1.0]
         for d in range(1, m_i):
             term *= -ab / d
+            powers.append(term)
             partial.append(partial[-1] + term)
             partial_abs.append(partial_abs[-1] + abs(term))
         log_beta = math.log(beta)
         log_bk = 0.0  # log(beta^k / k!)
-        contrib = contrib_abs = 0.0
+        contrib = contrib_abs = contrib_rise = 0.0
         for k in range(m_i):
-            key = (beta, k)
-            if key not in cache:
-                cache[key] = _deriv_log_scaled(bob, -beta, alpha, k)
-            t_k = _from_log(log_bk + cache[key], "outage term of order {} overflows at "
-                            "beta = {!r}, alpha = {!r}", k, beta, alpha)  # beta^k / k! T_k
+            if (beta, k) not in cache:
+                if slope is None:
+                    cache[beta, k] = _deriv_log_scaled(bob, -beta, alpha, k)
+                else:
+                    cache[beta, k], cache[beta, k + 1] = _deriv_log_scaled(bob, -beta, alpha, k,
+                                                                           pair=True)
+            t_k = _from_log(log_bk + cache[beta, k], "outage term of order {} overflows "
+                            "at beta = {!r}, alpha = {!r}", k, beta, alpha)  # beta^k / k! T_k
             contrib += partial[m_i - 1 - k] * t_k
             contrib_abs += partial_abs[m_i - 1 - k] * t_k
+            if slope is not None:  # (beta a_k + k a_(k-1)) t_k, a_d = powers[m_i - 1 - d]
+                rise_k = beta * powers[m_i - 1 - k]
+                contrib_rise += (rise_k + k * powers[m_i - k] if k else rise_k) * t_k
             log_bk += log_beta - math.log(k + 1.0)
+        if slope is not None:  # the top order m_i, whose coefficient is m_i a_(m_i - 1) = m_i
+            if (beta, m_i) not in cache:
+                cache[beta, m_i] = _deriv_log_scaled(bob, -beta, alpha, m_i)
+            log_t = log_bk + cache[beta, m_i]
+            contrib_rise += m_i * (math.exp(log_t) if log_t < _LOG_FLOAT_MAX else math.inf)
         total += c_i * contrib
         magnitude += abs(c_i) * contrib_abs
+        rise += c_i * contrib_rise
     if magnitude * _MIXTURE_TOL > _OUTAGE_RTOL * total:
         raise AccuracyError(f"outage sum cancels: magnitude {magnitude:.3e} against "
                             f"result {total:.3e}")
+    if slope is not None:
+        slope.append(_LN2 * rise)
     return _clamp_probability(total, "outage probability")
 
 
@@ -217,50 +253,91 @@ def _chernoff_threshold(bob: FadingModel, epsilon: float) -> float:
 def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
-    Brent's method on g(R) = logit O(R) - logit epsilon, the outage
-    O(R) = Pr{C_S <= R} seen on the log-odds scale, where its CDF shape
-    flattens towards a line.  g carries the sign of O(R) - epsilon at every
-    rate, with O = epsilon counted as below: a logit difference that rounds
-    to 0 or to the wrong sign becomes the smallest subnormal of that sign,
-    and O = 0 or 1 becomes -inf or +inf.  The bracket is known before the
-    solve: C_S <= log2(1 + gamma_b), so the outage at R_hi = log2(1 + t) is
-    at least F_b(t) >= (1 + epsilon) / 2 > epsilon for the Chernoff
-    threshold t of the legitimate link.  The eavesdropper mixture is built
-    once and each rate is evaluated once.  Brent's final bracket holds an
-    evaluated rate on each side of the crossing within
-    _RATE_TOL / 2 + 8.9e-16 R of each other; the largest evaluated rate whose
-    outage is within epsilon is returned, so the result never overshoots
-    the crossing.  Returns 0 when even a zero rate violates the epsilon
-    budget.
+    Safeguarded Newton steps on z = log(-log(1 - O)) against u = log(2^R - 1),
+    the outage O(R) = Pr{C_S <= R} on a Weibull scale: z is linear in u for
+    a Weibull law of 2^R - 1, and close to linear for the outage.  The slope
+    dO/dR comes from the kernel walks that give O (_outage_core), and
+    dz/du = dO/dR (2^R - 1) / (2^R ln 2 (1 - O) (-log(1 - O))).  Once two
+    slopes are known, their difference quotient, the curvature of z, adds a
+    second-order (Halley) correction to each step.
+
+    The bracket is known before the solve: C_S <= log2(1 + gamma_b), so the
+    outage at R_hi = log2(1 + t) is at least F_b(t) >= (1 + epsilon) / 2 >
+    epsilon for the Chernoff threshold t of the legitimate link.  The first
+    iterate is 0.6 R_hi; R_hi itself is evaluated only if the bracket closes
+    on it.  A step that would leave the bracket [largest rate with
+    O <= epsilon, smallest rate with O > epsilon], or that has no positive
+    finite slope (O = 0 or 1 included), is replaced by a bisection step.
+    After a step below 1e-3 R the next rate is evaluated without its slope,
+    and the step from it takes the last slope, moved along by the curvature.
+    A step below half the tolerance becomes a step of 0.9 tolerance across
+    the crossing, which certifies it.
+
+    The eavesdropper mixture is built once and each rate is evaluated once.
+    The solve ends with an evaluated rate on each side of the crossing
+    within _RATE_TOL / 2 + 8.9e-16 R of each other; the largest evaluated
+    rate whose outage is within epsilon is returned, so the result never
+    overshoots the crossing.  Returns 0 when even a zero rate violates the
+    epsilon budget; AccuracyError when the outage at R_hi stays within
+    epsilon, or after _RATE_ITERATIONS evaluations.
     """
     _check_epsilon(epsilon)
     bob = scenario.bob
     mix = mixture_from_model(mrc_combine(scenario.eve, scenario.n_eve_antennas))
-    logit_eps = math.log(epsilon) - math.log1p(-epsilon)
-    outage: dict[float, float] = {}  # every evaluated rate and its outage
+    z_eps = math.log(-math.log1p(-epsilon))
 
-    def g(rate: float) -> float:
-        if rate not in outage:
-            scale = 2.0 ** rate
-            outage[rate] = _outage_core(bob, mix, scale - 1.0, scale)
-        o = outage[rate]
-        sign = 1.0 if o > epsilon else -1.0
-        if o == 0.0 or o == 1.0:
-            return sign * math.inf
-        t = math.log(o) - math.log1p(-o) - logit_eps
-        return t if t * sign > 0.0 else sign * 5e-324
+    def width(rate: float) -> float:  # the bracket width the solve ends at
+        return 0.5 * _RATE_TOL + 4.0 * _EPS * rate
 
-    if g(0.0) > 0.0:
+    if _outage_core(bob, mix, 0.0, 1.0) > epsilon:
         return 0.0
-    hi = math.log2(1.0 + _chernoff_threshold(bob, epsilon))
-    if not g(hi) > 0.0:
-        raise AccuracyError(f"secrecy outage stays within epsilon at the Chernoff "
-                            f"bracket end R = {hi}")
-    try:
-        optimize.brentq(g, 0.0, hi, xtol=0.5 * _RATE_TOL, rtol=4.0 * np.finfo(float).eps)
-    except RuntimeError as exc:  # no convergence within brentq's iteration cap
-        raise AccuracyError(f"epsilon-outage root search failed: {exc}") from exc
-    return max(rate for rate, o in outage.items() if o <= epsilon)
+    r_hi = math.log2(1.0 + _chernoff_threshold(bob, epsilon))
+    lo, hi, hi_evaluated = 0.0, r_hi, False
+    rate, with_slope = 0.6 * r_hi, True
+    u_g = g = curv = math.nan  # the last slope dz/du, where it was taken, and dz2/du2
+    for _ in range(_RATE_ITERATIONS):
+        scale = 2.0 ** rate
+        if with_slope:
+            slope: list = []
+            o = _outage_core(bob, mix, scale - 1.0, scale, slope)
+        else:
+            o = _outage_core(bob, mix, scale - 1.0, scale)
+        if o > epsilon:
+            hi, hi_evaluated = rate, True
+        elif rate == r_hi:
+            raise AccuracyError(f"secrecy outage stays within epsilon at the Chernoff "
+                                f"bracket end R = {r_hi}")
+        else:
+            lo = rate
+        if hi - lo <= width(lo):
+            if hi_evaluated:
+                return lo
+            rate, with_slope = r_hi, False
+            continue
+        alpha = math.expm1(rate * _LN2)  # 2^R - 1, also where 2^R rounds to 1
+        u = math.log(alpha)
+        z = math.log(-math.log1p(-o)) - z_eps if 0.0 < o < 1.0 else math.nan
+        if with_slope:
+            g_new = (slope[0] * alpha / (scale * _LN2)
+                     / ((1.0 - o) * -math.log1p(-o))) if slope and 0.0 < o < 1.0 else math.nan
+            curv = (g_new - g) / (u - u_g)
+            u_g, g = u, g_new
+        g_here = g + curv * (u - u_g) if math.isfinite(curv) else g
+        if math.isfinite(z) and 0.0 < g_here < math.inf:
+            du = -z / g_here
+            if abs(curv * du) < g_here:  # the curvature's correction, where it is moderate
+                du = -z / (g_here + 0.5 * curv * du)
+            u += du  # the rate log2(1 + e^u), without overflow
+            step = (u + math.log1p(math.exp(-u)) if u > 0.0 else math.log1p(math.exp(u))) / _LN2
+            step -= rate
+            if abs(step) < 0.5 * width(rate):  # close enough: step across the crossing
+                step = 0.9 * width(rate) * (-1.0 if o > epsilon else 1.0)
+            with_slope = abs(step) >= 1e-3 * rate
+            rate += step
+        if not lo < rate < hi:  # no Newton step, or one that leaves the bracket
+            rate, with_slope = 0.5 * (lo + hi), True
+    raise AccuracyError(f"epsilon-outage root search did not converge in {_RATE_ITERATIONS} "
+                        f"evaluations (bracket [{lo}, {hi}])")
 
 
 def outage_interference(desired: FadingModel, interference: FadingModel,

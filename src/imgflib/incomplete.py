@@ -52,10 +52,12 @@ MAX_DERIV_ORDER = 12
 _OVERFLOW = "IMGF overflows at s={}, zeta={}"
 
 
-def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
+def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool,
+              pair: bool = False):
     """log of the k-th s-derivative of the upper (or lower) IMGF at finite zeta
     (> 0 for the lower tail): the module docstring's series times (c-s)^-k;
-    -inf when it underflows.  The upper series converges for s below the MGF
+    -inf when it underflows.  With pair=True the logs at orders k and k+1,
+    from one kernel walk.  The upper series converges for s below the MGF
     pole b, the lower one at rate a for every s below the LOS-free decay
     rate a >= b; outside (s = -inf too), DomainError.  A lower tail at
     b <= s < a, where the finite form at rate b diverges, takes rate a."""
@@ -67,9 +69,11 @@ def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool) ->
     lam, shape, mu, rate = _gamma_mixture(model)
     if not s < rate:
         lam, shape, rate = kappa * mu, m, a
-    return (_log_mixture_sum(lam, shape, mu, k, -math.log1p(-s / rate), (rate - s) * zeta,
-                             upper)
-            - k * math.log(rate - s))
+    log_r, x, log_c = -math.log1p(-s / rate), (rate - s) * zeta, math.log(rate - s)
+    if pair:
+        log_k, log_k1 = _log_mixture_sum(lam, shape, mu, k, log_r, x, upper, pair=True)
+        return log_k - k * log_c, log_k1 - (k + 1) * log_c
+    return _log_mixture_sum(lam, shape, mu, k, log_r, x, upper) - k * log_c
 
 
 def _log_tail(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
@@ -145,12 +149,19 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
     return _from_log(_log_tail(model, s, zeta, k, tail == "upper"), _OVERFLOW, s, zeta)
 
 
-def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int) -> float:
+def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int,
+                      pair: bool = False):
     """log of int_zeta^inf x^k exp(s (x - zeta)) f(x) dx  (upper tail at a
     finite zeta, prescaled by exp(-s*zeta)); overflow-free building block
     for weighted sums with exp(+s*zeta)-sized outer factors.  At zeta = 0
-    and k = 0 it is the whole MGF, in closed form, as imgf_upper takes it."""
-    return -s * zeta + _log_tail(model, s, zeta, k, True)
+    and k = 0 it is the whole MGF, in closed form, as imgf_upper takes it.
+    With pair=True the logs at orders k and k+1, from one kernel walk at a
+    positive finite zeta (from two calls at the endpoints)."""
+    if not pair:
+        return -s * zeta + _log_tail(model, s, zeta, k, True)
+    if not 0.0 < zeta < math.inf:
+        return tuple(_deriv_log_scaled(model, s, zeta, j) for j in (k, k + 1))
+    return tuple(-s * zeta + v for v in _log_imgf(model, s, zeta, k, True, pair=True))
 
 
 def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
-from .fading import FadingModel, canonicalize
+from .fading import FadingModel, _canonical_params, canonicalize
 
 __all__ = ["GammaMixture", "mixture_params", "mixture_from_model", "mixture_cdf"]
 
@@ -121,7 +121,10 @@ def mixture_params(kappa: float, mu: int, m: int, mean_snr: float) -> GammaMixtu
 def mixture_from_model(model: FadingModel) -> GammaMixture:
     """Mixture for a model whose canonical form has integer (mu, m), or is a
     gamma law (kappa = 0, integer mu; m then irrelevant).  Built once per
-    (frozen, hashable) model; the mixture is immutable, so sharing it is safe."""
+    (frozen, hashable) model; the mixture is immutable, so sharing it is safe.
+    DomainError also where the law's rates are not positive finite doubles
+    (fading._canonical_params), as for a subnormal mean SNR."""
+    _canonical_params(model)
     c = canonicalize(model)
     if c.kappa == 0.0:
         if c.mu != int(c.mu):

@@ -34,6 +34,7 @@ _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relative
 _HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
+_MIN_SHAPE = float(np.finfo(float).eps) / _MIXTURE_TOL  # the kernel's least negative binomial m
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +261,25 @@ def _q_one_order(x: float) -> float:
     return a
 
 
+def _remaining(edge, ratio, ref, total):
+    """Terms to add past an edge term exp(edge), whose followers fall at most
+    by ratio each, before their geometric tail bound is below _MIXTURE_TOL of
+    the sum exp(ref) total (<= 0: none; nan: the edge is not yet past the
+    peak)."""
+    bound = np.exp(edge - ref) * ratio
+    return np.log(_MIXTURE_TOL * total * (1.0 - ratio) / bound) / np.log(ratio)
+
+
+def _larger(need, need2):
+    """The larger of two _remaining counts; a nan from either wins."""
+    return need if need >= need2 else need2 if need2 >= need else math.nan
+
+
 def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
-                     upper: bool, survival: bool = False):
-    """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P.
+                     upper: bool, survival: bool = False, pair: bool = False):
+    """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P;
+    with pair=True (a float x, no survival weights) the logs at orders k and
+    k+1 as a tuple, from one plan and one walk.
 
     The weights w_n are negative binomial with mean lam and shape m, Poisson
     when m = inf, binomial with N = -m trials and mean lam when m < 0 (the
@@ -313,6 +330,19 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     out keeps the accuracy of its first term.  A block whose terms outgrow
     the double range of its seed, or whose R/R_0 does in the NumPy pass, is
     split in two.
+
+    The pair mode walks order k and carries the order-(k+1) sum beside it.
+    The order-(k+1) term at n is the order-k term at n times (mu+n+k) and
+    R's ratio R(a+1)/R(a), a = mu+n+k, which the walk forms anyway; equally,
+    it is the order-k term at n+1 times (mu+n)/u, u the weight ratio of that
+    step before its Pochhammer factor (shift, used at the window's edges and
+    in the NumPy pass).  So each walk form adds one multiply-add per term,
+    and the single-order walk is left as it is.  The window [lo, hi) of
+    order k holds the order-(k+1) terms at [lo-1, hi-1), down to n = 0.
+    Each sum keeps its own reference and tail bounds, the order-(k+1) ones
+    at those shifted edges, and takes its own closed-form rest (log_rest at
+    k+1).  Binomial weights add the order-(k+1) term at n = N, one step past
+    the walk, on their own.
     """
     # a float x runs on Python floats, far cheaper than 1-element arrays;
     # every, largest, minimum, maximum and isfinite act on either
@@ -325,6 +355,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     if not upper and mu + k <= 0.0:
         raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
     if lam == 0.0:  # a unit mass at n = 0: the sum is its first term
+        if pair:
+            return tuple(_log_mixture_sum(lam, m, mu, j, log_r, x, upper) for j in (k, k + 1))
         if survival:
             return np.full(shape, -np.inf) if shape else -math.inf
         if not shape:  # on scalars, unless R underflows or E1 needs its fraction
@@ -347,6 +379,11 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     theta = 0.0 if poisson else lam / (lam + m)
     r = math.exp(log_r)
     q = r * theta
+    if not (poisson or binomial) and m < _MIN_SHAPE:
+        # the walk forms w_1/w_0 = theta m as rw1 + rw01, to eps/m relative
+        raise AccuracyError(f"negative binomial weights of shape m = {m} below "
+                            f"{_MIN_SHAPE:.1e}: their ratios lose digits past the "
+                            f"kernel's {_MIXTURE_TOL:g}")
     # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)],
     # for binomial weights n * slope + const + log C(N, n)
     log_1m_theta = 0.0 if poisson else math.log(m / (lam + m))
@@ -391,16 +428,24 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     rw1, rw01 = float(r * w1), float(r * (w0 - w1))
     mu1, mk, mk1 = float(mu - 1.0), float(mu + k), float(mu + k - 1.0)
 
+    if pair:
+        def shift(n: int) -> float:
+            """The order-(k+1) term at n-1 over the order-k term at n,
+            (mu+n-1)/(rw1 + rw01/n); 0 at n = 0, below the first term."""
+            return (n + mu1) / (rw1 + rw01 / n) if n else 0.0
+
     def walk(lo: int, hi: int):
         """The terms n in [lo, hi): log of their sum, of the first and of the
         last one, and R's ratio one step past the end the walk stops at,
-        R(a+1)/R(a) above hi-1 (upper) or R(a-1)/R(a) below lo (lower)."""
+        R(a+1)/R(a) above hi-1 (upper) or R(a-1)/R(a) below lo (lower), and
+        the log of the order-(k+1) sum over n in [max(lo, 1) - 1, hi - 1) in
+        the pair mode (else None)."""
         if first_below and lo == 0:
             head = log_head(xs) if shape else float(log_head(xs)[0])
             if hi == 1:
-                return head, head, head, math.nan
-            log_sum, _, last, ratio = walk(1, hi)
-            return np.logaddexp(head, log_sum), head, last, ratio
+                return head, head, head, math.nan, -math.inf if pair else None
+            log_sum, _, last, ratio, log_sum2 = walk(1, hi)
+            return np.logaddexp(head, log_sum), head, last, ratio, log_sum2
         seed = lo if upper else hi - 1
         log_rg, d_r = _log_reg_gamma_seed(mu + seed + k, xs, upper)
         if survival:  # S(j) r^(mu+j) / (S(j-1) r^(mu+j-1)) at index j - lo - 1
@@ -410,7 +455,36 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                     + (_log_gamma_ratio(mu + seed, k) if k else 0.0) + log_rg)
         term = total = 1.0
         if not (shape or survival) and hi - lo > _LONG_WALK:
-            term, total, rise = long_walk(lo, hi, d_r)
+            term, total, rise, total2 = long_walk(lo, hi, d_r)
+        elif pair:  # the order-(k+1) term at n = j-1 is (j + mk1) times
+            if upper:  # the order-k term there times R's rise to j
+                total2 = shift(lo)
+                for j in range(lo + 1, hi):
+                    u = rw1 + rw01 / j
+                    if k:
+                        u = u * (1.0 + k / (j + mu1))
+                    rise = 1.0 + d_r
+                    term = term * rise
+                    total2 = total2 + term * (j + mk1)
+                    term = term * u
+                    d_r = d_r * xs * (1.0 / (j + mk)) / rise
+                    total = total + term
+                rise = 1.0 + d_r
+            else:  # the order-k term at j over u
+                total2 = 0.0
+                for j in range(hi - 1, lo, -1):
+                    u = rw1 + rw01 / j
+                    if k:
+                        u = u * (1.0 + k / (j + mu1))
+                    rise = 1.0 + d_r
+                    a = j + mk1  # the order of R at n = j-1
+                    term = term * (1.0 / u)
+                    total2 = total2 + term * a
+                    term = term * rise
+                    d_r = d_r * inv_x * a / rise
+                    total = total + term
+                rise = 1.0 + d_r
+                total2 = total2 + term * shift(lo)
         elif upper:
             for j in range(lo + 1, hi):
                 u = ratios[j - lo - 1] if survival else rw1 + rw01 / j
@@ -431,22 +505,28 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                 d_r = d_r * inv_x * (j + mk1) / rise
                 total = total + term
             rise = 1.0 + d_r
-        if not every(isfinite(total)):  # the terms outgrew the double range
+        if not every(isfinite(total)) or pair and not math.isfinite(total2):
+            # the terms outgrew the double range
             mid = (lo + hi) // 2
             first, second = walk(lo, mid), walk(mid, hi)
             return (np.logaddexp(first[0], second[0]), first[1], second[2],
-                    (second if upper else first)[3])
+                    (second if upper else first)[3],
+                    np.logaddexp(first[4], second[4]) if pair else None)
         log_end = log_seed + np.log(term)
         log_sum = log_seed + np.log(total)
+        log_sum2 = log_seed + np.log(total2) if pair else None
         if upper:
-            return log_sum, log_seed, log_end, rise
-        return log_sum, log_end, log_seed, rise
+            return log_sum, log_seed, log_end, rise, log_sum2
+        return log_sum, log_end, log_seed, rise, log_sum2
 
     def long_walk(lo: int, hi: int, d_r: float):
-        """walk's last term, sum (both relative to the seed term) and final R
-        ratio for a float x, by cumulative products and sums over [lo, hi)."""
+        """walk's last term, sum (both relative to the seed term), final R
+        ratio and, in the pair mode, order-(k+1) sum (else None) for a float
+        x, by cumulative products and sums over [lo, hi)."""
         j = np.arange(lo + 1.0, hi)
         u = rw1 + rw01 / j
+        if pair:  # shift(n) at n = lo .. hi-1
+            shifts = np.concatenate(([shift(lo)], (j + mu1) / u))
         if k:
             u *= 1.0 + k / (j + mu1)
         grow = np.empty(hi - lo + 1)
@@ -463,24 +543,28 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         terms = np.cumprod(u * rise[:-1])
         # an R ratio past the double range (inf or nan) splits the block
         total = 1.0 + terms.sum() if rise[-1] < math.inf else math.inf
-        return terms[-1], total, rise[-1]
+        total2 = None
+        if pair:  # the terms walked up end at hi-1, those walked down at lo
+            total2 = (shifts[0] + terms @ shifts[1:] if upper
+                      else shifts[-1] + terms @ shifts[-2::-1])
+        return terms[-1], total, rise[-1], total2
 
-    def log_rest(start: int) -> float:
-        """log sum_{n >= start} w_n r^(mu+n) (mu+n)_k, the upper sum where
-        every Q is 1.  (mu+n)_k = sum_i C(k,i) (mu+i)_(k-i) n!/(n-i)!, and each
+    def log_rest(start: int, order: int = k) -> float:
+        """log sum_{n >= start} w_n r^(mu+n) (mu+n)_order, the upper sum where
+        every Q is 1.  (mu+n)_o = sum_i C(o,i) (mu+i)_(o-i) n!/(n-i)!, and each
         falling-factorial moment of the weights' tail is a tail mass of the
         same family: Poisson with mean lam r, negative binomial with shape m+i
         and ratio q.  The tail from an order start - i <= 0 on is the whole
         mass, whose log is 0."""
-        i = np.arange(k + 1.0)
-        log_c = (math.lgamma(k + 1.0) - sp.gammaln(i + 1.0) - sp.gammaln(k - i + 1.0)
-                 + math.lgamma(mu + k) - sp.gammaln(mu + i))
-        order = np.maximum(start - i, 1.0)  # any positive order where masked below
+        i = np.arange(order + 1.0)
+        log_c = (math.lgamma(order + 1.0) - sp.gammaln(i + 1.0)
+                 - sp.gammaln(order - i + 1.0) + math.lgamma(mu + order) - sp.gammaln(mu + i))
+        tail_order = np.maximum(start - i, 1.0)  # any positive order where masked below
         if poisson:
-            log_tail = _log_reg_gamma(order, lam * r, False)
+            log_tail = _log_reg_gamma(tail_order, lam * r, False)
             log_mom = lam * math.expm1(log_r) + i * slope
         else:  # 1 - q = (m - lam (r-1)) / (lam + m) keeps its digits as q -> 1
-            log_tail = _log_betainc(order, m + i, q)
+            log_tail = _log_betainc(tail_order, m + i, q)
             log_1mq = math.log((m - lam * math.expm1(log_r)) / (lam + m))
             log_mom = (m * (log_1m_theta - log_1mq) + sp.gammaln(m + i)
                        - math.lgamma(m) + i * (slope - log_1mq))
@@ -489,20 +573,20 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         top = log_parts.max()
         return mu * log_r + float(top + np.log(np.exp(log_parts - top).sum()))
 
-    def forward_ratio(top: int, rg):
-        """Bound on the term ratio t(n+1)/t(n) for every n >= top; rg is
-        Q(a+1)/Q(a) at n = top (upper tail)."""
+    def forward_ratio(top: int, rg, order: int = k):
+        """Bound on the term ratio t(n+1)/t(n) for every n >= top at the
+        order; rg is Q(a+1)/Q(a) at n = top (upper tail)."""
         # w(n+1)/w(n) for n >= t, and S(n+1)/S(n) <= max_{j>n} w(j+1)/w(j);
         # 1/(mu+n-1) falls, its ratio stays below 1
         t = top + 1 if survival else top
         w = lam / (t + 1.0) if poisson else theta * max(1.0, (m + t) / (t + 1.0))
         if not upper:
-            rg = minimum(1.0, xs / (mu + top + k + 1.0))
-        return w * r * (mu + top + k) / (mu + top) * rg if k >= 0 else w * r * rg
+            rg = minimum(1.0, xs / (mu + top + order + 1.0))
+        return w * r * (mu + top + order) / (mu + top) * rg if order >= 0 else w * r * rg
 
-    def backward_ratio(low: int, rg):
-        """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low; rg is
-        P(a-1)/P(a) at n = low (lower tail)."""
+    def backward_ratio(low: int, rg, order: int = k):
+        """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low at the
+        order; rg is P(a-1)/P(a) at n = low (lower tail)."""
         if survival:  # S(n-1)/S(n) = 1 + w(n)/S(n) <= 1 + w(n)/w(n+1)
             w = 1.0 + ((low + 1.0) / lam if poisson
                        else (low + 1.0) / (theta * (m + low)) if m >= 1.0
@@ -510,17 +594,27 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         else:
             w = (low / lam if poisson else low / (theta * (m + low - 1.0)) if m >= 1.0
                  else 1.0 / (theta * m))
-        if upper and k < 0:  # Gamma(b-1, x) <= Gamma(b, x) / x at every real order b
+        if upper and order < 0:  # Gamma(b-1, x) <= Gamma(b, x) / x at every real order b
             return w / r * (mu + low - 1.0) * inv_x
         if upper:
-            rg = minimum(1.0, (mu + low + k - 1.0) * inv_x)
-        return w / r * (mu + low - 1.0) / (mu + low + k - 1.0) * rg
+            rg = minimum(1.0, (mu + low + order - 1.0) * inv_x)
+        return w / r * (mu + low - 1.0) / (mu + low + order - 1.0) * rg
 
     with np.errstate(all="ignore"):
         inv_x = 1.0 / xs if shape or xs else math.inf
         if binomial:
-            out = walk(0, int(-m) + (0 if survival else 1))[0]
-            return out.reshape(shape) if shape else float(out)
+            trials = int(-m)
+            log_sum, _, last, rise, log_sum2 = walk(0, trials + (0 if survival else 1))
+            if not pair:
+                return log_sum.reshape(shape) if shape else float(log_sum)
+            # the order-(k+1) term at n = N: the order-k term there times
+            # (mu+N+k) R(a+1)/R(a) (upper), or from its own R
+            if upper and mu + trials + k > 0.0:
+                log_top = last + math.log((mu + trials + k) * rise)
+            else:
+                log_top = (log_weight(trials) + _log_gamma_ratio(mu + trials, k + 1)
+                           + _log_reg_gamma_seed(mu + trials + k + 1.0, xs, upper)[0])
+            return float(log_sum), float(np.logaddexp(log_sum2, log_top))
         # the peak of the median column (Q pulls it from the weights' peak up
         # to about x, P down), refined on grids around their maximum (the terms
         # are log-concave in n) unless one block from n = 0 covers it
@@ -552,15 +646,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                     lo, hi = grid[max(i - 1, 0)], grid[i + 1]
 
         lo, hi = max(0, center - block), center + block
-        ref, first, last, ratio = walk(lo, hi)
-        total = 1.0
-
-        def remaining(edge, ratio):
-            """Terms to add before the tail bound at the edge falls below
-            _MIXTURE_TOL of the sum (<= 0: none; nan: the edge is not yet past
-            the peak)."""
-            bound = np.exp(edge - ref) * ratio
-            return np.log(_MIXTURE_TOL * total * (1.0 - ratio) / bound) / np.log(ratio)
+        ref, first, last, ratio, ref2 = walk(lo, hi)
+        total = total2 = 1.0  # the sums relative to exp(ref) and, in the pair mode, exp(ref2)
 
         def grow(size: int, need) -> int:
             """The next block: doubled, or what the bound asks for if fewer."""
@@ -571,34 +658,58 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                     f"(lam={lam}, m={m}, mu={mu}, k={k}, x={xmax})")
             return size
 
-        def add(log_part):
-            nonlocal ref, total
+        def add(log_part, log_part2):
+            nonlocal ref, total, ref2, total2
             new = maximum(ref, log_part)
             total = total * np.exp(ref - new) + np.exp(log_part - new)
             ref = new
+            if pair:
+                new = max(ref2, log_part2)
+                total2 = total2 * np.exp(ref2 - new) + np.exp(log_part2 - new)
+                ref2 = new
 
-        ahead = remaining(last, forward_ratio(hi - 1, ratio))
-        behind = remaining(first, backward_ratio(lo, ratio)) if lo else ref * 0.0
+        if pair:  # the order-(k+1) sum's edges are one n lower, its first n = 0 at lo = 1
+            def ahead2(last, rg):
+                return _remaining(last + math.log(shift(hi - 1)),
+                                  forward_ratio(hi - 2, rg, k + 1), ref2, total2)
+
+            def behind2(first, rg):
+                if lo <= 1:
+                    return -math.inf
+                return _remaining(first + math.log(shift(lo)),
+                                  backward_ratio(lo - 1, rg, k + 1), ref2, total2)
+
+        ahead = _remaining(last, forward_ratio(hi - 1, ratio), ref, total)
+        behind = _remaining(first, backward_ratio(lo, ratio), ref, total) if lo else ref * 0.0
+        if pair:
+            ahead = _larger(ahead, ahead2(last, ratio))
+            behind = _larger(behind, behind2(first, ratio))
         size = block
         while not every(ahead <= 0.0):
             # Q rises with n, so past n1, where it is 1, the rest has a closed
             # form; taken when it is longer than the window so far
             if closed_rest and hi > n1 and not every(ahead <= hi - lo):
-                add(log_rest(hi))
+                add(log_rest(hi), log_rest(hi - 1, k + 1) if pair else None)
                 break
             size = grow(size, ahead)
-            log_part, _, last, ratio = walk(hi, hi + size)
+            log_part, _, last, ratio, log_part2 = walk(hi, hi + size)
             hi += size
-            add(log_part)
-            ahead = remaining(last, forward_ratio(hi - 1, ratio))
+            add(log_part, log_part2)
+            ahead = _remaining(last, forward_ratio(hi - 1, ratio), ref, total)
+            if pair:
+                ahead = _larger(ahead, ahead2(last, ratio))
         size = block
         while not every(behind <= 0.0):
             size = grow(size, behind)
             top, lo = lo, max(0, lo - size)
-            log_part, first, _, ratio = walk(lo, top)
-            add(log_part)
-            behind = remaining(first, backward_ratio(lo, ratio)) if lo else ref * 0.0
+            log_part, first, _, ratio, log_part2 = walk(lo, top)
+            add(log_part, log_part2)
+            behind = _remaining(first, backward_ratio(lo, ratio), ref, total) if lo else ref * 0.0
+            if pair:
+                behind = _larger(behind, behind2(first, ratio))
         out = ref + np.log(total)
+    if pair:
+        return float(out), float(ref2 + np.log(total2))
     return out.reshape(shape) if shape else float(out)
 
 

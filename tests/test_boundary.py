@@ -162,7 +162,14 @@ def _finite_extreme_cases():
         model = FadingModel.rayleigh(snr)
         cases += [(f"imgf_lower[rayleigh({snr})]", lambda m=model: imgf_lower(m, -0.5, 1.0)),
                   (f"cdf[rayleigh({snr})]", lambda m=model: cdf(m, 1.0)),
-                  (f"mgf[rayleigh({snr})]", lambda m=model: mgf(m, -0.5))]
+                  (f"mgf[rayleigh({snr})]", lambda m=model: mgf(m, -0.5)),
+                  # the mixture and the scenario check the rates as the closed forms do
+                  (f"mixture_from_model[rayleigh({snr})]",
+                   lambda m=model: mixture_from_model(m)),
+                  (f"SecrecyScenario.eve[rayleigh({snr})]",
+                   lambda m=model: SecrecyScenario(RAY, m, 0.1)),
+                  (f"SecrecyScenario.bob[rayleigh({snr})]",
+                   lambda m=model: SecrecyScenario(m, RAY, 0.1))]
     cases += [
         ("imgf_lower[nakagami(1e300, 1e-10)]",
          lambda: imgf_lower(FadingModel.nakagami(1e300, 1e-10), -0.5, 1.0)),
@@ -190,6 +197,23 @@ FINITE_EXTREMES = _finite_extreme_cases()
 @pytest.mark.parametrize("case_id, f", FINITE_EXTREMES, ids=[c[0] for c in FINITE_EXTREMES])
 def test_finite_extreme_is_domain_error(case_id, f):
     with pytest.raises(DomainError):
+        f()
+
+
+# laws whose kernel weights lose their digits: negative binomial weights of a
+# shape m below 2.2e-4 (1e-300: log(1 - theta) underflowed, a bare ValueError
+# before; 1e-12: the CDF came out 2.2e-5 relative off)
+OUT_OF_REACH = {
+    "cdf[kappa_mu_shadowed(1e300, 1, 1e-300, 1)]":
+        lambda: cdf(FadingModel.kappa_mu_shadowed(1e300, 1, 1e-300, 1), 1.0),
+    "cdf[kappa_mu_shadowed(1, 1, 1e-12, 1)]":
+        lambda: cdf(FadingModel.kappa_mu_shadowed(1.0, 1.0, 1e-12, 1.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("f", OUT_OF_REACH.values(), ids=list(OUT_OF_REACH))
+def test_finite_extreme_out_of_reach_is_accuracy_error(f):
+    with pytest.raises(AccuracyError, match="shape m"):
         f()
 
 
@@ -234,6 +258,7 @@ class TestPastTheDoubleRange:
 
 
 RAY_JSON = json.dumps({"kind": "rayleigh", "mean_snr_db": 5})
+SUBNORMAL_JSON = json.dumps({"kind": "rayleigh", "mean_snr": 1e-320})
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,7 +282,23 @@ def test_cli_non_finite_is_configuration_error(argv, capsys):
     ["imgf", "--model", "rayleigh", "--mean-snr-db", "1e5", "--s", "-0.5", "--zeta", "1"],
     ["opsc", "--bob", RAY_JSON, "--eve", RAY_JSON, "--rate", "2000"],
     ["aber", "--channel", RAY_JSON, "--thresholds", "0", "--bits", "2000"],
-], ids=["mean-snr-subnormal", "mean-snr-db-1e5", "rate-2000", "bits-2000"])
+    ["opsc", "--bob", RAY_JSON, "--eve", SUBNORMAL_JSON, "--rate", "0.1"],
+], ids=["mean-snr-subnormal", "mean-snr-db-1e5", "rate-2000", "bits-2000",
+        "eve-mean-snr-subnormal"])
 def test_cli_finite_extreme_is_configuration_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("link", ["bob", "eve"])
+def test_sweep_with_a_subnormal_mean_snr_is_configuration_error(link, tmp_path, capsys):
+    # exit 3 ("numerical failure") before: the sweep's parse built the models
+    # without their rates
+    fixed = {"bob": json.loads(RAY_JSON), "eve": json.loads(RAY_JSON), "rate_rs": 0.1,
+             link: json.loads(SUBNORMAL_JSON)}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "metric": "opsc", "fixed": fixed, "output": {"path": str(tmp_path / "x.csv")},
+        "axis": {"field": "rate_rs", "start": 0.1, "stop": 0.2, "step": 0.1}}))
+    assert main(["sweep", "--spec", str(spec)]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err

@@ -380,6 +380,85 @@ class TestMixtureKernel:
         assert float(got[0]) == pytest.approx(ref, rel=1e-14)
 
 
+def pair_battery(seed: int, size: int) -> list:
+    """Seeded (lam, m, mu, k, log_r, x, upper) over the four weight families
+    (unit mass, binomial with N = 0..40, negative binomial, Poisson), both
+    tails, k = -1..12 and x from 1e-3 to 1e4."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < size:
+        family = rng.integers(4)
+        if family == 0:
+            lam, m = 0.0, 1.0
+        elif family == 1:
+            trials = int(rng.choice([0, 1, 2, 5, 13, 40]))
+            lam, m = trials * float(rng.uniform(0.01, 0.99)), float(-trials)
+        elif family == 2:
+            lam, m = 10.0 ** rng.uniform(-2.0, 3.0), float(rng.choice([0.2, 0.8, 1.0, 3.0, 60.0]))
+        else:
+            lam, m = 10.0 ** rng.uniform(-2.0, 3.0), math.inf
+        mu = float(rng.choice([0.3, 0.5, 1.0, 2.5, 10.0, 40.0]))
+        k, upper = int(rng.integers(-1, 13)), bool(rng.integers(2))
+        if not upper and mu + k <= 0.0:
+            continue
+        log_r = -rng.uniform(0.0, 3.0) if rng.integers(2) else 0.0
+        cases.append((lam, m, mu, k, log_r, 10.0 ** rng.uniform(-3.0, 4.0), upper))
+    return cases
+
+
+def check_pair(args) -> None:
+    """Each order of the pair mode within 1e-12 of its single-order call
+    (plus 4 ulp of the log); where the two round further apart (both sums
+    are long walks of their own), each within the kernel's 1e-11 of mpmath."""
+    lam, m, mu, k, log_r, x, upper = args
+    got = _log_mixture_sum(lam, m, mu, k, log_r, x, upper, pair=True)
+    for order, value in zip((k, k + 1), got):
+        ref = _log_mixture_sum(lam, m, mu, order, log_r, x, upper)
+        if abs(value - ref) <= 1e-12 + 4.0 * np.finfo(float).eps * abs(ref):
+            continue
+        exact = mp_mixture_sum(lam, m, mu, order, log_r, x, upper)
+        assert abs(value - exact) <= 1e-11 and abs(ref - exact) <= 1e-11, (args, order)
+
+
+class TestPairMode:
+    """_log_mixture_sum(..., pair=True): the orders k and k+1 from one plan
+    and one walk, each against its own single-order call."""
+
+    @pytest.mark.parametrize("seed", [2101, 2102, 2103])
+    def test_battery(self, seed):
+        for args in pair_battery(seed, 300):
+            check_pair(args)
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 7])
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_binomial_support_end(self, trials, upper):
+        # the order-(k+1) term at n = N lies one step past the walk
+        for k in range(-1, 4):
+            for mu in (0.5, 1.0, 3.5):
+                if upper or mu + k > 0.0:
+                    check_pair((0.4 * trials, float(-trials), mu, k, -0.3, 2.5, upper))
+
+    @pytest.mark.parametrize("lam, m, mu, k, log_r, x", [
+        # heavy shadowing with q = r theta = 0.999: the rest lies far out
+        *[(346.0, 0.799, 10.08, k, math.log(0.999 * (346.0 + 0.799) / 346.0), 5.0)
+          for k in (0, 1, 3, 12)],
+        # the rest from orders start - i <= 0 on (the whole mass)
+        (60.0, 0.5, 6.0, 33, -math.log1p(3.5 / 2.2), 0.4104)])
+    def test_closed_form_rest(self, lam, m, mu, k, log_r, x, monkeypatch):
+        # both sums take their rest past n1 in closed form (log_rest is the
+        # one caller of _log_betainc on non-survival weights)
+        rests = []
+        real = specfun._log_betainc
+        monkeypatch.setattr(specfun, "_log_betainc", lambda *a: rests.append(a) or real(*a))
+        _log_mixture_sum(lam, m, mu, k, log_r, x, True, pair=True)
+        assert rests
+        check_pair((lam, m, mu, k, log_r, x, True))
+
+    def test_divergent_lower_sum_is_domain_error(self):
+        with pytest.raises(DomainError):
+            _log_mixture_sum(3.0, math.inf, 0.6, -1, 0.0, 1.0, False, pair=True)
+
+
 class TestKummer:
     """1F1 for positive parameters, in log space: fading.pdf's finite-m
     densities go through it (negative arguments by Kummer's transformation)."""
