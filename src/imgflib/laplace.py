@@ -185,8 +185,8 @@ def imgf_lower_numeric(pdf_image: LaplaceImage, s: float, zeta: float,
     with its abscissa of convergence, and takes arrays as LaplaceImage
     describes.  Contract: s must lie strictly below the smallest real
     singularity of the MGF, i.e. s + pdf_image.abscissa < 0.  In float64 the
-    inversion calls the evaluator once on the 84 nodes of its two contours
-    (36 and 48) and once more on [-s] for M(s), which bounds the result.
+    inversion calls the evaluator once, on the 84 nodes of its two contours
+    (36 and 48) and the point -s, where L(-s) = M(s) bounds the result.
     """
     if math.isnan(s) or not zeta >= 0:
         raise DomainError(f"need a number s and zeta >= 0, got s={s}, zeta={zeta}")
@@ -198,11 +198,19 @@ def imgf_lower_numeric(pdf_image: LaplaceImage, s: float, zeta: float,
             f"{-pdf_image.abscissa}"
         )
     ev = pdf_image.evaluator
-    shifted = LaplaceImage(evaluator=lambda p: ev(p - s) / p, abscissa=0.0)
-    value = invert(shifted, zeta, dps).value
     # the target integral lies in [0, M(s)]; keep inversion noise inside it
-    if dps is None:
-        mgf_value = float(abs(ev(np.array([complex(-s, 0.0)]))[0]))
+    if dps is None:  # M(s) = L(-s) from the contour's own call, as one more node
+        mgf_at = []
+
+        def shifted_ev(p):
+            values = ev(np.append(p - s, complex(-s, 0.0)))
+            mgf_at.append(values[-1])
+            return values[:-1] / p
+
+        value = invert(LaplaceImage(evaluator=shifted_ev, abscissa=0.0), zeta).value
+        mgf_value = float(abs(mgf_at[0]))
     else:
+        shifted = LaplaceImage(evaluator=lambda p: ev(p - s) / p, abscissa=0.0)
+        value = invert(shifted, zeta, dps).value
         mgf_value = float(abs(ev(complex(-s, 0.0))))
     return min(max(value, 0.0), mgf_value)

@@ -2,14 +2,16 @@
 (and the Marcum functions built on it), log-space regularized incomplete
 gammas, the positive-term Kummer 1F1 and the reduced Humbert Phi2 series.
 
-The mixture sum takes scipy's incomplete gamma once per block of terms and
-walks the block by the recurrences between neighbouring orders.  The walk
-has two forms: a loop in plain float (or, over an array of x, array)
-arithmetic that forms each step's ratios itself, and, for a float x and a
-block longer than _LONG_WALK terms, one NumPy pass of cumulative products
-and sums.  Where scipy's value underflows or rounds poorly, Legendre's
-continued fraction or the ascending series with a Stirling-form prefactor
-take its place.
+The mixture sum finds its summand peak by bisection on the term ratio, one
+scalar incomplete gamma per step, then takes scipy's incomplete gamma once
+per block of terms and walks the block by the recurrences between
+neighbouring orders.  The walk has two forms: a loop in plain float (or,
+over an array of x, array) arithmetic that forms each step's ratios
+itself, and, for a float x and a block longer than _LONG_WALK terms, one
+NumPy pass of cumulative products and sums.  A float x's call keeps its
+bookkeeping on Python floats and math.  Where scipy's value underflows or
+rounds poorly, Legendre's continued fraction or the ascending series with
+a Stirling-form prefactor take its place.
 
 All kernels are pure double-precision functions, reentrant and
 thread-safe.  Running out of the term budget raises AccuracyError rather than
@@ -18,6 +20,7 @@ silently truncating.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -34,7 +37,6 @@ _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relative
 _HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
-_MIN_SHAPE = float(np.finfo(float).eps) / _MIXTURE_TOL  # the kernel's least negative binomial m
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +140,30 @@ def _far_reg_gamma(a, x, upper: bool):
     """log R(a, x) and d/R as in _log_reg_gamma_seed, where scipy's R
     underflows: Q = d(a) a h with Gamma(a, x) = x^a e^-x h by Legendre's
     continued fraction (x > a), P = d(a) sum_j x^j / ((a+1)...(a+j)) by the
-    ascending series (x < a), both fast that far from x ~ a."""
+    ascending series (x < a), both fast that far from x ~ a.  On Python
+    floats (math) for a float x, else over the array x."""
     log_d = _log_poisson_term(a, x)
+    scalar = isinstance(x, float)
+    log = math.log if scalar else np.log
     if upper:
-        log_ah = np.log(a) + _log_legendre_fraction(a, x)
-        return log_d + log_ah, np.exp(-log_ah)
+        log_ah = log(a) + _log_legendre_fraction(a, x)
+        if not scalar:
+            return log_d + log_ah, np.exp(-log_ah)
+        # d/R = 1/(a h) passes the double range only for x near 1e308
+        return log_d + log_ah, math.exp(-log_ah) if log_ah > -709.0 else math.inf
     term = total = x * 0.0 + 1.0
     for j in range(1, _FAR_ITERATIONS):
         term = term * x / (a + j)
         total = total + term
         if _every(term < 1e-16 * total):
-            return log_d + np.log(total), a / (x * total)
+            return log_d + log(total), a / (x * total)
     raise AccuracyError("regularized incomplete gamma did not converge in its tail")
 
 
 def _log_legendre_fraction(a, x) -> np.ndarray:
     """log h for Gamma(a, x) = x^a e^-x h, Legendre's continued fraction
-    (modified Lentz), at any real order a and x > a + 1; on arrays or floats."""
+    (modified Lentz), at any real order a and x > a + 1; on arrays or floats
+    (a Python float x by math)."""
     b = x + 1.0 - a
     c, d = b * 0.0 + 1e300, 1.0 / b
     h = d
@@ -165,7 +174,7 @@ def _log_legendre_fraction(a, x) -> np.ndarray:
         c = b + an / c
         h = h * d * c
         if _every(abs(d * c - 1.0) < 1e-15):
-            return np.log(h)
+            return math.log(h) if type(h) is float else np.log(h)
     raise AccuracyError("incomplete gamma continued fraction did not converge")
 
 
@@ -242,6 +251,7 @@ def _log_gamma_below(mu: float, x) -> np.ndarray:
 
 _LOG_Q_ONE = 1.0 - math.log(_MIXTURE_TOL)
 _LONG_WALK = 100  # a float x's blocks longer than this walk by cumulative products
+_FLOAT_STATE = contextlib.nullcontext()  # a float x's call runs outside np.errstate
 
 
 def _q_one_order(x: float) -> float:
@@ -264,10 +274,21 @@ def _q_one_order(x: float) -> float:
 def _remaining(edge, ratio, ref, total):
     """Terms to add past an edge term exp(edge), whose followers fall at most
     by ratio each, before their geometric tail bound is below _MIXTURE_TOL of
-    the sum exp(ref) total (<= 0: none; nan: the edge is not yet past the
-    peak)."""
-    bound = np.exp(edge - ref) * ratio
-    return np.log(_MIXTURE_TOL * total * (1.0 - ratio) / bound) / np.log(ratio)
+    the sum exp(ref) total (<= 0: none, also for an edge term of 0; nan: the
+    edge is not yet past the peak).  By math for a float ratio."""
+    if isinstance(ratio, float):
+        if not 0.0 < ratio < 1.0:
+            return math.nan
+        log_ratio = math.log(ratio)
+        return (math.log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) \
+            / log_ratio
+    log_ratio = np.log(ratio)
+    return (np.log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) / log_ratio
+
+
+def _log_float(v: float) -> float:
+    """log v for a float v >= 0, -inf at 0 (as np.log)."""
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def _larger(need, need2):
@@ -298,9 +319,9 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     (S_N = 0, so the survival sum stops at N - 1), with no peak search and
     no tail bound.  The other families are summed as follows.
 
-    Summation starts at an estimate of the summand peak and works outward in
-    doubling blocks (the central-term windowing of Gil, Segura and Temme for
-    the Marcum function).  Each factor of the summand is log-concave in n, so
+    Summation starts at the summand peak and works outward in doubling
+    blocks (the central-term windowing of Gil, Segura and Temme for the
+    Marcum function).  Each factor of the summand is log-concave in n, so
     the term ratio at a block edge bounds every ratio beyond it (the factors
     that are not, the weights and their survival function for m < 1 and
     1/(mu+n-1), get explicit bounds); a direction stops once the geometric
@@ -309,27 +330,43 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     when the peak estimate lies beyond that point, the window is centred
     there, so a peak far out (heavy shadowing near the pole) costs no walk.
 
+    The plan, made once per call: where one block from n = 0 does not cover
+    the peak estimate, the peak of the median column is found by bisection
+    on the sign of t(n+1)/t(n) - 1, the ratio formed from the walk's own
+    pieces (the weight ratio, the Pochhammer ratio and R's ratio 1 + d/R
+    from one scalar _log_reg_gamma_seed), to within a sixteenth of the
+    block: O(log n) scalar calls.  Log-concave terms cross 1 once; where
+    they are not (m < 1), a misplaced centre costs walking, never accuracy,
+    since the tail bounds, not the plan, certify the sum.  That window's
+    edges must pass the bounds with 8 terms to spare, as a grown block's do.
+
     A block takes R and R's next value once (_log_reg_gamma_seed), at the
     end from which the recurrence Q(a+1, x) = Q(a, x) + d_a (upward) or
     P(a, x) = P(a+1, x) + d_a (downward), d_a = x^a e^-x / Gamma(a+1), adds
     positive terms only, and walks to its other end: each term is the last
     one times the weight ratio, the Pochhammer ratio and R's ratio, all
     relative to the seed term, with d following from d(a+1) = d(a) x / (a+1)
-    (Gil, Segura and Temme, ch. 4).  The walk has two forms.  A loop forms
-    each step's ratios in plain arithmetic and carries d/R, so R's ratio is
-    1 + d/R; it runs on floats for a float x and with array state for an
-    array x, at any length.  A float x's block longer than _LONG_WALK terms
-    takes one NumPy pass instead: d/R_0 over the block is a cumulative
-    product, R/R_0 the cumulative sum of it, and the terms are the
-    cumulative product of weight ratio times R's step ratio.  The two are
-    multiplied before the product, as in the loop, because either alone can
-    under- or overflow where the term is a normal double.  The crossover,
-    100, was measured on the benchmark's kernel calls (64 to 160 cost about
-    the same); the pass rounds differently from the loop, and the two sums
-    agree to 4e-12 relative on those calls.  The seed term's weight is taken in Stirling form, so a block far
-    out keeps the accuracy of its first term.  A block whose terms outgrow
-    the double range of its seed, or whose R/R_0 does in the NumPy pass, is
-    split in two.
+    (Gil, Segura and Temme, ch. 4).  The weight ratio from n = 0 to 1 is
+    r theta m itself, not the general r theta (n + m)/(n + 1) = r theta +
+    r theta (m - 1)/(n + 1), which cancels to eps/m relative there.  The
+    walk has two forms.  A loop forms each step's ratios in plain arithmetic
+    and carries d/R, so R's ratio is 1 + d/R; it runs on floats for a float
+    x and with array state for an array x, at any length.  A float x's
+    block longer than _LONG_WALK terms takes one NumPy pass instead: d/R_0
+    over the block is a cumulative product, R/R_0 the cumulative sum of it,
+    and the terms are the cumulative product of weight ratio times R's step
+    ratio.  The two are multiplied before the product, as in the loop,
+    because either alone can under- or overflow where the term is a normal
+    double.  The crossover, 100, was measured on the benchmark's kernel
+    calls (64 to 160 cost about the same); the pass rounds differently from
+    the loop, and the two sums agree to 4e-12 relative on those calls.  The
+    seed term's weight is taken in Stirling form, so a block far out keeps
+    the accuracy of its first term.  A block whose terms outgrow the double
+    range of its seed, or whose R/R_0 does in the NumPy pass, is split in
+    two.  A float x's bookkeeping (the plan, the bounds, the logs of the
+    sums) runs on Python floats and math; NumPy, under np.errstate, only in
+    the NumPy pass, the closed-form rest, the survival weights and the
+    order mu - 1 <= 0 of the first k = -1 term.
 
     The pair mode walks order k and carries the order-(k+1) sum beside it.
     The order-(k+1) term at n is the order-k term at n times (mu+n+k) and
@@ -343,15 +380,18 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     at those shifted edges, and takes its own closed-form rest (log_rest at
     k+1).  Binomial weights add the order-(k+1) term at n = N, one step past
     the walk, on their own.
+
+    Negative binomial weights whose log(1 - theta) = log(m/(lam+m)) leaves
+    the double range (m = 1e-300 at lam = 1e300) raise AccuracyError.
     """
     # a float x runs on Python floats, far cheaper than 1-element arrays;
-    # every, largest, minimum, maximum and isfinite act on either
+    # every, largest, minimum, maximum, isfinite, exp and log act on either
     shape = () if isinstance(x, (int, float)) else np.shape(x)
     xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
     xmax = float(np.max(xs)) if shape else xs
-    every, largest, minimum, maximum, isfinite = (
-        (np.all, np.max, np.minimum, np.maximum, np.isfinite) if shape
-        else (bool, float, min, max, math.isfinite))
+    every, largest, minimum, maximum, isfinite, exp, log = (
+        (np.all, np.max, np.minimum, np.maximum, np.isfinite, np.exp, np.log) if shape
+        else (bool, float, min, max, math.isfinite, math.exp, _log_float))
     if not upper and mu + k <= 0.0:
         raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
     if lam == 0.0:  # a unit mass at n = 0: the sum is its first term
@@ -379,60 +419,58 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     theta = 0.0 if poisson else lam / (lam + m)
     r = math.exp(log_r)
     q = r * theta
-    if not (poisson or binomial) and m < _MIN_SHAPE:
-        # the walk forms w_1/w_0 = theta m as rw1 + rw01, to eps/m relative
-        raise AccuracyError(f"negative binomial weights of shape m = {m} below "
-                            f"{_MIN_SHAPE:.1e}: their ratios lose digits past the "
-                            f"kernel's {_MIXTURE_TOL:g}")
+    one_m_theta = 1.0 if poisson else m / (lam + m)
+    if not one_m_theta > 0.0:
+        raise AccuracyError(f"negative binomial weights of shape m = {m} and mean lam = "
+                            f"{lam}: log(1 - theta) = log(m/(lam+m)) leaves the double range")
     # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)],
     # for binomial weights n * slope + const + log C(N, n)
-    log_1m_theta = 0.0 if poisson else math.log(m / (lam + m))
+    log_1m_theta = math.log(one_m_theta)
     slope = log_r + (math.log(lam) if poisson else math.log(-theta) if binomial
                      else -math.log1p(m / lam))
     const = mu * log_r - (lam if poisson else (0.0 if binomial else math.lgamma(m))
                           - m * log_1m_theta)
     w0, w1 = (lam, 0.0) if poisson else (theta * m, theta)  # w_(n+1)/w_n = (w0 + w1 n)/(n+1)
 
-    def log_weights(n: np.ndarray):
-        """log w_n r^(mu+n), or log S_n r^(mu+n) for the survival weights."""
-        if survival:
-            return (mu + n) * log_r + (_log_reg_gamma(n + 1.0, lam, False) if poisson
-                                       else _log_betainc(n + 1.0, -m - n, lam / -m) if binomial
-                                       else _log_betainc(n + 1.0, m, theta))
-        if poisson:
-            return n * slope + const - sp.gammaln(n + 1.0)
-        if binomial:
-            return n * slope + const - sp.gammaln(n + 1.0) + sp.gammaln(1.0 - m) \
-                - sp.gammaln(1.0 - m - n)
-        return n * slope + const - sp.gammaln(n + 1.0) + sp.gammaln(n + m)
+    def log_survival(n: np.ndarray) -> np.ndarray:
+        """log S_n r^(mu+n) over an array of n (under np.errstate)."""
+        return (mu + n) * log_r + (_log_reg_gamma(n + 1.0, lam, False) if poisson
+                                   else _log_betainc(n + 1.0, -m - n, lam / -m) if binomial
+                                   else _log_betainc(n + 1.0, m, theta))
 
     def log_weight(n: int) -> float:
-        """log w_n r^(mu+n) at one n, with the log-gamma differences that round
-        to about eps n in log_weights taken accurately."""
+        """log w_n r^(mu+n) (or S_n r^(mu+n)) at one n, with the log-gamma
+        differences that round to about eps n in a plain sum taken accurately."""
+        if survival:
+            with np.errstate(all="ignore"):
+                return float(log_survival(np.array([float(n)]))[0])
         if poisson:  # lam^n / n! (r^n e^-lam)
             return _log_poisson_term(float(n), lam * r) + lam * math.expm1(log_r) + mu * log_r
         if binomial:
             return n * slope + const + math.log(math.comb(int(-m), n))
-        return n * slope + const + _log_gamma_ratio(n + 1.0, m - 1.0)
+        # at n = 0, Gamma(m) itself: n + 1 + (m - 1) would round m's low bits off
+        return n * slope + const + (_log_gamma_ratio(n + 1.0, m - 1.0) if n else math.lgamma(m))
 
     first_below = mu + k <= 0.0  # k = -1, mu <= 1: no R of order mu-1 at n = 0
 
     def log_head(x):
         """log of the n = 0 term w_0 r^mu Gamma(mu-1, x) / Gamma(mu), over x."""
-        return log_weights(np.zeros(1))[0] + _log_gamma_below(mu, x)
+        with np.errstate(all="ignore"):
+            return log_weight(0) + _log_gamma_below(mu, x)
 
     # the step from n to n+1 at j = n+1: the weight ratio
-    # w(n+1) r^(mu+n+1)/(w(n) r^(mu+n)) = r (w0 + w1 n)/(n+1) = rw1 + rw01/j, the
-    # Pochhammer ratio (mu+n+k)/(mu+n) = 1 + k/(j + mu1), and d(a+1)/d(a) =
-    # x/(j + mk), a = mu+n+k (upper); down, d(a-2)/d(a-1) = (j + mk1)/x
-    rw1, rw01 = float(r * w1), float(r * (w0 - w1))
+    # w(n+1) r^(mu+n+1)/(w(n) r^(mu+n)) = r (w0 + w1 n)/(n+1) = rw1 + rw01/j,
+    # rw0 at j = 1, the Pochhammer ratio (mu+n+k)/(mu+n) = 1 + k/(j + mu1), and
+    # d(a+1)/d(a) = x/(j + mk), a = mu+n+k (upper); down, d(a-2)/d(a-1) = (j + mk1)/x
+    rw0, rw1, rw01 = float(r * w0), float(r * w1), float(r * (w0 - w1))
     mu1, mk, mk1 = float(mu - 1.0), float(mu + k), float(mu + k - 1.0)
 
     if pair:
         def shift(n: int) -> float:
             """The order-(k+1) term at n-1 over the order-k term at n,
-            (mu+n-1)/(rw1 + rw01/n); 0 at n = 0, below the first term."""
-            return (n + mu1) / (rw1 + rw01 / n) if n else 0.0
+            (mu+n-1) over the weight ratio into n; 0 at n = 0, below the
+            first term."""
+            return (n + mu1) / (rw1 + rw01 / n if n > 1 else rw0) if n else 0.0
 
     def walk(lo: int, hi: int):
         """The terms n in [lo, hi): log of their sum, of the first and of the
@@ -449,9 +487,10 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         seed = lo if upper else hi - 1
         log_rg, d_r = _log_reg_gamma_seed(mu + seed + k, xs, upper)
         if survival:  # S(j) r^(mu+j) / (S(j-1) r^(mu+j-1)) at index j - lo - 1
-            logw = log_weights(np.arange(lo, hi, dtype=float))
-            ratios = np.exp(np.diff(logw)).tolist()
-        log_seed = ((logw[seed - lo] if survival else log_weight(seed))
+            with np.errstate(all="ignore"):
+                logw = log_survival(np.arange(lo, hi, dtype=float))
+                ratios = np.exp(np.diff(logw)).tolist()
+        log_seed = ((float(logw[seed - lo]) if survival else log_weight(seed))
                     + (_log_gamma_ratio(mu + seed, k) if k else 0.0) + log_rg)
         term = total = 1.0
         if not (shape or survival) and hi - lo > _LONG_WALK:
@@ -460,7 +499,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             if upper:  # the order-k term there times R's rise to j
                 total2 = shift(lo)
                 for j in range(lo + 1, hi):
-                    u = rw1 + rw01 / j
+                    u = rw1 + rw01 / j if j > 1 else rw0
                     if k:
                         u = u * (1.0 + k / (j + mu1))
                     rise = 1.0 + d_r
@@ -473,7 +512,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             else:  # the order-k term at j over u
                 total2 = 0.0
                 for j in range(hi - 1, lo, -1):
-                    u = rw1 + rw01 / j
+                    u = rw1 + rw01 / j if j > 1 else rw0
                     if k:
                         u = u * (1.0 + k / (j + mu1))
                     rise = 1.0 + d_r
@@ -487,7 +526,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                 total2 = total2 + term * shift(lo)
         elif upper:
             for j in range(lo + 1, hi):
-                u = ratios[j - lo - 1] if survival else rw1 + rw01 / j
+                u = ratios[j - lo - 1] if survival else rw1 + rw01 / j if j > 1 else rw0
                 if k:
                     u = u * (1.0 + k / (j + mu1))
                 rise = 1.0 + d_r  # R's ratio from this term to the next
@@ -497,7 +536,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             rise = 1.0 + d_r
         else:  # the walk going down, from n = j to j-1
             for j in range(hi - 1, lo, -1):
-                u = ratios[j - lo - 1] if survival else rw1 + rw01 / j
+                u = ratios[j - lo - 1] if survival else rw1 + rw01 / j if j > 1 else rw0
                 if k:
                     u = u * (1.0 + k / (j + mu1))
                 rise = 1.0 + d_r
@@ -512,9 +551,9 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             return (np.logaddexp(first[0], second[0]), first[1], second[2],
                     (second if upper else first)[3],
                     np.logaddexp(first[4], second[4]) if pair else None)
-        log_end = log_seed + np.log(term)
-        log_sum = log_seed + np.log(total)
-        log_sum2 = log_seed + np.log(total2) if pair else None
+        log_end = log_seed + log(term)
+        log_sum = log_seed + log(total)
+        log_sum2 = log_seed + log(total2) if pair else None
         if upper:
             return log_sum, log_seed, log_end, rise, log_sum2
         return log_sum, log_end, log_seed, rise, log_sum2
@@ -523,31 +562,34 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         """walk's last term, sum (both relative to the seed term), final R
         ratio and, in the pair mode, order-(k+1) sum (else None) for a float
         x, by cumulative products and sums over [lo, hi)."""
-        j = np.arange(lo + 1.0, hi)
-        u = rw1 + rw01 / j
-        if pair:  # shift(n) at n = lo .. hi-1
-            shifts = np.concatenate(([shift(lo)], (j + mu1) / u))
-        if k:
-            u *= 1.0 + k / (j + mu1)
-        grow = np.empty(hi - lo + 1)
-        grow[:2] = 1.0, d_r
-        if upper:
-            grow[2:] = xs / (j + mk)
-        else:
-            u, grow[2:] = 1.0 / u[::-1], (j[::-1] + mk1) * inv_x
-        # a_i the i-th order walked: R(a_(i+1)) - R(a_i), then R(a_i), over R(a_0)
-        np.cumprod(grow[1:], out=grow[1:])
-        np.cumsum(grow, out=grow)
-        rise = grow[1:] / grow[:-1]
-        # one product of weight and R ratios: either alone may leave the range
-        terms = np.cumprod(u * rise[:-1])
-        # an R ratio past the double range (inf or nan) splits the block
-        total = 1.0 + terms.sum() if rise[-1] < math.inf else math.inf
-        total2 = None
-        if pair:  # the terms walked up end at hi-1, those walked down at lo
-            total2 = (shifts[0] + terms @ shifts[1:] if upper
-                      else shifts[-1] + terms @ shifts[-2::-1])
-        return terms[-1], total, rise[-1], total2
+        with np.errstate(all="ignore"):
+            j = np.arange(lo + 1.0, hi)
+            u = rw1 + rw01 / j
+            if lo == 0:
+                u[0] = rw0
+            if pair:  # shift(n) at n = lo .. hi-1
+                shifts = np.concatenate(([shift(lo)], (j + mu1) / u))
+            if k:
+                u *= 1.0 + k / (j + mu1)
+            grow = np.empty(hi - lo + 1)
+            grow[:2] = 1.0, d_r
+            if upper:
+                grow[2:] = xs / (j + mk)
+            else:
+                u, grow[2:] = 1.0 / u[::-1], (j[::-1] + mk1) * inv_x
+            # a_i the i-th order walked: R(a_(i+1)) - R(a_i), then R(a_i), over R(a_0)
+            np.cumprod(grow[1:], out=grow[1:])
+            np.cumsum(grow, out=grow)
+            rise = grow[1:] / grow[:-1]
+            # one product of weight and R ratios: either alone may leave the range
+            terms = np.cumprod(u * rise[:-1])
+            # an R ratio past the double range (inf or nan) splits the block
+            total = float(1.0 + terms.sum()) if rise[-1] < math.inf else math.inf
+            total2 = None
+            if pair:  # the terms walked up end at hi-1, those walked down at lo
+                total2 = float(shifts[0] + terms @ shifts[1:] if upper
+                               else shifts[-1] + terms @ shifts[-2::-1])
+        return float(terms[-1]), total, float(rise[-1]), total2
 
     def log_rest(start: int, order: int = k) -> float:
         """log sum_{n >= start} w_n r^(mu+n) (mu+n)_order, the upper sum where
@@ -557,21 +599,22 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         and ratio q.  The tail from an order start - i <= 0 on is the whole
         mass, whose log is 0."""
         i = np.arange(order + 1.0)
-        log_c = (math.lgamma(order + 1.0) - sp.gammaln(i + 1.0)
-                 - sp.gammaln(order - i + 1.0) + math.lgamma(mu + order) - sp.gammaln(mu + i))
-        tail_order = np.maximum(start - i, 1.0)  # any positive order where masked below
-        if poisson:
-            log_tail = _log_reg_gamma(tail_order, lam * r, False)
-            log_mom = lam * math.expm1(log_r) + i * slope
-        else:  # 1 - q = (m - lam (r-1)) / (lam + m) keeps its digits as q -> 1
-            log_tail = _log_betainc(tail_order, m + i, q)
-            log_1mq = math.log((m - lam * math.expm1(log_r)) / (lam + m))
-            log_mom = (m * (log_1m_theta - log_1mq) + sp.gammaln(m + i)
-                       - math.lgamma(m) + i * (slope - log_1mq))
-        log_mom = log_mom + np.where(i < start, log_tail, 0.0)
-        log_parts = log_c + log_mom
-        top = log_parts.max()
-        return mu * log_r + float(top + np.log(np.exp(log_parts - top).sum()))
+        with np.errstate(all="ignore"):
+            log_c = (math.lgamma(order + 1.0) - sp.gammaln(i + 1.0)
+                     - sp.gammaln(order - i + 1.0) + math.lgamma(mu + order) - sp.gammaln(mu + i))
+            tail_order = np.maximum(start - i, 1.0)  # any positive order where masked below
+            if poisson:
+                log_tail = _log_reg_gamma(tail_order, lam * r, False)
+                log_mom = lam * math.expm1(log_r) + i * slope
+            else:  # 1 - q = (m - lam (r-1)) / (lam + m) keeps its digits as q -> 1
+                log_tail = _log_betainc(tail_order, m + i, q)
+                log_1mq = math.log((m - lam * math.expm1(log_r)) / (lam + m))
+                log_mom = (m * (log_1m_theta - log_1mq) + sp.gammaln(m + i)
+                           - math.lgamma(m) + i * (slope - log_1mq))
+            log_mom = log_mom + np.where(i < start, log_tail, 0.0)
+            log_parts = log_c + log_mom
+            top = log_parts.max()
+            return mu * log_r + float(top + np.log(np.exp(log_parts - top).sum()))
 
     def forward_ratio(top: int, rg, order: int = k):
         """Bound on the term ratio t(n+1)/t(n) for every n >= top at the
@@ -600,7 +643,22 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             rg = minimum(1.0, (mu + low + order - 1.0) * inv_x)
         return w / r * (mu + low - 1.0) / (mu + low + order - 1.0) * rg
 
-    with np.errstate(all="ignore"):
+    def rises(n: int) -> bool:
+        """Whether the median column's term at n+1 is at least its term at n."""
+        j = n + 1
+        if survival:
+            with np.errstate(all="ignore"):
+                u = float(np.exp(np.diff(log_survival(np.array([n, j], dtype=float))))[0])
+        else:
+            u = rw1 + rw01 / j if j > 1 else rw0
+        if k:
+            u = u * (1.0 + k / (j + mu1))
+        if upper:  # Q(a+1)/Q(a) = 1 + d/Q at a = mu+n+k
+            return u * (1.0 + _log_reg_gamma_seed(mu + n + k, xc, True)[1]) >= 1.0
+        # P(a+1)/P(a) = 1/(1 + d/P), d/P from the seed at a+1
+        return u >= 1.0 + _log_reg_gamma_seed(mu + j + k, xc, False)[1]
+
+    with np.errstate(all="ignore") if shape else _FLOAT_STATE:
         inv_x = 1.0 / xs if shape or xs else math.inf
         if binomial:
             trials = int(-m)
@@ -616,8 +674,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                            + _log_reg_gamma_seed(mu + trials + k + 1.0, xs, upper)[0])
             return float(log_sum), float(np.logaddexp(log_sum2, log_top))
         # the peak of the median column (Q pulls it from the weights' peak up
-        # to about x, P down), refined on grids around their maximum (the terms
-        # are log-concave in n) unless one block from n = 0 covers it
+        # to about x, P down), by bisection unless one block from n = 0 covers it
         xc = float(np.median(xs)) if shape else xs
         guess = max(0.0, lam * r + k if poisson else q * (m + k) / (1.0 - q) if q < 1.0
                     else q * (xc + m + k))
@@ -625,25 +682,27 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         closed_rest = upper and k >= 0 and not survival
         if closed_rest:  # every Q(mu+n+k, x) is 1 to within _MIXTURE_TOL from n1 on
             n1 = max(0, math.ceil(_q_one_order(xmax) - mu - k))
-        center, lo, hi = 0, 0.0, 2.0 * guess + 16.0
-        block = int(hi) if hi <= 256.0 else 32
+        hi = 2.0 * guess + 16.0
+        spare = 0.0  # terms the first window's edges must pass the bounds by
         if closed_rest and guess > n1:
             # the terms past n1 are the closed-form rest: sum up to it
             center, block = n1, 32 + int(6.0 * math.sqrt(n1))
-        else:
-            while hi - lo > 2 * block:
-                grid = np.unique(np.floor(np.linspace(lo, hi, 33)))
-                logt = log_weights(grid) + (np.log(sp.poch(grid + mu, k)) if k else 0.0)
-                below = int(first_below and grid[0] == 0.0)
-                logt[below:] += _log_reg_gamma(grid[below:] + (mu + k), xc, upper)
-                if below:
-                    logt[0] = log_head(xc)[0]
-                i = int(logt.argmax())
-                center, block = int(grid[i]), 32 + int(6.0 * math.sqrt(grid[i]))
-                if i == grid.size - 1:
-                    lo, hi = grid[-2], 16.0 * hi
+        elif hi <= 256.0:
+            center, block = 0, int(hi)
+        else:  # the peak lies in (lo, hi]
+            lo, hi = 0, int(hi)
+            while rises(hi):
+                lo, hi = hi, 16 * hi
+            while 16 * (hi - lo) > 32.0 + 6.0 * math.sqrt(hi):
+                mid = (lo + hi) // 2
+                if rises(mid):
+                    lo = mid
                 else:
-                    lo, hi = grid[max(i - 1, 0)], grid[i + 1]
+                    hi = mid
+            # a window centred on the peak passes its first bounds with 8
+            # terms to spare, as every grown block does (grow adds 8), so it
+            # truncates well below _MIXTURE_TOL, not up to it
+            center, block, spare = hi, 32 + int(6.0 * math.sqrt(hi)), 8.0
 
         lo, hi = max(0, center - block), center + block
         ref, first, last, ratio, ref2 = walk(lo, hi)
@@ -661,11 +720,11 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         def add(log_part, log_part2):
             nonlocal ref, total, ref2, total2
             new = maximum(ref, log_part)
-            total = total * np.exp(ref - new) + np.exp(log_part - new)
+            total = total * exp(ref - new) + exp(log_part - new)
             ref = new
             if pair:
                 new = max(ref2, log_part2)
-                total2 = total2 * np.exp(ref2 - new) + np.exp(log_part2 - new)
+                total2 = total2 * math.exp(ref2 - new) + math.exp(log_part2 - new)
                 ref2 = new
 
         if pair:  # the order-(k+1) sum's edges are one n lower, its first n = 0 at lo = 1
@@ -679,11 +738,12 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                 return _remaining(first + math.log(shift(lo)),
                                   backward_ratio(lo - 1, rg, k + 1), ref2, total2)
 
-        ahead = _remaining(last, forward_ratio(hi - 1, ratio), ref, total)
-        behind = _remaining(first, backward_ratio(lo, ratio), ref, total) if lo else ref * 0.0
+        ahead = _remaining(last, forward_ratio(hi - 1, ratio), ref, total) + spare
+        behind = (_remaining(first, backward_ratio(lo, ratio), ref, total) + spare if lo
+                  else ref * 0.0)
         if pair:
-            ahead = _larger(ahead, ahead2(last, ratio))
-            behind = _larger(behind, behind2(first, ratio))
+            ahead = _larger(ahead, ahead2(last, ratio) + spare)
+            behind = _larger(behind, behind2(first, ratio) + spare)
         size = block
         while not every(ahead <= 0.0):
             # Q rises with n, so past n1, where it is 1, the rest has a closed
@@ -707,9 +767,9 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             behind = _remaining(first, backward_ratio(lo, ratio), ref, total) if lo else ref * 0.0
             if pair:
                 behind = _larger(behind, behind2(first, ratio))
-        out = ref + np.log(total)
+        out = ref + log(total)
     if pair:
-        return float(out), float(ref2 + np.log(total2))
+        return float(out), float(ref2 + math.log(total2))
     return out.reshape(shape) if shape else float(out)
 
 

@@ -11,6 +11,7 @@ double range raise AccuracyError."""
 import json
 import math
 
+import mpmath
 import pytest
 
 from imgflib import (AccuracyError, AdaptiveModScheme, CapacityScenario, DomainError,
@@ -200,14 +201,11 @@ def test_finite_extreme_is_domain_error(case_id, f):
         f()
 
 
-# laws whose kernel weights lose their digits: negative binomial weights of a
-# shape m below 2.2e-4 (1e-300: log(1 - theta) underflowed, a bare ValueError
-# before; 1e-12: the CDF came out 2.2e-5 relative off)
+# a law whose kernel weights cannot be formed: negative binomial weights whose
+# log(1 - theta) = log(m / (lam + m)) underflows (a bare ValueError before)
 OUT_OF_REACH = {
     "cdf[kappa_mu_shadowed(1e300, 1, 1e-300, 1)]":
         lambda: cdf(FadingModel.kappa_mu_shadowed(1e300, 1, 1e-300, 1), 1.0),
-    "cdf[kappa_mu_shadowed(1, 1, 1e-12, 1)]":
-        lambda: cdf(FadingModel.kappa_mu_shadowed(1.0, 1.0, 1e-12, 1.0), 2.0),
 }
 
 
@@ -217,6 +215,21 @@ def test_finite_extreme_out_of_reach_is_accuracy_error(f):
         f()
 
 
+def _mp_shadowed_cdf(kappa: float, mu: float, m: float, mean: float, x: float) -> float:
+    """The kappa-mu shadowed CDF at 30 digits as its gamma mixture,
+    sum_n w_n P(mu+n, a x), a = mu (1+kappa) / mean, w_n negative binomial
+    with shape m and mean kappa mu; 200 terms (P(mu+n, a x) falls like
+    (a x)^n / n!)."""
+    with mpmath.workdps(30):
+        kappa, mu, m, mean, x = map(mpmath.mpf, (kappa, mu, m, mean, x))
+        lam, a = kappa * mu, mu * (1 + kappa) / mean
+        theta, w, total = lam / (lam + m), (m / (lam + m)) ** m, mpmath.mpf(0)
+        for n in range(200):
+            total += w * mpmath.gammainc(mu + n, 0, a * x, regularized=True)
+            w *= theta * (m + n) / (n + 1)
+        return float(total)
+
+
 @pytest.mark.parametrize("f, expected", [
     (lambda: imgf_lower(FadingModel.rayleigh(1e-308), -0.5, 1.0), 1.0),  # a = 1e308
     (lambda: cdf(FadingModel.rayleigh(1e-308), 1e-308), 1.0 - math.exp(-1.0)),
@@ -224,8 +237,13 @@ def test_finite_extreme_out_of_reach_is_accuracy_error(f):
     (lambda: aber_adaptive(RAY, AdaptiveModScheme((0.0,), (1023,))), 0.2),
     (lambda: db_to_linear(3000.0), 1e300),
     (lambda: linear_to_db(5e-324), -3233.0621534),
+    # shadowing shape m = 1e-12: AccuracyError before, the kernel's first
+    # weight ratio lost eps/m (2.2e-5 off, when it still summed)
+    (lambda: cdf(FadingModel.kappa_mu_shadowed(1.0, 1.0, 1e-12, 1.0), 2.0),
+     _mp_shadowed_cdf(1.0, 1.0, 1e-12, 1.0, 2.0)),
 ], ids=["imgf_lower[rayleigh(1e-308)]", "cdf[rayleigh(1e-308)]", "opsc.rate_rs[1023]",
-        "aber_adaptive.bits[1023]", "db_to_linear[3000]", "linear_to_db[5e-324]"])
+        "aber_adaptive.bits[1023]", "db_to_linear[3000]", "linear_to_db[5e-324]",
+        "cdf[kappa_mu_shadowed(1, 1, 1e-12, 1)]"])
 def test_finite_extreme_keeps_its_value(f, expected):
     assert f() == pytest.approx(expected, rel=1e-8)
 

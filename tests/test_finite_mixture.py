@@ -169,7 +169,7 @@ def test_one_walk_without_peak_search(kappa, mu, m, k, upper, monkeypatch):
         else:
             _log_imgf(model, s, zeta * ORACLE_MEAN, k, upper)
         assert len(seeds) == (0 if m == mu else 1)
-    assert all(size == 1 for size in reg_gamma_orders)  # no 33-point grid
+    assert all(size == 1 for size in reg_gamma_orders)  # no vector of orders
 
 
 def test_series_accuracy_error_point_is_summed():

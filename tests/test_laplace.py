@@ -151,6 +151,21 @@ class TestImgfNumeric:
         img = laplace_image(FadingModel.rayleigh(1.0))
         assert imgf_lower_numeric(img, -0.5, 60.0) == pytest.approx(2.0 / 3.0, rel=1e-6)
 
+    def test_float64_inversion_calls_the_image_once(self):
+        # the 84 contour nodes and -s, where L(-s) = M(s) bounds the result
+        seen = []
+        image = laplace_image(FadingModel.rayleigh(1.0))
+
+        def counting(p):
+            seen.append(p.shape)
+            return image.evaluator(p)
+
+        img = LaplaceImage(counting, image.abscissa)
+        assert imgf_lower_numeric(img, -0.5, 1.0) == pytest.approx(RAY_LOWER, rel=1e-7)
+        assert seen == [(laplace._COMPANION_NODES + laplace._NODES + 1,)]
+        # M(s) clips the inversion noise at large zeta: the MGF 2/3, not above
+        assert imgf_lower_numeric(img, -0.5, 60.0) <= 2.0 / 3.0
+
     def test_zeta_zero(self):
         img = laplace_image(FadingModel.rayleigh(1.0))
         assert imgf_lower_numeric(img, -0.5, 0.0) == 0.0

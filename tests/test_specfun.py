@@ -189,7 +189,8 @@ def mp_mixture_sum(lam, m, mu, k, log_r, x, upper, survival=False):
             now = lam / mpmath.mpf(n + 1) if poisson else theta * (m + n) / (n + 1)
             return now, (now if poisson or m >= 1 else theta)
 
-        span = float(r * x) + lam + 60.0 / (1.0 - float(theta))  # where the terms have fallen
+        # where the terms have fallen (the doubling below finds the rest)
+        span = float(r * x) + lam + 60.0 / (1.0 - min(float(r * theta), 0.9))
         size = 64 * 2 ** math.ceil(math.log2(1.0 + span / 64.0))
         while True:
             w = [mpmath.mpf(1)] if lam == 0.0 else [
@@ -222,6 +223,8 @@ def mp_mixture_sum(lam, m, mu, k, log_r, x, upper, survival=False):
             if lam == 0.0:
                 return float(mpmath.log(total))
             ratio = weight_ratio(size - 1)[1] * r * max(1, (mu + size - 1 + k) / (mu + size - 1))
+            if not upper:  # P(a+1, x) <= P(a, x) x/(a+1)
+                ratio *= min(1, x / (a[-1] + 1))
             if ratio < 1 and edge * ratio / (1 - ratio) < mpmath.mpf(10) ** -25 * total:
                 return float(mpmath.log(total))
             size *= 2
@@ -252,6 +255,15 @@ ORACLE_CASES = [
 ORACLE_CASES.append(pytest.param(
     60.0, 0.5, True, False, [(6.0, k, -math.log1p(3.5 / 2.2), 0.4104) for k in (33, 40)],
     id="60.0-0.5-rest-from-order-0"))
+# deep upper tails of the benchmark's imgf-grid, where the plan's bisection
+# runs on R from Legendre's fraction: Poisson 60 at x = 2320, negative
+# binomial (60, 0.5) at x = 1340 and (144, 6) at x = 780
+ORACLE_CASES += [
+    pytest.param(60.0, math.inf, True, False, [(6.0, 0, -0.5639354490799391, 2320.0)],
+                 id="60.0-inf-deep-tail"),
+    pytest.param(60.0, 0.5, True, False, [(6.0, 1, -0.015037877364540516, 1340.0)],
+                 id="60.0-0.5-deep-tail"),
+    pytest.param(144.0, 6.0, True, False, [(12.0, 1, 0.0, 780.0)], id="144.0-6.0-deep-tail")]
 
 
 class TestMixtureKernel:
@@ -299,8 +311,9 @@ class TestMixtureKernel:
     @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
     def test_one_incomplete_gamma_call_per_block(self, upper, monkeypatch):
         # Poisson weights with mean 5000 put the sum on about 800 terms around
-        # n = 5000; scipy is asked for R at two orders per block and at the 33
-        # points of each peak-search grid, never term by term
+        # n = 5000; scipy is asked for R at scalar orders only: two per step
+        # of the plan's bisection, O(log n) of them, and two per block, never
+        # term by term
         sizes = []
 
         class CountingSpecial:
@@ -320,10 +333,25 @@ class TestMixtureKernel:
         monkeypatch.undo()
         assert got == pytest.approx(mp_mixture_sum(5000.0, math.inf, 2.0, 0, 0.0, 5000.0, upper),
                                     rel=1e-11, abs=0.0)
-        seeds = [n for n in sizes if n <= 2]
-        grids = [n for n in sizes if n > 2]
-        assert all(n <= 33 for n in grids) and len(grids) <= 4, sizes
-        assert 1 <= len(seeds) <= 6, sizes
+        assert sizes and all(n == 1 for n in sizes), sizes
+        # the plan brackets the peak in [0, 2 guess + 16] and halves it; the
+        # window is a few blocks
+        plan_steps = math.ceil(math.log2(2 * 5000 + 16)) + 1
+        assert len(sizes) <= 2 * plan_steps + 2 * 4, sizes
+
+    # negative binomial shapes far below 1: the walk's first weight ratio is
+    # r theta m itself (r theta + r theta (m - 1) cancelled to eps/m), and the
+    # n = 0 weight takes Gamma(m), not Gamma(1 + (m - 1)); AccuracyError below
+    # m = 2.2e-4 before.  The cdf of a kappa-mu shadowed (1, 1, m) law at mean
+    # 1, x = 2, is the lower sum at r = 1, x = 4
+    @pytest.mark.parametrize("m", [1e-3, 1e-4, 1e-6, 1e-8, 1e-12])
+    @pytest.mark.parametrize("upper, log_r", [(False, 0.0), (True, -0.5)],
+                             ids=["lower", "upper"])
+    def test_tiny_shape_against_mpmath(self, m, upper, log_r):
+        for k in (0, 1):
+            ref = mp_mixture_sum(1.0, m, 1.0, k, log_r, 4.0, upper)
+            got = _log_mixture_sum(1.0, m, 1.0, k, log_r, 4.0, upper)
+            assert math.exp(got - ref) == pytest.approx(1.0, rel=1e-12, abs=0.0), k
 
     @pytest.mark.parametrize("lam,m,mu", KERNEL_FAMILIES)
     @pytest.mark.parametrize("survival", [False, True], ids=["weights", "survival"])
