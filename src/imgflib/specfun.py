@@ -2,16 +2,25 @@
 (and the Marcum functions built on it), log-space regularized incomplete
 gammas, the positive-term Kummer 1F1 and the reduced Humbert Phi2 series.
 
-The mixture sum finds its summand peak by bisection on the term ratio, one
-scalar incomplete gamma per step, then takes scipy's incomplete gamma once
-per block of terms and walks the block by the recurrences between
-neighbouring orders.  The walk has two forms: a loop in plain float (or,
-over an array of x, array) arithmetic that forms each step's ratios
-itself, and, for a float x and a block longer than _LONG_WALK terms, one
-NumPy pass of cumulative products and sums.  A float x's call keeps its
-bookkeeping on Python floats and math.  Where scipy's value underflows or
-rounds poorly, Legendre's continued fraction or the ascending series with
-a Stirling-form prefactor take its place.
+The mixture sum _log_mixture_sum is built from three parts:
+
+- one weights family per kind of weights (_UnitMass, _Binomial,
+  _NegativeBinomial, _Poisson, each with its survival form), which owns its
+  log weight, its step ratio, its ratio bounds, its closed-form rest and its
+  peak guess;
+- the plan (_plan), which places the first window on the summand peak,
+  found by bisection on the term ratio, one scalar incomplete gamma per
+  step, and gives the order past which every Q is 1;
+- the walkers, which take scipy's incomplete gamma once per block of terms
+  and walk the block by the recurrences between neighbouring orders: a loop
+  in plain float (or, over an array of x, array) arithmetic that forms each
+  step's ratios itself (_walk_loop), its twin that also sums the next order
+  (_walk_pair), and, for a float x and a block longer than _LONG_WALK terms,
+  one NumPy pass of cumulative products and sums (_walk_numpy).
+
+A float x's call keeps its bookkeeping on Python floats and math.  Where
+scipy's value underflows or rounds poorly, Legendre's continued fraction or
+the ascending series with a Stirling-form prefactor take its place.
 
 All kernels are pure double-precision functions, reentrant and
 thread-safe.  Running out of the term budget raises AccuracyError rather than
@@ -28,10 +37,7 @@ from scipy import special as sp
 
 from .errors import AccuracyError, DomainError
 
-__all__ = [
-    "marcum_q",
-    "marcum_p",
-]
+__all__ = ["marcum_q", "marcum_p"]
 
 _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relative
@@ -59,12 +65,10 @@ def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
     _far_reg_gamma.
     """
     r = sp.gammaincc(a, x) if upper else sp.gammainc(a, x)
-    out = np.log(r)
-    if not (r < _UNDERFLOW).any():
-        return out
-    far = r < _UNDERFLOW
-    a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
-    out[far] = _far_reg_gamma(a, x, upper)[0]
+    out, far = np.log(r), r < _UNDERFLOW
+    if far.any():
+        a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
+        out[far] = _far_reg_gamma(a, x, upper)[0]
     return out
 
 
@@ -186,10 +190,9 @@ def _log_betainc(a, b, x: float) -> np.ndarray:
     """
     r = sp.betainc(a, b, x)
     with np.errstate(divide="ignore"):
-        out = np.log(r)
-    if not (r < _UNDERFLOW).any():
+        out, far = np.log(r), r < _UNDERFLOW
+    if not far.any():
         return out
-    far = r < _UNDERFLOW
     a, b = np.broadcast_to(a, r.shape)[far], np.broadcast_to(b, r.shape)[far]
     log_pref = a * math.log(x) + b * math.log1p(-x) - np.log(a) - sp.betaln(a, b)
     term = total = np.ones_like(a)
@@ -246,7 +249,7 @@ def _log_gamma_below(mu: float, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the gamma-mixture kernel
+# the gamma-mixture kernel: weights families, the plan and the walkers
 # ---------------------------------------------------------------------------
 
 _LOG_Q_ONE = 1.0 - math.log(_MIXTURE_TOL)
@@ -276,14 +279,11 @@ def _remaining(edge, ratio, ref, total):
     by ratio each, before their geometric tail bound is below _MIXTURE_TOL of
     the sum exp(ref) total (<= 0: none, also for an edge term of 0; nan: the
     edge is not yet past the peak).  By math for a float ratio."""
-    if isinstance(ratio, float):
-        if not 0.0 < ratio < 1.0:
-            return math.nan
-        log_ratio = math.log(ratio)
-        return (math.log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) \
-            / log_ratio
-    log_ratio = np.log(ratio)
-    return (np.log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) / log_ratio
+    log = math.log if isinstance(ratio, float) else np.log
+    if log is math.log and not 0.0 < ratio < 1.0:
+        return math.nan
+    log_ratio = log(ratio)
+    return (log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) / log_ratio
 
 
 def _log_float(v: float) -> float:
@@ -296,478 +296,581 @@ def _larger(need, need2):
     return need if need >= need2 else need2 if need2 >= need else math.nan
 
 
-def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
-                     upper: bool, survival: bool = False, pair: bool = False):
-    """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P;
-    with pair=True (a float x, no survival weights) the logs at orders k and
-    k+1 as a tuple, from one plan and one walk.
+class _Weights:
+    """A weights family: log w_n r^(mu+n) over n >= 0 (r^(mu+n) folded in,
+    log r = log_r), or with survival=True the survival function S_n =
+    sum_{j>n} w_j in place of w_n.  A family gives
 
-    The weights w_n are negative binomial with mean lam and shape m, Poisson
-    when m = inf, binomial with N = -m trials and mean lam when m < 0 (the
-    negative binomial law of shape -N), and a unit mass at n = 0 when
-    lam = 0; survival=True sums their survival function S_n = sum_{j>n} w_j
-    in their place.  The densities of the family are gamma-scale mixtures
-    with these weights at a rate c (fading._gamma_mixture), so with
-    r = c/(c-s) and x = (c-s) zeta this one sum gives every incomplete MGF,
-    its s-derivatives, the CDF, the Marcum functions and (at k = -1, upper
-    tail only, where (mu+n)_-1 Q(mu+n-1, x) = Gamma(mu+n-1, x) / Gamma(mu+n)
-    also for mu+n-1 <= 0) the capacity sums.  Vectorised over x, which must
-    be positive for the lower tail; a lower sum whose first order mu + k is
-    not positive diverges and raises DomainError.
+    - its log weight at one n (log_weight), and over a block the seed's log
+      weight and, for survival weights, every step ratio (block);
+    - its step ratio, the weight ratio w(j) r/w(j-1) into n = j (step), for
+      the walkers as rw1 + rw01/j for j > 1 and rw0 at j = 1, from
+      w(n+1)/w(n) = (w0 + w1 n)/(n+1); rw0 = r theta m itself, not r theta +
+      r theta (m - 1), which cancels to eps/m relative (survival weights
+      take their ratios from block);
+    - bounds on the weight ratio, forward (w(n+1)/w(n) for every n >= top)
+      and backward (w(n-1)/w(n) for every 1 <= n <= low), for S(n+1)/S(n) <=
+      max_{j>n} w(j+1)/w(j) and S(n-1)/S(n) = 1 + w(n)/S(n) <= 1 +
+      w(n)/w(n+1) from the weights' own: each factor of the summand but the
+      weights (for m < 1) and their survival function is log-concave in n,
+      so these bounds and the term ratio at a block's edge bound every ratio
+      beyond it;
+    - where rest is set, its upper sum from an n on where every Q is 1, in
+      closed form (log_rest);
+    - a guess at its summand peak (peak).
 
-    Binomial weights have the finite support [0, N]: one walk sums all of it
-    (S_N = 0, so the survival sum stops at N - 1), with no peak search and
-    no tail bound.  The other families are summed as follows.
+    support is the number of terms of a finite family, None for an infinite
+    one; log_sum, where it is set, gives the whole sum in closed form.  No
+    code outside the families tests which one it is."""
+    support = log_sum = None
+    rest = False
 
-    Summation starts at the summand peak and works outward in doubling
-    blocks (the central-term windowing of Gil, Segura and Temme for the
-    Marcum function).  Each factor of the summand is log-concave in n, so
-    the term ratio at a block edge bounds every ratio beyond it (the factors
-    that are not, the weights and their survival function for m < 1 and
-    1/(mu+n-1), get explicit bounds); a direction stops once the geometric
-    tail so bounded is below _MIXTURE_TOL of the sum.  Once every later Q is
-    1 to within _MIXTURE_TOL, the upper sum's rest is added in closed form;
-    when the peak estimate lies beyond that point, the window is centred
-    there, so a peak far out (heavy shadowing near the pole) costs no walk.
+    def __init__(self, mu: float, log_r: float, survival: bool, w0: float, w1: float):
+        self.mu, self.log_r, self.survival, self.r = mu, log_r, survival, math.exp(log_r)
+        self.rw0, self.rw1, self.rw01 = (float(self.r * w) for w in (w0, w1, w0 - w1))
 
-    The plan, made once per call: where one block from n = 0 does not cover
-    the peak estimate, the peak of the median column is found by bisection
-    on the sign of t(n+1)/t(n) - 1, the ratio formed from the walk's own
+    def log_weight(self, n: int) -> float:
+        """log w_n r^(mu+n) (or S_n r^(mu+n)) at one n, with the log-gamma
+        differences that round to about eps n in a plain sum taken accurately."""
+        return self.block(n, n + 1, n)[0] if self.survival else self.log_mass(n)
+
+    def block(self, lo: int, hi: int, seed: int):
+        """The log weight at seed and, for survival weights, the step ratios
+        into lo+1 .. hi-1 as a list (else None), from one array over [lo, hi)."""
+        if not self.survival:
+            return self.log_weight(seed), None
+        with np.errstate(all="ignore"):
+            n = np.arange(lo, hi, dtype=float)
+            logw = (self.mu + n) * self.log_r + self.log_tail(n)  # log S_n r^(mu+n)
+            return float(logw[seed - lo]), np.exp(np.diff(logw)).tolist()
+
+    def step(self, j: int) -> float:
+        """The weight ratio into n = j."""
+        if self.survival:
+            return self.block(j - 1, j + 1, j - 1)[1][0]
+        return self.rw1 + self.rw01 / j if j > 1 else self.rw0
+
+    def log_rest(self, start: int, order: int) -> float:
+        """log sum_{n >= start} w_n r^(mu+n) (mu+n)_order, the upper sum where
+        every Q is 1.  (mu+n)_o = sum_i C(o,i) (mu+i)_(o-i) n!/(n-i)!, and each
+        falling-factorial moment of the weights' tail is a tail mass of the
+        same family (moments, at any positive order where i >= start masks
+        it).  The tail from an order start - i <= 0 on is the whole mass,
+        whose log is 0."""
+        mu, i = self.mu, np.arange(order + 1.0)
+        with np.errstate(all="ignore"):
+            log_c = (math.lgamma(order + 1.0) - sp.gammaln(i + 1.0)
+                     - sp.gammaln(order - i + 1.0) + math.lgamma(mu + order) - sp.gammaln(mu + i))
+            log_tail, log_mom = self.moments(np.maximum(start - i, 1.0), i)
+            log_parts = log_c + (log_mom + np.where(i < start, log_tail, 0.0))
+            top = log_parts.max()
+            return mu * self.log_r + float(top + np.log(np.exp(log_parts - top).sum()))
+
+
+class _UnitMass(_Weights):
+    """A unit mass at n = 0 (lam = 0), whose sum is its first term."""
+
+    def __init__(self, survival: bool):
+        self.survival = survival
+
+    def log_sum(self, mu: float, k: int, log_r: float, xs, upper: bool, shape: tuple):
+        """log r^mu (mu)_k R(mu+k, x), or -inf for the survival weights (S_0 =
+        0); on scalars, unless R underflows or E1 needs its fraction (np.log,
+        as on the arrays: math.log rounds differently near 1)."""
+        if self.survival:
+            return np.full(shape, -np.inf) if shape else -math.inf
+        if not shape:
+            if mu + k > 0.0:
+                rg = (sp.gammaincc if upper else sp.gammainc)(mu + k, xs)
+                if rg >= _UNDERFLOW:
+                    return float(mu * log_r + (math.lgamma(mu + k) - math.lgamma(mu) + np.log(rg)))
+            elif mu == 1.0 and xs <= 700.0:
+                return float(mu * log_r + np.log(sp.exp1(xs)))
+        with np.errstate(divide="ignore"):
+            out = mu * log_r + (_log_gamma_below(mu, xs) if mu + k <= 0.0 else (math.lgamma(
+                mu + k) - math.lgamma(mu) + _log_reg_gamma(np.array([mu + k]), xs, upper)))
+        return out.reshape(shape) if shape else float(out[0])
+
+
+class _Poisson(_Weights):
+    """Poisson weights of mean lam (m = inf): w_n = e^-lam lam^n / n!."""
+
+    def __init__(self, lam: float, mu: float, log_r: float, survival: bool):
+        super().__init__(mu, log_r, survival, lam, 0.0)
+        self.lam, self.m, self.rest = lam, math.inf, not survival
+        self.slope = log_r + math.log(lam)
+
+    def log_mass(self, n: int) -> float:  # lam^n / n! (r^n e^-lam)
+        lam, log_r = self.lam, self.log_r
+        return (_log_poisson_term(float(n), lam * self.r) + lam * math.expm1(log_r)
+                + self.mu * log_r)
+
+    def log_tail(self, n):
+        return _log_reg_gamma(n + 1.0, self.lam, False)
+
+    def forward(self, top: int) -> float:
+        return self.lam / ((top + 1 if self.survival else top) + 1.0)
+
+    def backward(self, low: int) -> float:
+        return 1.0 + (low + 1.0) / self.lam if self.survival else low / self.lam
+
+    def peak(self, xc: float, k: int) -> float:
+        return self.lam * self.r + k
+
+    def moments(self, tail_order, i):
+        """Tail masses and falling-factorial moments: Poisson of mean lam r."""
+        lam = self.lam
+        return (_log_reg_gamma(tail_order, lam * self.r, False),
+                lam * math.expm1(self.log_r) + i * self.slope)
+
+
+class _NegativeBinomial(_Weights):
+    """Negative binomial weights of mean lam and shape m > 0, theta =
+    lam/(lam+m): w_n = (m)_n theta^n (1-theta)^m / n!, whose log plus (mu+n)
+    log r is n slope + const - log n! + log Gamma(m+n).  Where log(1 -
+    theta) = log(m/(lam+m)) leaves the double range (m = 1e-300 at lam =
+    1e300) they raise AccuracyError."""
+
+    def __init__(self, lam: float, m: float, mu: float, log_r: float, survival: bool):
+        theta = lam / (lam + m)
+        super().__init__(mu, log_r, survival, theta * m, theta)
+        self.lam, self.m, self.theta, self.rest = lam, m, theta, not survival
+        self.q = self.r * theta
+        if not m / (lam + m) > 0.0:
+            raise AccuracyError(f"negative binomial weights of shape m = {m} and mean lam = "
+                                f"{lam}: log(1 - theta) = log(m/(lam+m)) leaves the double range")
+        self.log_1m_theta = math.log(m / (lam + m))
+        self.slope = log_r - math.log1p(m / lam)
+        self.const = mu * log_r - (math.lgamma(m) - m * self.log_1m_theta)
+
+    def log_mass(self, n: int) -> float:
+        # at n = 0, Gamma(m) itself: n + 1 + (m - 1) would round m's low bits off
+        m = self.m
+        return n * self.slope + self.const + (_log_gamma_ratio(n + 1.0, m - 1.0) if n
+                                              else math.lgamma(m))
+
+    def log_tail(self, n):
+        return _log_betainc(n + 1.0, self.m, self.theta)
+
+    def forward(self, top: int) -> float:
+        t = top + 1 if self.survival else top
+        return self.theta * max(1.0, (self.m + t) / (t + 1.0))
+
+    def backward(self, low: int) -> float:
+        theta, m = self.theta, self.m
+        if self.survival:
+            return 1.0 + ((low + 1.0) / (theta * (m + low)) if m >= 1.0
+                          else 2.0 / (theta * (m + 1.0)))
+        return low / (theta * (m + low - 1.0)) if m >= 1.0 else 1.0 / (theta * m)
+
+    def peak(self, xc: float, k: int) -> float:
+        q = self.q
+        return q * (self.m + k) / (1.0 - q) if q < 1.0 else q * (xc + self.m + k)
+
+    def moments(self, tail_order, i):
+        """Negative binomial of shape m+i and ratio q; 1 - q = (m - lam
+        (r-1)) / (lam + m) keeps its digits as q -> 1."""
+        m, lam = self.m, self.lam
+        log_1mq = math.log((m - lam * math.expm1(self.log_r)) / (lam + m))
+        return (_log_betainc(tail_order, m + i, self.q), m * (self.log_1m_theta - log_1mq)
+                + sp.gammaln(m + i) - math.lgamma(m) + i * (self.slope - log_1mq))
+
+
+class _Binomial(_Weights):
+    """Binomial weights of N = -m trials and mean lam (the negative binomial
+    law of shape -N, theta = -p/(1-p)), whose log plus (mu+n) log r is n
+    slope + const + log C(N, n): the finite support [0, N] (S_N = 0, so the
+    survival weights' is [0, N-1])."""
+
+    def __init__(self, lam: float, m: float, mu: float, log_r: float, survival: bool):
+        theta = lam / (lam + m)
+        super().__init__(mu, log_r, survival, theta * m, theta)
+        self.lam, self.m, self.trials = lam, m, int(-m)
+        self.support = self.trials + (0 if survival else 1)
+        self.slope = log_r + math.log(-theta)
+        self.const = mu * log_r + m * math.log(m / (lam + m))
+
+    def log_mass(self, n: int) -> float:
+        return n * self.slope + self.const + math.log(math.comb(self.trials, n))
+
+    def log_tail(self, n):
+        return _log_betainc(n + 1.0, -self.m - n, self.lam / -self.m)
+
+
+def _weights(lam: float, m: float, mu: float, log_r: float, survival: bool) -> _Weights:
+    """The family of a kernel call's (lam, m)."""
+    if lam == 0.0:
+        return _UnitMass(survival)
+    if math.isinf(m):
+        return _Poisson(lam, mu, log_r, survival)
+    return (_Binomial if m < 0.0 else _NegativeBinomial)(lam, m, mu, log_r, survival)
+
+
+_ON_FLOAT = (bool, float, min, max, math.isfinite, math.exp, _log_float)
+_ON_ARRAY = (np.all, np.max, np.minimum, np.maximum, np.isfinite, np.exp, np.log)
+
+
+class _Summand:
+    """The terms t_n = w_n r^(mu+n) (mu+n)_k R(mu+n+k, x) of one call, R = Q
+    if upper else P, with the bounds on their ratios.  A float x keeps them
+    on Python floats and math: every, largest, minimum, maximum, isfinite,
+    exp and log act on either.  The step from n to n+1 at j = n+1 takes the
+    weight ratio, the Pochhammer ratio (mu+n+k)/(mu+n) = 1 + k/(j + mu1) and
+    d(a+1)/d(a) = x/(j + mk), a = mu+n+k (upper); down, d(a-2)/d(a-1) =
+    (j + mk1)/x."""
+
+    def __init__(self, weights: _Weights, mu: float, k: int, xs, upper: bool, pair: bool):
+        self.weights, self.mu, self.k, self.xs, self.upper = weights, mu, k, xs, upper
+        self.pair, self.scalar, self.r = pair, isinstance(xs, float), weights.r
+        (self.every, self.largest, self.minimum, self.maximum, self.isfinite, self.exp,
+         self.log) = _ON_FLOAT if self.scalar else _ON_ARRAY
+        self.xmax = xs if self.scalar else float(np.max(xs))
+        self.inv_x = 1.0 / xs if not self.scalar or xs else math.inf
+        self.first_below = mu + k <= 0.0  # k = -1, mu <= 1: no R of order mu-1 at n = 0
+        self.mu1, self.mk, self.mk1 = float(mu - 1.0), float(mu + k), float(mu + k - 1.0)
+
+    def shift(self, n: int) -> float:
+        """The order-(k+1) term at n-1 over the order-k term at n, (mu+n-1)
+        over the weight ratio into n; 0 at n = 0, below the first term."""
+        return (n + self.mu1) / self.weights.step(n) if n else 0.0
+
+    def forward_ratio(self, top: int, rg, order: int):
+        """Bound on the term ratio t(n+1)/t(n) for every n >= top at the
+        order; rg is Q(a+1)/Q(a) at n = top (upper tail).  1/(mu+n-1) falls:
+        its ratio stays below 1."""
+        w, mu = self.weights.forward(top) * self.r, self.mu
+        if not self.upper:
+            rg = self.minimum(1.0, self.xs / (mu + top + order + 1.0))
+        return w * (mu + top + order) / (mu + top) * rg if order >= 0 else w * rg
+
+    def backward_ratio(self, low: int, rg, order: int):
+        """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low at the
+        order; rg is P(a-1)/P(a) at n = low (lower tail).  Gamma(b-1, x) <=
+        Gamma(b, x) / x at every real order b."""
+        w, mu = self.weights.backward(low) / self.r, self.mu
+        if self.upper and order < 0:
+            return w * (mu + low - 1.0) * self.inv_x
+        if self.upper:
+            rg = self.minimum(1.0, (mu + low + order - 1.0) * self.inv_x)
+        return w * (mu + low - 1.0) / (mu + low + order - 1.0) * rg
+
+    def ahead(self, last, rg, hi: int, ref, total, ref2, total2):
+        """Terms to add past n = hi - 1 (_remaining), of both orders in the
+        pair mode, whose order-(k+1) edge is one n lower."""
+        need = _remaining(last, self.forward_ratio(hi - 1, rg, self.k), ref, total)
+        if not self.pair:
+            return need
+        return _larger(need, _remaining(last + math.log(self.shift(hi - 1)),
+                                        self.forward_ratio(hi - 2, rg, self.k + 1), ref2, total2))
+
+    def behind(self, first, rg, lo: int, ref, total, ref2, total2):
+        """Terms to add below n = lo, as ahead; the order-(k+1) sum's first
+        n = 0 is at lo = 1."""
+        need = _remaining(first, self.backward_ratio(lo, rg, self.k), ref, total)
+        if not self.pair or lo <= 1:
+            return need
+        return _larger(need, _remaining(first + math.log(self.shift(lo)),
+                                        self.backward_ratio(lo - 1, rg, self.k + 1), ref2, total2))
+
+
+def _rises(t: _Summand, n: int, xc: float) -> bool:
+    """Whether the median column's term at n+1 is at least its term at n:
+    Q(a+1)/Q(a) = 1 + d/Q at a = mu+n+k (upper), P(a+1)/P(a) = 1/(1 + d/P)
+    with d/P from the seed at a+1 (lower)."""
+    j = n + 1
+    u = t.weights.step(j)
+    if t.k:
+        u = u * (1.0 + t.k / (j + t.mu1))
+    if t.upper:
+        return u * (1.0 + _log_reg_gamma_seed(t.mu + n + t.k, xc, True)[1]) >= 1.0
+    return u >= 1.0 + _log_reg_gamma_seed(t.mu + j + t.k, xc, False)[1]
+
+
+def _plan(t: _Summand):
+    """The first window of an infinite family's sum, as (center, block,
+    spare, n1): the window is [max(0, center - block), center + block), its
+    edges must pass the tail bounds with spare terms to spare, and from n1
+    on every Q(mu+n+k, x) is 1 to within _MIXTURE_TOL (None: the sum has no
+    closed-form rest).
+
+    The window is centred on the summand peak of the median column: Q pulls
+    it from the weights' peak up to about x, P down.  Where one block from
+    n = 0 does not cover that guess, the peak is found by bisection on the
+    sign of t(n+1)/t(n) - 1 (_rises), the ratio formed from the walk's own
     pieces (the weight ratio, the Pochhammer ratio and R's ratio 1 + d/R
     from one scalar _log_reg_gamma_seed), to within a sixteenth of the
     block: O(log n) scalar calls.  Log-concave terms cross 1 once; where
     they are not (m < 1), a misplaced centre costs walking, never accuracy,
-    since the tail bounds, not the plan, certify the sum.  That window's
-    edges must pass the bounds with 8 terms to spare, as a grown block's do.
+    since the tail bounds, not the plan, certify the sum.  A window centred
+    on the peak passes its first bounds with 8 terms to spare, as every
+    grown block does, so it truncates well below _MIXTURE_TOL, not up to
+    it.  When the guess lies past n1, the window is centred on n1 and the
+    terms past it are the closed-form rest, so a peak far out (heavy
+    shadowing near the pole) costs no walk."""
+    xc = t.xs if t.scalar else float(np.median(t.xs))
+    guess = max(0.0, t.weights.peak(xc, t.k))
+    guess = max(guess, xc) if t.upper else min(guess, xc + math.sqrt(guess * xc))
+    n1 = None
+    if t.upper and t.k >= 0 and t.weights.rest:
+        n1 = max(0, math.ceil(_q_one_order(t.xmax) - t.mu - t.k))
+    hi = 2.0 * guess + 16.0
+    if n1 is not None and guess > n1:
+        return n1, 32 + int(6.0 * math.sqrt(n1)), 0.0, n1
+    if hi <= 256.0:
+        return 0, int(hi), 0.0, n1
+    lo, hi = 0, int(hi)  # the peak lies in (lo, hi]
+    while _rises(t, hi, xc):
+        lo, hi = hi, 16 * hi
+    while 16 * (hi - lo) > 32.0 + 6.0 * math.sqrt(hi):
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _rises(t, mid, xc) else (lo, mid)
+    return hi, 32 + int(6.0 * math.sqrt(hi)), 8.0, n1
 
-    A block takes R and R's next value once (_log_reg_gamma_seed), at the
+
+def _walk(t: _Summand, lo: int, hi: int):
+    """The terms n in [lo, hi): log of their sum, of the first and of the
+    last one, and R's ratio one step past the end the walk stops at,
+    R(a+1)/R(a) above hi-1 (upper) or R(a-1)/R(a) below lo (lower), and the
+    log of the order-(k+1) sum over n in [max(lo, 1) - 1, hi - 1) in the
+    pair mode (else None).
+
+    The block takes R and R's next value once (_log_reg_gamma_seed), at the
     end from which the recurrence Q(a+1, x) = Q(a, x) + d_a (upward) or
     P(a, x) = P(a+1, x) + d_a (downward), d_a = x^a e^-x / Gamma(a+1), adds
-    positive terms only, and walks to its other end: each term is the last
-    one times the weight ratio, the Pochhammer ratio and R's ratio, all
-    relative to the seed term, with d following from d(a+1) = d(a) x / (a+1)
-    (Gil, Segura and Temme, ch. 4).  The weight ratio from n = 0 to 1 is
-    r theta m itself, not the general r theta (n + m)/(n + 1) = r theta +
-    r theta (m - 1)/(n + 1), which cancels to eps/m relative there.  The
-    walk has two forms.  A loop forms each step's ratios in plain arithmetic
-    and carries d/R, so R's ratio is 1 + d/R; it runs on floats for a float
-    x and with array state for an array x, at any length.  A float x's
-    block longer than _LONG_WALK terms takes one NumPy pass instead: d/R_0
-    over the block is a cumulative product, R/R_0 the cumulative sum of it,
-    and the terms are the cumulative product of weight ratio times R's step
-    ratio.  The two are multiplied before the product, as in the loop,
-    because either alone can under- or overflow where the term is a normal
-    double.  The crossover, 100, was measured on the benchmark's kernel
-    calls (64 to 160 cost about the same); the pass rounds differently from
-    the loop, and the two sums agree to 4e-12 relative on those calls.  The
-    seed term's weight is taken in Stirling form, so a block far out keeps
-    the accuracy of its first term.  A block whose terms outgrow the double
+    positive terms only, and a walker goes to its other end: each term is
+    the last one times the weight ratio, the Pochhammer ratio and R's ratio,
+    all relative to the seed term, with d following from d(a+1) = d(a) x /
+    (a+1) (Gil, Segura and Temme, ch. 4).  A float x's block longer than
+    _LONG_WALK terms takes the NumPy pass, any other a loop.  The seed
+    term's weight is taken in Stirling form, so a block far out keeps the
+    accuracy of its first term.  A block whose terms outgrow the double
     range of its seed, or whose R/R_0 does in the NumPy pass, is split in
-    two.  A float x's bookkeeping (the plan, the bounds, the logs of the
-    sums) runs on Python floats and math; NumPy, under np.errstate, only in
-    the NumPy pass, the closed-form rest, the survival weights and the
-    order mu - 1 <= 0 of the first k = -1 term.
-
-    The pair mode walks order k and carries the order-(k+1) sum beside it.
-    The order-(k+1) term at n is the order-k term at n times (mu+n+k) and
-    R's ratio R(a+1)/R(a), a = mu+n+k, which the walk forms anyway; equally,
-    it is the order-k term at n+1 times (mu+n)/u, u the weight ratio of that
-    step before its Pochhammer factor (shift, used at the window's edges and
-    in the NumPy pass).  So each walk form adds one multiply-add per term,
-    and the single-order walk is left as it is.  The window [lo, hi) of
-    order k holds the order-(k+1) terms at [lo-1, hi-1), down to n = 0.
-    Each sum keeps its own reference and tail bounds, the order-(k+1) ones
-    at those shifted edges, and takes its own closed-form rest (log_rest at
-    k+1).  Binomial weights add the order-(k+1) term at n = N, one step past
-    the walk, on their own.
-
-    Negative binomial weights whose log(1 - theta) = log(m/(lam+m)) leaves
-    the double range (m = 1e-300 at lam = 1e300) raise AccuracyError.
-    """
-    # a float x runs on Python floats, far cheaper than 1-element arrays;
-    # every, largest, minimum, maximum, isfinite, exp and log act on either
-    shape = () if isinstance(x, (int, float)) else np.shape(x)
-    xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
-    xmax = float(np.max(xs)) if shape else xs
-    every, largest, minimum, maximum, isfinite, exp, log = (
-        (np.all, np.max, np.minimum, np.maximum, np.isfinite, np.exp, np.log) if shape
-        else (bool, float, min, max, math.isfinite, math.exp, _log_float))
-    if not upper and mu + k <= 0.0:
-        raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
-    if lam == 0.0:  # a unit mass at n = 0: the sum is its first term
-        if pair:
-            return tuple(_log_mixture_sum(lam, m, mu, j, log_r, x, upper) for j in (k, k + 1))
-        if survival:
-            return np.full(shape, -np.inf) if shape else -math.inf
-        if not shape:  # on scalars, unless R underflows or E1 needs its fraction
-            # (np.log, as on the arrays below: math.log rounds differently near 1)
-            if mu + k > 0.0:
-                rg = (sp.gammaincc if upper else sp.gammainc)(mu + k, xs)
-                if rg >= _UNDERFLOW:
-                    return float(mu * log_r + (math.lgamma(mu + k) - math.lgamma(mu)
-                                               + np.log(rg)))
-            elif mu == 1.0 and xs <= 700.0:
-                return float(mu * log_r + np.log(sp.exp1(xs)))
-        with np.errstate(divide="ignore"):
-            out = mu * log_r + (
-                _log_gamma_below(mu, xs) if mu + k <= 0.0
-                else (math.lgamma(mu + k) - math.lgamma(mu)
-                      + _log_reg_gamma(np.array([mu + k]), xs, upper)))
-        return out.reshape(shape) if shape else float(out[0])
-    poisson = math.isinf(m)
-    binomial = m < 0.0  # theta = -p/(1-p), p = lam/N the success probability
-    theta = 0.0 if poisson else lam / (lam + m)
-    r = math.exp(log_r)
-    q = r * theta
-    one_m_theta = 1.0 if poisson else m / (lam + m)
-    if not one_m_theta > 0.0:
-        raise AccuracyError(f"negative binomial weights of shape m = {m} and mean lam = "
-                            f"{lam}: log(1 - theta) = log(m/(lam+m)) leaves the double range")
-    # log w_n + (mu+n) log r = n * slope + const - log n! [+ log Gamma(m+n)],
-    # for binomial weights n * slope + const + log C(N, n)
-    log_1m_theta = math.log(one_m_theta)
-    slope = log_r + (math.log(lam) if poisson else math.log(-theta) if binomial
-                     else -math.log1p(m / lam))
-    const = mu * log_r - (lam if poisson else (0.0 if binomial else math.lgamma(m))
-                          - m * log_1m_theta)
-    w0, w1 = (lam, 0.0) if poisson else (theta * m, theta)  # w_(n+1)/w_n = (w0 + w1 n)/(n+1)
-
-    def log_survival(n: np.ndarray) -> np.ndarray:
-        """log S_n r^(mu+n) over an array of n (under np.errstate)."""
-        return (mu + n) * log_r + (_log_reg_gamma(n + 1.0, lam, False) if poisson
-                                   else _log_betainc(n + 1.0, -m - n, lam / -m) if binomial
-                                   else _log_betainc(n + 1.0, m, theta))
-
-    def log_weight(n: int) -> float:
-        """log w_n r^(mu+n) (or S_n r^(mu+n)) at one n, with the log-gamma
-        differences that round to about eps n in a plain sum taken accurately."""
-        if survival:
-            with np.errstate(all="ignore"):
-                return float(log_survival(np.array([float(n)]))[0])
-        if poisson:  # lam^n / n! (r^n e^-lam)
-            return _log_poisson_term(float(n), lam * r) + lam * math.expm1(log_r) + mu * log_r
-        if binomial:
-            return n * slope + const + math.log(math.comb(int(-m), n))
-        # at n = 0, Gamma(m) itself: n + 1 + (m - 1) would round m's low bits off
-        return n * slope + const + (_log_gamma_ratio(n + 1.0, m - 1.0) if n else math.lgamma(m))
-
-    first_below = mu + k <= 0.0  # k = -1, mu <= 1: no R of order mu-1 at n = 0
-
-    def log_head(x):
-        """log of the n = 0 term w_0 r^mu Gamma(mu-1, x) / Gamma(mu), over x."""
+    two."""
+    upper, pair = t.upper, t.pair
+    if t.first_below and lo == 0:  # w_0 r^mu Gamma(mu-1, x) / Gamma(mu)
         with np.errstate(all="ignore"):
-            return log_weight(0) + _log_gamma_below(mu, x)
+            head = t.weights.log_weight(0) + _log_gamma_below(t.mu, t.xs)
+        head = float(head[0]) if t.scalar else head
+        if hi == 1:
+            return head, head, head, math.nan, -math.inf if pair else None
+        log_sum, _, last, ratio, log_sum2 = _walk(t, 1, hi)
+        return np.logaddexp(head, log_sum), head, last, ratio, log_sum2
+    seed = lo if upper else hi - 1
+    log_rg, d_r = _log_reg_gamma_seed(t.mu + seed + t.k, t.xs, upper)
+    log_w, ratios = t.weights.block(lo, hi, seed)
+    log_seed = log_w + (_log_gamma_ratio(t.mu + seed, t.k) if t.k else 0.0) + log_rg
+    long = t.scalar and ratios is None and hi - lo > _LONG_WALK
+    walker = _walk_numpy if long else _walk_pair if pair else _walk_loop
+    term, total, rise, total2 = walker(t, lo, hi, d_r, ratios)
+    if not t.every(t.isfinite(total)) or pair and not math.isfinite(total2):
+        first, second = _walk(t, lo, (lo + hi) // 2), _walk(t, (lo + hi) // 2, hi)
+        return (np.logaddexp(first[0], second[0]), first[1], second[2],
+                (second if upper else first)[3],
+                np.logaddexp(first[4], second[4]) if pair else None)
+    log_end, log_sum = log_seed + t.log(term), log_seed + t.log(total)
+    log_sum2 = log_seed + t.log(total2) if pair else None
+    if upper:
+        return log_sum, log_seed, log_end, rise, log_sum2
+    return log_sum, log_end, log_seed, rise, log_sum2
 
-    # the step from n to n+1 at j = n+1: the weight ratio
-    # w(n+1) r^(mu+n+1)/(w(n) r^(mu+n)) = r (w0 + w1 n)/(n+1) = rw1 + rw01/j,
-    # rw0 at j = 1, the Pochhammer ratio (mu+n+k)/(mu+n) = 1 + k/(j + mu1), and
-    # d(a+1)/d(a) = x/(j + mk), a = mu+n+k (upper); down, d(a-2)/d(a-1) = (j + mk1)/x
-    rw0, rw1, rw01 = float(r * w0), float(r * w1), float(r * (w0 - w1))
-    mu1, mk, mk1 = float(mu - 1.0), float(mu + k), float(mu + k - 1.0)
 
-    if pair:
-        def shift(n: int) -> float:
-            """The order-(k+1) term at n-1 over the order-k term at n,
-            (mu+n-1) over the weight ratio into n; 0 at n = 0, below the
-            first term."""
-            return (n + mu1) / (rw1 + rw01 / n if n > 1 else rw0) if n else 0.0
-
-    def walk(lo: int, hi: int):
-        """The terms n in [lo, hi): log of their sum, of the first and of the
-        last one, and R's ratio one step past the end the walk stops at,
-        R(a+1)/R(a) above hi-1 (upper) or R(a-1)/R(a) below lo (lower), and
-        the log of the order-(k+1) sum over n in [max(lo, 1) - 1, hi - 1) in
-        the pair mode (else None)."""
-        if first_below and lo == 0:
-            head = log_head(xs) if shape else float(log_head(xs)[0])
-            if hi == 1:
-                return head, head, head, math.nan, -math.inf if pair else None
-            log_sum, _, last, ratio, log_sum2 = walk(1, hi)
-            return np.logaddexp(head, log_sum), head, last, ratio, log_sum2
-        seed = lo if upper else hi - 1
-        log_rg, d_r = _log_reg_gamma_seed(mu + seed + k, xs, upper)
-        if survival:  # S(j) r^(mu+j) / (S(j-1) r^(mu+j-1)) at index j - lo - 1
-            with np.errstate(all="ignore"):
-                logw = log_survival(np.arange(lo, hi, dtype=float))
-                ratios = np.exp(np.diff(logw)).tolist()
-        log_seed = ((float(logw[seed - lo]) if survival else log_weight(seed))
-                    + (_log_gamma_ratio(mu + seed, k) if k else 0.0) + log_rg)
-        term = total = 1.0
-        if not (shape or survival) and hi - lo > _LONG_WALK:
-            term, total, rise, total2 = long_walk(lo, hi, d_r)
-        elif pair:  # the order-(k+1) term at n = j-1 is (j + mk1) times
-            if upper:  # the order-k term there times R's rise to j
-                total2 = shift(lo)
-                for j in range(lo + 1, hi):
-                    u = rw1 + rw01 / j if j > 1 else rw0
-                    if k:
-                        u = u * (1.0 + k / (j + mu1))
-                    rise = 1.0 + d_r
-                    term = term * rise
-                    total2 = total2 + term * (j + mk1)
-                    term = term * u
-                    d_r = d_r * xs * (1.0 / (j + mk)) / rise
-                    total = total + term
-                rise = 1.0 + d_r
-            else:  # the order-k term at j over u
-                total2 = 0.0
-                for j in range(hi - 1, lo, -1):
-                    u = rw1 + rw01 / j if j > 1 else rw0
-                    if k:
-                        u = u * (1.0 + k / (j + mu1))
-                    rise = 1.0 + d_r
-                    a = j + mk1  # the order of R at n = j-1
-                    term = term * (1.0 / u)
-                    total2 = total2 + term * a
-                    term = term * rise
-                    d_r = d_r * inv_x * a / rise
-                    total = total + term
-                rise = 1.0 + d_r
-                total2 = total2 + term * shift(lo)
-        elif upper:
-            for j in range(lo + 1, hi):
-                u = ratios[j - lo - 1] if survival else rw1 + rw01 / j if j > 1 else rw0
-                if k:
-                    u = u * (1.0 + k / (j + mu1))
-                rise = 1.0 + d_r  # R's ratio from this term to the next
-                term = term * u * rise
-                d_r = d_r * xs * (1.0 / (j + mk)) / rise
-                total = total + term
-            rise = 1.0 + d_r
-        else:  # the walk going down, from n = j to j-1
-            for j in range(hi - 1, lo, -1):
-                u = ratios[j - lo - 1] if survival else rw1 + rw01 / j if j > 1 else rw0
-                if k:
-                    u = u * (1.0 + k / (j + mu1))
-                rise = 1.0 + d_r
-                term = term * (1.0 / u) * rise
-                d_r = d_r * inv_x * (j + mk1) / rise
-                total = total + term
-            rise = 1.0 + d_r
-        if not every(isfinite(total)) or pair and not math.isfinite(total2):
-            # the terms outgrew the double range
-            mid = (lo + hi) // 2
-            first, second = walk(lo, mid), walk(mid, hi)
-            return (np.logaddexp(first[0], second[0]), first[1], second[2],
-                    (second if upper else first)[3],
-                    np.logaddexp(first[4], second[4]) if pair else None)
-        log_end = log_seed + log(term)
-        log_sum = log_seed + log(total)
-        log_sum2 = log_seed + log(total2) if pair else None
-        if upper:
-            return log_sum, log_seed, log_end, rise, log_sum2
-        return log_sum, log_end, log_seed, rise, log_sum2
-
-    def long_walk(lo: int, hi: int, d_r: float):
-        """walk's last term, sum (both relative to the seed term), final R
-        ratio and, in the pair mode, order-(k+1) sum (else None) for a float
-        x, by cumulative products and sums over [lo, hi)."""
-        with np.errstate(all="ignore"):
-            j = np.arange(lo + 1.0, hi)
-            u = rw1 + rw01 / j
-            if lo == 0:
-                u[0] = rw0
-            if pair:  # shift(n) at n = lo .. hi-1
-                shifts = np.concatenate(([shift(lo)], (j + mu1) / u))
+def _walk_loop(t: _Summand, lo: int, hi: int, d_r, ratios):
+    """The last term and the sum over [lo, hi), both relative to the seed
+    term, R's ratio past the end and None (no order-(k+1) sum), by a loop
+    that forms each step's ratios in plain arithmetic and carries d/R, so
+    that R's ratio from one term to the next is 1 + d/R: on floats for a
+    float x, with array state for an array x.  ratios are the survival
+    weights' step ratios, else None."""
+    rw0, rw1, rw01, k, mu1, xs = t.weights.rw0, t.weights.rw1, t.weights.rw01, t.k, t.mu1, t.xs
+    term = total = 1.0
+    if t.upper:
+        mk = t.mk
+        for j in range(lo + 1, hi):
+            u = ratios[j - lo - 1] if ratios else rw1 + rw01 / j if j > 1 else rw0
             if k:
-                u *= 1.0 + k / (j + mu1)
-            grow = np.empty(hi - lo + 1)
-            grow[:2] = 1.0, d_r
-            if upper:
-                grow[2:] = xs / (j + mk)
-            else:
-                u, grow[2:] = 1.0 / u[::-1], (j[::-1] + mk1) * inv_x
-            # a_i the i-th order walked: R(a_(i+1)) - R(a_i), then R(a_i), over R(a_0)
-            np.cumprod(grow[1:], out=grow[1:])
-            np.cumsum(grow, out=grow)
-            rise = grow[1:] / grow[:-1]
-            # one product of weight and R ratios: either alone may leave the range
-            terms = np.cumprod(u * rise[:-1])
-            # an R ratio past the double range (inf or nan) splits the block
-            total = float(1.0 + terms.sum()) if rise[-1] < math.inf else math.inf
-            total2 = None
-            if pair:  # the terms walked up end at hi-1, those walked down at lo
-                total2 = float(shifts[0] + terms @ shifts[1:] if upper
-                               else shifts[-1] + terms @ shifts[-2::-1])
-        return float(terms[-1]), total, float(rise[-1]), total2
-
-    def log_rest(start: int, order: int = k) -> float:
-        """log sum_{n >= start} w_n r^(mu+n) (mu+n)_order, the upper sum where
-        every Q is 1.  (mu+n)_o = sum_i C(o,i) (mu+i)_(o-i) n!/(n-i)!, and each
-        falling-factorial moment of the weights' tail is a tail mass of the
-        same family: Poisson with mean lam r, negative binomial with shape m+i
-        and ratio q.  The tail from an order start - i <= 0 on is the whole
-        mass, whose log is 0."""
-        i = np.arange(order + 1.0)
-        with np.errstate(all="ignore"):
-            log_c = (math.lgamma(order + 1.0) - sp.gammaln(i + 1.0)
-                     - sp.gammaln(order - i + 1.0) + math.lgamma(mu + order) - sp.gammaln(mu + i))
-            tail_order = np.maximum(start - i, 1.0)  # any positive order where masked below
-            if poisson:
-                log_tail = _log_reg_gamma(tail_order, lam * r, False)
-                log_mom = lam * math.expm1(log_r) + i * slope
-            else:  # 1 - q = (m - lam (r-1)) / (lam + m) keeps its digits as q -> 1
-                log_tail = _log_betainc(tail_order, m + i, q)
-                log_1mq = math.log((m - lam * math.expm1(log_r)) / (lam + m))
-                log_mom = (m * (log_1m_theta - log_1mq) + sp.gammaln(m + i)
-                           - math.lgamma(m) + i * (slope - log_1mq))
-            log_mom = log_mom + np.where(i < start, log_tail, 0.0)
-            log_parts = log_c + log_mom
-            top = log_parts.max()
-            return mu * log_r + float(top + np.log(np.exp(log_parts - top).sum()))
-
-    def forward_ratio(top: int, rg, order: int = k):
-        """Bound on the term ratio t(n+1)/t(n) for every n >= top at the
-        order; rg is Q(a+1)/Q(a) at n = top (upper tail)."""
-        # w(n+1)/w(n) for n >= t, and S(n+1)/S(n) <= max_{j>n} w(j+1)/w(j);
-        # 1/(mu+n-1) falls, its ratio stays below 1
-        t = top + 1 if survival else top
-        w = lam / (t + 1.0) if poisson else theta * max(1.0, (m + t) / (t + 1.0))
-        if not upper:
-            rg = minimum(1.0, xs / (mu + top + order + 1.0))
-        return w * r * (mu + top + order) / (mu + top) * rg if order >= 0 else w * r * rg
-
-    def backward_ratio(low: int, rg, order: int = k):
-        """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low at the
-        order; rg is P(a-1)/P(a) at n = low (lower tail)."""
-        if survival:  # S(n-1)/S(n) = 1 + w(n)/S(n) <= 1 + w(n)/w(n+1)
-            w = 1.0 + ((low + 1.0) / lam if poisson
-                       else (low + 1.0) / (theta * (m + low)) if m >= 1.0
-                       else 2.0 / (theta * (m + 1.0)))
-        else:
-            w = (low / lam if poisson else low / (theta * (m + low - 1.0)) if m >= 1.0
-                 else 1.0 / (theta * m))
-        if upper and order < 0:  # Gamma(b-1, x) <= Gamma(b, x) / x at every real order b
-            return w / r * (mu + low - 1.0) * inv_x
-        if upper:
-            rg = minimum(1.0, (mu + low + order - 1.0) * inv_x)
-        return w / r * (mu + low - 1.0) / (mu + low + order - 1.0) * rg
-
-    def rises(n: int) -> bool:
-        """Whether the median column's term at n+1 is at least its term at n."""
-        j = n + 1
-        if survival:
-            with np.errstate(all="ignore"):
-                u = float(np.exp(np.diff(log_survival(np.array([n, j], dtype=float))))[0])
-        else:
-            u = rw1 + rw01 / j if j > 1 else rw0
+                u = u * (1.0 + k / (j + mu1))
+            rise = 1.0 + d_r
+            term = term * u * rise
+            d_r = d_r * xs * (1.0 / (j + mk)) / rise
+            total = total + term
+        return term, total, 1.0 + d_r, None
+    mk1, inv_x = t.mk1, t.inv_x  # the walk going down, from n = j to j-1
+    for j in range(hi - 1, lo, -1):
+        u = ratios[j - lo - 1] if ratios else rw1 + rw01 / j if j > 1 else rw0
         if k:
             u = u * (1.0 + k / (j + mu1))
-        if upper:  # Q(a+1)/Q(a) = 1 + d/Q at a = mu+n+k
-            return u * (1.0 + _log_reg_gamma_seed(mu + n + k, xc, True)[1]) >= 1.0
-        # P(a+1)/P(a) = 1/(1 + d/P), d/P from the seed at a+1
-        return u >= 1.0 + _log_reg_gamma_seed(mu + j + k, xc, False)[1]
+        rise = 1.0 + d_r
+        term = term * (1.0 / u) * rise
+        d_r = d_r * inv_x * (j + mk1) / rise
+        total = total + term
+    return term, total, 1.0 + d_r, None
 
+
+def _walk_pair(t: _Summand, lo: int, hi: int, d_r: float, ratios=None):
+    """_walk_loop's pair twin for a float x and the upper tail, which also
+    returns the order-(k+1) sum relative to the same seed term.  The
+    order-(k+1) term at n is the order-k term at n times (mu+n+k) and R's
+    ratio R(a+1)/R(a), a = mu+n+k, which the walk forms anyway; equally, it
+    is the order-k term at n+1 times (mu+n)/u, u the weight ratio of that
+    step before its Pochhammer factor (shift, used at the window's edges and
+    in the NumPy pass).  So the pair adds one multiply-add per term: the
+    order-(k+1) term at n = j-1 is (j + mk1) times the order-k term there
+    times R's rise to j."""
+    rw0, rw1, rw01, k, mu1, mk, mk1, xs = (t.weights.rw0, t.weights.rw1, t.weights.rw01, t.k,
+                                           t.mu1, t.mk, t.mk1, t.xs)
+    term = total = 1.0
+    total2 = t.shift(lo)
+    for j in range(lo + 1, hi):
+        u = rw1 + rw01 / j if j > 1 else rw0
+        if k:
+            u = u * (1.0 + k / (j + mu1))
+        rise = 1.0 + d_r
+        term = term * rise
+        total2 = total2 + term * (j + mk1)
+        term = term * u
+        d_r = d_r * xs * (1.0 / (j + mk)) / rise
+        total = total + term
+    return term, total, 1.0 + d_r, total2
+
+
+def _walk_numpy(t: _Summand, lo: int, hi: int, d_r: float, ratios=None):
+    """_walk_loop's (or _walk_pair's) results for a float x from one NumPy
+    pass over [lo, hi): d/R_0 over the block is a cumulative product, R/R_0
+    the cumulative sum of it, and the terms the cumulative product of weight
+    ratio times R's step ratio.  The two are multiplied before the product,
+    as in the loop, because either alone can under- or overflow where the
+    term is a normal double; an R ratio past the double range (inf or nan)
+    splits the block.  The crossover, _LONG_WALK = 100, was measured on the
+    benchmark's kernel calls (64 to 160 cost about the same); the pass
+    rounds differently from the loop, and the two sums agree to 4e-12
+    relative on those calls."""
+    weights, k, mu1 = t.weights, t.k, t.mu1
+    with np.errstate(all="ignore"):
+        j = np.arange(lo + 1.0, hi)
+        u = weights.rw1 + weights.rw01 / j
+        if lo == 0:
+            u[0] = weights.rw0
+        if t.pair:  # shift(n) at n = lo .. hi-1
+            shifts = np.concatenate(([t.shift(lo)], (j + mu1) / u))
+        if k:
+            u *= 1.0 + k / (j + mu1)
+        grow = np.empty(hi - lo + 1)
+        grow[:2] = 1.0, d_r
+        if t.upper:
+            grow[2:] = t.xs / (j + t.mk)
+        else:
+            u, grow[2:] = 1.0 / u[::-1], (j[::-1] + t.mk1) * t.inv_x
+        # a_i the i-th order walked: R(a_(i+1)) - R(a_i), then R(a_i), over R(a_0)
+        np.cumprod(grow[1:], out=grow[1:])
+        np.cumsum(grow, out=grow)
+        rise = grow[1:] / grow[:-1]
+        terms = np.cumprod(u * rise[:-1])
+        total = float(1.0 + terms.sum()) if rise[-1] < math.inf else math.inf
+        total2 = float(shifts[0] + terms @ shifts[1:]) if t.pair else None
+    return float(terms[-1]), total, float(rise[-1]), total2
+
+
+def _grow(t: _Summand, size: int, need, length: int) -> int:
+    """The block after a window of length terms: twice the last, or what
+    the bound asks for if fewer; AccuracyError past _MAX_TERMS terms."""
+    size = int(min(2 * size, t.largest(need) + 8.0, _MAX_TERMS - length))
+    if size < 2:
+        raise AccuracyError(f"gamma-mixture sum needed more than {_MAX_TERMS} terms (lam="
+                            f"{t.weights.lam}, m={t.weights.m}, mu={t.mu}, k={t.k}, x={t.xmax})")
+    return size
+
+
+def _add(ref, total, log_part, maximum=max, exp=math.exp):
+    """exp(ref) total + exp(log_part), as a new (ref, total)."""
+    new = maximum(ref, log_part)
+    return new, total * exp(ref - new) + exp(log_part - new)
+
+
+def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
+                     upper: bool, survival: bool = False, pair: bool = False):
+    """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P;
+    with pair=True (a float x, no survival weights) the logs at orders k and
+    k+1 as a tuple, from one plan and one walk for the upper tail (the lower
+    tail, which no caller pairs, takes two single-order sums).
+
+    The weights w_n (_weights) are negative binomial with mean lam and
+    shape m, Poisson when m = inf, binomial with N = -m trials and mean lam
+    when m < 0, and a unit mass at n = 0 when lam = 0; survival=True sums
+    their survival function S_n = sum_{j>n} w_j in their place.  The
+    densities of the family are gamma-scale mixtures with these weights at a
+    rate c (fading._gamma_mixture), so with r = c/(c-s) and x = (c-s) zeta
+    this one sum gives every incomplete MGF, its s-derivatives, the CDF, the
+    Marcum functions and (at k = -1, upper tail only, where (mu+n)_-1
+    Q(mu+n-1, x) = Gamma(mu+n-1, x) / Gamma(mu+n) also for mu+n-1 <= 0) the
+    capacity sums.  Vectorised over x, which must be positive for the lower
+    tail; a lower sum whose first order mu + k is not positive diverges and
+    raises DomainError.
+
+    A finite family is summed in one walk (_walk), with no plan and no tail
+    bound; in the pair mode the order-(k+1) term at its last n, one step
+    past the walk, comes from the order-k term there times (mu+n+k)
+    R(a+1)/R(a) (upper), or from its own R.  An infinite family starts from
+    the window of _plan and works outward in doubling blocks (the
+    central-term windowing of Gil, Segura and Temme for the Marcum
+    function): a direction stops once the geometric tail that the term ratio
+    at its edge bounds is below _MIXTURE_TOL of the sum.  Q rises with n,
+    so past n1, where it is 1, the upper sum's rest has a closed form, taken
+    once it is longer than the window so far.  In the pair mode each order
+    keeps its own reference and tail bounds, the order-(k+1) ones at edges
+    one n lower, and takes its own closed-form rest.  A float x runs on
+    Python floats and math, far cheaper than 1-element arrays; NumPy, under
+    np.errstate, only in the NumPy pass, the closed-form rest, the survival
+    weights and the order mu - 1 <= 0 of the first k = -1 term.
+    """
+    shape = () if isinstance(x, (int, float)) else np.shape(x)
+    xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
+    if not upper and mu + k <= 0.0:
+        raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
+    weights = _weights(lam, m, mu, log_r, survival)
+    if pair and not (upper and weights.log_sum is None):
+        return tuple(_log_mixture_sum(lam, m, mu, j, log_r, x, upper) for j in (k, k + 1))
+    if weights.log_sum is not None:
+        return weights.log_sum(mu, k, log_r, xs, upper, shape)
     with np.errstate(all="ignore") if shape else _FLOAT_STATE:
-        inv_x = 1.0 / xs if shape or xs else math.inf
-        if binomial:
-            trials = int(-m)
-            log_sum, _, last, rise, log_sum2 = walk(0, trials + (0 if survival else 1))
+        t = _Summand(weights, mu, k, xs, upper, pair)
+        if weights.support is not None:
+            log_sum, _, last, rise, log_sum2 = _walk(t, 0, weights.support)
             if not pair:
                 return log_sum.reshape(shape) if shape else float(log_sum)
-            # the order-(k+1) term at n = N: the order-k term there times
-            # (mu+N+k) R(a+1)/R(a) (upper), or from its own R
-            if upper and mu + trials + k > 0.0:
-                log_top = last + math.log((mu + trials + k) * rise)
-            else:
-                log_top = (log_weight(trials) + _log_gamma_ratio(mu + trials, k + 1)
-                           + _log_reg_gamma_seed(mu + trials + k + 1.0, xs, upper)[0])
+            top = weights.support - 1  # the order-(k+1) term at n = N, one past the walk
+            log_top = last + math.log((mu + top + k) * rise)
             return float(log_sum), float(np.logaddexp(log_sum2, log_top))
-        # the peak of the median column (Q pulls it from the weights' peak up
-        # to about x, P down), by bisection unless one block from n = 0 covers it
-        xc = float(np.median(xs)) if shape else xs
-        guess = max(0.0, lam * r + k if poisson else q * (m + k) / (1.0 - q) if q < 1.0
-                    else q * (xc + m + k))
-        guess = max(guess, xc) if upper else min(guess, xc + math.sqrt(guess * xc))
-        closed_rest = upper and k >= 0 and not survival
-        if closed_rest:  # every Q(mu+n+k, x) is 1 to within _MIXTURE_TOL from n1 on
-            n1 = max(0, math.ceil(_q_one_order(xmax) - mu - k))
-        hi = 2.0 * guess + 16.0
-        spare = 0.0  # terms the first window's edges must pass the bounds by
-        if closed_rest and guess > n1:
-            # the terms past n1 are the closed-form rest: sum up to it
-            center, block = n1, 32 + int(6.0 * math.sqrt(n1))
-        elif hi <= 256.0:
-            center, block = 0, int(hi)
-        else:  # the peak lies in (lo, hi]
-            lo, hi = 0, int(hi)
-            while rises(hi):
-                lo, hi = hi, 16 * hi
-            while 16 * (hi - lo) > 32.0 + 6.0 * math.sqrt(hi):
-                mid = (lo + hi) // 2
-                if rises(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            # a window centred on the peak passes its first bounds with 8
-            # terms to spare, as every grown block does (grow adds 8), so it
-            # truncates well below _MIXTURE_TOL, not up to it
-            center, block, spare = hi, 32 + int(6.0 * math.sqrt(hi)), 8.0
-
-        lo, hi = max(0, center - block), center + block
-        ref, first, last, ratio, ref2 = walk(lo, hi)
+        center, size, spare, n1 = _plan(t)
+        lo, hi = max(0, center - size), center + size
+        ref, first, last, ratio, ref2 = _walk(t, lo, hi)
         total = total2 = 1.0  # the sums relative to exp(ref) and, in the pair mode, exp(ref2)
-
-        def grow(size: int, need) -> int:
-            """The next block: doubled, or what the bound asks for if fewer."""
-            size = int(min(2 * size, largest(need) + 8.0, _MAX_TERMS - (hi - lo)))
-            if size < 2:
-                raise AccuracyError(
-                    f"gamma-mixture sum needed more than {_MAX_TERMS} terms "
-                    f"(lam={lam}, m={m}, mu={mu}, k={k}, x={xmax})")
-            return size
-
-        def add(log_part, log_part2):
-            nonlocal ref, total, ref2, total2
-            new = maximum(ref, log_part)
-            total = total * exp(ref - new) + exp(log_part - new)
-            ref = new
-            if pair:
-                new = max(ref2, log_part2)
-                total2 = total2 * math.exp(ref2 - new) + math.exp(log_part2 - new)
-                ref2 = new
-
-        if pair:  # the order-(k+1) sum's edges are one n lower, its first n = 0 at lo = 1
-            def ahead2(last, rg):
-                return _remaining(last + math.log(shift(hi - 1)),
-                                  forward_ratio(hi - 2, rg, k + 1), ref2, total2)
-
-            def behind2(first, rg):
-                if lo <= 1:
-                    return -math.inf
-                return _remaining(first + math.log(shift(lo)),
-                                  backward_ratio(lo - 1, rg, k + 1), ref2, total2)
-
-        ahead = _remaining(last, forward_ratio(hi - 1, ratio), ref, total) + spare
-        behind = (_remaining(first, backward_ratio(lo, ratio), ref, total) + spare if lo
-                  else ref * 0.0)
-        if pair:
-            ahead = _larger(ahead, ahead2(last, ratio) + spare)
-            behind = _larger(behind, behind2(first, ratio) + spare)
-        size = block
+        every, maximum, exp = t.every, t.maximum, t.exp
+        ahead = t.ahead(last, ratio, hi, ref, total, ref2, total2) + spare
+        behind = t.behind(first, ratio, lo, ref, total, ref2, total2) + spare if lo else ref * 0.0
+        block = size
         while not every(ahead <= 0.0):
-            # Q rises with n, so past n1, where it is 1, the rest has a closed
-            # form; taken when it is longer than the window so far
-            if closed_rest and hi > n1 and not every(ahead <= hi - lo):
-                add(log_rest(hi), log_rest(hi - 1, k + 1) if pair else None)
+            if n1 is not None and hi > n1 and not every(ahead <= hi - lo):
+                ref, total = _add(ref, total, weights.log_rest(hi, k), maximum, exp)
+                if pair:
+                    ref2, total2 = _add(ref2, total2, weights.log_rest(hi - 1, k + 1))
                 break
-            size = grow(size, ahead)
-            log_part, _, last, ratio, log_part2 = walk(hi, hi + size)
+            size = _grow(t, size, ahead, hi - lo)
+            log_part, _, last, ratio, log_part2 = _walk(t, hi, hi + size)
             hi += size
-            add(log_part, log_part2)
-            ahead = _remaining(last, forward_ratio(hi - 1, ratio), ref, total)
+            ref, total = _add(ref, total, log_part, maximum, exp)
             if pair:
-                ahead = _larger(ahead, ahead2(last, ratio))
+                ref2, total2 = _add(ref2, total2, log_part2)
+            ahead = t.ahead(last, ratio, hi, ref, total, ref2, total2)
         size = block
         while not every(behind <= 0.0):
-            size = grow(size, behind)
+            size = _grow(t, size, behind, hi - lo)
             top, lo = lo, max(0, lo - size)
-            log_part, first, _, ratio, log_part2 = walk(lo, top)
-            add(log_part, log_part2)
-            behind = _remaining(first, backward_ratio(lo, ratio), ref, total) if lo else ref * 0.0
+            log_part, first, _, ratio, log_part2 = _walk(t, lo, top)
+            ref, total = _add(ref, total, log_part, maximum, exp)
             if pair:
-                behind = _larger(behind, behind2(first, ratio))
-        out = ref + log(total)
+                ref2, total2 = _add(ref2, total2, log_part2)
+            behind = t.behind(first, ratio, lo, ref, total, ref2, total2) if lo else ref * 0.0
+        out = ref + t.log(total)
     if pair:
         return float(out), float(ref2 + math.log(total2))
     return out.reshape(shape) if shape else float(out)
