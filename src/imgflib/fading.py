@@ -21,7 +21,7 @@ from scipy import special as sp
 
 from .errors import AccuracyError, DomainError
 from .laplace import LaplaceImage
-from .specfun import _log_hyp1f1_pos, _log_mixture_sum
+from .specfun import _Trials, _log_hyp1f1_pos, _log_mixture_sum
 
 __all__ = [
     "Kind",
@@ -236,24 +236,25 @@ _BINOMIAL_TRIALS = 64
 
 
 @functools.lru_cache(maxsize=256)
-def _gamma_mixture(model: FadingModel) -> tuple[float, float, float, float]:
+def _gamma_mixture(model: FadingModel) -> tuple:
     """(lam, m, mu, c): the density as the gamma-mixture kernel's weights
     (specfun._log_mixture_sum's lam, m, mu) over the laws Gamma(mu+n, rate c).
 
     When kappa > 0, m is finite and N = m - mu is an exact integer in
     [0, _BINOMIAL_TRIALS), the MGF ((a-s)/a)^N (b/(b-s))^m is
     (b/(b-s))^mu (1 - p + p b/(b-s))^N, p = kappa mu/(kappa mu + m): the
-    N + 1 laws Gamma(mu+n, rate b) with Binomial(N, p) weights, passed as
-    lam = N p and m = -N (Lopez-Martinez, Paris and Romero-Jerez, "The
-    kappa-mu shadowed fading model with integer fading parameters", IEEE
-    TVT 2017).  Otherwise negative binomial (finite m), Poisson (m = inf) or
+    N + 1 laws Gamma(mu+n, rate b) with Binomial(N, p) weights
+    (Lopez-Martinez, Paris and Romero-Jerez, "The kappa-mu shadowed fading
+    model with integer fading parameters", IEEE TVT 2017), passed as lam =
+    specfun._Trials(N, kappa mu/m) and m = None: from the odds p/(1-p) =
+    kappa mu/m the kernel forms p and 1 - p without cancellation.  Otherwise negative binomial (finite m), Poisson (m = inf) or
     unit-mass (kappa = 0) weights with mean kappa mu over Gamma(mu+n, rate a).
     The finite form converges for s < b only; a lower tail at b <= s < a
     takes the series at rate a."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     trials = m - mu
     if kappa > 0.0 and 0.0 <= trials < _BINOMIAL_TRIALS and float(trials).is_integer():
-        return trials * (kappa * mu / (kappa * mu + m)), -trials, mu, b
+        return _Trials(int(trials), kappa * mu / m), None, mu, b
     return kappa * mu, m, mu, a
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sp
@@ -476,34 +477,43 @@ class _NegativeBinomial(_Weights):
                 + sp.gammaln(m + i) - math.lgamma(m) + i * (self.slope - log_1mq))
 
 
-class _Binomial(_Weights):
-    """Binomial weights of N = -m trials and mean lam (the negative binomial
-    law of shape -N, theta = -p/(1-p)), whose log plus (mu+n) log r is n
-    slope + const + log C(N, n): the finite support [0, N] (S_N = 0, so the
-    survival weights' is [0, N-1])."""
+class _Trials(NamedTuple):
+    """Binomial weights of n trials whose success probability p has the odds
+    p/(1-p): the kernel's lam for them (its m is then unused)."""
+    n: int
+    odds: float
 
-    def __init__(self, lam: float, m: float, mu: float, log_r: float, survival: bool):
-        theta = lam / (lam + m)
-        super().__init__(mu, log_r, survival, theta * m, theta)
-        self.lam, self.m, self.trials = lam, m, int(-m)
-        self.support = self.trials + (0 if survival else 1)
-        self.slope = log_r + math.log(-theta)
-        self.const = mu * log_r + m * math.log(m / (lam + m))
+
+class _Binomial(_Weights):
+    """Binomial weights of N trials at odds o = p/(1-p), whose log plus
+    (mu+n) log r is n slope + const + log C(N, n), with slope = log r + log o
+    and const = mu log r - N log(1 + o): p = o/(1+o) and 1 - p = 1/(1+o)
+    keep their digits as p -> 1.  The finite support [0, N] (S_N = 0, so
+    the survival weights' is [0, N-1])."""
+
+    def __init__(self, trials: int, odds: float, mu: float, log_r: float, survival: bool):
+        super().__init__(mu, log_r, survival, trials * odds, -odds)
+        self.trials, self.p = trials, odds / (1.0 + odds)
+        self.support = trials + (0 if survival else 1)
+        self.slope = log_r + math.log(odds)
+        self.const = mu * log_r - trials * math.log1p(odds)
 
     def log_mass(self, n: int) -> float:
         return n * self.slope + self.const + math.log(math.comb(self.trials, n))
 
     def log_tail(self, n):
-        return _log_betainc(n + 1.0, -self.m - n, self.lam / -self.m)
+        return _log_betainc(n + 1.0, self.trials - n, self.p)
 
 
-def _weights(lam: float, m: float, mu: float, log_r: float, survival: bool) -> _Weights:
+def _weights(lam, m: float, mu: float, log_r: float, survival: bool) -> _Weights:
     """The family of a kernel call's (lam, m)."""
+    if isinstance(lam, _Trials):
+        return _Binomial(*lam, mu, log_r, survival) if lam.n else _UnitMass(survival)
     if lam == 0.0:
         return _UnitMass(survival)
     if math.isinf(m):
         return _Poisson(lam, mu, log_r, survival)
-    return (_Binomial if m < 0.0 else _NegativeBinomial)(lam, m, mu, log_r, survival)
+    return _NegativeBinomial(lam, m, mu, log_r, survival)
 
 
 _ON_FLOAT = (bool, float, min, max, math.isfinite, math.exp, _log_float)
@@ -794,8 +804,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     tail, which no caller pairs, takes two single-order sums).
 
     The weights w_n (_weights) are negative binomial with mean lam and
-    shape m, Poisson when m = inf, binomial with N = -m trials and mean lam
-    when m < 0, and a unit mass at n = 0 when lam = 0; survival=True sums
+    shape m > 0, Poisson when m = inf, binomial when lam is a _Trials(N,
+    odds), and a unit mass at n = 0 when lam = 0 (or N = 0); survival=True sums
     their survival function S_n = sum_{j>n} w_j in their place.  The
     densities of the family are gamma-scale mixtures with these weights at a
     rate c (fading._gamma_mixture), so with r = c/(c-s) and x = (c-s) zeta

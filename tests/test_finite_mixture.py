@@ -12,8 +12,8 @@ from mpmath import mp
 
 from imgflib import fading, specfun
 from imgflib.errors import AccuracyError
-from imgflib.fading import FadingModel, _canonical_params, _gamma_mixture, cdf_grid
-from imgflib.incomplete import _log_imgf, imgf_lower
+from imgflib.fading import FadingModel, _canonical_params, _gamma_mixture, cdf, cdf_grid
+from imgflib.incomplete import _log_imgf, imgf_lower, imgf_upper
 from imgflib.mixture import mixture_params
 
 ORACLE_TOL = 5e-11  # the README's accuracy claim against quadrature
@@ -106,7 +106,7 @@ def test_against_quadrature(kappa, mu, m, zeta, index, kernel_calls):
                 # 1e3 means), whose exponent (c-s) zeta rounds in any double
                 # evaluation
                 assert abs(got - ref) <= ORACLE_TOL + 2.0 ** -50 * abs(ref), (s, k, upper)
-    assert all(call["m"] <= 0.0 for call in kernel_calls)  # binomial or unit mass
+    assert all(isinstance(call["lam"], specfun._Trials) for call in kernel_calls)
 
 
 def test_lower_tail_past_the_pole_takes_the_series(kernel_calls):
@@ -190,16 +190,14 @@ def test_series_accuracy_error_point_is_summed():
 @pytest.mark.parametrize("mu,m", [(1, 1), (1, 2), (2, 3), (3, 9), (6, 12)])
 def test_binomial_weights_are_the_erlang_mixture(kappa, mu, m):
     # two derivations of one law: Binomial(N, p) weights over Gamma(mu+n,
-    # rate b) and the nonzero terms (C_i, Omega_i, m_i) of mixture_params.
-    # 1 - p is recovered from lam = N p, to eps p / (1 - p) relative, and
-    # carries that error to the power N - n
+    # rate b), p and 1 - p from the odds p/(1-p), and the nonzero terms
+    # (C_i, Omega_i, m_i) of mixture_params
     model = FadingModel.kappa_mu_shadowed(kappa, float(mu), float(m), ORACLE_MEAN)
-    lam, shape, mu_, rate = _gamma_mixture(model)
-    trials = m - mu
-    assert shape == -trials and mu_ == mu
-    p = lam / trials if trials else 0.0
-    tol = 1e-14 * (1.0 + trials * p / (1.0 - p))
-    ours = {mu + n: (math.comb(trials, n) * p ** n * (1.0 - p) ** (trials - n), 1.0 / rate)
+    (trials, odds), shape, mu_, rate = _gamma_mixture(model)
+    assert trials == m - mu and shape is None and mu_ == mu
+    p, q = odds / (1.0 + odds), 1.0 / (1.0 + odds)
+    tol = 1e-14
+    ours = {mu + n: (math.comb(trials, n) * p ** n * q ** (trials - n), 1.0 / rate)
             for n in range(trials + 1)}
     theirs = {m_i: (c, omega) for c, omega, m_i in mixture_params(kappa, mu, m, ORACLE_MEAN).terms
               if c != 0.0}
@@ -207,3 +205,32 @@ def test_binomial_weights_are_the_erlang_mixture(kappa, mu, m):
     for shape_n, (w, scale) in ours.items():
         assert w == pytest.approx(theirs[shape_n][0], rel=tol, abs=0.0), shape_n
         assert scale == pytest.approx(theirs[shape_n][1], rel=1e-14, abs=0.0), shape_n
+
+
+@pytest.mark.parametrize("mu,m", [(1.0, 2.0), (2.0, 5.0), (0.5, 3.5)])
+@pytest.mark.parametrize("kappa", [1e4, 1e6, 1e8, 1e12, 1e16, 1e17])
+def test_binomial_weights_near_p_one(kappa, mu, m):
+    # p = kappa mu/(kappa mu + m) -> 1: the weights' 1 - p must keep its
+    # digits (formed as lam + m = -N (1 - p), it kept eps kappa mu/m
+    # relative and p rounded to 1 at kappa = 1e17).  Reference: the N + 1
+    # gamma laws at dps 50, from the canonical parameters and rate b
+    model = FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0)
+    kappa_, mu_, m_, gbar, a, b = _canonical_params(model)
+    trials = int(m - mu)
+    with mp.workdps(50):
+        odds = mp.mpf(kappa_) * mp.mpf(mu_) / mp.mpf(m_)
+        w = [mp.binomial(trials, n) * odds ** n / (1 + odds) ** trials for n in range(trials + 1)]
+
+        def imgf(s, x, upper):
+            c = mp.mpf(b) - s
+            return float(sum(w[n] * (b / c) ** (mu_ + n) * mp.gammainc(
+                mu_ + n, *((c * x, mp.inf) if upper else (0, c * x)), regularized=True)
+                for n in range(trials + 1)))
+
+        for x in (1e-12, 1e-6, 1e-3, 0.1, 1.0):
+            assert cdf(model, x) == pytest.approx(imgf(0.0, x, False), rel=1e-12, abs=0.0), x
+            for s in (-1.0, 0.0):
+                assert imgf_lower(model, s, x) == pytest.approx(
+                    imgf(s, x, False), rel=1e-12, abs=0.0), (s, x)
+                assert imgf_upper(model, s, x) == pytest.approx(
+                    imgf(s, x, True), rel=1e-12, abs=0.0), (s, x)

@@ -7,6 +7,7 @@ import pytest
 from imgflib import laplace
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, _gamma_mixture, laplace_image
+from imgflib.specfun import _Trials
 from imgflib.incomplete import imgf_generic, imgf_lower
 from imgflib.laplace import (
     InversionResult,
@@ -196,7 +197,7 @@ class TestFloatRoute:
         assert lam_m["gamma"][0] == 0.0
         assert math.isinf(lam_m["poisson"][1])
         assert 0.0 < lam_m["negative-binomial"][1] < math.inf
-        assert lam_m["binomial"][1] < 0.0
+        assert isinstance(lam_m["binomial"][0], _Trials)
 
     @pytest.mark.parametrize("family", list(FAMILY_MODELS))
     def test_array_sum_matches_per_node_loop(self, family):

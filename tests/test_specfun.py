@@ -9,6 +9,7 @@ from scipy import special as sp
 from imgflib import specfun
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.specfun import (
+    _Trials,
     _log_betainc,
     _log_gamma_below,
     _log_hyp1f1_peak_sum,
@@ -178,9 +179,13 @@ def mp_mixture_sum(lam, m, mu, k, log_r, x, upper, survival=False):
     the range and Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x run the way it
     adds (up for the upper, down for the lower gamma); the range doubles
     until a geometric bound puts the rest below 1e-25 of the sum."""
+    if isinstance(lam, _Trials) and not lam.n:
+        lam = 0.0
     if lam == 0.0 and survival:
         return -math.inf
     with mpmath.workdps(30):
+        if isinstance(lam, _Trials):  # the negative binomial law of shape -N
+            lam, m = lam.n * mpmath.mpf(lam.odds) / (1 + lam.odds), float(-lam.n)
         x, r, mu = mpmath.mpf(x), mpmath.exp(mpmath.mpf(log_r)), mpmath.mpf(mu)
         poisson = math.isinf(m)
         theta = 0 if poisson else mpmath.mpf(lam) / (lam + m)
@@ -419,8 +424,8 @@ def pair_battery(seed: int, size: int) -> list:
         if family == 0:
             lam, m = 0.0, 1.0
         elif family == 1:
-            trials = int(rng.choice([0, 1, 2, 5, 13, 40]))
-            lam, m = trials * float(rng.uniform(0.01, 0.99)), float(-trials)
+            trials, p = int(rng.choice([0, 1, 2, 5, 13, 40])), float(rng.uniform(0.01, 0.99))
+            lam, m = _Trials(trials, p / (1.0 - p)), None
         elif family == 2:
             lam, m = 10.0 ** rng.uniform(-2.0, 3.0), float(rng.choice([0.2, 0.8, 1.0, 3.0, 60.0]))
         else:
@@ -464,7 +469,7 @@ class TestPairMode:
         for k in range(-1, 4):
             for mu in (0.5, 1.0, 3.5):
                 if upper or mu + k > 0.0:
-                    check_pair((0.4 * trials, float(-trials), mu, k, -0.3, 2.5, upper))
+                    check_pair((_Trials(trials, 0.4 / 0.6), None, mu, k, -0.3, 2.5, upper))
 
     @pytest.mark.parametrize("lam, m, mu, k, log_r, x", [
         # heavy shadowing with q = r theta = 0.999: the rest lies far out
