@@ -265,12 +265,15 @@ def _q_one_order(x: float) -> float:
     for a > x; f is convex and rises, so Newton's method on f(a) = 1 -
     log(_MIXTURE_TOL) from a = x + sqrt(2 L x) + L, where f is already past
     it, stays above the root (the 1 keeps the last iterate's rounding safe).
+    From x ~ 4.6e33 on, a/x rounds to 1 and a itself is kept.
     """
     if x == 0.0:
         return 0.0
     a = x + math.sqrt(2.0 * _LOG_Q_ONE * x) + _LOG_Q_ONE
     for _ in range(3):
         log_ratio = math.log(a / x)
+        if log_ratio == 0.0:
+            break
         a -= (a * log_ratio - a + x - _LOG_Q_ONE) / log_ratio
     return a
 
@@ -616,7 +619,8 @@ def _plan(t: _Summand):
     grown block does, so it truncates well below _MIXTURE_TOL, not up to
     it.  When the guess lies past n1, the window is centred on n1 and the
     terms past it are the closed-form rest, so a peak far out (heavy
-    shadowing near the pole) costs no walk."""
+    shadowing near the pole) costs no walk.  A window longer than
+    _MAX_TERMS raises AccuracyError before any walk."""
     xc = t.xs if t.scalar else float(np.median(t.xs))
     guess = max(0.0, t.weights.peak(xc, t.k))
     guess = max(guess, xc) if t.upper else min(guess, xc + math.sqrt(guess * xc))
@@ -625,16 +629,21 @@ def _plan(t: _Summand):
         n1 = max(0, math.ceil(_q_one_order(t.xmax) - t.mu - t.k))
     hi = 2.0 * guess + 16.0
     if n1 is not None and guess > n1:
-        return n1, 32 + int(6.0 * math.sqrt(n1)), 0.0, n1
-    if hi <= 256.0:
+        center, spare = n1, 0.0
+    elif hi <= 256.0:
         return 0, int(hi), 0.0, n1
-    lo, hi = 0, int(hi)  # the peak lies in (lo, hi]
-    while _rises(t, hi, xc):
-        lo, hi = hi, 16 * hi
-    while 16 * (hi - lo) > 32.0 + 6.0 * math.sqrt(hi):
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _rises(t, mid, xc) else (lo, mid)
-    return hi, 32 + int(6.0 * math.sqrt(hi)), 8.0, n1
+    else:
+        lo, hi = 0, int(hi)  # the peak lies in (lo, hi]
+        while _rises(t, hi, xc):
+            lo, hi = hi, 16 * hi
+        while 16 * (hi - lo) > 32.0 + 6.0 * math.sqrt(hi):
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _rises(t, mid, xc) else (lo, mid)
+        center, spare = hi, 8.0
+    block = 32 + int(6.0 * math.sqrt(center))
+    if block + min(center, block) > _MAX_TERMS:  # the window's length: grow's AccuracyError
+        _grow(t, 0, 0.0, _MAX_TERMS)
+    return center, block, spare, n1
 
 
 def _walk(t: _Summand, lo: int, hi: int):
@@ -781,8 +790,9 @@ def _walk_numpy(t: _Summand, lo: int, hi: int, d_r: float, ratios=None):
 
 
 def _grow(t: _Summand, size: int, need, length: int) -> int:
-    """The block after a window of length terms: twice the last, or what
-    the bound asks for if fewer; AccuracyError past _MAX_TERMS terms."""
+    """The block after a window of length terms: twice the last (size), or
+    what the bound asks for if fewer; AccuracyError past _MAX_TERMS terms
+    (and for size 0)."""
     size = int(min(2 * size, t.largest(need) + 8.0, _MAX_TERMS - length))
     if size < 2:
         raise AccuracyError(f"gamma-mixture sum needed more than {_MAX_TERMS} terms (lam="

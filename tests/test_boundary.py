@@ -12,8 +12,10 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from imgflib import specfun
 from imgflib import (AccuracyError, AdaptiveModScheme, CapacityScenario, DomainError,
                      FadingModel, Kind, McConfig, SecrecyScenario, aber_adaptive, cdf,
                      cdf_grid, db_to_linear, eps_outage_capacity, imgf_deriv_s, imgf_generic,
@@ -202,16 +204,47 @@ def test_finite_extreme_is_domain_error(case_id, f):
 
 
 # a law whose kernel weights cannot be formed: negative binomial weights whose
-# log(1 - theta) = log(m / (lam + m)) underflows (a bare ValueError before)
+# log(1 - theta) = log(m / (lam + m)) underflows (a bare ValueError before);
+# upper tails at zeta = 1e34, whose order past which every Q is 1 divided by
+# log(a/x) = 0 (a bare ZeroDivisionError before) and whose first window is
+# past the term cap
 OUT_OF_REACH = {
     "cdf[kappa_mu_shadowed(1e300, 1, 1e-300, 1)]":
-        lambda: cdf(FadingModel.kappa_mu_shadowed(1e300, 1, 1e-300, 1), 1.0),
+        (lambda: cdf(FadingModel.kappa_mu_shadowed(1e300, 1, 1e-300, 1), 1.0), "shape m"),
+    "imgf_upper[rician(3, 1)]@1e34":
+        (lambda: imgf_upper(FadingModel.rician(3.0, 1.0), 0.0, 1e34), "terms"),
+    "imgf_deriv_s[kappa_mu_shadowed(1.5, 2, 2.5, 1)]@1e34":
+        (lambda: imgf_deriv_s(FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 1.0), -1.0, 1e34, 1),
+         "terms"),
 }
 
 
-@pytest.mark.parametrize("f", OUT_OF_REACH.values(), ids=list(OUT_OF_REACH))
-def test_finite_extreme_out_of_reach_is_accuracy_error(f):
-    with pytest.raises(AccuracyError, match="shape m"):
+@pytest.mark.parametrize("f, match", OUT_OF_REACH.values(), ids=list(OUT_OF_REACH))
+def test_finite_extreme_out_of_reach_is_accuracy_error(f, match):
+    with pytest.raises(AccuracyError, match=match):
+        f()
+
+
+@pytest.mark.parametrize("f", [
+    lambda: marcum_q(1.0, 1e6, 1e6),
+    lambda: marcum_p(1.0, 1e150, 1.0),
+    lambda: imgf_upper(FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 1.0), 0.0, 1e12),
+    lambda: imgf_upper(FadingModel.rician(3.0, 1.0), 0.0, 1e30),
+], ids=["marcum_q(1, 1e6, 1e6)", "marcum_p(1, 1e150, 1)", "imgf_upper[kms(1.5, 2, 2.5)]@1e12",
+        "imgf_upper[rician(3)]@1e30"])
+def test_first_window_past_the_term_cap(f, monkeypatch):
+    # the gamma-mixture kernel's first window alone is longer than its term
+    # cap: AccuracyError before any walk, no block longer than the cap (one
+    # of 8.5 million terms and a bare ValueError or 5 GiB before)
+    arange = np.arange
+
+    def capped(*args, **kwargs):
+        start, stop = (0, args[0]) if len(args) == 1 else args[:2]
+        assert stop - start <= specfun._MAX_TERMS, f"a block of {stop - start} terms"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", capped)
+    with pytest.raises(AccuracyError, match="terms"):
         f()
 
 
