@@ -901,14 +901,21 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
 # ---------------------------------------------------------------------------
 
 def _marcum(nu: float, a: float, b: float, upper: bool) -> float:
-    """sum_k Pois(k; a^2/2) R(nu + k, b^2/2), R = Q if upper else P."""
+    """sum_k Pois(k; a^2/2) R(nu + k, b^2/2), R = Q if upper else P.  Where
+    one half square leaves the double range (from about 1.9e154), the value
+    is its limit, which the other's finite square leaves exact in doubles."""
     if not 0 < nu < math.inf:
         raise DomainError(f"order must be positive and finite, got nu={nu}")
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
         raise DomainError("Marcum arguments must be finite and nonnegative")
     if b == 0.0:
         return 1.0 if upper else 0.0
-    v = math.exp(_log_mixture_sum(0.5 * a * a, math.inf, nu, 0, 0.0, 0.5 * b * b, upper))
+    lam, x = 0.5 * a * a, 0.5 * b * b
+    if lam == x == math.inf:
+        raise DomainError(f"Marcum arguments a={a}, b={b}: a^2/2 and b^2/2 both overflow")
+    if math.inf in (lam, x):  # Q = 1 as a^2/2 -> inf, Q = 0 as b^2/2 -> inf
+        return float((lam == math.inf) == upper)
+    v = math.exp(_log_mixture_sum(lam, math.inf, nu, 0, 0.0, x, upper))
     if not 0.0 <= v <= 1.0 + 1e-12:  # a NaN fails it too
         raise AccuracyError(f"Marcum {'Q' if upper else 'P'} left [0,1]: {v}")
     return min(max(v, 0.0), 1.0)
@@ -919,6 +926,9 @@ def marcum_q(nu: float, a: float, b: float) -> float:
 
     Q_nu(a, b) = sum_k Pois(k; a^2/2) Q(nu + k, b^2/2), the tail probability
     of a noncentral chi-square law.  Nonincreasing in b, with Q(a, 0) = 1.
+    Where a^2/2 overflows a double (a past about 1.896e154) and b^2/2 does
+    not, it is 1; where b^2/2 alone overflows, 0; where both do,
+    DomainError.
     """
     return _marcum(nu, a, b, True)
 
@@ -927,7 +937,9 @@ def marcum_p(nu: float, a: float, b: float) -> float:
     """Complementary Marcum function 1 - Q_nu(a, b), summed directly.
 
     Direct summation avoids the cancellation of forming 1 - Q when the result
-    is small (noncentral chi-square CDF near the origin).
+    is small (noncentral chi-square CDF near the origin).  Where a^2/2
+    overflows a double (a past about 1.896e154) and b^2/2 does not, it is 0;
+    where b^2/2 alone overflows, 1; where both do, DomainError.
     """
     return _marcum(nu, a, b, False)
 

@@ -190,6 +190,9 @@ def _finite_extreme_cases():
         ("db_to_linear[1e5]", lambda: db_to_linear(1e5)),
         ("model_from_json.mean_snr_db[1e5]",
          lambda: model_from_json({"kind": "rayleigh", "mean_snr_db": 1e5})),
+        # a^2/2 and b^2/2 both overflow: no limit to take
+        ("marcum_q[1e155, 1e155]", lambda: marcum_q(1.0, 1e155, 1e155)),
+        ("marcum_p[1e155, 1e155]", lambda: marcum_p(1.0, 1e155, 1e155)),
     ]
     return cases
 
@@ -274,9 +277,16 @@ def _mp_shadowed_cdf(kappa: float, mu: float, m: float, mean: float, x: float) -
     # weight ratio lost eps/m (2.2e-5 off, when it still summed)
     (lambda: cdf(FadingModel.kappa_mu_shadowed(1.0, 1.0, 1e-12, 1.0), 2.0),
      _mp_shadowed_cdf(1.0, 1.0, 1e-12, 1.0, 2.0)),
+    # one of a^2/2 and b^2/2 overflows: its limit (a = 1e155 ran past 300 s
+    # before, b = 1e155 raised a bare ValueError)
+    (lambda: marcum_q(1.0, 1e155, 1.0), 1.0),
+    (lambda: marcum_p(1.0, 1e155, 1.0), 0.0),
+    (lambda: marcum_q(1.0, 1.0, 1e155), 0.0),
+    (lambda: marcum_p(1.0, 1.0, 1e155), 1.0),
 ], ids=["imgf_lower[rayleigh(1e-308)]", "cdf[rayleigh(1e-308)]", "opsc.rate_rs[1023]",
         "aber_adaptive.bits[1023]", "db_to_linear[3000]", "linear_to_db[5e-324]",
-        "cdf[kappa_mu_shadowed(1, 1, 1e-12, 1)]"])
+        "cdf[kappa_mu_shadowed(1, 1, 1e-12, 1)]", "marcum_q[1e155, 1]", "marcum_p[1e155, 1]",
+        "marcum_q[1, 1e155]", "marcum_p[1, 1e155]"])
 def test_finite_extreme_keeps_its_value(f, expected):
     assert f() == pytest.approx(expected, rel=1e-8)
 
