@@ -305,20 +305,22 @@ class _Weights:
     log r = log_r), or with survival=True the survival function S_n =
     sum_{j>n} w_j in place of w_n.  A family gives
 
-    - its log weight at one n (log_weight), and over a block the seed's log
-      weight and, for survival weights, every step ratio (block);
+    - over a block, the seed's log weight and, for survival weights, every
+      step ratio (block); log_mass is log w_n r^(mu+n) at one n, with the
+      log-gamma differences that round to about eps n in a plain sum taken
+      accurately;
     - its step ratio, the weight ratio w(j) r/w(j-1) into n = j (step), for
       the walkers as rw1 + rw01/j for j > 1 and rw0 at j = 1, from
       w(n+1)/w(n) = (w0 + w1 n)/(n+1); rw0 = r theta m itself, not r theta +
       r theta (m - 1), which cancels to eps/m relative (survival weights
       take their ratios from block);
-    - bounds on the weight ratio, forward (w(n+1)/w(n) for every n >= top)
-      and backward (w(n-1)/w(n) for every 1 <= n <= low), for S(n+1)/S(n) <=
-      max_{j>n} w(j+1)/w(j) and S(n-1)/S(n) = 1 + w(n)/S(n) <= 1 +
-      w(n)/w(n+1) from the weights' own: each factor of the summand but the
-      weights (for m < 1) and their survival function is log-concave in n,
-      so these bounds and the term ratio at a block's edge bound every ratio
-      beyond it;
+    - bounds on the weight ratio, forward (w(n+1) r/w(n) for every n >= top)
+      and backward (w(n-1)/(w(n) r) for every 1 <= n <= low), for
+      S(n+1)/S(n) <= max_{j>n} w(j+1)/w(j) and S(n-1)/S(n) = 1 + w(n)/S(n)
+      <= 1 + w(n)/w(n+1) from the weights' own: each factor of the summand
+      but the weights (for m < 1) and their survival function is log-concave
+      in n, so these bounds and the term ratio at a block's edge bound every
+      ratio beyond it;
     - where rest is set, its upper sum from an n on where every Q is 1, in
       closed form (log_rest);
     - a guess at its summand peak (peak).
@@ -333,16 +335,11 @@ class _Weights:
         self.mu, self.log_r, self.survival, self.r = mu, log_r, survival, math.exp(log_r)
         self.rw0, self.rw1, self.rw01 = (float(self.r * w) for w in (w0, w1, w0 - w1))
 
-    def log_weight(self, n: int) -> float:
-        """log w_n r^(mu+n) (or S_n r^(mu+n)) at one n, with the log-gamma
-        differences that round to about eps n in a plain sum taken accurately."""
-        return self.block(n, n + 1, n)[0] if self.survival else self.log_mass(n)
-
     def block(self, lo: int, hi: int, seed: int):
         """The log weight at seed and, for survival weights, the step ratios
         into lo+1 .. hi-1 as a list (else None), from one array over [lo, hi)."""
         if not self.survival:
-            return self.log_weight(seed), None
+            return self.log_mass(seed), None
         with np.errstate(all="ignore"):
             n = np.arange(lo, hi, dtype=float)
             logw = (self.mu + n) * self.log_r + self.log_tail(n)  # log S_n r^(mu+n)
@@ -413,10 +410,10 @@ class _Poisson(_Weights):
         return _log_reg_gamma(n + 1.0, self.lam, False)
 
     def forward(self, top: int) -> float:
-        return self.lam / ((top + 1 if self.survival else top) + 1.0)
+        return self.lam / ((top + 1 if self.survival else top) + 1.0) * self.r
 
     def backward(self, low: int) -> float:
-        return 1.0 + (low + 1.0) / self.lam if self.survival else low / self.lam
+        return (1.0 + (low + 1.0) / self.lam if self.survival else low / self.lam) / self.r
 
     def peak(self, xc: float, k: int) -> float:
         return self.lam * self.r + k
@@ -458,14 +455,14 @@ class _NegativeBinomial(_Weights):
 
     def forward(self, top: int) -> float:
         t = top + 1 if self.survival else top
-        return self.theta * max(1.0, (self.m + t) / (t + 1.0))
+        return self.theta * max(1.0, (self.m + t) / (t + 1.0)) * self.r
 
     def backward(self, low: int) -> float:
         theta, m = self.theta, self.m
         if self.survival:
-            return 1.0 + ((low + 1.0) / (theta * (m + low)) if m >= 1.0
-                          else 2.0 / (theta * (m + 1.0)))
-        return low / (theta * (m + low - 1.0)) if m >= 1.0 else 1.0 / (theta * m)
+            return (1.0 + ((low + 1.0) / (theta * (m + low)) if m >= 1.0
+                           else 2.0 / (theta * (m + 1.0)))) / self.r
+        return (low / (theta * (m + low - 1.0)) if m >= 1.0 else 1.0 / (theta * m)) / self.r
 
     def peak(self, xc: float, k: int) -> float:
         q = self.q
@@ -496,7 +493,7 @@ class _Binomial(_Weights):
 
     def __init__(self, trials: int, odds: float, mu: float, log_r: float, survival: bool):
         super().__init__(mu, log_r, survival, trials * odds, -odds)
-        self.trials, self.p = trials, odds / (1.0 + odds)
+        self.trials, self.odds, self.p = trials, odds, odds / (1.0 + odds)
         self.support = trials + (0 if survival else 1)
         self.slope = log_r + math.log(odds)
         self.const = mu * log_r - trials * math.log1p(odds)
@@ -506,6 +503,15 @@ class _Binomial(_Weights):
 
     def log_tail(self, n):
         return _log_betainc(n + 1.0, self.trials - n, self.p)
+
+    def forward(self, top: int) -> float:  # o (N-n)/(n+1) falls, to 0 past N
+        t = top + 1 if self.survival else top
+        return self.odds * max(0, self.trials - t) / (t + 1.0) * self.r
+
+    def backward(self, low: int) -> float:  # n/(o (N-n+1)) rises; inf past the support
+        t = low + 1 if self.survival else low
+        w = t / (self.odds * (self.trials - t + 1)) if t <= self.trials else math.inf
+        return (1.0 + w if self.survival else w) / self.r
 
 
 def _weights(lam, m: float, mu: float, log_r: float, survival: bool) -> _Weights:
@@ -551,7 +557,7 @@ class _Summand:
         """Bound on the term ratio t(n+1)/t(n) for every n >= top at the
         order; rg is Q(a+1)/Q(a) at n = top (upper tail).  1/(mu+n-1) falls:
         its ratio stays below 1."""
-        w, mu = self.weights.forward(top) * self.r, self.mu
+        w, mu = self.weights.forward(top), self.mu
         if not self.upper:
             rg = self.minimum(1.0, self.xs / (mu + top + order + 1.0))
         return w * (mu + top + order) / (mu + top) * rg if order >= 0 else w * rg
@@ -560,7 +566,7 @@ class _Summand:
         """Bound on the term ratio t(n-1)/t(n) for every 1 <= n <= low at the
         order; rg is P(a-1)/P(a) at n = low (lower tail).  Gamma(b-1, x) <=
         Gamma(b, x) / x at every real order b."""
-        w, mu = self.weights.backward(low) / self.r, self.mu
+        w, mu = self.weights.backward(low), self.mu
         if self.upper and order < 0:
             return w * (mu + low - 1.0) * self.inv_x
         if self.upper:
@@ -668,7 +674,7 @@ def _walk(t: _Summand, lo: int, hi: int):
     upper, pair = t.upper, t.pair
     if t.first_below and lo == 0:  # w_0 r^mu Gamma(mu-1, x) / Gamma(mu)
         with np.errstate(all="ignore"):
-            head = t.weights.log_weight(0) + _log_gamma_below(t.mu, t.xs)
+            head = t.weights.block(0, 1, 0)[0] + _log_gamma_below(t.mu, t.xs)
         head = float(head[0]) if t.scalar else head
         if hi == 1:
             return head, head, head, math.nan, -math.inf if pair else None

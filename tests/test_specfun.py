@@ -602,3 +602,103 @@ class TestPhi2:
         assert _phi2_structural(1, 2, -0.5, -1.5) == pytest.approx(PHI2_POINT, rel=1e-10)
         assert _phi2_structural(1.1, 1.2, -30.0, -10.0) == pytest.approx(PHI2_MED, rel=1e-10)
         assert _phi2_structural(1.1, 1.2, -300.0, -100.0) == pytest.approx(PHI2_BIG, rel=1e-10)
+
+
+# weights families of the kernel: (lam, m) for specfun._weights, and the log
+# weights log w_n of n = 0 .. size - 1 and their survival function (mpmath)
+BOUND_FAMILIES = {
+    "poisson": (6.0, math.inf),
+    **{f"negative-binomial(m={m})": (6.0, m) for m in (0.3, 1.0, 7.0)},
+    **{f"binomial(N={n})": (_Trials(n, 1.5), None) for n in (1, 7, 40)},
+}
+
+
+def true_weights(lam, m, size: int, survival: bool) -> list:
+    """w_n (or S_n = sum_{j>n} w_j) for n < size at dps 30, from math.lgamma
+    and mpmath's regularized incomplete gamma and beta for the survival
+    function's far end."""
+    with mpmath.workdps(30):
+        if isinstance(lam, _Trials):
+            trials, odds = lam
+            p = mpmath.mpf(odds) / (1 + odds)
+            w = [mpmath.binomial(trials, n) * p ** n * (1 - p) ** (trials - n) if n <= trials
+                 else mpmath.mpf(0) for n in range(size + 1)]
+            tail = mpmath.mpf(0)
+        elif math.isinf(m):
+            w = [mpmath.exp(n * math.log(lam) - lam - math.lgamma(n + 1.0))
+                 for n in range(size + 1)]
+            tail = mpmath.gammainc(size + 1, 0, lam, regularized=True)
+        else:
+            theta = mpmath.mpf(lam) / (lam + m)
+            w = [mpmath.exp(math.lgamma(m + n) - math.lgamma(m) - math.lgamma(n + 1.0))
+                 * theta ** n * (1 - theta) ** m for n in range(size + 1)]
+            tail = mpmath.betainc(size + 1, m, 0, theta, regularized=True)
+        if survival:  # S_n = S_(n+1) + w_(n+1), down from S_size = the tail mass past size
+            s = [tail]
+            for n in reversed(range(size)):
+                s.append(s[-1] + w[n + 1])
+            w = s[::-1]
+        return w
+
+
+class TestWeightFamilies:
+    """Each family's weight-ratio bounds hold for every n they cover,
+    against weights computed apart from the kernel."""
+
+    @pytest.mark.parametrize("survival", [False, True], ids=["weights", "survival"])
+    @pytest.mark.parametrize("family", list(BOUND_FAMILIES))
+    def test_ratio_bounds(self, family, survival):
+        lam, m = BOUND_FAMILIES[family]
+        w = true_weights(lam, m, 560, survival)
+        for r in (0.5, 1.0, 3.0):
+            weights = specfun._weights(lam, m, 1.5, math.log(r), survival)
+            for top in (0, 3, 40):  # w(n+1) r/w(n) for every n in [top, top + 500]
+                bound = weights.forward(top)
+                for n in range(top, top + 501):
+                    if w[n]:
+                        assert bound >= float(w[n + 1] / w[n]) * r * (1.0 - 1e-12), (r, top, n)
+            for low in (1, 3, 40):  # w(n-1)/(w(n) r) for every 1 <= n <= low
+                bound = weights.backward(low)
+                for n in range(1, low + 1):
+                    if w[n]:
+                        assert bound >= float(w[n - 1] / w[n]) / r * (1.0 - 1e-12), (r, low, n)
+
+
+def plan_cases(seed: int, size: int) -> list:
+    """Seeded (lam, m, mu, k, log_r, x, upper): Poisson and negative binomial
+    laws (m >= 1) on both tails, k = 0..3, whose plan finds the peak by
+    bisection (it lies past one block from n = 0)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < size:
+        lam = 10.0 ** rng.uniform(2.0, 4.0)
+        m = math.inf if rng.integers(2) else float(rng.uniform(1.0, 30.0))
+        mu, k, upper = float(rng.uniform(0.5, 5.0)), int(rng.integers(4)), bool(rng.integers(2))
+        log_r, x = -float(rng.uniform(0.0, 1.0)), 10.0 ** rng.uniform(0.0, 4.0)
+        weights = specfun._weights(lam, m, mu, log_r, False)
+        t = specfun._Summand(weights, mu, k, x, upper, False)
+        if specfun._plan(t)[2] == 8.0:  # the spare of a bisected window
+            cases.append((lam, m, mu, k, log_r, x, upper))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [2301, 2302])
+def test_plan_centres_the_peak(seed):
+    # the window's centre lies within a sixteenth of its block of the
+    # largest term, found by brute force over every n up to well past it
+    for lam, m, mu, k, log_r, x, upper in plan_cases(seed, 20):
+        weights = specfun._weights(lam, m, mu, log_r, False)
+        center, block, spare, n1 = specfun._plan(specfun._Summand(weights, mu, k, x, upper,
+                                                                  False))
+        n = np.arange(0.0, 4.0 * center + 1000.0)
+        if math.isinf(m):
+            log_w = n * math.log(lam) - lam - sp.gammaln(n + 1.0)
+        else:
+            theta = lam / (lam + m)
+            log_w = (sp.gammaln(m + n) - sp.gammaln(m) - sp.gammaln(n + 1.0) + n * math.log(theta)
+                     + m * math.log1p(-theta))
+        with np.errstate(divide="ignore"):  # R underflows far from the peak
+            log_r_n = specfun._log_reg_gamma(mu + n + k, x, upper)
+        log_terms = log_w + (mu + n) * log_r + sp.gammaln(mu + n + k) - sp.gammaln(mu + n) + log_r_n
+        peak = int(np.argmax(log_terms))
+        assert abs(center - peak) <= block / 16.0, (lam, m, mu, k, log_r, x, upper, center, peak)
