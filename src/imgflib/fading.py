@@ -247,8 +247,9 @@ def _gamma_mixture(model: FadingModel) -> tuple:
     (Lopez-Martinez, Paris and Romero-Jerez, "The kappa-mu shadowed fading
     model with integer fading parameters", IEEE TVT 2017), passed as lam =
     specfun._Trials(N, kappa mu/m) and m = None: from the odds p/(1-p) =
-    kappa mu/m the kernel forms p and 1 - p without cancellation.  Otherwise negative binomial (finite m), Poisson (m = inf) or
-    unit-mass (kappa = 0) weights with mean kappa mu over Gamma(mu+n, rate a).
+    kappa mu/m the kernel forms p and 1 - p without cancellation.
+    Otherwise negative binomial (finite m), Poisson (m = inf) or unit-mass
+    (kappa = 0) weights with mean kappa mu over Gamma(mu+n, rate a).
     The finite form converges for s < b only; a lower tail at b <= s < a
     takes the series at rate a."""
     kappa, mu, m, gbar, a, b = _canonical_params(model)

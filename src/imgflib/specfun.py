@@ -38,7 +38,10 @@ from scipy import special as sp
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["marcum_q", "marcum_p"]
+__all__ = [
+    "marcum_q",
+    "marcum_p",
+]
 
 _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relative
@@ -66,10 +69,12 @@ def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
     _far_reg_gamma.
     """
     r = sp.gammaincc(a, x) if upper else sp.gammainc(a, x)
-    out, far = np.log(r), r < _UNDERFLOW
-    if far.any():
-        a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
-        out[far] = _far_reg_gamma(a, x, upper)[0]
+    out = np.log(r)
+    if not (r < _UNDERFLOW).any():
+        return out
+    far = r < _UNDERFLOW
+    a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
+    out[far] = _far_reg_gamma(a, x, upper)[0]
     return out
 
 
@@ -191,9 +196,10 @@ def _log_betainc(a, b, x: float) -> np.ndarray:
     """
     r = sp.betainc(a, b, x)
     with np.errstate(divide="ignore"):
-        out, far = np.log(r), r < _UNDERFLOW
-    if not far.any():
+        out = np.log(r)
+    if not (r < _UNDERFLOW).any():
         return out
+    far = r < _UNDERFLOW
     a, b = np.broadcast_to(a, r.shape)[far], np.broadcast_to(b, r.shape)[far]
     log_pref = a * math.log(x) + b * math.log1p(-x) - np.log(a) - sp.betaln(a, b)
     term = total = np.ones_like(a)
@@ -332,8 +338,9 @@ class _Weights:
     rest = False
 
     def __init__(self, mu: float, log_r: float, survival: bool, w0: float, w1: float):
-        self.mu, self.log_r, self.survival, self.r = mu, log_r, survival, math.exp(log_r)
-        self.rw0, self.rw1, self.rw01 = (float(self.r * w) for w in (w0, w1, w0 - w1))
+        self.mu, self.log_r, self.survival = mu, log_r, survival
+        self.r = r = math.exp(log_r)
+        self.rw0, self.rw1, self.rw01 = float(r * w0), float(r * w1), float(r * (w0 - w1))
 
     def block(self, lo: int, hi: int, seed: int):
         """The log weight at seed and, for survival weights, the step ratios
@@ -384,12 +391,15 @@ class _UnitMass(_Weights):
             if mu + k > 0.0:
                 rg = (sp.gammaincc if upper else sp.gammainc)(mu + k, xs)
                 if rg >= _UNDERFLOW:
-                    return float(mu * log_r + (math.lgamma(mu + k) - math.lgamma(mu) + np.log(rg)))
+                    return float(mu * log_r + (math.lgamma(mu + k) - math.lgamma(mu)
+                                               + np.log(rg)))
             elif mu == 1.0 and xs <= 700.0:
                 return float(mu * log_r + np.log(sp.exp1(xs)))
         with np.errstate(divide="ignore"):
-            out = mu * log_r + (_log_gamma_below(mu, xs) if mu + k <= 0.0 else (math.lgamma(
-                mu + k) - math.lgamma(mu) + _log_reg_gamma(np.array([mu + k]), xs, upper)))
+            out = mu * log_r + (
+                _log_gamma_below(mu, xs) if mu + k <= 0.0
+                else (math.lgamma(mu + k) - math.lgamma(mu)
+                      + _log_reg_gamma(np.array([mu + k]), xs, upper)))
         return out.reshape(shape) if shape else float(out[0])
 
 
@@ -437,10 +447,11 @@ class _NegativeBinomial(_Weights):
         super().__init__(mu, log_r, survival, theta * m, theta)
         self.lam, self.m, self.theta, self.rest = lam, m, theta, not survival
         self.q = self.r * theta
-        if not m / (lam + m) > 0.0:
+        one_m_theta = m / (lam + m)
+        if not one_m_theta > 0.0:
             raise AccuracyError(f"negative binomial weights of shape m = {m} and mean lam = "
                                 f"{lam}: log(1 - theta) = log(m/(lam+m)) leaves the double range")
-        self.log_1m_theta = math.log(m / (lam + m))
+        self.log_1m_theta = math.log(one_m_theta)
         self.slope = log_r - math.log1p(m / lam)
         self.const = mu * log_r - (math.lgamma(m) - m * self.log_1m_theta)
 
@@ -540,12 +551,11 @@ class _Summand:
 
     def __init__(self, weights: _Weights, mu: float, k: int, xs, upper: bool, pair: bool):
         self.weights, self.mu, self.k, self.xs, self.upper = weights, mu, k, xs, upper
-        self.pair, self.scalar, self.r = pair, isinstance(xs, float), weights.r
+        self.pair, self.scalar = pair, isinstance(xs, float)
         (self.every, self.largest, self.minimum, self.maximum, self.isfinite, self.exp,
          self.log) = _ON_FLOAT if self.scalar else _ON_ARRAY
         self.xmax = xs if self.scalar else float(np.max(xs))
         self.inv_x = 1.0 / xs if not self.scalar or xs else math.inf
-        self.first_below = mu + k <= 0.0  # k = -1, mu <= 1: no R of order mu-1 at n = 0
         self.mu1, self.mk, self.mk1 = float(mu - 1.0), float(mu + k), float(mu + k - 1.0)
 
     def shift(self, n: int) -> float:
@@ -630,9 +640,8 @@ def _plan(t: _Summand):
     xc = t.xs if t.scalar else float(np.median(t.xs))
     guess = max(0.0, t.weights.peak(xc, t.k))
     guess = max(guess, xc) if t.upper else min(guess, xc + math.sqrt(guess * xc))
-    n1 = None
-    if t.upper and t.k >= 0 and t.weights.rest:
-        n1 = max(0, math.ceil(_q_one_order(t.xmax) - t.mu - t.k))
+    closes = t.upper and t.k >= 0 and t.weights.rest
+    n1 = max(0, math.ceil(_q_one_order(t.xmax) - t.mu - t.k)) if closes else None
     hi = 2.0 * guess + 16.0
     if n1 is not None and guess > n1:
         center, spare = n1, 0.0
@@ -644,7 +653,10 @@ def _plan(t: _Summand):
             lo, hi = hi, 16 * hi
         while 16 * (hi - lo) > 32.0 + 6.0 * math.sqrt(hi):
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _rises(t, mid, xc) else (lo, mid)
+            if _rises(t, mid, xc):
+                lo = mid
+            else:
+                hi = mid
         center, spare = hi, 8.0
     block = 32 + int(6.0 * math.sqrt(center))
     if block + min(center, block) > _MAX_TERMS:  # the window's length: grow's AccuracyError
@@ -672,7 +684,7 @@ def _walk(t: _Summand, lo: int, hi: int):
     range of its seed, or whose R/R_0 does in the NumPy pass, is split in
     two."""
     upper, pair = t.upper, t.pair
-    if t.first_below and lo == 0:  # w_0 r^mu Gamma(mu-1, x) / Gamma(mu)
+    if lo == 0 and t.mk <= 0.0:  # k = -1, mu <= 1: w_0 r^mu Gamma(mu-1, x) / Gamma(mu)
         with np.errstate(all="ignore"):
             head = t.weights.block(0, 1, 0)[0] + _log_gamma_below(t.mu, t.xs)
         head = float(head[0]) if t.scalar else head
@@ -684,15 +696,22 @@ def _walk(t: _Summand, lo: int, hi: int):
     log_rg, d_r = _log_reg_gamma_seed(t.mu + seed + t.k, t.xs, upper)
     log_w, ratios = t.weights.block(lo, hi, seed)
     log_seed = log_w + (_log_gamma_ratio(t.mu + seed, t.k) if t.k else 0.0) + log_rg
-    long = t.scalar and ratios is None and hi - lo > _LONG_WALK
-    walker = _walk_numpy if long else _walk_pair if pair else _walk_loop
-    term, total, rise, total2 = walker(t, lo, hi, d_r, ratios)
+    total2 = None
+    if t.scalar and ratios is None and hi - lo > _LONG_WALK:
+        term, total, rise, total2 = _walk_numpy(t, lo, hi, d_r)
+    elif pair:
+        term, total, rise, total2 = _walk_pair(t, lo, hi, d_r)
+    else:
+        term, total, rise = _walk_loop(t, lo, hi, d_r, ratios)
     if not t.every(t.isfinite(total)) or pair and not math.isfinite(total2):
-        first, second = _walk(t, lo, (lo + hi) // 2), _walk(t, (lo + hi) // 2, hi)
+        # the terms outgrew the double range
+        mid = (lo + hi) // 2
+        first, second = _walk(t, lo, mid), _walk(t, mid, hi)
         return (np.logaddexp(first[0], second[0]), first[1], second[2],
                 (second if upper else first)[3],
                 np.logaddexp(first[4], second[4]) if pair else None)
-    log_end, log_sum = log_seed + t.log(term), log_seed + t.log(total)
+    log_end = log_seed + t.log(term)
+    log_sum = log_seed + t.log(total)
     log_sum2 = log_seed + t.log(total2) if pair else None
     if upper:
         return log_sum, log_seed, log_end, rise, log_sum2
@@ -701,11 +720,11 @@ def _walk(t: _Summand, lo: int, hi: int):
 
 def _walk_loop(t: _Summand, lo: int, hi: int, d_r, ratios):
     """The last term and the sum over [lo, hi), both relative to the seed
-    term, R's ratio past the end and None (no order-(k+1) sum), by a loop
-    that forms each step's ratios in plain arithmetic and carries d/R, so
-    that R's ratio from one term to the next is 1 + d/R: on floats for a
-    float x, with array state for an array x.  ratios are the survival
-    weights' step ratios, else None."""
+    term, and R's ratio past the end, by a loop that forms each step's
+    ratios in plain arithmetic and carries d/R, so that R's ratio from one
+    term to the next is 1 + d/R: on floats for a float x, with array state
+    for an array x.  ratios are the survival weights' step ratios, else
+    None."""
     rw0, rw1, rw01, k, mu1, xs = t.weights.rw0, t.weights.rw1, t.weights.rw01, t.k, t.mu1, t.xs
     term = total = 1.0
     if t.upper:
@@ -718,7 +737,7 @@ def _walk_loop(t: _Summand, lo: int, hi: int, d_r, ratios):
             term = term * u * rise
             d_r = d_r * xs * (1.0 / (j + mk)) / rise
             total = total + term
-        return term, total, 1.0 + d_r, None
+        return term, total, 1.0 + d_r
     mk1, inv_x = t.mk1, t.inv_x  # the walk going down, from n = j to j-1
     for j in range(hi - 1, lo, -1):
         u = ratios[j - lo - 1] if ratios else rw1 + rw01 / j if j > 1 else rw0
@@ -728,10 +747,10 @@ def _walk_loop(t: _Summand, lo: int, hi: int, d_r, ratios):
         term = term * (1.0 / u) * rise
         d_r = d_r * inv_x * (j + mk1) / rise
         total = total + term
-    return term, total, 1.0 + d_r, None
+    return term, total, 1.0 + d_r
 
 
-def _walk_pair(t: _Summand, lo: int, hi: int, d_r: float, ratios=None):
+def _walk_pair(t: _Summand, lo: int, hi: int, d_r: float):
     """_walk_loop's pair twin for a float x and the upper tail, which also
     returns the order-(k+1) sum relative to the same seed term.  The
     order-(k+1) term at n is the order-k term at n times (mu+n+k) and R's
@@ -758,7 +777,7 @@ def _walk_pair(t: _Summand, lo: int, hi: int, d_r: float, ratios=None):
     return term, total, 1.0 + d_r, total2
 
 
-def _walk_numpy(t: _Summand, lo: int, hi: int, d_r: float, ratios=None):
+def _walk_numpy(t: _Summand, lo: int, hi: int, d_r: float):
     """_walk_loop's (or _walk_pair's) results for a float x from one NumPy
     pass over [lo, hi): d/R_0 over the block is a cumulative product, R/R_0
     the cumulative sum of it, and the terms the cumulative product of weight
@@ -863,8 +882,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             log_sum, _, last, rise, log_sum2 = _walk(t, 0, weights.support)
             if not pair:
                 return log_sum.reshape(shape) if shape else float(log_sum)
-            top = weights.support - 1  # the order-(k+1) term at n = N, one past the walk
-            log_top = last + math.log((mu + top + k) * rise)
+            # the order-(k+1) term at the last n, one past the walk
+            log_top = last + math.log((mu + (weights.support - 1) + k) * rise)
             return float(log_sum), float(np.logaddexp(log_sum2, log_top))
         center, size, spare, n1 = _plan(t)
         lo, hi = max(0, center - size), center + size

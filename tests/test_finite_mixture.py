@@ -196,14 +196,13 @@ def test_binomial_weights_are_the_erlang_mixture(kappa, mu, m):
     (trials, odds), shape, mu_, rate = _gamma_mixture(model)
     assert trials == m - mu and shape is None and mu_ == mu
     p, q = odds / (1.0 + odds), 1.0 / (1.0 + odds)
-    tol = 1e-14
     ours = {mu + n: (math.comb(trials, n) * p ** n * q ** (trials - n), 1.0 / rate)
             for n in range(trials + 1)}
     theirs = {m_i: (c, omega) for c, omega, m_i in mixture_params(kappa, mu, m, ORACLE_MEAN).terms
               if c != 0.0}
     assert ours.keys() == theirs.keys()
     for shape_n, (w, scale) in ours.items():
-        assert w == pytest.approx(theirs[shape_n][0], rel=tol, abs=0.0), shape_n
+        assert w == pytest.approx(theirs[shape_n][0], rel=1e-14, abs=0.0), shape_n
         assert scale == pytest.approx(theirs[shape_n][1], rel=1e-14, abs=0.0), shape_n
 
 

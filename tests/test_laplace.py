@@ -7,7 +7,6 @@ import pytest
 from imgflib import laplace
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, _gamma_mixture, laplace_image
-from imgflib.specfun import _Trials
 from imgflib.incomplete import imgf_generic, imgf_lower
 from imgflib.laplace import (
     InversionResult,
@@ -15,6 +14,7 @@ from imgflib.laplace import (
     imgf_lower_numeric,
     invert,
 )
+from imgflib.specfun import _Trials
 
 RAY_LOWER = 0.5179132265677134  # (2/3)(1 - e^-1.5), analytic
 

@@ -699,6 +699,7 @@ def test_plan_centres_the_peak(seed):
                      + m * math.log1p(-theta))
         with np.errstate(divide="ignore"):  # R underflows far from the peak
             log_r_n = specfun._log_reg_gamma(mu + n + k, x, upper)
-        log_terms = log_w + (mu + n) * log_r + sp.gammaln(mu + n + k) - sp.gammaln(mu + n) + log_r_n
+        log_terms = (log_w + (mu + n) * log_r + sp.gammaln(mu + n + k) - sp.gammaln(mu + n)
+                     + log_r_n)
         peak = int(np.argmax(log_terms))
         assert abs(center - peak) <= block / 16.0, (lam, m, mu, k, log_r, x, upper, center, peak)
