@@ -840,8 +840,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
 
     The weights w_n (_weights) are negative binomial with mean lam and
     shape m > 0, Poisson when m = inf, binomial when lam is a _Trials(N,
-    odds), and a unit mass at n = 0 when lam = 0 (or N = 0); survival=True sums
-    their survival function S_n = sum_{j>n} w_j in their place.  The
+    odds), and a unit mass at n = 0 when lam = 0 (or N = 0); survival=True
+    sums their survival function S_n = sum_{j>n} w_j in their place.  The
     densities of the family are gamma-scale mixtures with these weights at a
     rate c (fading._gamma_mixture), so with r = c/(c-s) and x = (c-s) zeta
     this one sum gives every incomplete MGF, its s-derivatives, the CDF, the
@@ -853,8 +853,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
 
     A finite family is summed in one walk (_walk), with no plan and no tail
     bound; in the pair mode the order-(k+1) term at its last n, one step
-    past the walk, comes from the order-k term there times (mu+n+k)
-    R(a+1)/R(a) (upper), or from its own R.  An infinite family starts from
+    past the walk, is the order-k term there times (mu+n+k) R(a+1)/R(a),
+    a = mu+n+k.  An infinite family starts from
     the window of _plan and works outward in doubling blocks (the
     central-term windowing of Gil, Segura and Temme for the Marcum
     function): a direction stops once the geometric tail that the term ratio
