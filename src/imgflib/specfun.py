@@ -6,8 +6,8 @@ The mixture sum _log_mixture_sum is built from three parts:
 
 - one weights family per kind of weights (_UnitMass, _Binomial,
   _NegativeBinomial, _Poisson, each with its survival form), which owns its
-  log weight, its step ratio, its ratio bounds, its closed-form rest and its
-  peak guess;
+  log weight, its step ratio and, for an infinite family, its ratio bounds,
+  its closed-form rest and its peak guess;
 - the plan (_plan), which places the first window on the summand peak,
   found by bisection on the term ratio, one scalar incomplete gamma per
   step, and gives the order past which every Q is 1;
@@ -24,13 +24,14 @@ the ascending series with a Stirling-form prefactor take its place.
 
 All kernels are pure double-precision functions, reentrant and
 thread-safe.  Running out of the term budget raises AccuracyError rather than
-silently truncating.
+silently truncating; no array the mixture sum makes is longer than it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -261,6 +262,7 @@ def _log_gamma_below(mu: float, x) -> np.ndarray:
 
 _LOG_Q_ONE = 1.0 - math.log(_MIXTURE_TOL)
 _LONG_WALK = 100  # a float x's blocks longer than this walk by cumulative products
+_MAX_ORDER = 2.0 ** 53  # past it consecutive orders n round to one double: no walk
 _FLOAT_STATE = contextlib.nullcontext()  # a float x's call runs outside np.errstate
 
 
@@ -289,11 +291,14 @@ def _remaining(edge, ratio, ref, total):
     by ratio each, before their geometric tail bound is below _MIXTURE_TOL of
     the sum exp(ref) total (<= 0: none, also for an edge term of 0; nan: the
     edge is not yet past the peak).  By math for a float ratio."""
-    log = math.log if isinstance(ratio, float) else np.log
-    if log is math.log and not 0.0 < ratio < 1.0:
-        return math.nan
-    log_ratio = log(ratio)
-    return (log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) / log_ratio
+    if isinstance(ratio, float):
+        if not 0.0 < ratio < 1.0:
+            return math.nan
+        log_ratio = math.log(ratio)
+        return (math.log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) \
+            / log_ratio
+    log_ratio = np.log(ratio)
+    return (np.log(_MIXTURE_TOL * total * (1.0 - ratio)) - (edge - ref) - log_ratio) / log_ratio
 
 
 def _log_float(v: float) -> float:
@@ -320,10 +325,11 @@ class _Weights:
       w(n+1)/w(n) = (w0 + w1 n)/(n+1); rw0 = r theta m itself, not r theta +
       r theta (m - 1), which cancels to eps/m relative (survival weights
       take their ratios from block);
-    - bounds on the weight ratio, forward (w(n+1) r/w(n) for every n >= top)
-      and backward (w(n-1)/(w(n) r) for every 1 <= n <= low), for
-      S(n+1)/S(n) <= max_{j>n} w(j+1)/w(j) and S(n-1)/S(n) = 1 + w(n)/S(n)
-      <= 1 + w(n)/w(n+1) from the weights' own: each factor of the summand
+    - for an infinite family (a finite one is walked whole), bounds on the
+      weight ratio, forward (w(n+1) r/w(n) for every n >= top) and backward
+      (w(n-1)/(w(n) r) for every 1 <= n <= low), for S(n+1)/S(n) <=
+      max_{j>n} w(j+1)/w(j) and S(n-1)/S(n) = 1 + w(n)/S(n) <= 1 +
+      w(n)/w(n+1) from the weights' own: each factor of the summand
       but the weights (for m < 1) and their survival function is log-concave
       in n, so these bounds and the term ratio at a block's edge bound every
       ratio beyond it;
@@ -500,11 +506,11 @@ class _Binomial(_Weights):
     (mu+n) log r is n slope + const + log C(N, n), with slope = log r + log o
     and const = mu log r - N log(1 + o): p = o/(1+o) and 1 - p = 1/(1+o)
     keep their digits as p -> 1.  The finite support [0, N] (S_N = 0, so
-    the survival weights' is [0, N-1])."""
+    the survival weights' is [0, N-1]), walked whole: no ratio bounds."""
 
     def __init__(self, trials: int, odds: float, mu: float, log_r: float, survival: bool):
         super().__init__(mu, log_r, survival, trials * odds, -odds)
-        self.trials, self.odds, self.p = trials, odds, odds / (1.0 + odds)
+        self.trials, self.p = trials, odds / (1.0 + odds)
         self.support = trials + (0 if survival else 1)
         self.slope = log_r + math.log(odds)
         self.const = mu * log_r - trials * math.log1p(odds)
@@ -514,15 +520,6 @@ class _Binomial(_Weights):
 
     def log_tail(self, n):
         return _log_betainc(n + 1.0, self.trials - n, self.p)
-
-    def forward(self, top: int) -> float:  # o (N-n)/(n+1) falls, to 0 past N
-        t = top + 1 if self.survival else top
-        return self.odds * max(0, self.trials - t) / (t + 1.0) * self.r
-
-    def backward(self, low: int) -> float:  # n/(o (N-n+1)) rises; inf past the support
-        t = low + 1 if self.survival else low
-        w = t / (self.odds * (self.trials - t + 1)) if t <= self.trials else math.inf
-        return (1.0 + w if self.survival else w) / self.r
 
 
 def _weights(lam, m: float, mu: float, log_r: float, survival: bool) -> _Weights:
@@ -536,24 +533,24 @@ def _weights(lam, m: float, mu: float, log_r: float, survival: bool) -> _Weights
     return _NegativeBinomial(lam, m, mu, log_r, survival)
 
 
-_ON_FLOAT = (bool, float, min, max, math.isfinite, math.exp, _log_float)
-_ON_ARRAY = (np.all, np.max, np.minimum, np.maximum, np.isfinite, np.exp, np.log)
+# the helpers on a float x's Python floats (by math) and on an array x's arrays
+_Ops = namedtuple("_Ops", "every largest minimum maximum isfinite exp log")
+_ON_FLOAT = _Ops(bool, float, min, max, math.isfinite, math.exp, _log_float)
+_ON_ARRAY = _Ops(np.all, np.max, np.minimum, np.maximum, np.isfinite, np.exp, np.log)
 
 
 class _Summand:
     """The terms t_n = w_n r^(mu+n) (mu+n)_k R(mu+n+k, x) of one call, R = Q
     if upper else P, with the bounds on their ratios.  A float x keeps them
-    on Python floats and math: every, largest, minimum, maximum, isfinite,
-    exp and log act on either.  The step from n to n+1 at j = n+1 takes the
-    weight ratio, the Pochhammer ratio (mu+n+k)/(mu+n) = 1 + k/(j + mu1) and
-    d(a+1)/d(a) = x/(j + mk), a = mu+n+k (upper); down, d(a-2)/d(a-1) =
-    (j + mk1)/x."""
+    on Python floats and math, an array x on NumPy (ops).  The step from n
+    to n+1 at j = n+1 takes the weight ratio, the Pochhammer ratio
+    (mu+n+k)/(mu+n) = 1 + k/(j + mu1) and d(a+1)/d(a) = x/(j + mk), a =
+    mu+n+k (upper); down, d(a-2)/d(a-1) = (j + mk1)/x."""
 
     def __init__(self, weights: _Weights, mu: float, k: int, xs, upper: bool, pair: bool):
         self.weights, self.mu, self.k, self.xs, self.upper = weights, mu, k, xs, upper
         self.pair, self.scalar = pair, isinstance(xs, float)
-        (self.every, self.largest, self.minimum, self.maximum, self.isfinite, self.exp,
-         self.log) = _ON_FLOAT if self.scalar else _ON_ARRAY
+        self.ops = _ON_FLOAT if self.scalar else _ON_ARRAY
         self.xmax = xs if self.scalar else float(np.max(xs))
         self.inv_x = 1.0 / xs if not self.scalar or xs else math.inf
         self.mu1, self.mk, self.mk1 = float(mu - 1.0), float(mu + k), float(mu + k - 1.0)
@@ -569,7 +566,7 @@ class _Summand:
         its ratio stays below 1."""
         w, mu = self.weights.forward(top), self.mu
         if not self.upper:
-            rg = self.minimum(1.0, self.xs / (mu + top + order + 1.0))
+            rg = self.ops.minimum(1.0, self.xs / (mu + top + order + 1.0))
         return w * (mu + top + order) / (mu + top) * rg if order >= 0 else w * rg
 
     def backward_ratio(self, low: int, rg, order: int):
@@ -580,7 +577,7 @@ class _Summand:
         if self.upper and order < 0:
             return w * (mu + low - 1.0) * self.inv_x
         if self.upper:
-            rg = self.minimum(1.0, (mu + low + order - 1.0) * self.inv_x)
+            rg = self.ops.minimum(1.0, (mu + low + order - 1.0) * self.inv_x)
         return w * (mu + low - 1.0) / (mu + low + order - 1.0) * rg
 
     def ahead(self, last, rg, hi: int, ref, total, ref2, total2):
@@ -635,8 +632,11 @@ def _plan(t: _Summand):
     grown block does, so it truncates well below _MIXTURE_TOL, not up to
     it.  When the guess lies past n1, the window is centred on n1 and the
     terms past it are the closed-form rest, so a peak far out (heavy
-    shadowing near the pole) costs no walk.  A window longer than
-    _MAX_TERMS raises AccuracyError before any walk."""
+    shadowing near the pole) costs no walk.  A window may be longer than
+    _MAX_TERMS (a narrow summand far out, whose first bounds pass at once),
+    but no sum grows past it; a window that reaches order _MAX_ORDER = 2^53,
+    where consecutive n are one double, raises AccuracyError before any
+    walk."""
     xc = t.xs if t.scalar else float(np.median(t.xs))
     guess = max(0.0, t.weights.peak(xc, t.k))
     guess = max(guess, xc) if t.upper else min(guess, xc + math.sqrt(guess * xc))
@@ -659,8 +659,8 @@ def _plan(t: _Summand):
                 hi = mid
         center, spare = hi, 8.0
     block = 32 + int(6.0 * math.sqrt(center))
-    if block + min(center, block) > _MAX_TERMS:  # the window's length: grow's AccuracyError
-        _grow(t, 0, 0.0, _MAX_TERMS)
+    if center + block > _MAX_ORDER:
+        raise _too_long(t)
     return center, block, spare, n1
 
 
@@ -680,10 +680,11 @@ def _walk(t: _Summand, lo: int, hi: int):
     (a+1) (Gil, Segura and Temme, ch. 4).  A float x's block longer than
     _LONG_WALK terms takes the NumPy pass, any other a loop.  The seed
     term's weight is taken in Stirling form, so a block far out keeps the
-    accuracy of its first term.  A block whose terms outgrow the double
-    range of its seed, or whose R/R_0 does in the NumPy pass, is split in
-    two."""
-    upper, pair = t.upper, t.pair
+    accuracy of its first term.  A block longer than _MAX_TERMS (only a
+    first window or a finite support can be), or whose terms outgrow the
+    double range of its seed, or whose R/R_0 does in the NumPy pass, is
+    split in two, so no array is longer than the term cap."""
+    upper, pair, ops = t.upper, t.pair, t.ops
     if lo == 0 and t.mk <= 0.0:  # k = -1, mu <= 1: w_0 r^mu Gamma(mu-1, x) / Gamma(mu)
         with np.errstate(all="ignore"):
             head = t.weights.block(0, 1, 0)[0] + _log_gamma_below(t.mu, t.xs)
@@ -692,30 +693,31 @@ def _walk(t: _Summand, lo: int, hi: int):
             return head, head, head, math.nan, -math.inf if pair else None
         log_sum, _, last, ratio, log_sum2 = _walk(t, 1, hi)
         return np.logaddexp(head, log_sum), head, last, ratio, log_sum2
-    seed = lo if upper else hi - 1
-    log_rg, d_r = _log_reg_gamma_seed(t.mu + seed + t.k, t.xs, upper)
-    log_w, ratios = t.weights.block(lo, hi, seed)
-    log_seed = log_w + (_log_gamma_ratio(t.mu + seed, t.k) if t.k else 0.0) + log_rg
-    total2 = None
-    if t.scalar and ratios is None and hi - lo > _LONG_WALK:
-        term, total, rise, total2 = _walk_numpy(t, lo, hi, d_r)
-    elif pair:
-        term, total, rise, total2 = _walk_pair(t, lo, hi, d_r)
-    else:
-        term, total, rise = _walk_loop(t, lo, hi, d_r, ratios)
-    if not t.every(t.isfinite(total)) or pair and not math.isfinite(total2):
-        # the terms outgrew the double range
-        mid = (lo + hi) // 2
-        first, second = _walk(t, lo, mid), _walk(t, mid, hi)
-        return (np.logaddexp(first[0], second[0]), first[1], second[2],
-                (second if upper else first)[3],
-                np.logaddexp(first[4], second[4]) if pair else None)
-    log_end = log_seed + t.log(term)
-    log_sum = log_seed + t.log(total)
-    log_sum2 = log_seed + t.log(total2) if pair else None
-    if upper:
-        return log_sum, log_seed, log_end, rise, log_sum2
-    return log_sum, log_end, log_seed, rise, log_sum2
+    if hi - lo <= _MAX_TERMS:
+        seed = lo if upper else hi - 1
+        log_rg, d_r = _log_reg_gamma_seed(t.mu + seed + t.k, t.xs, upper)
+        log_w, ratios = t.weights.block(lo, hi, seed)
+        log_seed = log_w + (_log_gamma_ratio(t.mu + seed, t.k) if t.k else 0.0) + log_rg
+        total2 = None
+        if t.scalar and ratios is None and hi - lo > _LONG_WALK:
+            term, total, rise, total2 = _walk_numpy(t, lo, hi, d_r)
+        elif pair:
+            term, total, rise, total2 = _walk_pair(t, lo, hi, d_r)
+        else:
+            term, total, rise = _walk_loop(t, lo, hi, d_r, ratios)
+        if ops.every(ops.isfinite(total)) and not (pair and not math.isfinite(total2)):
+            log_end = log_seed + ops.log(term)
+            log_sum = log_seed + ops.log(total)
+            log_sum2 = log_seed + ops.log(total2) if pair else None
+            if upper:
+                return log_sum, log_seed, log_end, rise, log_sum2
+            return log_sum, log_end, log_seed, rise, log_sum2
+    # a block past the term cap, or whose terms outgrew the double range
+    mid = (lo + hi) // 2
+    first, second = _walk(t, lo, mid), _walk(t, mid, hi)
+    return (np.logaddexp(first[0], second[0]), first[1], second[2],
+            (second if upper else first)[3],
+            np.logaddexp(first[4], second[4]) if pair else None)
 
 
 def _walk_loop(t: _Summand, lo: int, hi: int, d_r, ratios):
@@ -818,25 +820,30 @@ def _grow(t: _Summand, size: int, need, length: int) -> int:
     """The block after a window of length terms: twice the last (size), or
     what the bound asks for if fewer; AccuracyError past _MAX_TERMS terms
     (and for size 0)."""
-    size = int(min(2 * size, t.largest(need) + 8.0, _MAX_TERMS - length))
+    size = int(min(2 * size, t.ops.largest(need) + 8.0, _MAX_TERMS - length))
     if size < 2:
-        raise AccuracyError(f"gamma-mixture sum needed more than {_MAX_TERMS} terms (lam="
-                            f"{t.weights.lam}, m={t.weights.m}, mu={t.mu}, k={t.k}, x={t.xmax})")
+        raise _too_long(t)
     return size
 
 
-def _add(ref, total, log_part, maximum=max, exp=math.exp):
+def _too_long(t: _Summand) -> AccuracyError:
+    """The error of a sum that needs more terms than the kernel walks."""
+    return AccuracyError(f"gamma-mixture sum needed more than {_MAX_TERMS} terms (lam="
+                         f"{t.weights.lam}, m={t.weights.m}, mu={t.mu}, k={t.k}, x={t.xmax})")
+
+
+def _add(ref, total, log_part, ops=_ON_FLOAT):
     """exp(ref) total + exp(log_part), as a new (ref, total)."""
-    new = maximum(ref, log_part)
-    return new, total * exp(ref - new) + exp(log_part - new)
+    new = ops.maximum(ref, log_part)
+    return new, total * ops.exp(ref - new) + ops.exp(log_part - new)
 
 
 def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
                      upper: bool, survival: bool = False, pair: bool = False):
     """log sum_n w_n r^(mu+n) (mu+n)_k R(mu+n+k, x), R = Q if upper else P;
-    with pair=True (a float x, no survival weights) the logs at orders k and
-    k+1 as a tuple, from one plan and one walk for the upper tail (the lower
-    tail, which no caller pairs, takes two single-order sums).
+    with pair=True (a float x, no survival weights, the upper tail; else
+    DomainError) the logs at orders k and k+1 as a tuple, from one plan and
+    one walk.
 
     The weights w_n (_weights) are negative binomial with mean lam and
     shape m > 0, Poisson when m = inf, binomial when lam is a _Trials(N,
@@ -871,8 +878,10 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
     if not upper and mu + k <= 0.0:
         raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
+    if pair and not upper:
+        raise DomainError("the pair mode sums the upper tail only")
     weights = _weights(lam, m, mu, log_r, survival)
-    if pair and not (upper and weights.log_sum is None):
+    if pair and weights.log_sum is not None:  # a unit mass: two one-term sums
         return tuple(_log_mixture_sum(lam, m, mu, j, log_r, x, upper) for j in (k, k + 1))
     if weights.log_sum is not None:
         return weights.log_sum(mu, k, log_r, xs, upper, shape)
@@ -889,33 +898,33 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         lo, hi = max(0, center - size), center + size
         ref, first, last, ratio, ref2 = _walk(t, lo, hi)
         total = total2 = 1.0  # the sums relative to exp(ref) and, in the pair mode, exp(ref2)
-        every, maximum, exp = t.every, t.maximum, t.exp
+        ops = t.ops
         ahead = t.ahead(last, ratio, hi, ref, total, ref2, total2) + spare
         behind = t.behind(first, ratio, lo, ref, total, ref2, total2) + spare if lo else ref * 0.0
         block = size
-        while not every(ahead <= 0.0):
-            if n1 is not None and hi > n1 and not every(ahead <= hi - lo):
-                ref, total = _add(ref, total, weights.log_rest(hi, k), maximum, exp)
+        while not ops.every(ahead <= 0.0):
+            if n1 is not None and hi > n1 and not ops.every(ahead <= hi - lo):
+                ref, total = _add(ref, total, weights.log_rest(hi, k), ops)
                 if pair:
                     ref2, total2 = _add(ref2, total2, weights.log_rest(hi - 1, k + 1))
                 break
             size = _grow(t, size, ahead, hi - lo)
             log_part, _, last, ratio, log_part2 = _walk(t, hi, hi + size)
             hi += size
-            ref, total = _add(ref, total, log_part, maximum, exp)
+            ref, total = _add(ref, total, log_part, ops)
             if pair:
                 ref2, total2 = _add(ref2, total2, log_part2)
             ahead = t.ahead(last, ratio, hi, ref, total, ref2, total2)
         size = block
-        while not every(behind <= 0.0):
+        while not ops.every(behind <= 0.0):
             size = _grow(t, size, behind, hi - lo)
             top, lo = lo, max(0, lo - size)
             log_part, first, _, ratio, log_part2 = _walk(t, lo, top)
-            ref, total = _add(ref, total, log_part, maximum, exp)
+            ref, total = _add(ref, total, log_part, ops)
             if pair:
                 ref2, total2 = _add(ref2, total2, log_part2)
             behind = t.behind(first, ratio, lo, ref, total, ref2, total2) if lo else ref * 0.0
-        out = ref + t.log(total)
+        out = ref + ops.log(total)
     if pair:
         return float(out), float(ref2 + math.log(total2))
     return out.reshape(shape) if shape else float(out)

@@ -231,14 +231,16 @@ def test_finite_extreme_out_of_reach_is_accuracy_error(f, match):
 @pytest.mark.parametrize("f", [
     lambda: marcum_q(1.0, 1e6, 1e6),
     lambda: marcum_p(1.0, 1e150, 1.0),
-    lambda: imgf_upper(FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 1.0), 0.0, 1e12),
-    lambda: imgf_upper(FadingModel.rician(3.0, 1.0), 0.0, 1e30),
-], ids=["marcum_q(1, 1e6, 1e6)", "marcum_p(1, 1e150, 1)", "imgf_upper[kms(1.5, 2, 2.5)]@1e12",
-        "imgf_upper[rician(3)]@1e30"])
+    lambda: imgf_upper(FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 1.0), 0.0, 1e10),
+    lambda: imgf_upper(FadingModel.rician(3.0, 1.0), 0.0, 1e34),
+], ids=["marcum_q(1, 1e6, 1e6)", "marcum_p(1, 1e150, 1)", "imgf_upper[kms(1.5, 2, 2.5)]@1e10",
+        "imgf_upper[rician(3)]@1e34"])
 def test_first_window_past_the_term_cap(f, monkeypatch):
     # the gamma-mixture kernel's first window alone is longer than its term
-    # cap: AccuracyError before any walk, no block longer than the cap (one
-    # of 8.5 million terms and a bare ValueError or 5 GiB before)
+    # cap, and its bounds do not pass: it is walked in blocks no longer than
+    # the cap (one of 8.5 million terms and 471 MB before), and AccuracyError;
+    # a window that reaches order 2^53 raises before any walk (a bare
+    # ValueError or ZeroDivisionError before)
     arange = np.arange
 
     def capped(*args, **kwargs):
@@ -249,6 +251,18 @@ def test_first_window_past_the_term_cap(f, monkeypatch):
     monkeypatch.setattr(np, "arange", capped)
     with pytest.raises(AccuracyError, match="terms"):
         f()
+
+
+@pytest.mark.parametrize("lam, x, upper", [(2e8, 8.45e7, True), (5e11, 5e5, False),
+                                           (5e5, 5e11, True)])
+def test_first_window_past_the_term_cap_keeps_its_sum(lam, x, upper, monkeypatch):
+    # a narrow summand far out: its first window, longer than the term cap,
+    # passes its bounds at once.  Walked in blocks no longer than the cap, it
+    # sums as in one block (the first one of them raised AccuracyError)
+    split = specfun._log_mixture_sum(lam, math.inf, 1.0, 0, 0.0, x, upper)
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 10 ** 9)
+    whole = specfun._log_mixture_sum(lam, math.inf, 1.0, 0, 0.0, x, upper)
+    assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)
 
 
 def _mp_shadowed_cdf(kappa: float, mu: float, m: float, mean: float, x: float) -> float:
@@ -283,10 +297,14 @@ def _mp_shadowed_cdf(kappa: float, mu: float, m: float, mean: float, x: float) -
     (lambda: marcum_p(1.0, 1e155, 1.0), 0.0),
     (lambda: marcum_q(1.0, 1.0, 1e155), 0.0),
     (lambda: marcum_p(1.0, 1.0, 1e155), 1.0),
+    # a first window longer than the term cap whose bounds pass at once
+    (lambda: marcum_q(1.0, 2e4, 1.3e4), 1.0),
+    (lambda: marcum_p(1.0, 3e5, 1e3), 0.0),
 ], ids=["imgf_lower[rayleigh(1e-308)]", "cdf[rayleigh(1e-308)]", "opsc.rate_rs[1023]",
         "aber_adaptive.bits[1023]", "db_to_linear[3000]", "linear_to_db[5e-324]",
         "cdf[kappa_mu_shadowed(1, 1, 1e-12, 1)]", "marcum_q[1e155, 1]", "marcum_p[1e155, 1]",
-        "marcum_q[1, 1e155]", "marcum_p[1, 1e155]"])
+        "marcum_q[1, 1e155]", "marcum_p[1, 1e155]", "marcum_q[2e4, 1.3e4]",
+        "marcum_p[3e5, 1e3]"])
 def test_finite_extreme_keeps_its_value(f, expected):
     assert f() == pytest.approx(expected, rel=1e-8)
 
