@@ -1,6 +1,9 @@
 """Special-function kernels: the gamma-mixture sum behind every closed form
 (and the Marcum functions built on it), log-space regularized incomplete
 gammas, the positive-term Kummer 1F1 and the reduced Humbert Phi2 series.
+The last two, kept apart from the mixture sum as kernel-free oracles, share
+one summer (_log_window_sum) of positive terms given by their logs, outward
+from a first window in blocks, each direction stopped by a geometric bound.
 
 The mixture sum _log_mixture_sum is built from three parts:
 
@@ -48,6 +51,8 @@ _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relative
 _HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
+_PHI2_FIRST = 64        # the Phi2 series' first window, from n = 0 ...
+_PHI2_BLOCK = 256       # ... and its later blocks
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +278,23 @@ def _q_one_order(x: float) -> float:
     for a > x; f is convex and rises, so Newton's method on f(a) = 1 -
     log(_MIXTURE_TOL) from a = x + sqrt(2 L x) + L, where f is already past
     it, stays above the root (the 1 keeps the last iterate's rounding safe).
-    From x ~ 4.6e33 on, a/x rounds to 1 and a itself is kept.
+    f is taken as x g(t), t = a/x - 1, g(t) = (1+t) log1p(t) - t, by g's
+    series sum_(i>=2) (-t)^i / (i (i-1)) to i = 6 for t < 1e-3, where the
+    plain form cancels: a difference of numbers near x keeps no digit once t
+    is about 1e-8 (x ~ 1e18).  From x ~ 4.6e33 on, a/x rounds to 1 and a
+    itself is kept.
     """
     if x == 0.0:
         return 0.0
     a = x + math.sqrt(2.0 * _LOG_Q_ONE * x) + _LOG_Q_ONE
     for _ in range(3):
-        log_ratio = math.log(a / x)
+        t = a / x - 1.0
+        log_ratio = math.log1p(t)
         if log_ratio == 0.0:
             break
-        a -= (a * log_ratio - a + x - _LOG_Q_ONE) / log_ratio
+        g = (t * t * (1 / 2 - t * (1 / 6 - t * (1 / 12 - t * (1 / 20 - t / 30))))
+             if t < 1e-3 else (1.0 + t) * log_ratio - t)
+        a -= (x * g - _LOG_Q_ONE) / log_ratio
     return a
 
 
@@ -528,6 +540,8 @@ def _weights(lam, m: float, mu: float, log_r: float, survival: bool) -> _Weights
         return _Binomial(*lam, mu, log_r, survival) if lam.n else _UnitMass(survival)
     if lam == 0.0:
         return _UnitMass(survival)
+    if not m > 0.0:  # a NaN fails it too
+        raise DomainError(f"negative binomial weights need a shape m > 0: (lam, m) = ({lam}, {m})")
     if math.isinf(m):
         return _Poisson(lam, mu, log_r, survival)
     return _NegativeBinomial(lam, m, mu, log_r, survival)
@@ -979,6 +993,51 @@ def marcum_p(nu: float, a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# positive series summed outward from a window (1F1 and Phi2)
+# ---------------------------------------------------------------------------
+
+def _log_window_sum(log_terms, lo: int, hi: int, step: int, after, before, tol: float):
+    """log sum_n t_n of positive terms t_n, n >= 0, and the number of terms
+    summed, from the first window [lo, hi) outward in blocks of step terms;
+    log_terms(i, j) gives log t_n over [i, j) as an array.
+
+    after(hi) bounds the ratio t(n+1)/t(n) for every n >= hi - 1, and
+    before(lo) the ratio t(n-1)/t(n) for every 1 <= n <= lo (a bound of 1 or
+    more: not yet).  A direction stops once the geometric tail past its edge
+    term t_e, t_e r/(1-r), is below tol of the sum: summing outward from the
+    peak with geometric tail bounds, after Gil, Segura and Temme, Numerical
+    Methods for Special Functions (SIAM 2007), ch. 4.  The sum is kept
+    relative to exp(anchor), the largest log term so far."""
+    logt = log_terms(lo, hi)
+    anchor = float(logt.max())
+    total = float(np.exp(logt - anchor).sum())
+    log_first, log_last = float(logt[0]), float(logt[-1])
+
+    def beyond(log_edge: float, r: float) -> bool:  # the tail past an edge is negligible
+        return r < 1.0 and log_edge - anchor + math.log(r / (1.0 - r)) \
+            <= math.log(tol * total)
+
+    def add(logt):
+        top = float(logt.max())
+        if top > anchor:  # a rising block: rescale the sum so far to its top
+            return top, total * math.exp(anchor - top) + float(np.exp(logt - top).sum())
+        return anchor, total + float(np.exp(logt - anchor).sum())
+
+    while not beyond(log_last, after(hi)):
+        logt = log_terms(hi, hi + step)
+        anchor, total = add(logt)
+        log_last = float(logt[-1])
+        hi += step
+    while lo > 0 and not beyond(log_first, before(lo)):
+        new_lo = max(0, lo - step)
+        logt = log_terms(new_lo, lo)
+        anchor, total = add(logt)
+        log_first = float(logt[0])
+        lo = new_lo
+    return anchor + math.log(total), hi - lo
+
+
+# ---------------------------------------------------------------------------
 # Kummer 1F1
 # ---------------------------------------------------------------------------
 
@@ -1035,12 +1094,12 @@ def _log_hyp1f1_peak_sum(a: float, b: float, z: float) -> tuple[float, int]:
 
     The term ratio r(k) = t_(k+1) / t_k = z (a+k) / ((b+k)(k+1)) rises at
     most once (up to k0 below sqrt(b)) and then falls, so the terms peak where
-    r crosses 1 and spread over a few sqrt(z) around it.  The sum starts in a
-    window of +-10 sqrt(z) about the peak and grows each edge until the
-    geometric bound on what lies beyond it, t_edge r / (1 - r) with r the
-    largest ratio past the edge, is below _HYP1F1_TOL of the sum: O(sqrt z)
-    terms instead of the z of the plain series.  Kept apart from the
-    gamma-mixture kernel, since fading.pdf feeds the quadrature oracles.
+    r crosses 1 and spread over a few sqrt(z) around it.  The sum
+    (_log_window_sum) starts in a window of +-10 sqrt(z) about the peak and
+    grows each edge until the geometric bound on what lies beyond it, with r
+    the largest ratio past the edge, is below _HYP1F1_TOL of the sum:
+    O(sqrt z) terms instead of the z of the plain series.  Kept apart from
+    the gamma-mixture kernel, since fading.pdf feeds the quadrature oracles.
     """
     log_z = math.log(z)
 
@@ -1053,37 +1112,19 @@ def _log_hyp1f1_peak_sum(a: float, b: float, z: float) -> tuple[float, int]:
 
     # the peak is the larger root of (b+k)(k+1) = z(a+k); r(k) < 1 for all k
     # when there is none.  r rises until k0, the larger root of
-    # (a+k)(b+k) = (b-a)(k+1).
+    # (a+k)(b+k) = (b-a)(k+1): r(hi-1) bounds the ratios past hi-1 from k0 on.
     c = z - b - 1.0
     disc = c * c + 4.0 * (a * z - b)
     peak = max(0, int(0.5 * (c + math.sqrt(disc))) + 1) if disc > 0.0 else 0
     disc0 = a * a - a * b + b - a
     k0 = -a + math.sqrt(disc0) if disc0 > 0.0 else 0.0
     width = int(10.0 * math.sqrt(z)) + 16
-    lo, hi = max(0, peak - width), peak + width
-    logt = log_terms(lo, hi)
-    anchor = float(logt.max())
-    total = float(np.exp(logt - anchor).sum())
-    log_first, log_last = float(logt[0]), float(logt[-1])
-
-    def beyond(log_edge: float, r: float) -> bool:  # tail past an edge is negligible
-        return r < 1.0 and log_edge - anchor + math.log(r / (1.0 - r)) \
-            <= math.log(_HYP1F1_TOL * total)
-
-    while not (hi - 1 >= k0 and beyond(log_last, ratio(hi - 1))):
-        logt = log_terms(hi, hi + width // 2)
-        total += float(np.exp(logt - anchor).sum())
-        log_last = float(logt[-1])
-        hi += width // 2
-    # going down, t_(k-1) / t_k = 1 / r(k-1) <= 1 / min(r(0), r(lo-1)) for k <= lo
-    while lo > 0 and not beyond(log_first, 1.0 / min(ratio(0.0), ratio(lo - 1.0))):
-        new_lo = max(0, lo - width // 2)
-        logt = log_terms(new_lo, lo)
-        total += float(np.exp(logt - anchor).sum())
-        log_first = float(logt[0])
-        lo = new_lo
-    log_sum = anchor + math.log(total) + sp.gammaln(b) - sp.gammaln(a)
-    return float(log_sum), hi - lo
+    log_sum, terms = _log_window_sum(
+        log_terms, max(0, peak - width), peak + width, width // 2,
+        lambda hi: ratio(hi - 1) if hi - 1 >= k0 else math.inf,
+        # going down, t_(k-1) / t_k = 1 / r(k-1) <= 1 / min(r(0), r(lo-1)) for k <= lo
+        lambda lo: 1.0 / min(ratio(0.0), ratio(lo - 1.0)), _HYP1F1_TOL)
+    return float(log_sum + sp.gammaln(b) - sp.gammaln(a)), terms
 
 
 # ---------------------------------------------------------------------------
@@ -1103,8 +1144,19 @@ def _phi2_unit_first_log(b2: float, c: float, u: float, v: float) -> float:
         Gamma(c) u^(1-c) sum_n (b2)_n (v/u)^n / n! * P(c + n - 1, u).
 
     Positive terms mean no cancellation at any argument size; everything is
-    assembled in log space so the result can represent values far outside the
-    double-precision range of the unscaled Phi2.
+    assembled in log space, P included (_log_reg_gamma, where scipy's
+    underflows), so the result can represent values far outside the
+    double-precision range of the unscaled Phi2.  _log_window_sum sums it
+    from a first window of _PHI2_FIRST terms at n = 0 on in blocks of
+    _PHI2_BLOCK terms until the geometric tail past the edge n is below
+    _SERIES_TOL of the sum, with the ratio bound
+    rho max(1, (b2+n)/(n+1)) min(1, u/(c+n)), rho = v/u: the weight ratio
+    (b2+n) rho/(n+1) tends to rho monotonically, and P(a+1, u)/P(a, u) <=
+    min(1, u/(a+1)) falls with a, so it holds past every edge, for any rho.
+    The sizes were picked on the eta-mu grids' calls, four in five of which
+    stop within the first window: on a 2-core Intel Xeon a block costs about
+    14 us plus 0.065 us a term, and one that runs far past u also pays for
+    log P where scipy's P underflows, so longer blocks cost more there.
     """
     if not u > 0:
         raise DomainError("reduced Phi2 series requires u > 0")
@@ -1118,35 +1170,18 @@ def _phi2_unit_first_log(b2: float, c: float, u: float, v: float) -> float:
     rho = v / u
     log_rho = math.log(rho)
     lg_b2 = math.lgamma(b2)
-    block = 512
-    total = 0.0
-    anchor = -math.inf
-    n0 = 0
-    # summand peak of the weight factor alone (geometric-Poisson balance)
-    nb_peak = 0.0 if rho >= 1.0 else max(0.0, (b2 * rho - 1.0) / (1.0 - rho))
-    while n0 < _MAX_TERMS:
-        n = np.arange(n0, n0 + block, dtype=float)
+
+    def log_terms(lo: int, hi: int) -> np.ndarray:
+        n = np.arange(lo, hi, dtype=float)
         logw = (sp.gammaln(b2 + n) - lg_b2 - sp.gammaln(n + 1.0) + n * log_rho)
-        pvals = sp.gammainc(c - 1.0 + n, u)
         with np.errstate(divide="ignore"):
-            logt = log_pref + logw + np.log(pvals)
-        m = float(np.max(logt))
-        if m > anchor:
-            if anchor > -math.inf:
-                total *= math.exp(anchor - m)
-            anchor = m
-        contrib = float(np.exp(logt - anchor).sum())
-        total += contrib
-        n0 += block
-        if total > 0.0 and n0 > nb_peak:
-            # conservative geometric tail bound once the term ratio is < 1
-            last = math.exp(logt[-1] - anchor) if np.isfinite(logt[-1]) else 0.0
-            ratio = rho * (b2 + n0) / (n0 + 1.0)
-            if ratio < 1.0 and last / (1.0 - ratio) <= _SERIES_TOL * total:
-                return anchor + math.log(total)
-            if last == 0.0 and contrib <= _SERIES_TOL * total:
-                return anchor + math.log(total)
-    raise AccuracyError(
-        f"reduced Phi2 series needed more than {_MAX_TERMS} terms "
-        f"(b2={b2}, c={c}, u={u}, v={v})"
-    )
+            return log_pref + logw + _log_reg_gamma(c - 1.0 + n, u, False)
+
+    def after(hi: int) -> float:
+        if hi >= _MAX_TERMS:
+            raise AccuracyError(f"reduced Phi2 series needed more than {_MAX_TERMS} terms "
+                                f"(b2={b2}, c={c}, u={u}, v={v})")
+        n = hi - 1.0
+        return rho * max(1.0, (b2 + n) / (n + 1.0)) * min(1.0, u / (c + n))
+
+    return _log_window_sum(log_terms, 0, _PHI2_FIRST, _PHI2_BLOCK, after, None, _SERIES_TOL)[0]

@@ -300,11 +300,15 @@ def _mp_shadowed_cdf(kappa: float, mu: float, m: float, mean: float, x: float) -
     # a first window longer than the term cap whose bounds pass at once
     (lambda: marcum_q(1.0, 2e4, 1.3e4), 1.0),
     (lambda: marcum_p(1.0, 3e5, 1e3), 0.0),
+    # the order past which every Q is 1 (_q_one_order) must lie above
+    # x = 4e18, where a/x - 1 is about 1e-8; below it the window is centred
+    # short of the summand (near n = 3.5e9) and reaches the term cap
+    (lambda: imgf_upper(FadingModel.rician(3.0, 1.0), 0.0, 1e18), 0.0),
 ], ids=["imgf_lower[rayleigh(1e-308)]", "cdf[rayleigh(1e-308)]", "opsc.rate_rs[1023]",
         "aber_adaptive.bits[1023]", "db_to_linear[3000]", "linear_to_db[5e-324]",
         "cdf[kappa_mu_shadowed(1, 1, 1e-12, 1)]", "marcum_q[1e155, 1]", "marcum_p[1e155, 1]",
         "marcum_q[1, 1e155]", "marcum_p[1, 1e155]", "marcum_q[2e4, 1.3e4]",
-        "marcum_p[3e5, 1e3]"])
+        "marcum_p[3e5, 1e3]", "imgf_upper[rician(3, 1)]@1e18"])
 def test_finite_extreme_keeps_its_value(f, expected):
     assert f() == pytest.approx(expected, rel=1e-8)
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from imgflib.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, PRESETS, _fmt, ma
                          run_sweep, selfcheck)
 
 RAY_LOWER = 0.5179132265677134
+PRESET_DATA = Path(__file__).parent / "data" / "presets"  # each preset's sweep CSV
 BOB = json.dumps({"kind": "kappa-mu-shadowed", "kappa": 1.5, "mu": 2, "m": 2,
                   "mean_snr_db": 20})
 EVE = json.dumps({"kind": "rayleigh", "mean_snr_db": 15})
@@ -263,14 +265,24 @@ class TestSweep:
         assert "IMGFLIB_WORKERS" in err
         assert calls == []
 
+    # fig1-fig5 are outages, pinned to 1e-9 relative; fig6-fig8 are rates
+    # from a root solve, pinned to its tolerance of 2e-9 absolute
+    PRESET_TOLERANCES = {**{f"fig{i}": (1e-9, 0.0) for i in range(1, 6)},
+                         **{f"fig{i}": (0.0, 2e-9) for i in range(6, 9)}}
+
     @pytest.mark.parametrize("preset", PRESETS)
     def test_preset_runs(self, preset, tmp_path, capsys):
+        # each row's value against the preset's pinned CSV, and the same rows
         out = tmp_path / f"{preset}.csv"
         assert main(["sweep", "--preset", preset, "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("curve,")
-        assert len(lines) > 10
+        got = list(csv.reader(out.read_text().splitlines()))
+        want = list(csv.reader((PRESET_DATA / f"{preset}.csv").read_text().splitlines()))
+        assert got[0] == want[0] and got[0][0] == "curve"
+        assert [row[:-1] for row in got] == [row[:-1] for row in want]
+        rel, abs_ = self.PRESET_TOLERANCES[preset]
+        for row, pinned in zip(got[1:], want[1:]):
+            assert float(row[-1]) == pytest.approx(float(pinned[-1]), rel=rel, abs=abs_), row
 
     # SHA-256 of each preset's specs (json.dumps with sorted keys), first 16
     # hex digits, frozen when the presets became tables of curves

@@ -595,6 +595,14 @@ class TestPhi2:
         ref = _phi2_unit_first_mpmath(*args)
         assert abs(mpmath.expm1(_phi2_unit_first_log(*args) - ref)) <= 1e-13
 
+    # v/u > 1 (s between the two eta-mu rates): the terms peak hundreds of n
+    # out, where scipy's P(c + n - 1, u) underflows to 0, so P must be taken
+    # in log space (1.3 and 532 short in log otherwise)
+    @pytest.mark.parametrize("args", [(6.0, 13.0, 10.0, 300.0), (2.0, 5.0, 1.0, 1000.0)])
+    def test_series_past_incomplete_gamma_underflow(self, args):
+        ref = _phi2_unit_first_mpmath(*args)
+        assert _phi2_unit_first_log(*args) == pytest.approx(float(ref), rel=1e-15)
+
     def test_equal_argument_confluence(self):
         # Phi2(b1, b2; c; x, x) = 1F1(b1 + b2; c; x), here from scipy
         for x in (-50.0, -20.0, -5.0, -0.5):
@@ -643,6 +651,15 @@ class TestWeightFamilies:
     """Each family's weight-ratio bounds hold for every n they cover,
     against weights computed apart from the kernel."""
 
+    @pytest.mark.parametrize("m", [0.0, -3.0, math.nan])
+    def test_shape_not_positive_is_domain_error(self, m):
+        # a shape that is not > 0 is named as such, not met as an
+        # AccuracyError about log(1 - theta) (m = 0) or a ValueError (m < 0)
+        with pytest.raises(DomainError, match=r"\(lam, m\) = \(2.0, "):
+            specfun._weights(2.0, m, 1.0, 0.0, False)
+        with pytest.raises(DomainError):
+            _log_mixture_sum(2.0, m, 1.0, 0, 0.0, 1.0, False)
+
     @pytest.mark.parametrize("survival", [False, True], ids=["weights", "survival"])
     @pytest.mark.parametrize("family", list(BOUND_FAMILIES))
     def test_ratio_bounds(self, family, survival):
@@ -658,6 +675,20 @@ class TestWeightFamilies:
                 bound = weights.backward(low)
                 for n in range(1, low + 1):
                     assert bound >= float(w[n - 1] / w[n]) / r * (1.0 - 1e-12), (r, low, n)
+
+
+@pytest.mark.parametrize("x", [1e3, 1e8, 4e18, 1e25, 4e30, 1e33])
+def test_q_one_order_far_out(x):
+    # an order above x whose Chernoff exponent f(a) = a log(a/x) - a + x
+    # passes -log(_MIXTURE_TOL), with the margin of 1 that absorbs a's
+    # rounding, and is not far past it, also where a/x - 1 is 1e-8 and
+    # less, so that f taken as a difference of numbers near x cancels
+    a = specfun._q_one_order(x)
+    with mpmath.workdps(60):
+        am, xm = mpmath.mpf(a), mpmath.mpf(x)
+        f = am * mpmath.log(am / xm) - am + xm
+    assert a > x
+    assert specfun._LOG_Q_ONE - 1.0 <= f <= 2.0 * specfun._LOG_Q_ONE, (a, float(f))
 
 
 def plan_cases(seed: int, size: int) -> list:

@@ -1,4 +1,5 @@
-"""Record the gamma-mixture kernel's calls and replay them bit for bit.
+"""Record the gamma-mixture kernel's and the Phi2 series' calls and replay
+them bit for bit.
 
     python3 tools/kernel_replay.py record FILE [--seed N]
     python3 tools/kernel_replay.py compare FILE [--repeats N]
@@ -6,10 +7,12 @@
 ``record`` runs one seeded round of each benchmark workload (perfbench's
 operations, after their warm-up, imported and never modified) and stores
 every outermost ``specfun._log_mixture_sum`` call, the Marcum functions'
-included: its arguments and its result, or the type of the exception it
-raised, with every float as a hex string.  ``compare`` replays the calls on
-the sources under ``src/`` next to this script and reports, per workload,
-the calls whose result has the same bits (or the same exception type), the
+included, and every ``_phi2_unit_first_log`` call made through
+``incomplete`` (the name perfbench's tracer times as the Phi2 series): its
+arguments and its result, or the type of the exception it raised, with every
+float as a hex string.  ``compare`` replays the calls on the sources under
+``src/`` next to this script and reports, per workload and kernel, the
+calls whose result has the same bits (or the same exception type), the
 largest difference between the logs the others return (about their values'
 relative difference), the exception mismatches and the minimum over the
 repeats of the time the replay took.  It exits 1 unless every call is
@@ -32,7 +35,10 @@ import numpy as np  # noqa: E402
 
 from imgflib import apps, fading, incomplete, specfun  # noqa: E402
 
-_CALLERS = (specfun, incomplete, apps, fading)
+# each recorded kernel (a name in specfun) and the modules whose name for it
+# is hooked
+_KERNELS = {"_log_mixture_sum": (specfun, incomplete, apps, fading),
+            "_phi2_unit_first_log": (incomplete,)}
 
 
 def _encode(value):
@@ -60,10 +66,9 @@ def _decode(value):
     return kind(*items) if kind is not tuple else items
 
 
-def _record_workload(work, seed: int) -> list[dict]:
-    """The kernel calls of one round of the workload's operations."""
-    real = specfun._log_mixture_sum
-    calls, depth = [], [0]
+def _recorder(real, calls: list):
+    """real, recording each outermost call into calls."""
+    depth = [0]
 
     def recording(*args, **kwargs):
         depth[0] += 1
@@ -83,10 +88,19 @@ def _record_workload(work, seed: int) -> list[dict]:
             raise out
         return out
 
+    return recording
+
+
+def _record_workload(work, seed: int) -> dict[str, list[dict]]:
+    """Each kernel's calls in one round of the workload's operations."""
     work.warmup()
     ops = work.ops(seed)
-    for module in _CALLERS:
-        setattr(module, "_log_mixture_sum", recording)
+    real = {kernel: getattr(specfun, kernel) for kernel in _KERNELS}
+    calls = {kernel: [] for kernel in _KERNELS}
+    for kernel, modules in _KERNELS.items():
+        recording = _recorder(real[kernel], calls[kernel])
+        for module in modules:
+            setattr(module, kernel, recording)
     try:
         for op in ops:
             try:
@@ -94,8 +108,9 @@ def _record_workload(work, seed: int) -> list[dict]:
             except Exception:  # noqa: BLE001 - a failed operation; its calls are kept
                 pass
     finally:
-        for module in _CALLERS:
-            setattr(module, "_log_mixture_sum", real)
+        for kernel, modules in _KERNELS.items():
+            for module in modules:
+                setattr(module, kernel, real[kernel])
     return calls
 
 
@@ -105,13 +120,13 @@ def record(path: Path, seed: int) -> None:
     out = {"seed": seed, "workloads": {}}
     for name, work in WORKLOADS.items():
         out["workloads"][name] = _record_workload(work, seed)
-        print(f"{name}: {len(out['workloads'][name])} calls")
+        print(f"{name}: " + ", ".join(f"{len(calls)} {kernel} calls"
+                                      for kernel, calls in out["workloads"][name].items()))
     path.write_text(json.dumps(out))
 
 
-def _replay(calls: list[dict]) -> tuple[list, float]:
+def _replay(kernel, calls: list[dict]) -> tuple[list, float]:
     """Each call's result (or exception) and the time all of them took."""
-    kernel = specfun._log_mixture_sum
     prepared = [([_decode(a) for a in call["args"]],
                  {k: _decode(v) for k, v in call["kwargs"].items()}) for call in calls]
     results = []
@@ -144,10 +159,11 @@ def _distance(got, want) -> float:
 def compare(path: Path, repeats: int) -> bool:
     recorded = json.loads(path.read_text())["workloads"]
     identical_everywhere = True
-    for name, calls in recorded.items():
+    for name, kernel, calls in ((name, kernel, calls) for name, kernels in recorded.items()
+                                for kernel, calls in kernels.items()):
         best, results = math.inf, None
         for _ in range(repeats):
-            results, elapsed = _replay(calls)
+            results, elapsed = _replay(getattr(specfun, kernel), calls)
             best = min(best, elapsed)
         same = mismatched = 0
         worst = 0.0
@@ -165,7 +181,7 @@ def compare(path: Path, repeats: int) -> bool:
                 same += distance == 0.0
                 worst = max(worst, distance)
         identical_everywhere &= same == len(calls)
-        print(f"{name}: {same}/{len(calls)} identical, worst log difference "
+        print(f"{name} {kernel}: {same}/{len(calls)} identical, worst log difference "
               f"{worst:.3g}, {mismatched} exception mismatches, replay "
               f"{1e3 * best:.1f} ms (min of {repeats})")
     return identical_everywhere
