@@ -26,15 +26,16 @@ __all__ = ["GammaMixture", "mixture_params", "mixture_from_model", "mixture_cdf"
 _CDF_ATOL = 1e-9  # mixture_cdf's bound on its absolute error
 
 
-def _binom_general(n: int, k: int) -> float:
-    """Binomial coefficient with integer k >= 0 and any integer n
-    (falling-factorial convention, so C(-1, 0) = 1 and C(0, 2) = 0)."""
-    if k < 0:
-        return 0.0
-    out = 1.0
-    for j in range(k):
-        out *= (n - j) / (j + 1)
-    return out
+def _check_weight_sum(terms, error) -> None:
+    """Raise error unless the coefficients of positive shape sum to 1 within
+    max(1e-9, 2 n eps sum |C_i|) over the n terms, and that rounding bound
+    leaves the sum a digit (is at most 0.1; see mixture_params)."""
+    weights = [c for (c, _, mi) in terms if mi > 0]
+    total = sum(weights)
+    rounding = 2.0 * len(terms) * sys.float_info.epsilon * sum(map(abs, weights))
+    if not (rounding <= 0.1 and abs(total - 1.0) <= max(1e-9, rounding)):  # NaN fails
+        raise error(f"mixture weights with positive shape must sum to 1, got {total!r} "
+                    f"with a rounding bound of {rounding:.3e}")
 
 
 @dataclass(frozen=True)
@@ -44,18 +45,12 @@ class GammaMixture:
     terms: tuple  # of (weight, scale, shape) with integer shape >= 0
 
     def __post_init__(self):
-        total = 0.0
         for (c, omega, mi) in self.terms:
             if not omega > 0:
                 raise DomainError("mixture scales must be positive")
             if mi < 0 or mi != int(mi):
                 raise DomainError("mixture shapes must be nonnegative integers")
-            if mi > 0:
-                total += c
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError(
-                f"mixture weights with positive shape must sum to 1, got {total!r}"
-            )
+        _check_weight_sum(self.terms, DomainError)
 
 
 def _params_mu_le_m(kappa: float, mu: int, m: int, mean_snr: float):
@@ -65,7 +60,7 @@ def _params_mu_le_m(kappa: float, mu: int, m: int, mean_snr: float):
     q = mu * kappa / (mu * kappa + m)
     terms = []
     for i in range(count + 1):
-        c = _binom_general(m - mu, i) * p ** i * q ** (m - mu - i)
+        c = math.comb(m - mu, i) * p ** i * q ** (m - mu - i)
         terms.append((c, omega, m - i))
     return terms
 
@@ -77,11 +72,12 @@ def _params_mu_gt_m(kappa: float, mu: int, m: int, mean_snr: float):
     q = mu * kappa / (mu * kappa + m)
     terms = [(0.0, omega_a, mu - m + 1)]
     for i in range(1, mu - m + 1):
-        c = ((-1.0) ** m * _binom_general(m + i - 2, i - 1)
+        c = ((-1.0) ** m * math.comb(m + i - 2, i - 1)
              * p ** m * q ** (-m - i + 1))
         terms.append((c, omega_a, mu - m - i + 1))
+    # at mu = m (the column boundary) i = 1 takes C(-1, 0) = 1 as C(0, 0)
     for i in range(mu - m + 1, mu + 1):
-        c = ((-1.0) ** (i - mu + m - 1) * _binom_general(i - 2, i - mu + m - 1)
+        c = ((-1.0) ** (i - mu + m - 1) * math.comb(max(i - 2, 0), i - mu + m - 1)
              * p ** (i - mu + m - 1) * q ** (-i + 1))
         terms.append((c, omega_b, mu - i + 1))
     return terms
@@ -92,6 +88,16 @@ def mixture_params(kappa: float, mu: int, m: int, mean_snr: float) -> GammaMixtu
 
     kappa = 0 degenerates the coefficient formulas (0^0 powers), so that case
     is built directly from its analytic limit: a single gamma term of shape mu.
+
+    The coefficients of positive shape sum to 1.  Each is an exact binomial
+    times powers of p and q, so their sum drifts from 1 by rounding alone,
+    which n terms keep below n eps sum |C_i| (0.75 n eps sum |C_i| at most
+    over 11 200 points, kappa 1e-3 to 1e3, mu and m 1 to 20, and up to m =
+    1000): AccuracyError where the sum is further off than the larger of
+    1e-9 and twice that, or NaN, where twice that passes 0.1 (the sum keeps
+    no digit), and where a binomial or a power of q passes the double range.  Mildly cancelling coefficients
+    build; mixture_cdf and the outages bound their own rounding, and raise
+    where it matters.
     """
     # each check is written so that NaN and inf fail it
     if not (1 <= mu < math.inf and mu == int(mu)):
@@ -105,15 +111,14 @@ def mixture_params(kappa: float, mu: int, m: int, mean_snr: float) -> GammaMixtu
     mu, m = int(mu), int(m)
     if kappa == 0.0:
         return GammaMixture(terms=((1.0, mean_snr / mu, mu),))
-    if mu <= m:
-        terms = _params_mu_le_m(kappa, mu, m, mean_snr)
-    else:
-        terms = _params_mu_gt_m(kappa, mu, m, mean_snr)
+    try:
+        terms = (_params_mu_le_m if mu <= m else _params_mu_gt_m)(kappa, mu, m, mean_snr)
+    except OverflowError:  # an exact binomial or a power of q past the double range
+        raise AccuracyError(f"mixture coefficients of (kappa, mu, m) = ({kappa}, {mu}, {m}) "
+                            f"pass the double range") from None
     # the mu > m coefficients alternate in sign and grow like q^-(mu-1): at
     # small kappa they cancel, and their sum drifts from 1 by rounding alone
-    total = sum(c for (c, _, mi) in terms if mi > 0)
-    if abs(total - 1.0) > 1e-9:
-        raise AccuracyError(f"mixture coefficients cancel: their sum is {total!r}, not 1")
+    _check_weight_sum(terms, AccuracyError)
     return GammaMixture(terms=tuple(terms))
 
 

@@ -21,9 +21,12 @@ The mixture sum _log_mixture_sum is built from three parts:
   (_walk_pair), and, for a float x and a block longer than _LONG_WALK terms,
   one NumPy pass of cumulative products and sums (_walk_numpy).
 
-A float x's call keeps its bookkeeping on Python floats and math.  Where
-scipy's value underflows or rounds poorly, Legendre's continued fraction or
-the ascending series with a Stirling-form prefactor take its place.
+A float x's call keeps its bookkeeping on Python floats and math, and so do
+the weights families (the survival weights, the closed-form rest) and the
+first k = -1 term for every x: a float x's call makes no NumPy array outside
+the NumPy pass.  Where scipy's value underflows or rounds poorly, Legendre's
+continued fraction or the ascending series with a Stirling-form prefactor
+take its place.
 
 All kernels are pure double-precision functions, reentrant and
 thread-safe.  Running out of the term budget raises AccuracyError rather than
@@ -68,13 +71,16 @@ def _every(cond) -> bool:
     return cond if isinstance(cond, bool) else bool(np.all(cond))
 
 
-def _log_reg_gamma(a, x, upper: bool) -> np.ndarray:
-    """log Q(a, x) (upper) or log P(a, x) over broadcast arrays, for x > 0.
+def _log_reg_gamma(a, x, upper: bool):
+    """log Q(a, x) (upper) or log P(a, x) for x > 0: on Python floats (math)
+    for a float a and x, else over broadcast arrays.
 
     Where scipy's value underflows it is rebuilt in log space by
     _far_reg_gamma.
     """
     r = sp.gammaincc(a, x) if upper else sp.gammainc(a, x)
+    if isinstance(a, float) and isinstance(x, float):
+        return math.log(r) if r >= _UNDERFLOW else _far_reg_gamma(a, x, upper)[0]
     out = np.log(r)
     if not (r < _UNDERFLOW).any():
         return out
@@ -190,41 +196,36 @@ def _log_legendre_fraction(a, x) -> np.ndarray:
         c = b + an / c
         h = h * d * c
         if _every(abs(d * c - 1.0) < 1e-15):
-            return math.log(h) if type(h) is float else np.log(h)
+            return _log_float(h) if type(h) is float else np.log(h)
     raise AccuracyError("incomplete gamma continued fraction did not converge")
 
 
-def _log_betainc(a, b, x: float) -> np.ndarray:
-    """log I_x(a, b) over broadcast arrays a, b, for 0 < x < 1.
+def _log_betainc(a: float, b: float, x: float) -> float:
+    """log I_x(a, b) for floats a, b > 0 and 0 < x < 1, by math.
 
     Where scipy's value underflows it is rebuilt in log space from
-    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * sum_j (a+b)_j / (a+1)_j x^j.
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * sum_j (a+b)_j / (a+1)_j x^j,
+    with log B(a, b) = log Gamma(b) - log Gamma(a+b) / Gamma(a).
     """
     r = sp.betainc(a, b, x)
-    with np.errstate(divide="ignore"):
-        out = np.log(r)
-    if not (r < _UNDERFLOW).any():
-        return out
-    far = r < _UNDERFLOW
-    a, b = np.broadcast_to(a, r.shape)[far], np.broadcast_to(b, r.shape)[far]
-    log_pref = a * math.log(x) + b * math.log1p(-x) - np.log(a) - sp.betaln(a, b)
-    term = total = np.ones_like(a)
+    if r >= _UNDERFLOW:
+        return math.log(r)
+    term = total = 1.0
     for j in range(_FAR_ITERATIONS):
         term = term * x * (a + b + j) / (a + 1.0 + j)
         total = total + term
-        if (term < 1e-16 * total).all():
-            out[far] = log_pref + np.log(total)
-            return out
+        if term < 1e-16 * total:
+            return (a * math.log(x) + b * math.log1p(-x) - math.log(a)
+                    - (math.lgamma(b) - _log_gamma_ratio(a, b)) + math.log(total))
     raise AccuracyError("regularized incomplete beta did not converge in its tail")
 
 
-_ZETA_K = np.arange(2.0, 60.0)
-_ZETA = sp.zeta(_ZETA_K)  # ln Gamma(1+a) = -euler_gamma a + sum_k zeta(k) (-a)^k / k
-_EXP_N = np.arange(1.0, 21.0)
-_EXP_C = (-1.0) ** (_EXP_N + 1.0) / sp.gamma(_EXP_N + 1.0)  # (-1)^(n+1) / n!
+# ln Gamma(1+a) = -euler_gamma a + sum_(k>=2) zeta(k) (-a)^k / k: zeta(k) / k from k = 59 down
+_ZETA_HORNER = (sp.zeta(np.arange(59.0, 1.0, -1.0)) / np.arange(59.0, 1.0, -1.0)).tolist()
+_EXP_C = [(-1.0) ** (n + 1) / math.factorial(n) for n in range(1, 21)]  # (-1)^(n+1) / n!
 
 
-def _log_gamma_below(mu: float, x) -> np.ndarray:
+def _log_gamma_below(mu: float, x):
     """log Gamma(mu-1, x) / Gamma(mu) for 0 < mu <= 1, where the order mu-1 is
     not positive.  At mu = 1 this is log E1(x), from E1 up to x = 700 (where it
     is still a normal double) and Legendre's continued fraction beyond; for
@@ -236,29 +237,34 @@ def _log_gamma_below(mu: float, x) -> np.ndarray:
 
     whose first term comes from the zeta series of ln Gamma(1+a), so nothing
     cancels as a -> 0; for mu < 1/2 the recurrence
-    (1-mu) Gamma(mu-1, x) = x^(mu-1) e^-x - Gamma(mu, x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    far = x > 700.0 if mu == 1.0 else x >= 1.0
-    xf, xn = x[far], x[~far]
-    if xf.size:
-        # a single x runs on a numpy scalar, far cheaper than a 1-element array
-        log_h = _log_legendre_fraction(mu - 1.0, xf[0] if xf.size == 1 else xf)
-        out[far] = (mu - 1.0) * np.log(xf) - xf - math.lgamma(mu) + log_h
+    (1-mu) Gamma(mu-1, x) = x^(mu-1) e^-x - Gamma(mu, x).  At x = 0 it
+    diverges: inf.  On Python floats (math) for a float x; an array x
+    element by element."""
+    if not isinstance(x, float):
+        return np.array([_log_gamma_below(mu, v) for v in np.reshape(x, -1).tolist()])
+    if x == 0.0:
+        return math.inf
+    if x > 700.0 if mu == 1.0 else x >= 1.0:
+        return ((mu - 1.0) * math.log(x) - x - math.lgamma(mu)
+                + _log_legendre_fraction(mu - 1.0, x))
     if mu == 1.0:
-        out[~far] = np.log(sp.exp1(xn))
-    elif mu >= 0.5:
-        a = mu - 1.0
-        log_gamma_mu = -np.euler_gamma * a + float(np.sum(_ZETA * (-a) ** _ZETA_K / _ZETA_K))
-        ax = a * np.log(xn)
-        series = (xn[:, None] ** _EXP_N * _EXP_C / (a + _EXP_N)).sum(axis=1)
-        out[~far] = (np.log(math.expm1(log_gamma_mu) / a - np.expm1(ax) / a
-                            + np.exp(ax) * series) - log_gamma_mu)
-    elif xn.size:
-        log_head = (mu - 1.0) * np.log(xn) - xn - math.lgamma(mu)
-        log_q = _log_reg_gamma(np.array([mu]), xn, True)
-        out[~far] = log_head + np.log1p(-np.exp(log_q - log_head)) - math.log1p(-mu)
-    return out
+        return math.log(sp.exp1(x))
+    a = mu - 1.0
+    if mu >= 0.5:
+        zeta_sum = 0.0
+        for c in _ZETA_HORNER:
+            zeta_sum = zeta_sum * -a + c
+        log_gamma_mu = -np.euler_gamma * a + zeta_sum * a * a
+        ax = a * math.log(x)
+        series, power = 0.0, 1.0
+        for n, c in enumerate(_EXP_C, 1):
+            power *= x
+            series += power * c / (a + n)
+        return (math.log(math.expm1(log_gamma_mu) / a - math.expm1(ax) / a
+                         + math.exp(ax) * series) - log_gamma_mu)
+    log_head = a * math.log(x) - x - math.lgamma(mu)
+    log_q = _log_reg_gamma(mu, x, True)
+    return log_head + math.log1p(-math.exp(log_q - log_head)) - math.log1p(-mu)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +335,8 @@ class _Weights:
     sum_{j>n} w_j in place of w_n.  A family gives
 
     - over a block, the seed's log weight and, for survival weights, every
-      step ratio (block); log_mass is log w_n r^(mu+n) at one n, with the
+      step ratio (block), from one scalar tail at its top (two, where the
+      seed is at its foot); log_mass is log w_n r^(mu+n) at one n, with the
       log-gamma differences that round to about eps n in a plain sum taken
       accurately;
     - its step ratio, the weight ratio w(j) r/w(j-1) into n = j (step), for
@@ -346,51 +353,70 @@ class _Weights:
       in n, so these bounds and the term ratio at a block's edge bound every
       ratio beyond it;
     - where rest is set, its upper sum from an n on where every Q is 1, in
-      closed form (log_rest);
+      closed form (log_rest, one scalar tail per order);
     - a guess at its summand peak (peak).
 
     support is the number of terms of a finite family, None for an infinite
     one; log_sum, where it is set, gives the whole sum in closed form.  No
-    code outside the families tests which one it is."""
+    code outside the families tests which one it is.  Everything here runs
+    on Python floats (math and scalar scipy calls), for a float x's call and
+    an array x's alike."""
     support = log_sum = None
     rest = False
 
     def __init__(self, mu: float, log_r: float, survival: bool, w0: float, w1: float):
         self.mu, self.log_r, self.survival = mu, log_r, survival
         self.r = r = math.exp(log_r)
+        self.w0, self.w1 = float(w0), float(w1)
         self.rw0, self.rw1, self.rw01 = float(r * w0), float(r * w1), float(r * (w0 - w1))
 
     def block(self, lo: int, hi: int, seed: int):
         """The log weight at seed and, for survival weights, the step ratios
-        into lo+1 .. hi-1 as a list (else None), from one array over [lo, hi)."""
+        into lo+1 .. hi-1 as a list (else None).
+
+        Survival weights take their ratios from g_n = w(n+1)/S_n in (0, 1],
+        from one scalar tail at n = hi-1 down by S_n = S_(n+1) + w(n+1):
+        g_n = g_(n+1)/(g_(n+1) + v), v = w(n+2)/w(n+1), which adds positive
+        terms and shrinks an error in g on every step down, and the ratio
+        into n+1 is r v/(g_(n+1) + v).  Far below the weights' peak g
+        underflows to 0 (ratio r), where S_n/w(n+1) would overflow."""
         if not self.survival:
             return self.log_mass(seed), None
-        with np.errstate(all="ignore"):
-            n = np.arange(lo, hi, dtype=float)
-            logw = (self.mu + n) * self.log_r + self.log_tail(n)  # log S_n r^(mu+n)
-            return float(logw[seed - lo]), np.exp(np.diff(logw)).tolist()
+        top, log_r = hi - 1, self.log_r
+        log_top = self.log_tail(top)  # log S_top
+        g = math.exp(self.log_mass(hi) - (self.mu + hi) * log_r - log_top)
+        w0, w1, r = self.w0, self.w1, self.r
+        ratios = [0.0] * (hi - lo - 1)
+        for n in range(hi - 2, lo - 1, -1):
+            v = (w0 + w1 * (n + 1)) / (n + 2)
+            d = g + v
+            ratios[n - lo] = r * v / d
+            g = g / d
+        log_seed = log_top if seed == top else self.log_tail(seed)
+        return (self.mu + seed) * log_r + log_seed, ratios
 
     def step(self, j: int) -> float:
         """The weight ratio into n = j."""
         if self.survival:
-            return self.block(j - 1, j + 1, j - 1)[1][0]
+            return self.block(j - 1, j + 1, j)[1][0]
         return self.rw1 + self.rw01 / j if j > 1 else self.rw0
 
     def log_rest(self, start: int, order: int) -> float:
         """log sum_{n >= start} w_n r^(mu+n) (mu+n)_order, the upper sum where
         every Q is 1.  (mu+n)_o = sum_i C(o,i) (mu+i)_(o-i) n!/(n-i)!, and each
         falling-factorial moment of the weights' tail is a tail mass of the
-        same family (moments, at any positive order where i >= start masks
-        it).  The tail from an order start - i <= 0 on is the whole mass,
-        whose log is 0."""
-        mu, i = self.mu, np.arange(order + 1.0)
-        with np.errstate(all="ignore"):
-            log_c = (math.lgamma(order + 1.0) - sp.gammaln(i + 1.0)
-                     - sp.gammaln(order - i + 1.0) + math.lgamma(mu + order) - sp.gammaln(mu + i))
-            log_tail, log_mom = self.moments(np.maximum(start - i, 1.0), i)
-            log_parts = log_c + (log_mom + np.where(i < start, log_tail, 0.0))
-            top = log_parts.max()
-            return mu * self.log_r + float(top + np.log(np.exp(log_parts - top).sum()))
+        same family (moment, one scalar tail each).  The tail from an order
+        start - i <= 0 on is the whole mass, whose log is 0.  Where scipy's
+        tail underflows, the far-tail series take over (_log_reg_gamma,
+        _log_betainc)."""
+        mu = self.mu
+        lg_order, lg_mu_order = math.lgamma(order + 1.0), math.lgamma(mu + order)
+        log_parts = [lg_order - math.lgamma(i + 1.0) - math.lgamma(order - i + 1.0)
+                     + lg_mu_order - math.lgamma(mu + i) + self.moment(start - i, i)
+                     for i in range(order + 1)]
+        top = max(log_parts)
+        return mu * self.log_r + (top + math.log(math.fsum(math.exp(p - top)
+                                                           for p in log_parts)))
 
 
 class _UnitMass(_Weights):
@@ -401,24 +427,24 @@ class _UnitMass(_Weights):
 
     def log_sum(self, mu: float, k: int, log_r: float, xs, upper: bool, shape: tuple):
         """log r^mu (mu)_k R(mu+k, x), or -inf for the survival weights (S_0 =
-        0); on scalars, unless R underflows or E1 needs its fraction (np.log,
-        as on the arrays: math.log rounds differently near 1)."""
+        0).  A float x takes np.log of scipy's scalar R or E1 (as on the
+        arrays: math.log rounds differently near 1), and the float helpers
+        where R underflows or E1 needs its fraction."""
         if self.survival:
             return np.full(shape, -np.inf) if shape else -math.inf
         if not shape:
             if mu + k > 0.0:
                 rg = (sp.gammaincc if upper else sp.gammainc)(mu + k, xs)
-                if rg >= _UNDERFLOW:
-                    return float(mu * log_r + (math.lgamma(mu + k) - math.lgamma(mu)
-                                               + np.log(rg)))
-            elif mu == 1.0 and xs <= 700.0:
+                log_rg = np.log(rg) if rg >= _UNDERFLOW else _far_reg_gamma(mu + k, xs, upper)[0]
+                return float(mu * log_r + (math.lgamma(mu + k) - math.lgamma(mu) + log_rg))
+            if mu == 1.0 and xs <= 700.0:
                 return float(mu * log_r + np.log(sp.exp1(xs)))
+            return mu * log_r + _log_gamma_below(mu, xs)
         with np.errstate(divide="ignore"):
             out = mu * log_r + (
                 _log_gamma_below(mu, xs) if mu + k <= 0.0
-                else (math.lgamma(mu + k) - math.lgamma(mu)
-                      + _log_reg_gamma(np.array([mu + k]), xs, upper)))
-        return out.reshape(shape) if shape else float(out[0])
+                else (math.lgamma(mu + k) - math.lgamma(mu) + _log_reg_gamma(mu + k, xs, upper)))
+        return out.reshape(shape)
 
 
 class _Poisson(_Weights):
@@ -434,8 +460,8 @@ class _Poisson(_Weights):
         return (_log_poisson_term(float(n), lam * self.r) + lam * math.expm1(log_r)
                 + self.mu * log_r)
 
-    def log_tail(self, n):
-        return _log_reg_gamma(n + 1.0, self.lam, False)
+    def log_tail(self, n: int) -> float:  # log S_n
+        return _log_reg_gamma(n + 1.0, float(self.lam), False)
 
     def forward(self, top: int) -> float:
         return self.lam / ((top + 1 if self.survival else top) + 1.0) * self.r
@@ -446,11 +472,14 @@ class _Poisson(_Weights):
     def peak(self, xc: float, k: int) -> float:
         return self.lam * self.r + k
 
-    def moments(self, tail_order, i):
-        """Tail masses and falling-factorial moments: Poisson of mean lam r."""
+    def moment(self, tail_order: int, i: int) -> float:
+        """log sum_(n >= tail_order + i) w_n r^n n!/(n-i)!: the i-th
+        falling-factorial moment times a tail mass of Poisson of mean lam r."""
         lam = self.lam
-        return (_log_reg_gamma(tail_order, lam * self.r, False),
-                lam * math.expm1(self.log_r) + i * self.slope)
+        log_mom = lam * math.expm1(self.log_r) + i * self.slope
+        if tail_order <= 0:
+            return log_mom
+        return log_mom + _log_reg_gamma(float(tail_order), lam * self.r, False)
 
 
 class _NegativeBinomial(_Weights):
@@ -479,7 +508,7 @@ class _NegativeBinomial(_Weights):
         return n * self.slope + self.const + (_log_gamma_ratio(n + 1.0, m - 1.0) if n
                                               else math.lgamma(m))
 
-    def log_tail(self, n):
+    def log_tail(self, n: int) -> float:  # log S_n
         return _log_betainc(n + 1.0, self.m, self.theta)
 
     def forward(self, top: int) -> float:
@@ -497,13 +526,17 @@ class _NegativeBinomial(_Weights):
         q = self.q
         return q * (self.m + k) / (1.0 - q) if q < 1.0 else q * (xc + self.m + k)
 
-    def moments(self, tail_order, i):
-        """Negative binomial of shape m+i and ratio q; 1 - q = (m - lam
-        (r-1)) / (lam + m) keeps its digits as q -> 1."""
+    def moment(self, tail_order: int, i: int) -> float:
+        """As _Poisson.moment, with a tail mass of the negative binomial of
+        shape m+i and ratio q; 1 - q = (m - lam (r-1)) / (lam + m) keeps its
+        digits as q -> 1."""
         m, lam = self.m, self.lam
         log_1mq = math.log((m - lam * math.expm1(self.log_r)) / (lam + m))
-        return (_log_betainc(tail_order, m + i, self.q), m * (self.log_1m_theta - log_1mq)
-                + sp.gammaln(m + i) - math.lgamma(m) + i * (self.slope - log_1mq))
+        log_mom = (m * (self.log_1m_theta - log_1mq) + math.lgamma(m + i) - math.lgamma(m)
+                   + i * (self.slope - log_1mq))
+        if tail_order <= 0:
+            return log_mom
+        return log_mom + _log_betainc(float(tail_order), m + i, self.q)
 
 
 class _Trials(NamedTuple):
@@ -530,8 +563,8 @@ class _Binomial(_Weights):
     def log_mass(self, n: int) -> float:
         return n * self.slope + self.const + math.log(math.comb(self.trials, n))
 
-    def log_tail(self, n):
-        return _log_betainc(n + 1.0, self.trials - n, self.p)
+    def log_tail(self, n: int) -> float:  # log S_n
+        return _log_betainc(n + 1.0, float(self.trials - n), self.p)
 
 
 def _weights(lam, m: float, mu: float, log_r: float, survival: bool) -> _Weights:
@@ -615,15 +648,21 @@ class _Summand:
 
 def _rises(t: _Summand, n: int, xc: float) -> bool:
     """Whether the median column's term at n+1 is at least its term at n:
-    Q(a+1)/Q(a) = 1 + d/Q at a = mu+n+k (upper), P(a+1)/P(a) = 1/(1 + d/P)
-    with d/P from the seed at a+1 (lower)."""
+    Q(a+1)/Q(a) = 1 + d/Q(a) at a = mu+n+k (upper), P(a+1)/P(a) = 1/(1 +
+    d/P(a+1)) (lower), d = d(a), with d/R = exp(log d - log R) from one
+    scalar R (_log_reg_gamma_seed where R underflows)."""
     j = n + 1
     u = t.weights.step(j)
     if t.k:
         u = u * (1.0 + t.k / (j + t.mu1))
-    if t.upper:
-        return u * (1.0 + _log_reg_gamma_seed(t.mu + n + t.k, xc, True)[1]) >= 1.0
-    return u >= 1.0 + _log_reg_gamma_seed(t.mu + j + t.k, xc, False)[1]
+    a = t.mu + n + t.k
+    b = a if t.upper else t.mu + j + t.k  # R's order
+    r = (sp.gammaincc if t.upper else sp.gammainc)(b, xc)
+    if r >= _UNDERFLOW:
+        d_r = math.exp(_log_poisson_term(a, xc) - math.log(r))
+    else:
+        d_r = _log_reg_gamma_seed(b, xc, t.upper)[1]
+    return u * (1.0 + d_r) >= 1.0 if t.upper else u >= 1.0 + d_r
 
 
 def _plan(t: _Summand):
@@ -637,9 +676,13 @@ def _plan(t: _Summand):
     it from the weights' peak up to about x, P down.  Where one block from
     n = 0 does not cover that guess, the peak is found by bisection on the
     sign of t(n+1)/t(n) - 1 (_rises), the ratio formed from the walk's own
-    pieces (the weight ratio, the Pochhammer ratio and R's ratio 1 + d/R
-    from one scalar _log_reg_gamma_seed), to within a sixteenth of the
-    block: O(log n) scalar calls.  Log-concave terms cross 1 once; where
+    pieces (the weight ratio, the Pochhammer ratio and R's ratio 1 + d/R,
+    d/R from scipy's scalar R and _log_poisson_term, _log_reg_gamma_seed
+    only where R underflows), to within a sixteenth of the block: O(log n)
+    scalar calls.  Where R is small, |x - a| > 0.4 a and a + x >= 1000,
+    scipy's R is about 2e-12 relative off (the seed's far tail is not
+    used), which can only tip a rise or fall decision next to the peak: it
+    moves the window, never the sum.  Log-concave terms cross 1 once; where
     they are not (m < 1), a misplaced centre costs walking, never accuracy,
     since the tail bounds, not the plan, certify the sum.  A window centred
     on the peak passes its first bounds with 8 terms to spare, as every
@@ -700,9 +743,7 @@ def _walk(t: _Summand, lo: int, hi: int):
     split in two, so no array is longer than the term cap."""
     upper, pair, ops = t.upper, t.pair, t.ops
     if lo == 0 and t.mk <= 0.0:  # k = -1, mu <= 1: w_0 r^mu Gamma(mu-1, x) / Gamma(mu)
-        with np.errstate(all="ignore"):
-            head = t.weights.block(0, 1, 0)[0] + _log_gamma_below(t.mu, t.xs)
-        head = float(head[0]) if t.scalar else head
+        head = t.weights.block(0, 1, 0)[0] + _log_gamma_below(t.mu, t.xs)
         if hi == 1:
             return head, head, head, math.nan, -math.inf if pair else None
         log_sum, _, last, ratio, log_sum2 = _walk(t, 1, hi)
@@ -884,9 +925,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     once it is longer than the window so far.  In the pair mode each order
     keeps its own reference and tail bounds, the order-(k+1) ones at edges
     one n lower, and takes its own closed-form rest.  A float x runs on
-    Python floats and math, far cheaper than 1-element arrays; NumPy, under
-    np.errstate, only in the NumPy pass, the closed-form rest, the survival
-    weights and the order mu - 1 <= 0 of the first k = -1 term.
+    Python floats, math and scalar scipy calls, far cheaper than 1-element
+    arrays; NumPy arrays, under np.errstate, only in the NumPy pass.
     """
     shape = () if isinstance(x, (int, float)) else np.shape(x)
     xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
@@ -914,7 +954,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         total = total2 = 1.0  # the sums relative to exp(ref) and, in the pair mode, exp(ref2)
         ops = t.ops
         ahead = t.ahead(last, ratio, hi, ref, total, ref2, total2) + spare
-        behind = t.behind(first, ratio, lo, ref, total, ref2, total2) + spare if lo else ref * 0.0
+        behind = t.behind(first, ratio, lo, ref, total, ref2, total2) + spare if lo else 0.0
         block = size
         while not ops.every(ahead <= 0.0):
             if n1 is not None and hi > n1 and not ops.every(ahead <= hi - lo):
@@ -937,7 +977,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             ref, total = _add(ref, total, log_part, ops)
             if pair:
                 ref2, total2 = _add(ref2, total2, log_part2)
-            behind = t.behind(first, ratio, lo, ref, total, ref2, total2) if lo else ref * 0.0
+            behind = t.behind(first, ratio, lo, ref, total, ref2, total2) if lo else 0.0
         out = ref + ops.log(total)
     if pair:
         return float(out), float(ref2 + math.log(total2))

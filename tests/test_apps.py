@@ -23,7 +23,7 @@ from imgflib.apps import (
 from imgflib import apps, cli, incomplete
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, Kind, cdf, db_to_linear, mgf, model_from_json, pdf
-from imgflib.mixture import mixture_from_model
+from imgflib.mixture import mixture_cdf, mixture_from_model
 from imgflib.oracles import McConfig, mc_aber, mc_opsc
 
 # Frozen: 40-digit evaluation of the Rayleigh/Rayleigh secrecy-outage closed
@@ -495,8 +495,14 @@ class TestOutageCancellation:
 
     @pytest.mark.parametrize("kappa, mu, m", [(0.005, 6, 2), (0.01, 10, 3)])
     def test_cancelling_mixture_is_accuracy_error(self, kappa, mu, m):
+        # (0.005, 6, 2) sums to 1 within its rounding bound, so the mixture
+        # builds (the noise of that sum refused it before) and mixture_cdf,
+        # whose rounding bound passes 1e-9, raises, as the eavesdropper's
+        # outage does (test_eavesdropper); the coefficients' sum of
+        # (0.01, 10, 3) is 1.125 within a rounding bound of 6.8, which keeps
+        # no digit, so building it raises
         with pytest.raises(AccuracyError):
-            mixture_from_model(FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0))
+            mixture_cdf(mixture_from_model(FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0)), 1.0)
 
 
 class TestHighOrderOutage:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -57,6 +58,69 @@ class TestParams:
         g2 = GammaMixture(terms=tuple(_params_mu_gt_m(1.3, 3, 3, 2.0)))
         for x in (0.1, 0.7, 2.0, 9.0):
             assert mixture_cdf(g1, x) == pytest.approx(mixture_cdf(g2, x), abs=1e-13)
+
+    @pytest.mark.parametrize("kappa, mu, m", [(2.0, 3, 90), (1.0, 40, 3)])
+    def test_exact_binomials(self, kappa, mu, m):
+        # each coefficient an exact binomial times powers of p and q: within
+        # 1.5 ulp of the same product at 50 digits (a running product of
+        # binomial ratios was 2.6 and 1.8 ulp off)
+        p, q = m / (mu * kappa + m), mu * kappa / (mu * kappa + m)
+        P, Q = mpmath.mpf(p), mpmath.mpf(q)
+        with mpmath.workdps(50):
+            if mu <= m:
+                terms = _params_mu_le_m(kappa, mu, m, 1.0)
+                ref = [mpmath.binomial(m - mu, i) * P ** i * Q ** (m - mu - i)
+                       for i in range(m - mu + 2)]
+            else:
+                terms = _params_mu_gt_m(kappa, mu, m, 1.0)
+                ref = [0] + [(-1) ** m * mpmath.binomial(m + i - 2, i - 1) * P ** m
+                             * Q ** (-m - i + 1) for i in range(1, mu - m + 1)] + [
+                    (-1) ** (i - mu + m - 1) * mpmath.binomial(i - 2, i - mu + m - 1)
+                    * P ** (i - mu + m - 1) * Q ** (-i + 1) for i in range(mu - m + 1, mu + 1)]
+            for (c, _, _), r in zip(terms, ref):
+                assert abs(c - r) <= 1.5 * np.finfo(float).eps * abs(r)
+
+    def test_coefficient_sum_within_its_rounding(self):
+        # the sum drifts from 1 by rounding alone (by 0.39 and 0.41 of eps
+        # sum |C_i| at (0.005, 6, 2) and (0.01, 10, 3)): a mixture builds
+        # where its bound 2 n eps sum |C_i| leaves the sum a digit, whatever
+        # that noise (some raised AccuracyError before, and some built by
+        # luck with a sum that keeps no digit)
+        eps = np.finfo(float).eps
+        for kappa in (1e-3, 0.005, 0.01, 0.02, 0.1, 1.0, 30.0):
+            for mu in range(1, 13):
+                for m in range(1, 13):
+                    terms = (_params_mu_le_m if mu <= m else _params_mu_gt_m)(kappa, mu, m, 1.0)
+                    rounding = 2 * len(terms) * eps * math.fsum(
+                        abs(c) for (c, _, mi) in terms if mi > 0)
+                    if rounding <= 0.1:
+                        mixture_params(kappa, mu, m, 1.0)
+                    else:
+                        with pytest.raises(AccuracyError):
+                            mixture_params(kappa, mu, m, 1.0)
+
+    def test_coefficients_without_digits_are_refused(self):
+        # (0.1, 200, 20): coefficients up to about 1e80 summing to 2.6e64,
+        # which is 1 within 2 n eps sum |C_i| but carries no digit
+        with pytest.raises(AccuracyError):
+            mixture_params(0.1, 200, 20, 1.0)
+        # a bound of about 178 on a sum of 0
+        with pytest.raises(DomainError):
+            GammaMixture(terms=((1e17, 1.0, 1), (-1e17, 1.0, 2)))
+
+    def test_nan_sum_is_accuracy_error(self):
+        # q^-(mu-1) passes the double range, and the coefficients' sum is NaN
+        with pytest.raises(AccuracyError):
+            mixture_params(0.02, 300, 50, 1.0)
+        with pytest.raises(DomainError):
+            GammaMixture(terms=((math.nan, 1.0, 1),))
+
+    @pytest.mark.parametrize("kappa, mu, m", [(1.0, 1, 1100), (0.01, 300, 50)])
+    def test_past_double_range_is_accuracy_error(self, kappa, mu, m):
+        # C(1099, 550) is past the double range (606 NaN coefficients before);
+        # q^-349 at kappa 0.01 overflows (a bare OverflowError before)
+        with pytest.raises(AccuracyError):
+            mixture_params(kappa, mu, m, 1.0)
 
     def test_non_integer_rejected(self):
         with pytest.raises(DomainError):

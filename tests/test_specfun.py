@@ -7,7 +7,9 @@ from scipy import integrate, stats
 from scipy import special as sp
 
 from imgflib import specfun
+from imgflib.apps import CapacityScenario, SecrecyScenario, capacity_side_info, opsc
 from imgflib.errors import AccuracyError, DomainError
+from imgflib.fading import FadingModel
 from imgflib.specfun import (
     _Trials,
     _log_betainc,
@@ -373,15 +375,18 @@ class TestMixtureKernel:
         ref = [direct_sum(3.0, math.inf, 0.5, -1, x, False) for x in xs]
         assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
 
-    @pytest.mark.parametrize("mu", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.6, 0.7, 1.0])
     def test_log_gamma_below(self, mu):
-        # x = 699/701 straddle the switch from E1 to the fraction at mu = 1
-        for x in (1e-6, 0.5, 1.0, 1.5, 20.0, 600.0, 699.0, 701.0, 900.0):
+        # x = 699/701 straddle the switch from E1 to the fraction at mu = 1,
+        # 1 the switch to the fraction below; the rest span 1e-3 to 1e3
+        for x in (1e-6, 0.5, 1.0, 1.5, 20.0, 600.0, 699.0, 701.0, 900.0,
+                  *np.logspace(-3.0, 3.0, 13).tolist()):
             ref = mpmath.log(mpmath.gammainc(mu - 1.0, x) / mpmath.gamma(mu))
             got = _log_gamma_below(mu, x)
-            assert float(got[0]) == pytest.approx(float(ref), rel=1e-12), x
-            # a single x runs the fraction on a numpy scalar: the same bits
-            assert np.array_equal(_log_gamma_below(mu, np.full(3, x)), np.repeat(got, 3)), x
+            assert type(got) is float
+            assert got == pytest.approx(float(ref), rel=1e-13), x
+            # an array x runs element by element: the same bits
+            assert np.array_equal(_log_gamma_below(mu, np.full(3, x)), np.full(3, got)), x
 
     @pytest.mark.parametrize("mu", [0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
     def test_log_gamma_below_near_order_zero(self, mu):
@@ -390,17 +395,15 @@ class TestMixtureKernel:
         with mpmath.workdps(30):
             for x in (0.01, 0.1, 0.5, 0.99):
                 ref = mpmath.gammainc(mpmath.mpf(mu) - 1, x) / mpmath.gamma(mu)
-                got = math.exp(float(_log_gamma_below(mu, x)[0]))
+                got = math.exp(_log_gamma_below(mu, x))
                 assert got == pytest.approx(float(ref), rel=1e-13), x
 
     def test_log_betainc_in_and_past_underflow(self):
-        a = np.array([5.0, 2000.0, 9000.0])
-        for b in (0.7, 3.0):
-            for x in (0.5, 0.9):
-                got = _log_betainc(a, b, x)
-                ref = [float(mpmath.log(mpmath.betainc(ai, b, 0, x, regularized=True)))
-                       for ai in a]
-                assert got == pytest.approx(ref, rel=1e-12)
+        for a in (5.0, 2000.0, 9000.0):
+            for b in (0.7, 3.0):
+                for x in (0.5, 0.9):
+                    ref = float(mpmath.log(mpmath.betainc(a, b, 0, x, regularized=True)))
+                    assert _log_betainc(a, b, x) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("a, x", [(40.0, 1e-5), (25.0, 1e-14), (40.0, 1e-16),
                                       (40.0, 19.0), (40.0, 21.0), (300.0, 700.0)])
@@ -479,13 +482,14 @@ class TestPairMode:
         # the rest from orders start - i <= 0 on (the whole mass)
         (60.0, 0.5, 6.0, 33, -math.log1p(3.5 / 2.2), 0.4104)])
     def test_closed_form_rest(self, lam, m, mu, k, log_r, x, monkeypatch):
-        # both sums take their rest past n1 in closed form (log_rest is the
-        # one caller of _log_betainc on non-survival weights)
+        # both sums take their rest past n1 in closed form
         rests = []
-        real = specfun._log_betainc
-        monkeypatch.setattr(specfun, "_log_betainc", lambda *a: rests.append(a) or real(*a))
+        real = specfun._Weights.log_rest
+        monkeypatch.setattr(specfun._Weights, "log_rest",
+                            lambda self, start, order: rests.append(order) or real(self, start,
+                                                                                   order))
         _log_mixture_sum(lam, m, mu, k, log_r, x, True, pair=True)
-        assert rests
+        assert sorted(rests) == [k, k + 1]
         check_pair((lam, m, mu, k, log_r, x, True))
 
     @pytest.mark.parametrize("k", [-1, 2])
@@ -494,6 +498,128 @@ class TestPairMode:
         # caller pairs, took two single-order sums or diverged)
         with pytest.raises(DomainError):
             _log_mixture_sum(3.0, math.inf, 0.6, k, 0.0, 1.0, False, pair=True)
+
+
+def mp_rest(lam, m, mu, log_r, start, order):
+    """log sum_(n >= start) w_n r^(mu+n) (mu+n)_order at 40 digits, term by
+    term until the terms fall below 1e-32 of the sum at a ratio below 0.99."""
+    with mpmath.workdps(40):
+        lam_mp, mu_mp, r = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.exp(mpmath.mpf(log_r))
+        if math.isinf(m):
+            log_w = start * mpmath.log(lam_mp) - lam_mp - mpmath.loggamma(start + 1)
+
+            def step(n):
+                return lam_mp / (n + 1)
+        else:
+            theta = lam_mp / (lam_mp + m)
+            log_w = (mpmath.loggamma(m + start) - mpmath.loggamma(m) - mpmath.loggamma(start + 1)
+                     + start * mpmath.log(theta) + m * mpmath.log1p(-theta))
+
+            def step(n):
+                return theta * (m + n) / (n + 1)
+        term = mpmath.exp(log_w + (mu_mp + start) * mpmath.log(r)) * mpmath.rf(mu_mp + start,
+                                                                                order)
+        total, n = mpmath.mpf(0), start
+        while True:
+            total += term
+            ratio = step(n) * r * (mu_mp + n + order) / (mu_mp + n)
+            term *= ratio
+            n += 1
+            if ratio < 0.99 and term < mpmath.mpf(10) ** -32 * total:
+                return float(mpmath.log(total))
+
+
+class TestScalarKernelParts:
+    """The closed-form rest, the survival weights and the k = -1 head run on
+    Python floats: each against mpmath, and a float call's arrays confined
+    to the NumPy pass."""
+
+    @pytest.mark.parametrize("lam, m, mu, log_r, start", [
+        # Poisson of mean lam r = 41: from below the mean (start - i <= 0 for
+        # the higher orders: the whole mass), past it, and far past it, where
+        # scipy's P underflows
+        *[(50.0, math.inf, 1.5, -0.2, start) for start in (5, 30, 60, 700)],
+        # negative binomial with q = r theta = 0.9; from 7000 on scipy's
+        # incomplete beta underflows
+        *[(20.0, 2.5, 1.5, math.log(0.9 * 22.5 / 20.0), start) for start in (5, 10, 100, 7000)]])
+    def test_log_rest(self, lam, m, mu, log_r, start):
+        # 1e-12: at start = 7000 the rest is q^7000 times a sum of O(1), so
+        # the rounding of q alone moves it by up to 7000 eps (5e-13 to
+        # 6.8e-13 measured; 4.3e-12 to 7.7e-12 with scipy's betaln)
+        weights = specfun._weights(lam, m, mu, log_r, False)
+        for order in (0, 1, 3, 12):
+            got = weights.log_rest(start, order)
+            ref = mp_rest(lam, m, mu, log_r, start, order)
+            assert math.exp(got - ref) == pytest.approx(1.0, rel=1e-12, abs=0.0), order
+
+    @pytest.mark.parametrize("lam, m, mu", [
+        (4.0, math.inf, 2.0), (30.0, math.inf, 1.0), (300.0, math.inf, 1.5),
+        (3.0, 0.5, 0.6), (20.0, 3.0, 2.3), (200.0, 1.5, 1.0), (1.0, 1.0, 2.0)])
+    def test_capacity_survival_sum(self, lam, m, mu, monkeypatch):
+        # capacity_side_info's sum over the survival weights at order mu + 1,
+        # k = -1, with the tail bound tightened from 1e-12 to 1e-16 so that
+        # it measures the weights, not the truncation (which alone leaves up
+        # to 6.5e-13 here)
+        monkeypatch.setattr(specfun, "_MIXTURE_TOL", 1e-16)
+        for y in (0.03, 0.6, 2.3, 10.0, 60.0):
+            got = _log_mixture_sum(lam, m, mu + 1.0, -1, 0.0, y, True, survival=True)
+            ref = mp_mixture_sum(lam, m, mu + 1.0, -1, 0.0, y, True, survival=True)
+            assert math.exp(got - ref) == pytest.approx(1.0, rel=1e-13, abs=0.0), y
+
+    @pytest.mark.parametrize("mu", [0.3, 0.6, 1.0])
+    def test_diverging_head_at_x_zero(self, mu):
+        # Gamma(mu-1, 0) is infinite for mu <= 1, and so is every upper k = -1
+        # sum at x = 0 (the mixture's looped for ever at mu = 0.3 and 1,
+        # where its edge bound formed inf * 0; the unit mass gave NaN at 0.6)
+        for lam, m in ((0.0, math.inf), (3.0, math.inf), (3.0, 0.5)):
+            assert _log_mixture_sum(lam, m, mu, -1, 0.0, 0.0, True) == math.inf, (lam, m)
+
+    def test_float_call_makes_no_array_call(self, monkeypatch):
+        # every NumPy and scipy.special call in specfun checked for an array
+        # argument or result: none outside _walk_numpy for an opsc point
+        # whose kernel calls take the closed-form rest, and a capacity call
+        # at mu < 1 (the k = -1 head of the mixture and of the gamma law)
+        # with its survival sum
+        inside, arrays, rests = [False], [], []
+
+        class Checked:
+            def __init__(self, module):
+                self.module = module
+
+            def __getattr__(self, name):
+                real = getattr(self.module, name)
+                if not callable(real) or isinstance(real, type):
+                    return real
+
+                def call(*args, **kwargs):
+                    out = real(*args, **kwargs)
+                    if not inside[0] and any(isinstance(v, np.ndarray)
+                                             for v in (*args, *kwargs.values(), out)):
+                        arrays.append(name)
+                    return out
+                return call
+
+        walk_numpy, log_rest = specfun._walk_numpy, specfun._Weights.log_rest
+
+        def walk(*args):
+            inside[0] = True
+            try:
+                return walk_numpy(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(specfun, "np", Checked(np))
+        monkeypatch.setattr(specfun, "sp", Checked(sp))
+        monkeypatch.setattr(specfun, "_walk_numpy", walk)
+        monkeypatch.setattr(specfun._Weights, "log_rest",
+                            lambda self, *a: rests.append(a) or log_rest(self, *a))
+        bob = FadingModel.kappa_mu_shadowed(1.5, 6.0, 0.5, 10.0 ** 0.8)
+        opsc(SecrecyScenario(bob=bob, eve=FadingModel.rayleigh(10.0 ** 1.5), rate_rs=0.1))
+        assert rests
+        for channel in (FadingModel.kappa_mu_shadowed(2.0, 0.8, 1.5, 3.0),
+                        FadingModel.nakagami(0.7, 3.0)):
+            capacity_side_info(CapacityScenario(channel=channel))
+        assert not arrays
 
 
 class TestKummer:
@@ -659,6 +785,41 @@ class TestWeightFamilies:
             specfun._weights(2.0, m, 1.0, 0.0, False)
         with pytest.raises(DomainError):
             _log_mixture_sum(2.0, m, 1.0, 0, 0.0, 1.0, False)
+
+    @pytest.mark.parametrize("lam, m, lo, hi", [
+        (4.0, math.inf, 0, 60), (1000.0, math.inf, 0, 400), (1000.0, math.inf, 950, 1100),
+        (3.0, 0.5, 0, 200), (20.0, 3.0, 5, 90), (400.0, 7.0, 0, 300)])
+    def test_survival_block(self, lam, m, lo, hi):
+        # the survival weights' step ratios from one scalar tail at the top
+        # and S_n = S_(n+1) + w_(n+1) down, and the seed's log weight at
+        # either end, against S_n at 40 digits; at lam = 1000 the block from
+        # n = 0 reaches where S_n/w(n+1) passes the double range
+        with mpmath.workdps(40):  # S_n for n < hi, every step at 40 digits
+            lam_mp = mpmath.mpf(lam)
+            if math.isinf(m):
+                s = [mpmath.gammainc(hi, 0, lam_mp, regularized=True)]
+                w = lambda n: mpmath.exp(n * mpmath.log(lam_mp) - lam_mp - mpmath.loggamma(n + 1))
+            else:
+                theta = lam_mp / (lam_mp + m)
+                s = [mpmath.betainc(hi, m, 0, theta, regularized=True)]
+                w = lambda n: mpmath.exp(mpmath.loggamma(m + n) - mpmath.loggamma(m)
+                                         - mpmath.loggamma(n + 1) + n * mpmath.log(theta)
+                                         + m * mpmath.log1p(-theta))
+            for j in range(hi - 1, 0, -1):  # S_(j-1) = S_j + w_j
+                s.append(s[-1] + w(j))
+            s = s[::-1]
+        for r in (0.7, 1.0):
+            weights = specfun._weights(lam, m, 1.5, math.log(r), True)
+            for seed in (lo, hi - 1):
+                log_w, ratios = weights.block(lo, hi, seed)
+                ref = (1.5 + seed) * math.log(r) + float(mpmath.log(s[seed]))
+                # scipy's tail to within about 8 eps (the incomplete beta)
+                assert log_w == pytest.approx(ref, rel=1e-15, abs=4e-15), seed
+            # the top ratio carries the rounding of log w - log S, about
+            # eps |log S| (2.8e-14 at S = 3e-48), which shrinks going down
+            for j, ratio in enumerate(ratios, lo + 1):
+                assert ratio == pytest.approx(float(s[j] / s[j - 1]) * r, rel=1e-13, abs=0.0), j
+            assert weights.step(hi - 1) == ratios[-1]
 
     @pytest.mark.parametrize("survival", [False, True], ids=["weights", "survival"])
     @pytest.mark.parametrize("family", list(BOUND_FAMILIES))
