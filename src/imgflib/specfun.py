@@ -24,9 +24,15 @@ The mixture sum _log_mixture_sum is built from three parts:
 A float x's call keeps its bookkeeping on Python floats and math, and so do
 the weights families (the survival weights, the closed-form rest) and the
 first k = -1 term for every x: a float x's call makes no NumPy array outside
-the NumPy pass.  Where scipy's value underflows or rounds poorly, Legendre's
-continued fraction or the ascending series with a Stirling-form prefactor
-take its place.
+the NumPy pass.
+
+Every regularized incomplete gamma R the kernels take comes from scipy
+except in one region (_scipy_reg_gamma): where R underflows, or where it is
+small and scipy's exponent rounds (|x - a| > 0.4 a, a + x >= 1000),
+Legendre's continued fraction or the ascending series with a Stirling-form
+prefactor take its place (_far_reg_gamma).  A block seed takes one R and
+forms d/R = exp(log d - log R), d = x^a e^-x / Gamma(a+1), or takes both
+from the far forms in their region.
 
 All kernels are pure double-precision functions, reentrant and
 thread-safe.  Running out of the term budget raises AccuracyError rather than
@@ -71,22 +77,34 @@ def _every(cond) -> bool:
     return cond if isinstance(cond, bool) else bool(np.all(cond))
 
 
-def _log_reg_gamma(a, x, upper: bool):
-    """log Q(a, x) (upper) or log P(a, x) for x > 0: on Python floats (math)
-    for a float a and x, else over broadcast arrays.
+def _scipy_reg_gamma(a, x, upper: bool):
+    """scipy's R(a, x), R = Q (upper) or P, and where _far_reg_gamma is to
+    take its place (a bool for a float a and x, else an array): where R
+    underflows, and where R is small, |x - a| > 0.4 a (x > 1.4 a for Q,
+    x < 0.6 a for P) and a + x >= 1000.  There scipy forms x^a e^-x /
+    Gamma(a) as exp(a log x - x - log Gamma(a)), whose rounding error (about
+    2e-12 relative at a, x ~ 3000) would carry over to every term summed
+    from it.  The one rule for every R the kernels take; a float call in
+    that region makes no scipy call (R is 0)."""
+    far = (x > 1.4 * a if upper else x < 0.6 * a) & (a + x >= 1000.0)
+    if far is True:  # a float a and x in the far tail
+        return 0.0, True
+    r = (sp.gammaincc if upper else sp.gammainc)(a, x)
+    # a float call's far is False here; False | a NumPy bool would cost 0.6 us
+    return r, r < _UNDERFLOW if far is False else far | (r < _UNDERFLOW)
 
-    Where scipy's value underflows it is rebuilt in log space by
-    _far_reg_gamma.
-    """
-    r = sp.gammaincc(a, x) if upper else sp.gammainc(a, x)
+
+def _log_reg_gamma(a, x, upper: bool):
+    """log Q(a, x) (upper) or log P(a, x): on Python floats (math) for a
+    float a and x, else over broadcast arrays; scipy's R, or _far_reg_gamma's
+    where _scipy_reg_gamma says."""
+    r, far = _scipy_reg_gamma(a, x, upper)
     if isinstance(a, float) and isinstance(x, float):
-        return math.log(r) if r >= _UNDERFLOW else _far_reg_gamma(a, x, upper)[0]
+        return _far_reg_gamma(a, x, upper)[0] if far else math.log(r)
     out = np.log(r)
-    if not (r < _UNDERFLOW).any():
-        return out
-    far = r < _UNDERFLOW
-    a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
-    out[far] = _far_reg_gamma(a, x, upper)[0]
+    if far.any():
+        a, x = np.broadcast_to(a, r.shape)[far], np.broadcast_to(x, r.shape)[far]
+        out[far] = _far_reg_gamma(a, x, upper)[0]
     return out
 
 
@@ -94,26 +112,20 @@ def _log_reg_gamma_seed(a: float, x, upper: bool):
     """log R(a, x) and d/R, with R = Q and d = d(a) (upper) or R = P and
     d = d(a-1) (lower), d(a) = x^a e^-x / Gamma(a+1): the seed of the
     recurrences Q(a+1, x) = Q(a, x) + d(a) and P(a-1, x) = P(a, x) + d(a-1).
-    1 + d/R is scipy's R(a+1)/R(a) (upper) or R(a-1)/R(a) (lower), which
-    keeps their full relative accuracy.  _far_reg_gamma takes over where R
-    underflows, and also where R is small, |x - a| > 0.4 a and a + x >= 1000:
-    there scipy forms x^a e^-x / Gamma(a) as exp(a log x - x - log Gamma(a)),
-    whose rounding error (about 2e-12 relative at a, x ~ 3000) would carry
-    over to every term of the block.  On Python floats for a float x, else
-    over the array x."""
-    reg = sp.gammaincc if upper else sp.gammainc
-    step = 1.0 if upper else -1.0
-    own = (x > 1.4 * a if upper else x < 0.6 * a) & (a + x >= 1000.0)
+    From one scipy R, d/R = exp(log d - log R), log d by _log_poisson_term:
+    R(a+-1)/R(a) - 1 from two would carry both values' rounding, amplified
+    by R/d.  Where _scipy_reg_gamma says, _far_reg_gamma gives both, its
+    d/R directly: log R - log d there is small beside log d (x = 4e18 at
+    a = 2e9), so their difference would keep no digit.  On Python floats
+    for a float x, else over the array x."""
+    r, far = _scipy_reg_gamma(a, x, upper)
     if isinstance(x, float):
-        if not own:
-            r0 = float(reg(a, x))
-            if r0 >= _UNDERFLOW:  # R(a+-1) >= R(a): neither underflows
-                return math.log(r0), float(reg(a + step, x)) / r0 - 1.0
-        log_r, d_r = _far_reg_gamma(a, x, upper)
-        return float(log_r), float(d_r)
-    r0, r1 = reg(np.array([[a], [a + step]]), x)
-    log_r, d_r = np.log(r0), r1 / r0 - 1.0
-    far = own | (r0 < _UNDERFLOW)
+        if far:
+            return _far_reg_gamma(a, x, upper)
+        log_r = math.log(r)  # d/R <= 1/R (upper) or a/x (lower): below 1e281 here
+        return log_r, math.exp(_log_poisson_term(a if upper else a - 1.0, x) - log_r)
+    log_r = np.log(r)
+    d_r = np.exp(_log_poisson_term(a if upper else a - 1.0, x) - log_r)
     if far.any():
         log_r[far], d_r[far] = _far_reg_gamma(a, x[far], upper)
     return log_r, d_r
@@ -129,18 +141,22 @@ def _stirling_rest(a):
 
 def _log_poisson_term(a, x):
     """log d(a) = log(x^a e^-x / Gamma(a+1)) over broadcast arrays or for
-    floats, a >= 0, x > 0.  For a >= 20 it is -a (t - log(x/a)) -
+    floats, a >= 0, x >= 0 (-inf at x = 0 for a > 0).  For a >= 20 it is -a (t - log(x/a)) -
     log(2 pi a)/2 - c(a), t = x/a - 1, whose rounding error is about
     eps |x - a|, where that of a log x - x - log Gamma(a+1) is eps a log x.
     log(x/a) is taken as log1p(t) from x = a/2 up; below, t's rounding,
     eps, would be eps a/x relative in 1 + t (eps a^2/x in the result), so
     log(x/a) itself is taken there."""
     if isinstance(a, float) and isinstance(x, float):
+        if x == 0.0:  # d(a) = 0 for a > 0
+            return -math.inf
         if a < 20.0:
             return a * math.log(x) - x - math.lgamma(a + 1.0)
         t = x / a - 1.0
         log_ratio = math.log(x / a) if t < -0.5 else math.log1p(t)
         return -a * (t - log_ratio) - 0.5 * math.log(2.0 * math.pi * a) - _stirling_rest(a)
+    if isinstance(a, float) and a < 20.0:  # one low order, d(0) too: no Stirling form
+        return a * np.log(x) - x - sp.gammaln(a + 1.0)
     t = x / a - 1.0
     log_ratio = np.where(t < -0.5, np.log(x / a), np.log1p(np.maximum(t, -0.5)))
     return np.where(a >= 20.0,
@@ -159,11 +175,11 @@ def _log_gamma_ratio(z: float, d: float) -> float:
 
 
 def _far_reg_gamma(a, x, upper: bool):
-    """log R(a, x) and d/R as in _log_reg_gamma_seed, where scipy's R
-    underflows: Q = d(a) a h with Gamma(a, x) = x^a e^-x h by Legendre's
-    continued fraction (x > a), P = d(a) sum_j x^j / ((a+1)...(a+j)) by the
-    ascending series (x < a), both fast that far from x ~ a.  On Python
-    floats (math) for a float x, else over the array x."""
+    """log R(a, x) and d/R as in _log_reg_gamma_seed, where scipy's R is not
+    used (_scipy_reg_gamma): Q = d(a) a h with Gamma(a, x) = x^a e^-x h by
+    Legendre's continued fraction (x > a), P = d(a) sum_j x^j / ((a+1)...
+    (a+j)) by the ascending series (x < a), both fast that far from x ~ a.
+    On Python floats (math) for a float x, else over the array x."""
     log_d = _log_poisson_term(a, x)
     scalar = isinstance(x, float)
     log = math.log if scalar else np.log
@@ -426,25 +442,15 @@ class _UnitMass(_Weights):
         self.survival = survival
 
     def log_sum(self, mu: float, k: int, log_r: float, xs, upper: bool, shape: tuple):
-        """log r^mu (mu)_k R(mu+k, x), or -inf for the survival weights (S_0 =
-        0).  A float x takes np.log of scipy's scalar R or E1 (as on the
-        arrays: math.log rounds differently near 1), and the float helpers
-        where R underflows or E1 needs its fraction."""
+        """log r^mu (mu)_k R(mu+k, x) (_log_reg_gamma), or, at an order mu+k
+        <= 0, log r^mu Gamma(mu-1, x) / Gamma(mu) (_log_gamma_below), for a
+        float x and an array alike; -inf for the survival weights (S_0 = 0)."""
         if self.survival:
             return np.full(shape, -np.inf) if shape else -math.inf
-        if not shape:
-            if mu + k > 0.0:
-                rg = (sp.gammaincc if upper else sp.gammainc)(mu + k, xs)
-                log_rg = np.log(rg) if rg >= _UNDERFLOW else _far_reg_gamma(mu + k, xs, upper)[0]
-                return float(mu * log_r + (math.lgamma(mu + k) - math.lgamma(mu) + log_rg))
-            if mu == 1.0 and xs <= 700.0:
-                return float(mu * log_r + np.log(sp.exp1(xs)))
-            return mu * log_r + _log_gamma_below(mu, xs)
-        with np.errstate(divide="ignore"):
-            out = mu * log_r + (
-                _log_gamma_below(mu, xs) if mu + k <= 0.0
-                else (math.lgamma(mu + k) - math.lgamma(mu) + _log_reg_gamma(mu + k, xs, upper)))
-        return out.reshape(shape)
+        out = mu * log_r + (
+            _log_gamma_below(mu, xs) if mu + k <= 0.0
+            else (math.lgamma(mu + k) - math.lgamma(mu) + _log_reg_gamma(mu + k, xs, upper)))
+        return out.reshape(shape) if shape else out
 
 
 class _Poisson(_Weights):
@@ -649,19 +655,13 @@ class _Summand:
 def _rises(t: _Summand, n: int, xc: float) -> bool:
     """Whether the median column's term at n+1 is at least its term at n:
     Q(a+1)/Q(a) = 1 + d/Q(a) at a = mu+n+k (upper), P(a+1)/P(a) = 1/(1 +
-    d/P(a+1)) (lower), d = d(a), with d/R = exp(log d - log R) from one
-    scalar R (_log_reg_gamma_seed where R underflows)."""
+    d/P(a+1)) (lower), d = d(a), with d/R from _log_reg_gamma_seed, as a
+    block's seed takes it."""
     j = n + 1
     u = t.weights.step(j)
     if t.k:
         u = u * (1.0 + t.k / (j + t.mu1))
-    a = t.mu + n + t.k
-    b = a if t.upper else t.mu + j + t.k  # R's order
-    r = (sp.gammaincc if t.upper else sp.gammainc)(b, xc)
-    if r >= _UNDERFLOW:
-        d_r = math.exp(_log_poisson_term(a, xc) - math.log(r))
-    else:
-        d_r = _log_reg_gamma_seed(b, xc, t.upper)[1]
+    d_r = _log_reg_gamma_seed(t.mu + (n if t.upper else j) + t.k, xc, t.upper)[1]
     return u * (1.0 + d_r) >= 1.0 if t.upper else u >= 1.0 + d_r
 
 
@@ -677,23 +677,19 @@ def _plan(t: _Summand):
     n = 0 does not cover that guess, the peak is found by bisection on the
     sign of t(n+1)/t(n) - 1 (_rises), the ratio formed from the walk's own
     pieces (the weight ratio, the Pochhammer ratio and R's ratio 1 + d/R,
-    d/R from scipy's scalar R and _log_poisson_term, _log_reg_gamma_seed
-    only where R underflows), to within a sixteenth of the block: O(log n)
-    scalar calls.  Where R is small, |x - a| > 0.4 a and a + x >= 1000,
-    scipy's R is about 2e-12 relative off (the seed's far tail is not
-    used), which can only tip a rise or fall decision next to the peak: it
-    moves the window, never the sum.  Log-concave terms cross 1 once; where
-    they are not (m < 1), a misplaced centre costs walking, never accuracy,
-    since the tail bounds, not the plan, certify the sum.  A window centred
-    on the peak passes its first bounds with 8 terms to spare, as every
-    grown block does, so it truncates well below _MIXTURE_TOL, not up to
-    it.  When the guess lies past n1, the window is centred on n1 and the
-    terms past it are the closed-form rest, so a peak far out (heavy
-    shadowing near the pole) costs no walk.  A window may be longer than
-    _MAX_TERMS (a narrow summand far out, whose first bounds pass at once),
-    but no sum grows past it; a window that reaches order _MAX_ORDER = 2^53,
-    where consecutive n are one double, raises AccuracyError before any
-    walk."""
+    d/R from _log_reg_gamma_seed, as a block's seed takes it), to within a
+    sixteenth of the block: O(log n) scalar calls.  Log-concave terms cross
+    1 once; where they are not (m < 1), a misplaced centre costs walking,
+    never accuracy, since the tail bounds, not the plan, certify the sum.
+    A window centred on the peak passes its first bounds with 8 terms to
+    spare, as every grown block does, so it truncates well below
+    _MIXTURE_TOL, not up to it.  When the guess lies past n1, the window is
+    centred on n1 and the terms past it are the closed-form rest, so a peak
+    far out (heavy shadowing near the pole) costs no walk.  A window may be
+    longer than _MAX_TERMS (a narrow summand far out, whose first bounds
+    pass at once), but no sum grows past it; a window that reaches order
+    _MAX_ORDER = 2^53, where consecutive n are one double, raises
+    AccuracyError before any walk."""
     xc = t.xs if t.scalar else float(np.median(t.xs))
     guess = max(0.0, t.weights.peak(xc, t.k))
     guess = max(guess, xc) if t.upper else min(guess, xc + math.sqrt(guess * xc))
@@ -728,8 +724,8 @@ def _walk(t: _Summand, lo: int, hi: int):
     log of the order-(k+1) sum over n in [max(lo, 1) - 1, hi - 1) in the
     pair mode (else None).
 
-    The block takes R and R's next value once (_log_reg_gamma_seed), at the
-    end from which the recurrence Q(a+1, x) = Q(a, x) + d_a (upward) or
+    The block takes R and d/R once (_log_reg_gamma_seed), at the end from
+    which the recurrence Q(a+1, x) = Q(a, x) + d_a (upward) or
     P(a, x) = P(a+1, x) + d_a (downward), d_a = x^a e^-x / Gamma(a+1), adds
     positive terms only, and a walker goes to its other end: each term is
     the last one times the weight ratio, the Pochhammer ratio and R's ratio,
@@ -930,6 +926,7 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     """
     shape = () if isinstance(x, (int, float)) else np.shape(x)
     xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
+    mu = float(mu)  # an int order would take _log_reg_gamma's array path
     if not upper and mu + k <= 0.0:
         raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
     if pair and not upper:
@@ -937,9 +934,9 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     weights = _weights(lam, m, mu, log_r, survival)
     if pair and weights.log_sum is not None:  # a unit mass: two one-term sums
         return tuple(_log_mixture_sum(lam, m, mu, j, log_r, x, upper) for j in (k, k + 1))
-    if weights.log_sum is not None:
-        return weights.log_sum(mu, k, log_r, xs, upper, shape)
     with np.errstate(all="ignore") if shape else _FLOAT_STATE:
+        if weights.log_sum is not None:
+            return weights.log_sum(mu, k, log_r, xs, upper, shape)
         t = _Summand(weights, mu, k, xs, upper, pair)
         if weights.support is not None:
             log_sum, _, last, rise, log_sum2 = _walk(t, 0, weights.support)

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 from scipy import special as sp
 
-from imgflib import specfun
+from imgflib import imgf_lower, specfun
 from imgflib.apps import CapacityScenario, SecrecyScenario, capacity_side_info, opsc
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel
@@ -318,8 +318,8 @@ class TestMixtureKernel:
     @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
     def test_one_incomplete_gamma_call_per_block(self, upper, monkeypatch):
         # Poisson weights with mean 5000 put the sum on about 800 terms around
-        # n = 5000; scipy is asked for R at scalar orders only: two per step
-        # of the plan's bisection, O(log n) of them, and two per block, never
+        # n = 5000; scipy is asked for R at scalar orders only: one per step
+        # of the plan's bisection, O(log n) of them, and one per block, never
         # term by term
         sizes = []
 
@@ -344,7 +344,7 @@ class TestMixtureKernel:
         # the plan brackets the peak in [0, 2 guess + 16] and halves it; the
         # window is a few blocks
         plan_steps = math.ceil(math.log2(2 * 5000 + 16)) + 1
-        assert len(sizes) <= 2 * plan_steps + 2 * 4, sizes
+        assert len(sizes) <= plan_steps + 4, sizes
 
     # negative binomial shapes far below 1: the walk's first weight ratio is
     # r theta m itself (r theta + r theta (m - 1) cancelled to eps/m), and the
@@ -414,6 +414,52 @@ class TestMixtureKernel:
         assert _log_poisson_term(a, x) == pytest.approx(ref, rel=1e-14)
         got = _log_poisson_term(np.array([a]), np.array([x]))
         assert float(got[0]) == pytest.approx(ref, rel=1e-14)
+
+    def test_far_tail_region_of_log_reg_gamma(self):
+        # P(3000, 1500): x < 0.6 a and a + x >= 1000, where scipy's P was
+        # 6.2e-12 relative off (exp of a rounded exponent) and every log R
+        # now takes the far-tail series; also through the public imgf_lower
+        # of a Nakagami-3000 law at mean 1, the CDF at 0.5
+        with mpmath.workdps(40):
+            ref = mpmath.log(mpmath.gammainc(3000, 0, 1500, regularized=True))
+        got = specfun._log_reg_gamma(3000.0, 1500.0, False)
+        assert math.exp(got - float(ref)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        value = imgf_lower(FadingModel.nakagami(3000.0, 1.0), 0.0, 0.5)
+        assert math.exp(math.log(value) - float(ref)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a,upper,xs", [
+        (1.0, False, (0.5, 3.0)), (2.5, True, (0.0, 1.0, 40.0)),
+        (3000.0, False, (1500.0, 2900.0)), (40.0, True, (100.0, 1e4))])
+    def test_seed_against_mpmath(self, a, upper, xs):
+        # log R and d/R, d = d(a) (upper) or d(a-1), d(b) = x^b e^-x /
+        # Gamma(b+1), for a float x and over an array: at the lower seed's
+        # a = 1, d(0) = e^-x has no Stirling form; at x = 0 on the upper
+        # tail d = 0; the far tail and past scipy's underflow take the far
+        # forms' d/R
+        with np.errstate(all="ignore"):
+            got = specfun._log_reg_gamma_seed(a, np.array(xs), upper)
+        with mpmath.workdps(40):
+            for i, x in enumerate(xs):
+                r = (mpmath.gammainc(a, x, mpmath.inf, regularized=True) if upper
+                     else mpmath.gammainc(a, 0, x, regularized=True))
+                b = a if upper else a - 1
+                d = mpmath.mpf(x) ** b * mpmath.exp(-x) / mpmath.gamma(b + 1)
+                log_r, d_r = float(mpmath.log(r)), float(d / r)
+                for value in (specfun._log_reg_gamma_seed(a, x, upper), (got[0][i], got[1][i])):
+                    assert math.exp(value[0] - log_r) == pytest.approx(1.0, rel=1e-12, abs=0.0), x
+                    assert value[1] == pytest.approx(d_r, rel=1e-13, abs=0.0), x
+
+    # upper tails with a + x < 1000, where the block seed's d/R taken as
+    # R(a+1)/R(a) - 1 from two scipy values put the sum 1.0e-12 to 1.3e-12
+    # off; d/R = exp(log d - log R) from one keeps it within the kernel's
+    # 1e-12: (lam, m, mu, k, log_r, x)
+    @pytest.mark.parametrize("lam,m,mu,k,log_r,x", [
+        (24.0, 1.0, 2.0, 1, 0.0, 520.0), (24.0, 1.0, 2.0, 0, 0.0, 520.0),
+        (20.0, 0.5, 2.0, 0, 0.0, 440.0), (10.0, 0.7, 1.3, 0, 0.0, 300.0)])
+    def test_seed_within_the_kernel_bound(self, lam, m, mu, k, log_r, x):
+        ref = mp_mixture_sum(lam, m, mu, k, log_r, x, True)
+        got = _log_mixture_sum(lam, m, mu, k, log_r, x, True)
+        assert math.exp(got - ref) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def pair_battery(seed: int, size: int) -> list:
@@ -752,17 +798,17 @@ BOUND_FAMILIES = {
 
 
 def true_weights(lam, m, size: int, survival: bool) -> list:
-    """w_n (or S_n = sum_{j>n} w_j) for n < size at dps 30, from math.lgamma
-    and mpmath's regularized incomplete gamma and beta for the survival
-    function's far end."""
+    """w_n (or S_n = sum_{j>n} w_j) for n < size at dps 30, each exponent
+    formed by mpmath's log and log-gamma, and mpmath's regularized incomplete
+    gamma and beta for the survival function's far end."""
     with mpmath.workdps(30):
         if math.isinf(m):
-            w = [mpmath.exp(n * math.log(lam) - lam - math.lgamma(n + 1.0))
+            w = [mpmath.exp(n * mpmath.log(lam) - lam - mpmath.loggamma(n + 1))
                  for n in range(size + 1)]
             tail = mpmath.gammainc(size + 1, 0, lam, regularized=True)
         else:
             theta = mpmath.mpf(lam) / (lam + m)
-            w = [mpmath.exp(math.lgamma(m + n) - math.lgamma(m) - math.lgamma(n + 1.0))
+            w = [mpmath.exp(mpmath.loggamma(m + n) - mpmath.loggamma(m) - mpmath.loggamma(n + 1))
                  * theta ** n * (1 - theta) ** m for n in range(size + 1)]
             tail = mpmath.betainc(size + 1, m, 0, theta, regularized=True)
         if survival:  # S_n = S_(n+1) + w_(n+1), down from S_size = the tail mass past size
