@@ -12,7 +12,7 @@ a derivative from the sums themselves: for the cutoff, on a convex residual
 whose derivative is one of the sums it already holds; for the
 epsilon-outage secrecy capacity, on the outage on a Weibull scale against
 the log threshold, whose rate derivative comes from the same kernel walks
-as the outage, with the eavesdropper mixture built once per solve and the
+as the outage, with the eavesdropper mixture the scenario built and the
 rate bracketed a priori by a Chernoff bound on the legitimate link.  Both
 solves evaluate each point once; the capacity is the largest evaluated rate
 whose outage is within epsilon.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate, special
@@ -65,12 +65,15 @@ _LN2 = math.log(2.0)
 class SecrecyScenario:
     """Wiretap setting: legitimate link (any model), eavesdropper link whose
     canonical form has integer (mu, m) or is a gamma law, target secrecy rate
-    in bits/s/Hz, and the eavesdropper's MRC antenna count."""
+    in bits/s/Hz, and the eavesdropper's MRC antenna count.  The
+    eavesdropper's (MRC-combined) mixture is built at construction, which
+    checks it, and kept for the outages."""
 
     bob: FadingModel
     eve: FadingModel
     rate_rs: float = 0.0
     n_eve_antennas: int = 1
+    _eve_mixture: GammaMixture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.rate_rs < _MAX_EXPONENT:  # a NaN fails it too
@@ -80,7 +83,8 @@ class SecrecyScenario:
             raise DomainError("need at least one eavesdropper antenna")
         # validate both links eagerly so misconfigurations fail at construction
         _canonical_params(self.bob)
-        mixture_from_model(mrc_combine(self.eve, self.n_eve_antennas))
+        object.__setattr__(self, "_eve_mixture",
+                           mixture_from_model(mrc_combine(self.eve, self.n_eve_antennas)))
 
 
 @dataclass(frozen=True)
@@ -232,10 +236,8 @@ def opsc(scenario: SecrecyScenario) -> float:
     mixture; the legitimate link may have any real parameters.  Nondecreasing
     in R_S and in the eavesdropper SNR.
     """
-    eve = mrc_combine(scenario.eve, scenario.n_eve_antennas)
-    mix = mixture_from_model(eve)
     scale = 2.0 ** scenario.rate_rs
-    return _outage_core(scenario.bob, mix, scale - 1.0, scale)
+    return _outage_core(scenario.bob, scenario._eve_mixture, scale - 1.0, scale)
 
 
 def spsc(scenario: SecrecyScenario) -> float:
@@ -273,7 +275,7 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     A step below half the tolerance becomes a step of 0.9 tolerance across
     the crossing, which certifies it.
 
-    The eavesdropper mixture is built once and each rate is evaluated once.
+    The eavesdropper mixture is the scenario's, and each rate is evaluated once.
     The solve ends with an evaluated rate on each side of the crossing
     within _RATE_TOL / 2 + 8.9e-16 R of each other; the largest evaluated
     rate whose outage is within epsilon is returned, so the result never
@@ -283,7 +285,7 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     """
     _check_epsilon(epsilon)
     bob = scenario.bob
-    mix = mixture_from_model(mrc_combine(scenario.eve, scenario.n_eve_antennas))
+    mix = scenario._eve_mixture
     z_eps = math.log(-math.log1p(-epsilon))
 
     def width(rate: float) -> float:  # the bracket width the solve ends at

@@ -18,6 +18,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -33,6 +34,7 @@ __all__ = ["main", "run_sweep", "selfcheck", "PRESETS"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_ROW_ORDER = operator.itemgetter("curve", "axis")  # the order of a sweep's rows
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +276,8 @@ def run_sweep(spec: dict) -> list[dict]:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
-        rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: (r["curve"], r["axis"]))
+        rows = list(map(_sweep_point, tasks))
+    rows.sort(key=_ROW_ORDER)
     return rows
 
 
@@ -586,7 +588,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for s in specs:
         rows.extend(run_sweep(s))
-    rows.sort(key=lambda r: (r["curve"], r["axis"]))
+    rows.sort(key=_ROW_ORDER)
     axis_label = specs[0]["axis"].get("field", "axis")
     _write_rows(rows, out_path, fmt, axis_label)
     print(f"wrote {len(rows)} rows to {out_path}")
@@ -601,10 +603,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, TypeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainError as exc:
+    except (json.JSONDecodeError, FileNotFoundError, KeyError, TypeError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AccuracyError, OverflowError) as exc:

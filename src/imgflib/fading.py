@@ -97,29 +97,38 @@ def _check_field(name: str, value: float, kind: Kind) -> float:
     return value
 
 
-# each kind: its fields, and the function of them that gives its canonical
-# kappa-mu shadowed (kappa, mu, m), m = inf marking an unshadowed law (None:
-# the model is its own canonical form)
+# each kind: its fields, and the function of the model that gives its
+# canonical kappa-mu shadowed (kappa, mu, m), m = inf marking an unshadowed
+# law (None: the model is its own canonical form)
 _KINDS = {
     Kind.KAPPA_MU_SHADOWED: (("kappa", "mu", "m"), None),
-    Kind.RICIAN_SHADOWED: (("K", "m"), lambda K, m: (K, 1.0, m)),
-    Kind.KAPPA_MU: (("kappa", "mu"), lambda kappa, mu: (kappa, mu, math.inf)),
-    Kind.ETA_MU: (("eta", "mu"), _eta_mu),
-    Kind.RICIAN: (("K",), lambda K: (K, 1.0, math.inf)),
-    Kind.NAKAGAMI_M: (("m",), lambda m: (0.0, m, math.inf)),
+    Kind.RICIAN_SHADOWED: (("K", "m"), lambda c: (c.K, 1.0, c.m)),
+    Kind.KAPPA_MU: (("kappa", "mu"), lambda c: (c.kappa, c.mu, math.inf)),
+    Kind.ETA_MU: (("eta", "mu"), lambda c: _eta_mu(c.eta, c.mu)),
+    Kind.RICIAN: (("K",), lambda c: (c.K, 1.0, math.inf)),
+    Kind.NAKAGAMI_M: (("m",), lambda c: (0.0, c.m, math.inf)),
     # q ** 2 underflows to 0 below q = 2e-162, and the eta check rejects it
-    Kind.HOYT: (("q",), lambda q: _eta_mu(_check_field("eta", q ** 2, Kind.ETA_MU), 0.5)),
-    Kind.RAYLEIGH: ((), lambda: (0.0, 1.0, math.inf)),
-    Kind.ONE_SIDED_GAUSSIAN: ((), lambda: (0.0, 0.5, math.inf)),
+    Kind.HOYT: (("q",), lambda c: _eta_mu(_check_field("eta", c.q ** 2, Kind.ETA_MU), 0.5)),
+    Kind.RAYLEIGH: ((), lambda c: (0.0, 1.0, math.inf)),
+    Kind.ONE_SIDED_GAUSSIAN: ((), lambda c: (0.0, 0.5, math.inf)),
 }
 
+# Kind(value) as one dict lookup: each kind, and each kind's value, to the
+# kind, its fields and the fields foreign to it (in _FIELDS order)
+_KIND_OF = {key: (kind, fields, tuple(name for name in _FIELDS if name not in fields))
+            for kind, (fields, _) in _KINDS.items() for key in (kind, kind.value)}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class FadingModel:
     """One distribution of the kappa-mu shadowed family with a mean SNR.
 
     Only the parameters meaningful for ``kind`` may be set.  mean_snr is in
     linear SNR units; dB conversion happens at the interface boundary only.
+    The constructor takes a kind or a kind's value and checks the fields in
+    one pass: the kind, then the mean SNR, then a missing field before a
+    field foreign to the kind, and that before a value out of range (in the
+    kind's field order).
     """
 
     kind: Kind
@@ -131,20 +140,29 @@ class FadingModel:
     K: float | None = None
     q: float | None = None
 
-    def __post_init__(self):
-        kind = Kind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if not 0 < self.mean_snr < math.inf:  # a NaN fails it too
-            raise DomainError(f"mean_snr must be positive and finite, got {self.mean_snr}")
-        required = _KINDS[kind][0]
+    def __init__(self, kind: Kind, mean_snr: float, kappa: float | None = None,
+                 mu: float | None = None, m: float | None = None, eta: float | None = None,
+                 K: float | None = None, q: float | None = None):
+        try:
+            kind, required, foreign = _KIND_OF[kind]
+        except (KeyError, TypeError):  # Kind's own ValueError names the value
+            kind, required, foreign = _KIND_OF[Kind(kind)]
+        if not 0 < mean_snr < math.inf:  # a NaN fails it too
+            raise DomainError(f"mean_snr must be positive and finite, got {mean_snr}")
+        values = self.__dict__
+        values.update(kind=kind, mean_snr=mean_snr, kappa=kappa, mu=mu, m=m, eta=eta, K=K, q=q)
+        bad = None  # the first field out of range
         for name in required:
-            if getattr(self, name) is None:
+            value = values[name]
+            if value is None:
                 raise DomainError(f"{kind.value} model requires parameter {name!r}")
-        for name in _FIELDS:
-            if name not in required and getattr(self, name) is not None:
+            if bad is None and not _FIELDS[name][0](value, kind):
+                bad = name
+        for name in foreign:
+            if values[name] is not None:
                 raise DomainError(f"parameter {name!r} is not meaningful for {kind.value}")
-        for name in required:
-            _check_field(name, getattr(self, name), kind)
+        if bad is not None:
+            _check_field(bad, values[bad], kind)
 
     # convenience constructors -------------------------------------------------
     @classmethod
@@ -188,11 +206,10 @@ def canonicalize(model: FadingModel) -> FadingModel:
     """Equivalent kappa-mu shadowed parameterization (m = inf for unshadowed
     LOS; kappa = 0 for the gamma/Nakagami degeneracies).  Idempotent and
     mean-SNR preserving."""
-    fields, canonical = _KINDS[model.kind]
+    canonical = _KINDS[model.kind][1]
     if canonical is None:
         return model
-    return FadingModel.kappa_mu_shadowed(*canonical(*(getattr(model, f) for f in fields)),
-                                         model.mean_snr)
+    return FadingModel.kappa_mu_shadowed(*canonical(model), model.mean_snr)
 
 
 def mrc_combine(model: FadingModel, n_branches: int) -> FadingModel:
@@ -252,7 +269,11 @@ def _gamma_mixture(model: FadingModel) -> tuple:
     (kappa = 0) weights with mean kappa mu over Gamma(mu+n, rate a).
     The finite form converges for s < b only; a lower tail at b <= s < a
     takes the series at rate a."""
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
+    return _mixture(*_canonical_params(model))
+
+
+def _mixture(kappa, mu, m, gbar, a, b) -> tuple:
+    """_gamma_mixture from the canonical parameters (_canonical_params)."""
     trials = m - mu
     if kappa > 0.0 and 0.0 <= trials < _BINOMIAL_TRIALS and float(trials).is_integer():
         return _Trials(int(trials), kappa * mu / m), None, mu, b
@@ -424,6 +445,9 @@ def _config_number(value, field: str, kind: type = float):
         raise DomainError(f"field {field!r} must be a number, got {value!r}") from exc
 
 
+_JSON_KEYS = frozenset({"kind", "mean_snr_db", "mean_snr", *_FIELDS})
+
+
 def model_from_json(obj: Mapping) -> FadingModel:
     """Build a model from {"kind": ..., parameter fields..., "mean_snr_db": ...}.
 
@@ -432,25 +456,21 @@ def model_from_json(obj: Mapping) -> FadingModel:
     """
     if "kind" not in obj:
         raise DomainError("model JSON requires a 'kind' field")
-    try:
-        kind = Kind(str(obj["kind"]).lower())
-    except ValueError as exc:
-        raise DomainError(f"unknown model kind {obj['kind']!r}") from exc
-    if "mean_snr_db" in obj and "mean_snr" in obj:
-        raise DomainError("give mean_snr_db or mean_snr, not both")
+    kind = str(obj["kind"]).lower()
+    if kind not in _KIND_OF:
+        raise DomainError(f"unknown model kind {obj['kind']!r}")
     if "mean_snr_db" in obj:
+        if "mean_snr" in obj:
+            raise DomainError("give mean_snr_db or mean_snr, not both")
         snr = db_to_linear(_config_number(obj["mean_snr_db"], "mean_snr_db"))
     elif "mean_snr" in obj:
         snr = _config_number(obj["mean_snr"], "mean_snr")
     else:
         raise DomainError("model JSON requires mean_snr_db (or mean_snr)")
-    kwargs = {}
-    for name in _FIELDS:
-        if name in obj and obj[name] is not None:
-            kwargs[name] = _config_number(obj[name], name)
-    unknown = set(obj) - {"kind", "mean_snr_db", "mean_snr", *_FIELDS}
-    if unknown:
-        raise DomainError(f"unknown model fields: {sorted(unknown)}")
+    kwargs = {name: _config_number(obj[name], name) for name in _FIELDS
+              if obj.get(name) is not None}
+    if not obj.keys() <= _JSON_KEYS:
+        raise DomainError(f"unknown model fields: {sorted(obj.keys() - _JSON_KEYS)}")
     return FadingModel(kind, snr, **kwargs)
 
 

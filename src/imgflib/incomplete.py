@@ -24,6 +24,7 @@ independent cross-check of the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from scipy import integrate
 
 from .errors import DomainError
 from . import laplace
-from .fading import FadingModel, pdf, _canonical_params, _from_log, _gamma_mixture, _log_mgf
+from .fading import FadingModel, pdf, _canonical_params, _from_log, _log_mgf, _mixture
 from .fading import mgf  # noqa: F401  unused; perfbench/trace.py hooks incomplete.mgf
 from .specfun import (
     marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
@@ -52,6 +53,18 @@ MAX_DERIV_ORDER = 12
 _OVERFLOW = "IMGF overflows at s={}, zeta={}"
 
 
+@functools.lru_cache(maxsize=256)
+def _series(model: FadingModel) -> tuple:
+    """(a, b, the mixture at its rate c, the mixture at rate a) of a model:
+    the LOS-free decay rate a and the MGF pole b (fading._canonical_params),
+    and the kernel's (lam, m, mu, rate) of fading._gamma_mixture and of the
+    series at rate a, which is the same law where the finite form at rate
+    b diverges; one cached lookup for each _log_imgf call."""
+    params = _canonical_params(model)
+    kappa, mu, m, gbar, a, b = params
+    return a, b, _mixture(*params), (kappa * mu, m, mu, a)
+
+
 def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool,
               pair: bool = False):
     """log of the k-th s-derivative of the upper (or lower) IMGF at finite zeta
@@ -61,14 +74,12 @@ def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool,
     pole b, the lower one at rate a for every s below the LOS-free decay
     rate a >= b; outside (s = -inf too), DomainError.  A lower tail at
     b <= s < a, where the finite form at rate b diverges, takes rate a."""
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
+    a, b, mixture, at_a = _series(model)
     limit = b if upper else a
     if not -math.inf < s < limit:
         raise DomainError(f"{'upper' if upper else 'lower'} IMGF series requires "
                           f"-inf < s < {limit}, got s={s}")
-    lam, shape, mu, rate = _gamma_mixture(model)
-    if not s < rate:
-        lam, shape, rate = kappa * mu, m, a
+    lam, shape, mu, rate = mixture if s < mixture[3] else at_a
     log_r, x, log_c = -math.log1p(-s / rate), (rate - s) * zeta, math.log(rate - s)
     if pair:
         log_k, log_k1 = _log_mixture_sum(lam, shape, mu, k, log_r, x, upper, pair=True)

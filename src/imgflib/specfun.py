@@ -931,6 +931,14 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         raise DomainError(f"the lower sum diverges: P of order mu + k = {mu + k} <= 0")
     if pair and not upper:
         raise DomainError("the pair mode sums the upper tail only")
+    if shape and upper and mu + k <= 0.0 and not np.all(xs):
+        # Gamma(mu+k, 0) diverges, and an inf column stalls the tail bounds:
+        # each x = 0 takes the float call's value, the rest one array call
+        out, zero = np.empty(xs.size), xs == 0.0
+        out[zero] = _log_mixture_sum(lam, m, mu, k, log_r, 0.0, upper, survival)
+        if not zero.all():
+            out[~zero] = _log_mixture_sum(lam, m, mu, k, log_r, xs[~zero], upper, survival)
+        return out.reshape(shape)
     weights = _weights(lam, m, mu, log_r, survival)
     if pair and weights.log_sum is not None:  # a unit mass: two one-term sums
         return tuple(_log_mixture_sum(lam, m, mu, j, log_r, x, upper) for j in (k, k + 1))

@@ -620,6 +620,21 @@ class TestScalarKernelParts:
         for lam, m in ((0.0, math.inf), (3.0, math.inf), (3.0, 0.5)):
             assert _log_mixture_sum(lam, m, mu, -1, 0.0, 0.0, True) == math.inf, (lam, m)
 
+    @pytest.mark.parametrize("mu", [0.6, 1.0])
+    def test_diverging_head_at_x_zero_in_an_array(self, mu):
+        # an array x holding 0 gives inf there, as the float call does, and
+        # the float calls' values elsewhere (it walked to the term cap and
+        # raised AccuracyError naming the largest x)
+        xs = np.array([0.0, 1.0, 0.0, 30.0])
+        for lam, m in ((3.0, 0.5), (3.0, math.inf), (_Trials(3, 0.5), None)):
+            got = _log_mixture_sum(lam, m, mu, -1, 0.0, xs, True)
+            assert got[0] == got[2] == math.inf, (lam, m)
+            for x, value in zip(xs[[1, 3]], got[[1, 3]]):
+                want = _log_mixture_sum(lam, m, mu, -1, 0.0, float(x), True)
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0), (lam, m, x)
+        assert np.all(_log_mixture_sum(3.0, 0.5, mu, -1, 0.0, np.zeros((2, 2)), True)
+                      == math.inf)
+
     def test_float_call_makes_no_array_call(self, monkeypatch):
         # every NumPy and scipy.special call in specfun checked for an array
         # argument or result: none outside _walk_numpy for an opsc point
