@@ -21,7 +21,8 @@ from scipy import special as sp
 
 from .errors import AccuracyError, DomainError
 from .laplace import LaplaceImage
-from .specfun import _Trials, _log_hyp1f1_pos, _log_mixture_sum
+from .specfun import (_BINOMIAL_TRIALS, _Trials, _log_hyp1f1_pos, _log_kummer_finite,
+                      _log_mixture_sum)
 
 __all__ = [
     "Kind",
@@ -247,11 +248,6 @@ def _canonical_params(model: FadingModel):
     return kappa, mu, m, gbar, a, b
 
 
-# the finite form's cap on m - mu: a walk of this many terms costs about what
-# the series' fixed work (peak search, tail bounds) does
-_BINOMIAL_TRIALS = 64
-
-
 @functools.lru_cache(maxsize=256)
 def _gamma_mixture(model: FadingModel) -> tuple:
     """(lam, m, mu, c): the density as the gamma-mixture kernel's weights
@@ -371,13 +367,16 @@ def pdf(model: FadingModel, x: float) -> float:
                      + (mu - 1.0) * (math.log(a) + math.log(x)) - math.lgamma(mu) - w
                      + _log_hyp1f1_pos(mu - 0.5, 2.0 * mu - 1.0, 2.0 * w))
         return math.exp(log_f)
-    # m log(m / (mu kappa + m)) and the 1F1 argument (a - b) x, both without
-    # the cancellation their plain forms suffer at large m
+    # m log(m / (mu kappa + m)) and the 1F1 argument z = (a - b) x, both
+    # without the cancellation their plain forms suffer at large m
     log_amp = (mu * math.log(mu) + mu * math.log1p(kappa) - mu * math.log(gbar)
                - m * math.log1p(mu * kappa / m))
-    log_f = (log_amp - math.lgamma(mu) + (mu - 1.0) * math.log(x) - a * x
-             + _log_hyp1f1_pos(m, mu, a * mu * kappa / (mu * kappa + m) * x))
-    return math.exp(log_f)
+    log_f = log_amp - math.lgamma(mu) + (mu - 1.0) * math.log(x)
+    z = a * mu * kappa / (mu * kappa + m) * x
+    finite = _log_kummer_finite(m, mu, z)  # e^-z 1F1(m; mu; z), so -a x + z is -b x
+    if finite is not None:
+        return math.exp(log_f - b * x + finite)
+    return math.exp(log_f - a * x + _log_hyp1f1_pos(m, mu, z))
 
 
 def cdf(model: FadingModel, x: float) -> float:

@@ -60,6 +60,12 @@ _MIXTURE_TOL = 1e-12    # the kernel's geometric tail bound, relative to its sum
 _SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relative
 _HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
+# the cap on the integer n = m - mu of the finite forms, 1F1(mu + n; mu; z) as
+# n + 1 terms (_log_kummer_finite) and fading._gamma_mixture's binomial
+# mixture: a walk of this many terms costs about what the series' fixed work
+# (peak search, tail bounds) does
+_BINOMIAL_TRIALS = 64
+_LN2 = math.log(2.0)
 _PHI2_FIRST = 64        # the Phi2 series' first window, from n = 0 ...
 _PHI2_BLOCK = 256       # ... and its later blocks
 
@@ -1114,6 +1120,27 @@ def _kummer_series(a: float, b: float, x: float) -> float:
         if j + 1 >= k0 and r < 1.0 and term * r <= _SERIES_TOL * (1.0 - r) * total:
             return total
     raise AccuracyError(f"1F1({a};{b};{x}) did not converge in {_MAX_TERMS} terms")
+
+
+def _log_kummer_finite(a: float, b: float, z: float) -> float | None:
+    """log(e^-z 1F1(a; b; z)) where a - b = n is an integer in
+    [0, _BINOMIAL_TRIALS) and z < 1e300 b; None elsewhere.
+
+    By Kummer's transformation e^-z 1F1(b + n; b; z) = 1F1(-n; b; -z) =
+    sum_{k<=n} C(n, k) z^k / (b)_k, n + 1 positive terms.  Horner's rule
+    sums them from the top term down, S_k = 1 + r_k S_(k+1) with the ratio
+    r_k = (n - k) z / ((k + 1)(b + k)) <= n z / b < 64e300.  frexp keeps S
+    in [0.5, 1) times a power of 2, so r_k S stays a finite double, and the
+    scaling rounds nothing."""
+    n = a - b
+    if not (0.0 <= n < _BINOMIAL_TRIALS and float(n).is_integer() and z < 1e300 * b):
+        return None
+    n = int(n)
+    s, e = 1.0, 0  # S_(k+1) = s 2^e
+    for k in range(n - 1, -1, -1):
+        s, de = math.frexp(math.ldexp(1.0, -e) + (n - k) / (k + 1.0) * (z / (b + k)) * s)
+        e += de
+    return math.log(s) + e * _LN2
 
 
 def _log_hyp1f1_pos(a: float, b: float, z: float) -> float:

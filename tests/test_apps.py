@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
@@ -564,14 +565,28 @@ class TestNanIsAccuracyError:
 
 def quad_tail(model: FadingModel, g0: float, f) -> float:
     """int_g0^inf f(g) pdf(g) dg by quadrature, independent of the
-    gamma-mixture series, split at 10 mean and at the decades 1, 10, ..., 1e7
-    below 1e3 mean (one split at g0 + 10 mean left a 1e-3 residual at 50 dB)."""
-    cuts = {10.0 * model.mean_snr} | {
-        10.0 ** e for e in range(8) if 10.0 ** e < 1e3 * model.mean_snr}
+    gamma-mixture series, split as capacity_direct splits it: at the decades
+    1e-7 mean, ..., 1e3 mean above g0."""
+    cuts = (model.mean_snr * 10.0 ** e for e in range(-7, 4))
     cuts = [g0] + sorted(c for c in cuts if c > g0) + [np.inf]
     return sum(integrate.quad(lambda g: f(g) * pdf(model, g), lo, hi,
                               epsabs=1e-13, epsrel=1e-11, limit=400)[0]
                for lo, hi in zip(cuts, cuts[1:]))
+
+
+def mp_shadowed_tail(kappa: float, mu: float, m: float, mean: float, g0: float, h) -> float:
+    """int_g0^inf h(g, g0) f(g) dg at 30 digits, f the kappa-mu shadowed
+    density in its 1F1 form, split at the decades of the mean above g0: a
+    reference independent of pdf and of double precision."""
+    with mpmath.workdps(30):
+        kappa, mu, m, mean, g0 = map(mpmath.mpf, (kappa, mu, m, mean, g0))
+        a = mu * (1 + kappa) / mean
+        z = a * mu * kappa / (mu * kappa + m)
+        amp = (mu ** mu * m ** m * (1 + kappa) ** mu
+               / (mpmath.gamma(mu) * mean ** mu * (mu * kappa + m) ** m))
+        cuts = [g0] + [mean * 10 ** e for e in range(-8, 5) if mean * 10 ** e > g0]
+        return float(mpmath.quad(lambda g: h(g, g0) * amp * g ** (mu - 1) * mpmath.exp(-a * g)
+                                 * mpmath.hyp1f1(m, mu, z * g), cuts + [mpmath.inf]))
 
 
 def quad_cutoff(model: FadingModel) -> float:
@@ -655,8 +670,8 @@ class TestCapacity:
             assert 0.0 < g0 <= 1.0
 
     def test_cutoff_without_root_raises_accuracy_error(self, monkeypatch):
-        # a tail mass of 2 and no inverse-mean term leave the residual positive
-        # over the whole bracket; the root search must fail as a numerical error
+        # a tail mass of 2 and no inverse-mean term put the root at g0 = 2; the
+        # first step passes 1, and the root search must fail as a numerical error
         monkeypatch.setattr(apps, "_log_mixture_sum",
                             lambda lam, m, mu, k, log_r, x, upper: math.log(2.0) if k == 0
                             else -math.inf)
@@ -695,14 +710,50 @@ class TestCapacity:
     @pytest.mark.parametrize("family", CUTOFF_FAMILIES.values(), ids=CUTOFF_FAMILIES.keys())
     def test_cutoff_grid(self, family, kernel_calls):
         # every solve returns a cutoff in (0, 1], nondecreasing in the mean SNR,
-        # within 7 residual evaluations at 0-20 dB and 15 anywhere
+        # within 4 residual evaluations at 0-20 dB and 6 anywhere
         cutoffs = []
         for db in CUTOFF_SNR_DB:
             g0, evaluations = solve_cutoff_counted(family(db_to_linear(db)), kernel_calls)
             assert 0.0 < g0 <= 1.0, db
-            assert evaluations <= (7 if 0 <= db <= 20 else 15), db
+            assert evaluations <= (4 if 0 <= db <= 20 else 6), db
             cutoffs.append(g0)
         assert all(b >= a for a, b in zip(cutoffs, cutoffs[1:]))
+
+    # kappa-mu shadowed laws of the cutoff grid at -45 and -60 dB: the first
+    # evaluation from g0 = 1 (x = 2.1e6 at -45 dB) passed the kernel's term cap
+    @pytest.mark.parametrize("db", [-45.0, -60.0])
+    @pytest.mark.parametrize("params", [(10.0, 6.0, 0.5), (34.32, 10.08, 0.799)],
+                             ids=["kms 10/6/0.5", "kms 34.32/10.08/0.799"])
+    def test_cutoff_at_low_mean_snr_against_mpmath(self, params, db):
+        mean = db_to_linear(db)
+        g0 = solve_cutoff(FadingModel.kappa_mu_shadowed(*params, mean))
+        residual = mp_shadowed_tail(*params, mean, g0, lambda g, g0: 1 / g0 - 1 / g) - 1.0
+        assert abs(residual) <= 1e-10
+
+    # split only at 10 mean and at the decades 1, 10, ..., the direct route gave
+    # 7.51e-5 and 0.0 here
+    @pytest.mark.parametrize("params, db", [((10.0, 6.0, 0.5), -45.0),
+                                            ((34.32, 10.08, 0.799), -60.0)])
+    def test_capacity_direct_at_low_mean_snr_against_mpmath(self, params, db):
+        mean = db_to_linear(db)
+        model = FadingModel.kappa_mu_shadowed(*params, mean)
+        sc = CapacityScenario(channel=model, cutoff_snr=solve_cutoff(model))
+        ref = mp_shadowed_tail(*params, mean, sc.cutoff_snr,
+                               lambda g, g0: mpmath.log(g / g0)) / math.log(2.0)
+        assert capacity_direct(sc) == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert capacity_side_info(sc) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    # a density that is not finite leaves the curvature unknown: Newton steps;
+    # one that is 0 leaves the tail's share of it, c = 1/2
+    @pytest.mark.parametrize("density", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("family, db", [("nakagami 2", 10.0), ("kms 2/2/3", -30.0),
+                                            ("rician shadowed 3/2", 50.0),
+                                            ("kms 10/6/0.5", 0.0)])
+    def test_cutoff_without_a_usable_density(self, family, db, density, monkeypatch):
+        model = CUTOFF_FAMILIES[family](db_to_linear(db))
+        root = solve_cutoff(model)
+        monkeypatch.setattr(apps, "pdf", lambda channel, x: density)
+        assert solve_cutoff(model) == pytest.approx(root, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("db", [-30.0, -20.0, 40.0, 50.0])
     @pytest.mark.parametrize("family", ["nakagami 0.6", "kappa-mu 2/2", "rician shadowed 3/2",
@@ -767,6 +818,25 @@ class TestCapacity:
         with pytest.raises(error) as info:
             solve_cutoff(FadingModel.rayleigh(10.0))
         assert info.value is raised
+
+    def test_cutoff_near_one_at_a_very_high_mean_snr(self):
+        # at 150 dB the root is within rounding of 1, and so is the last step
+        # from below it: 1 is returned (AccuracyError, no root below 1, before)
+        g0 = solve_cutoff(CUTOFF_FAMILIES["kms 34.32/10.08/0.799"](db_to_linear(150.0)))
+        assert 1.0 - 1e-14 < g0 <= 1.0
+
+    def test_cutoff_with_int_fields(self):
+        # m - mu = 1 as an int reaches the finite form's integer test, which
+        # must not need int.is_integer (Python 3.12 and later only); the caches
+        # are cleared so the int model's own fields are used
+        from imgflib import fading
+        fading._canonical_params.cache_clear()
+        fading._gamma_mixture.cache_clear()
+        ints = FadingModel.kappa_mu_shadowed(2, 2, 3, 1)
+        g0 = solve_cutoff(ints)
+        assert [pdf(ints, x) for x in (0.1, 1.0, 7.0)] == [
+            pdf(FadingModel.kappa_mu_shadowed(2.0, 2.0, 3.0, 1.0), x) for x in (0.1, 1.0, 7.0)]
+        assert g0 == solve_cutoff(FadingModel.kappa_mu_shadowed(2.0, 2.0, 3.0, 1.0))
 
     def test_cutoff_monotone_in_mean_snr(self):
         cutoffs = [solve_cutoff(FadingModel.rayleigh(g)) for g in (1.0, 10.0, 100.0)]

@@ -276,17 +276,20 @@ class TestPdfCdf:
     @pytest.mark.parametrize("kappa, mu, mean", [(10.0, 2.0, 1.0), (2.0, 2.5, 1.5)])
     @pytest.mark.parametrize("x", [0.3, 1.0, 4.0, 20.0])
     def test_large_m_density_against_mpmath(self, kappa, mu, mean, x):
-        # m log m - m log(mu kappa + m) and a - b cancel at m = 1e4; the
-        # 1F1 form of the density at 40 digits
-        mp = pytest.importorskip("mpmath").mp
-        with mp.workdps(40):
-            k, u, m, g, y = (mp.mpf(v) for v in (kappa, mu, 1.0e4, mean, x))
-            ref = (u ** u * m ** m * (1 + k) ** u / (mp.gamma(u) * g ** u * (u * k + m) ** m)
-                   * y ** (u - 1) * mp.exp(-u * (1 + k) * y / g)
-                   * mp.hyp1f1(m, u, u * u * k * (1 + k) * y / ((u * k + m) * g)))
-            ref = float(ref)
+        # m log m - m log(mu kappa + m) and a - b cancel at m = 1e4
         model = FadingModel.kappa_mu_shadowed(kappa, mu, 1.0e4, mean)
-        assert pdf(model, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert pdf(model, x) == pytest.approx(_mp_shadowed_pdf(kappa, mu, 1.0e4, mean, x),
+                                              rel=1e-13, abs=0.0)
+
+    # m - mu = 1, 2, 11, 63: e^-z 1F1(m; mu; z) is Kummer's finite sum, and the
+    # density's exponent -a x + z is -b x
+    @pytest.mark.parametrize("kappa, mu, m", [(3.0, 1.0, 2.0), (1.5, 0.5, 2.5), (2.0, 2.0, 13.0),
+                                              (10.0, 1.0, 64.0)])
+    @pytest.mark.parametrize("x", [0.01, 1.0, 30.0, 300.0])
+    def test_finite_form_density_against_mpmath(self, kappa, mu, m, x):
+        model = FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0)
+        assert pdf(model, x) == pytest.approx(_mp_shadowed_pdf(kappa, mu, m, 1.0, x),
+                                              rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("x", [300.0, 683.0])
     def test_large_m_density_vanishes_where_1f1_overflows(self, x):
@@ -412,3 +415,13 @@ class TestJson:
             model_from_json({"kind": "rayleigh", "mean_snr_db": 0.0, "mean_snr": 1.0})
         with pytest.raises(DomainError):
             model_from_json({"kind": "rayleigh", "mean_snr_db": 0.0, "bogus": 1})
+
+
+def _mp_shadowed_pdf(kappa: float, mu: float, m: float, mean: float, x: float) -> float:
+    """The kappa-mu shadowed density in its 1F1 form at 40 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        k, u, m, g, y = (mp.mpf(v) for v in (kappa, mu, m, mean, x))
+        return float(u ** u * m ** m * (1 + k) ** u / (mp.gamma(u) * g ** u * (u * k + m) ** m)
+                     * y ** (u - 1) * mp.exp(-u * (1 + k) * y / g)
+                     * mp.hyp1f1(m, u, u * u * k * (1 + k) * y / ((u * k + m) * g)))

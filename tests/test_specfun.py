@@ -736,6 +736,24 @@ class TestKummer:
         # a window about the peak: O(sqrt z) terms, not the z of the plain series
         assert terms <= 24.0 * math.sqrt(z) + 100
 
+    # a - b = n a nonnegative integer below 64: e^z times n + 1 positive terms;
+    # b + n - b must be n exactly in floats, as m - mu must for fading.pdf; n = 63
+    # is the cap
+    @pytest.mark.parametrize("n", [0, 1, 2, 11, 63])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 10.25])
+    @pytest.mark.parametrize("z", [1e-3, 0.7, 29.9, 50.0, 1e3, 4.3e7, 4.3e8])
+    def test_finite_form_against_mpmath(self, n, b, z):
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.hyp1f1(mpmath.mpf(b) + n, b, z)))
+        got = z + specfun._log_kummer_finite(b + n, b, z)
+        assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("a,b,z", [(2.5, 2.0, 10.0), (66.0, 2.0, 10.0), (1.0, 2.0, 10.0),
+                                       (3.0, 1e-300, 10.0)])
+    def test_finite_form_only_where_it_applies(self, a, b, z):
+        # a - b not an integer, past the cap, negative, or z / b past 1e300
+        assert specfun._log_kummer_finite(a, b, z) is None
+
     def test_window_grows_past_a_skewed_peak(self):
         # a >> b puts the upper tail beyond the initial +-10 sqrt(z) window
         a, b, z = 3000.0, 2.0, 100.0
