@@ -21,7 +21,6 @@ whose outage is within epsilon.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +31,9 @@ from .errors import AccuracyError, DomainError
 from .fading import (FadingModel, _canonical_params, _from_log, _gamma_mixture, _log_mgf,
                      mrc_combine, pdf, smallest_pole)
 from .fading import mgf  # noqa: F401  unused; perfbench/trace.py hooks apps.mgf
-from .incomplete import _deriv_log_scaled, imgf_lower, imgf_upper
+from .incomplete import _log_imgf, _series
+from .incomplete import (  # noqa: F401  unused; perfbench/trace.py hooks these names in apps
+    _deriv_log_scaled, imgf_lower, imgf_upper)
 from .mixture import GammaMixture, mixture_from_model
 from .specfun import _MIXTURE_TOL, _log_mixture_sum
 
@@ -141,9 +142,10 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError("epsilon must lie in (0, 1)")
 
 
-def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
+def _outage_core(series: tuple, eve_mixture: GammaMixture, alpha: float,
                  scale: float, slope: list | None = None) -> float:
-    """Pr{gamma_b <= alpha + scale * gamma_e} for a mixture-form eavesdropper.
+    """Pr{gamma_b <= alpha + scale * gamma_e} for a mixture-form eavesdropper
+    and the legitimate link's resolved series (incomplete._series).
 
     Expanding the eavesdropper CDF termwise turns the probability into
 
@@ -153,7 +155,9 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     with beta_i = 1 / (scale * Omega_i) and polynomial weights
     W_ik = beta_i^k / k! * sum_{d <= m_i-1-k} (-alpha beta_i)^d / d!.
     The integrals T_k are exp(alpha beta_i)-scaled upper-IMGF derivatives,
-    which the transform layer provides in that prescaled form, as logs.
+    taken as logs: alpha beta_i plus incomplete._log_imgf's log of the upper
+    tail on the series the caller resolved, whose lower tail at s = 0 gives
+    F_b(alpha).
     At high orders beta^k / k! underflows where T_k overflows, so their
     logs are added before the exponential; AccuracyError is raised where
     the product itself is past the double range.
@@ -177,7 +181,7 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
     overflows; it has no cancellation guard of its own.
     """
     _check_threshold(alpha)
-    total = magnitude = imgf_lower(bob, 0.0, alpha)
+    total = magnitude = math.exp(_log_imgf(series, 0.0, alpha, 0, False))
     rise = 0.0  # dO/dR / ln 2
     cache: dict[tuple[float, int], float] = {}  # log T_k
     for (c_i, omega_i, m_i) in eve_mixture.terms:
@@ -202,10 +206,10 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
         for k in range(m_i):
             if (beta, k) not in cache:
                 if slope is None:
-                    cache[beta, k] = _deriv_log_scaled(bob, -beta, alpha, k)
+                    cache[beta, k] = ab + _log_imgf(series, -beta, alpha, k, True)
                 else:
-                    cache[beta, k], cache[beta, k + 1] = _deriv_log_scaled(bob, -beta, alpha, k,
-                                                                           pair=True)
+                    log_k, log_k1 = _log_imgf(series, -beta, alpha, k, True, pair=True)
+                    cache[beta, k], cache[beta, k + 1] = ab + log_k, ab + log_k1
             t_k = _from_log(log_bk + cache[beta, k], "outage term of order {} overflows "
                             "at beta = {!r}, alpha = {!r}", k, beta, alpha)  # beta^k / k! T_k
             contrib += partial[m_i - 1 - k] * t_k
@@ -216,7 +220,7 @@ def _outage_core(bob: FadingModel, eve_mixture: GammaMixture, alpha: float,
             log_bk += log_beta - math.log(k + 1.0)
         if slope is not None:  # the top order m_i, whose coefficient is m_i a_(m_i - 1) = m_i
             if (beta, m_i) not in cache:
-                cache[beta, m_i] = _deriv_log_scaled(bob, -beta, alpha, m_i)
+                cache[beta, m_i] = ab + _log_imgf(series, -beta, alpha, m_i, True)
             log_t = log_bk + cache[beta, m_i]
             contrib_rise += m_i * (math.exp(log_t) if log_t < _LOG_FLOAT_MAX else math.inf)
         total += c_i * contrib
@@ -238,7 +242,7 @@ def opsc(scenario: SecrecyScenario) -> float:
     in R_S and in the eavesdropper SNR.
     """
     scale = 2.0 ** scenario.rate_rs
-    return _outage_core(scenario.bob, scenario._eve_mixture, scale - 1.0, scale)
+    return _outage_core(_series(scenario.bob), scenario._eve_mixture, scale - 1.0, scale)
 
 
 def spsc(scenario: SecrecyScenario) -> float:
@@ -276,7 +280,8 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     A step below half the tolerance becomes a step of 0.9 tolerance across
     the crossing, which certifies it.
 
-    The eavesdropper mixture is the scenario's, and each rate is evaluated once.
+    The eavesdropper mixture is the scenario's, the legitimate link's
+    series is resolved once per solve, and each rate is evaluated once.
     The solve ends with an evaluated rate on each side of the crossing
     within _RATE_TOL / 2 + 8.9e-16 R of each other; the largest evaluated
     rate whose outage is within epsilon is returned, so the result never
@@ -285,16 +290,16 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     epsilon, or after _RATE_ITERATIONS evaluations.
     """
     _check_epsilon(epsilon)
-    bob = scenario.bob
+    series = _series(scenario.bob)
     mix = scenario._eve_mixture
     z_eps = math.log(-math.log1p(-epsilon))
 
     def width(rate: float) -> float:  # the bracket width the solve ends at
         return 0.5 * _RATE_TOL + 4.0 * _EPS * rate
 
-    if _outage_core(bob, mix, 0.0, 1.0) > epsilon:
+    if _outage_core(series, mix, 0.0, 1.0) > epsilon:
         return 0.0
-    r_hi = math.log2(1.0 + _chernoff_threshold(bob, epsilon))
+    r_hi = math.log2(1.0 + _chernoff_threshold(scenario.bob, epsilon))
     lo, hi, hi_evaluated = 0.0, r_hi, False
     rate, with_slope = 0.6 * r_hi, True
     u_g = g = curv = math.nan  # the last slope dz/du, where it was taken, and dz2/du2
@@ -302,9 +307,9 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
         scale = 2.0 ** rate
         if with_slope:
             slope: list = []
-            o = _outage_core(bob, mix, scale - 1.0, scale, slope)
+            o = _outage_core(series, mix, scale - 1.0, scale, slope)
         else:
-            o = _outage_core(bob, mix, scale - 1.0, scale)
+            o = _outage_core(series, mix, scale - 1.0, scale)
         if o > epsilon:
             hi, hi_evaluated = rate, True
         elif rate == r_hi:
@@ -353,8 +358,13 @@ def outage_interference(desired: FadingModel, interference: FadingModel,
     gamma_th = 2^R_S - 1, so equal inputs give bit-identical outputs.
     """
     _check_threshold(gamma_th)
-    mix = mixture_from_model(interference)
-    return _outage_core(desired, mix, gamma_th, gamma_th + 1.0)
+    return _interference_outage(desired, mixture_from_model(interference), gamma_th)
+
+
+def _interference_outage(desired: FadingModel, mix: GammaMixture, gamma_th: float) -> float:
+    """outage_interference on the interferer's mixture (mixture_from_model,
+    which checks it) and a checked threshold."""
+    return _outage_core(_series(desired), mix, gamma_th, gamma_th + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -512,29 +522,34 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     neither is a difference of two nearly equal numbers.  Result lies in
     [0, 0.2].
     """
-    th = scheme.thresholds
-    bits = scheme.bits_per_region
-    edges = list(th) + [math.inf]
+    series = _series(channel)
+    edges = list(scheme.thresholds) + [math.inf]
     num = 0.0
     den = 0.0
+    values: dict = {}  # neighbouring regions share a threshold, and with it the IMGFs at s = 0
 
-    # neighbouring regions share a threshold, and with it the IMGFs at s = 0
-    lower = functools.cache(lambda s, z: imgf_lower(channel, s, z))
-    upper = functools.cache(lambda s, z: imgf_upper(channel, s, z))
-
-    for j, k in enumerate(bits):
+    for j, k in enumerate(scheme.bits_per_region):
         lo, hi = edges[j], edges[j + 1]
         s_j = -1.5 / (2.0 ** k - 1.0)
-        f_lo = lower(0.0, lo)
-        if f_lo < 0.5:
-            num += k * (lower(s_j, hi) - lower(s_j, lo))
-            den += k * (lower(0.0, hi) - f_lo)
-        else:
-            num += k * (upper(s_j, lo) - upper(s_j, hi))
-            den += k * (upper(0.0, lo) - upper(0.0, hi))
+        upper = not _imgf_once(values, series, 0.0, lo, False) < 0.5
+        # each increment is the tail at plus less the tail at minus
+        plus, minus = (lo, hi) if upper else (hi, lo)
+        num += k * (_imgf_once(values, series, s_j, plus, upper)
+                    - _imgf_once(values, series, s_j, minus, upper))
+        den += k * (_imgf_once(values, series, 0.0, plus, upper)
+                    - _imgf_once(values, series, 0.0, minus, upper))
     if den <= 0.0:
         raise DomainError("no probability mass falls in any transmission region")
     val = 0.2 * num / den
     if not -1e-10 <= val <= 0.2 + 1e-10:
         raise AccuracyError(f"adaptive-modulation BER left [0, 0.2]: {val}")
     return min(max(val, 0.0), 0.2)
+
+
+def _imgf_once(values: dict, series: tuple, s: float, zeta: float, upper: bool) -> float:
+    """The upper (or lower) IMGF of a resolved series at (s <= 0, zeta),
+    evaluated once per key of values and kept there."""
+    key = s, zeta, upper
+    if key not in values:
+        values[key] = math.exp(_log_imgf(series, s, zeta, 0, upper))
+    return values[key]

@@ -124,10 +124,12 @@ def _secrecy(fixed: dict, rate_rs: float) -> apps.SecrecyScenario:
 def _parse_interference(fixed: dict) -> tuple:
     desired = model_from_json(fixed["desired"])
     interference = model_from_json(fixed["interference"])
-    mixture.mixture_from_model(interference)  # as SecrecyScenario checks its eavesdropper
+    # built once, which checks it, and kept for the evaluation, as
+    # SecrecyScenario keeps its eavesdropper's mixture
+    mix = mixture.mixture_from_model(interference)
     gamma_th = _config_number(fixed["gamma_th"], "gamma_th")
     apps._check_threshold(gamma_th)
-    return desired, interference, gamma_th
+    return desired, interference, gamma_th, mix
 
 
 def _parse_capacity(fixed: dict) -> tuple:
@@ -197,9 +199,9 @@ _METRICS = {
         "outage with interference and noise",
         (_json_flag("desired"), _json_flag("interference"),
          _flag("--gamma-th", "gamma_th", type=float, required=True)),
-        _parse_interference, lambda *a: apps.outage_interference(*a),
+        _parse_interference, lambda d, i, th, mix: apps._interference_outage(d, mix, th),
         # the secrecy outage at the rate log2(1 + gamma_th) is the same probability
-        lambda d, i, th, cfg: oracles.mc_opsc(
+        lambda d, i, th, mix, cfg: oracles.mc_opsc(
             apps.SecrecyScenario(bob=d, eve=i, rate_rs=math.log2(1.0 + th)), cfg)),
     "capacity": _Metric(
         "capacity with TX/RX side information",

@@ -13,9 +13,12 @@ gammas,
 which specfun._log_mixture_sum sums in log space, outward from its peak or,
 for binomial weights, over their whole support; no tail is formed as a
 difference, so deep tails keep full relative accuracy.
-_log_imgf is the one evaluator of that series and _log_tail the one rule
-for the endpoints zeta = 0 and zeta = inf; imgf_lower, imgf_upper and
-imgf_deriv_s exponentiate its result, AccuracyError past the double range.
+_log_imgf maps a model's resolved series (_series: its rates and mixtures,
+looked up once) and (s, zeta, k, tail) to one kernel call, and holds the
+rules for the endpoints zeta = 0 and zeta = inf.  imgf_lower, imgf_upper
+and imgf_deriv_s resolve the series per call and exponentiate the result,
+AccuracyError past the double range; the metrics in apps resolve it once
+per metric call and sum through _log_imgf directly.
 
 A generic numerical route through the inverse Laplace transform of
 M(s - p) / p is available for arbitrary user-supplied MGFs and doubles as an
@@ -55,26 +58,40 @@ _OVERFLOW = "IMGF overflows at s={}, zeta={}"
 
 @functools.lru_cache(maxsize=256)
 def _series(model: FadingModel) -> tuple:
-    """(a, b, the mixture at its rate c, the mixture at rate a) of a model:
-    the LOS-free decay rate a and the MGF pole b (fading._canonical_params),
+    """(model, a, b, the mixture at its rate c, the mixture at rate a): the
+    model, its LOS-free decay rate a and MGF pole b (fading._canonical_params),
     and the kernel's (lam, m, mu, rate) of fading._gamma_mixture and of the
     series at rate a, which is the same law where the finite form at rate
-    b diverges; one cached lookup for each _log_imgf call."""
+    b diverges; resolved once per public evaluation or metric call, and
+    passed to _log_imgf."""
     params = _canonical_params(model)
     kappa, mu, m, gbar, a, b = params
-    return a, b, _mixture(*params), (kappa * mu, m, mu, a)
+    return model, a, b, _mixture(*params), (kappa * mu, m, mu, a)
 
 
-def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool,
+def _log_imgf(series: tuple, s: float, zeta: float, k: int, upper: bool,
               pair: bool = False):
-    """log of the k-th s-derivative of the upper (or lower) IMGF at finite zeta
-    (> 0 for the lower tail): the module docstring's series times (c-s)^-k;
-    -inf when it underflows.  With pair=True the logs at orders k and k+1,
-    from one kernel walk.  The upper series converges for s below the MGF
-    pole b, the lower one at rate a for every s below the LOS-free decay
-    rate a >= b; outside (s = -inf too), DomainError.  A lower tail at
-    b <= s < a, where the finite form at rate b diverges, takes rate a."""
-    a, b, mixture, at_a = _series(model)
+    """log of the k-th s-derivative of the upper (or lower) IMGF of a
+    resolved series (_series) at zeta in [0, inf]: the module docstring's
+    series times (c-s)^-k, -inf where it underflows.  The endpoints: -inf
+    for the empty tail (lower at 0, upper at inf) at every real s; for the
+    whole transform (lower at inf, upper at 0) the closed-form log MGF
+    (k = 0) or the upper series from 0 (k >= 1).  With pair=True the logs
+    at orders k and k+1, from one kernel walk at a positive finite zeta
+    (from two evaluations at the endpoints).  The upper series converges
+    for s below the MGF pole b, the lower one at rate a for every s below
+    the LOS-free decay rate a >= b; outside (s = -inf too), DomainError.  A
+    lower tail at b <= s < a, where the finite form at rate b diverges,
+    takes rate a.  s and zeta are not checked for NaN here (_log_tail)."""
+    if pair and not 0.0 < zeta < math.inf:
+        return _log_imgf(series, s, zeta, k, upper), _log_imgf(series, s, zeta, k + 1, upper)
+    model, a, b, mixture, at_a = series
+    if zeta == (math.inf if upper else 0.0):
+        return -math.inf
+    if zeta == (0.0 if upper else math.inf):
+        if k == 0:
+            return _log_mgf(model, s)
+        zeta, upper = 0.0, True
     limit = b if upper else a
     if not -math.inf < s < limit:
         raise DomainError(f"{'upper' if upper else 'lower'} IMGF series requires "
@@ -88,17 +105,15 @@ def _log_imgf(model: FadingModel, s: float, zeta: float, k: int, upper: bool,
 
 
 def _log_tail(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
-    """_log_imgf at any zeta in [0, inf]: -inf for the empty tail (lower at
-    0, upper at inf) at every real s, the closed-form log MGF (k = 0) or the
-    upper series from 0 (k >= 1) for the whole transform (lower at inf,
-    upper at 0).  DomainError for a NaN s and a NaN or negative zeta."""
+    """_log_imgf of a model, for the public entry points: DomainError for a
+    NaN s and a NaN or negative zeta; the empty tail is -inf before the
+    model's series is resolved, so it holds for a model whose rates leave
+    the double range too."""
     if math.isnan(s) or not zeta >= 0.0:
         raise DomainError(f"IMGF needs a number s and zeta >= 0, got s={s}, zeta={zeta}")
     if zeta == (math.inf if upper else 0.0):
         return -math.inf
-    if zeta == (0.0 if upper else math.inf):
-        return _log_mgf(model, s) if k == 0 else _log_imgf(model, s, 0.0, k, True)
-    return _log_imgf(model, s, zeta, k, upper)
+    return _log_imgf(_series(model), s, zeta, k, upper)
 
 
 def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
@@ -172,7 +187,8 @@ def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int,
         return -s * zeta + _log_tail(model, s, zeta, k, True)
     if not 0.0 < zeta < math.inf:
         return tuple(_deriv_log_scaled(model, s, zeta, j) for j in (k, k + 1))
-    return tuple(-s * zeta + v for v in _log_imgf(model, s, zeta, k, True, pair=True))
+    return tuple(-s * zeta + v for v in _log_imgf(_series(model), s, zeta, k, True,
+                                                  pair=True))
 
 
 def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -286,7 +287,8 @@ class TestEpsOutageCapacity:
         # the whole-transform term of the kernel route, taken in closed form
         bob = ONE_MODEL_PER_KIND[kind](db_to_linear(10.0))
         omega_e = db_to_linear(-3.0)
-        kernel_route = math.exp(incomplete._log_imgf(bob, -1.0 / omega_e, 0.0, 0, True))
+        kernel_route = math.exp(incomplete._log_imgf(incomplete._series(bob), -1.0 / omega_e,
+                                                     0.0, 0, True))
 
         def no_kernel(*args, **kwargs):
             raise AssertionError("gamma-mixture kernel called")
@@ -305,7 +307,8 @@ class TestEpsOutageCapacity:
         omega_e = db_to_linear(-3.0)
         beta = 3.0 / omega_e
         kernel_route = sum(beta ** k / math.factorial(k)
-                           * math.exp(incomplete._log_imgf(bob, -beta, 0.0, k, True))
+                           * math.exp(incomplete._log_imgf(incomplete._series(bob), -beta,
+                                                           0.0, k, True))
                            for k in range(3))
         kernel_calls.clear()
         val = spsc(SecrecyScenario(bob=bob, eve=FadingModel.nakagami(3.0, omega_e)))
@@ -449,9 +452,11 @@ class TestOutageSlope:
         model, eve_pdf = self.EVES[eve]
         mix, scale = mixture_from_model(model), 2.0 ** rs
         slope = []
-        value = apps._outage_core(bob, mix, scale - 1.0, scale, slope)
+        series = incomplete._series(bob)
+        value = apps._outage_core(series, mix, scale - 1.0, scale, slope)
         # the outage from the paired kernel walks, against the single ones
-        assert value == pytest.approx(apps._outage_core(bob, mix, scale - 1.0, scale), rel=1e-12)
+        assert value == pytest.approx(apps._outage_core(series, mix, scale - 1.0, scale),
+                                      rel=1e-12)
         ref = secrecy_outage_slope(bob, eve_pdf, model.mean_snr, rs)
         assert slope == [pytest.approx(ref, rel=1e-8)]
 
@@ -538,29 +543,181 @@ class TestNanIsAccuracyError:
                          rate_rs=0.5)
 
     def test_opsc(self, monkeypatch):
-        monkeypatch.setattr(apps, "_deriv_log_scaled", lambda *args: math.nan)
+        # the outage sums through incomplete._log_imgf, bound in apps
+        monkeypatch.setattr(apps, "_log_imgf", lambda *args, **kwargs: math.nan)
         with pytest.raises(AccuracyError):
             opsc(self.SC)
 
     def test_eps_outage_capacity(self, monkeypatch):
         # NaN at every rate inside the Chernoff bracket: no rate within
-        # epsilon was evaluated, which was a bare ValueError
+        # epsilon was evaluated, which was a bare ValueError.  The NaNs are
+        # the upper-tail terms T_k, single and paired
         t = apps._chernoff_threshold(self.SC.bob, 0.5)
-        real = apps._deriv_log_scaled
-        monkeypatch.setattr(apps, "_deriv_log_scaled",
-                            lambda bob, s, alpha, k: (math.nan if alpha < 0.99 * t
-                                                      else real(bob, s, alpha, k)))
+        real = apps._log_imgf
+
+        def nan_terms(series, s, zeta, k, upper, pair=False):
+            if upper and zeta < 0.99 * t:
+                return (math.nan, math.nan) if pair else math.nan
+            return real(series, s, zeta, k, upper, pair)
+
+        monkeypatch.setattr(apps, "_log_imgf", nan_terms)
         with pytest.raises(AccuracyError):
             eps_outage_capacity(self.SC, 0.5)
 
     def test_aber_adaptive(self, monkeypatch):
         # the BER numerator's lower IMGFs (s < 0) are NaN
-        real = apps.imgf_lower
-        monkeypatch.setattr(apps, "imgf_lower",
-                            lambda ch, s, z: math.nan if s else real(ch, s, z))
+        real = apps._log_imgf
+        monkeypatch.setattr(apps, "_log_imgf",
+                            lambda series, s, z, k, upper: (math.nan if s and not upper
+                                                            else real(series, s, z, k, upper)))
         scheme = AdaptiveModScheme(thresholds=(0.0, 5.0), bits_per_region=(2, 4))
         with pytest.raises(AccuracyError):
             aber_adaptive(FadingModel.rayleigh(10.0), scheme)
+
+
+def outage_by_public_entries(bob: FadingModel, mix, alpha: float, scale: float,
+                             with_slope: bool) -> tuple[float, float]:
+    """_outage_core's value and rate slope with F_b from imgf_lower and each
+    T_k from _deriv_log_scaled (paired where the slope is taken), in the
+    same order of floating-point operations: its formulation through the
+    public entry points."""
+    total = incomplete.imgf_lower(bob, 0.0, alpha)
+    rise = 0.0
+    logs = {}
+    for c, omega, m in mix.terms:
+        beta = 1.0 / (scale * omega)
+        term, powers, partial = 1.0, [1.0], [1.0]
+        for d in range(1, m):
+            term *= -alpha * beta / d
+            powers.append(term)
+            partial.append(partial[-1] + term)
+        log_beta, log_bk = math.log(beta), 0.0
+        contrib = contrib_rise = 0.0
+        for k in range(m):
+            if (beta, k) not in logs:
+                if with_slope:
+                    logs[beta, k], logs[beta, k + 1] = incomplete._deriv_log_scaled(
+                        bob, -beta, alpha, k, pair=True)
+                else:
+                    logs[beta, k] = incomplete._deriv_log_scaled(bob, -beta, alpha, k)
+            t_k = math.exp(log_bk + logs[beta, k])
+            contrib += partial[m - 1 - k] * t_k
+            rise_k = beta * powers[m - 1 - k]
+            contrib_rise += (rise_k + k * powers[m - k] if k else rise_k) * t_k
+            log_bk += log_beta - math.log(k + 1.0)
+        if with_slope:
+            if (beta, m) not in logs:
+                logs[beta, m] = incomplete._deriv_log_scaled(bob, -beta, alpha, m)
+            contrib_rise += m * math.exp(log_bk + logs[beta, m])
+        total += c * contrib
+        rise += c * contrib_rise
+    return min(max(total, 0.0), 1.0), math.log(2.0) * rise
+
+
+def aber_by_public_entries(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
+    """aber_adaptive's region sums from imgf_lower and imgf_upper."""
+    edges = list(scheme.thresholds) + [math.inf]
+    num = den = 0.0
+    for k, lo, hi in zip(scheme.bits_per_region, edges, edges[1:]):
+        s = -1.5 / (2.0 ** k - 1.0)
+        lower = functools.partial(incomplete.imgf_lower, channel)
+        upper = functools.partial(incomplete.imgf_upper, channel)
+        f_lo = lower(0.0, lo)
+        if f_lo < 0.5:
+            num += k * (lower(s, hi) - lower(s, lo))
+            den += k * (lower(0.0, hi) - f_lo)
+        else:
+            num += k * (upper(s, lo) - upper(s, hi))
+            den += k * (upper(0.0, lo) - upper(0.0, hi))
+    return min(max(0.2 * num / den, 0.0), 0.2)
+
+
+# a legitimate link or BER channel of each kernel weights family
+WEIGHTS_FAMILIES = {
+    "unit-mass": FadingModel.nakagami(2.5, 10.0),
+    "binomial": FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 10.0),  # m - mu = 1
+    "negative-binomial": FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 10.0),
+    "poisson": FadingModel.kappa_mu(1.5, 2.0, 10.0),  # m = inf
+}
+EAVESDROPPERS = {
+    "rayleigh": FadingModel.rayleigh(2.0),
+    "nakagami-3": FadingModel.nakagami(3.0, 2.0),
+    "kms-2-2-3": FadingModel.kappa_mu_shadowed(2.0, 2.0, 3.0, 2.0),
+}
+
+
+class TestPublicEntryIdentity:
+    """The metrics sum through incomplete._log_imgf on a series resolved once
+    per call; their values are bit for bit those of the public entry points."""
+
+    @pytest.mark.parametrize("eve", list(EAVESDROPPERS))
+    @pytest.mark.parametrize("bob", list(WEIGHTS_FAMILIES))
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("with_slope", [False, True], ids=["value", "slope"])
+    def test_outage(self, bob, eve, alpha, with_slope):
+        model, mix = WEIGHTS_FAMILIES[bob], mixture_from_model(EAVESDROPPERS[eve])
+        slope = [] if with_slope else None
+        value = apps._outage_core(incomplete._series(model), mix, alpha, alpha + 1.0, slope)
+        ref_value, ref_slope = outage_by_public_entries(model, mix, alpha, alpha + 1.0,
+                                                        with_slope)
+        assert value == ref_value
+        assert slope is None or slope == [ref_slope]
+        if not with_slope:  # the interference outage is the same sum
+            assert outage_interference(model, EAVESDROPPERS[eve], alpha) == ref_value
+
+    @pytest.mark.parametrize("channel", list(WEIGHTS_FAMILIES))
+    @pytest.mark.parametrize("mean", [0.5, 10.0, 300.0])
+    @pytest.mark.parametrize("thresholds, bits", [
+        ((0.0, 5.0), (2, 4)),
+        ((0.0, 2.0, 7.0), (2, 2, 4)),  # neighbours with equal bits share s too
+        ((10.6, 53.0, 222.5, 900.7), (2, 4, 6, 8)),
+    ], ids=["from-0", "equal-bits", "four-regions"])
+    def test_aber(self, channel, mean, thresholds, bits):
+        model = dataclasses.replace(WEIGHTS_FAMILIES[channel], mean_snr=mean)
+        scheme = AdaptiveModScheme(thresholds=thresholds, bits_per_region=bits)
+        assert aber_adaptive(model, scheme) == aber_by_public_entries(model, scheme)
+
+
+class TestSeriesResolvedOnce:
+    """A metric call resolves the legitimate link's series once and reaches
+    the kernel without the public IMGF entry points."""
+
+    @pytest.fixture
+    def resolutions(self, monkeypatch) -> list:
+        calls = []
+        real = incomplete._series
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        def public_entry(*args, **kwargs):
+            raise AssertionError("public IMGF entry point called")
+
+        for module in (apps, incomplete):
+            monkeypatch.setattr(module, "_series", counting)
+        for name in ("imgf_lower", "imgf_upper", "_deriv_log_scaled"):
+            monkeypatch.setattr(apps, name, public_entry)
+        monkeypatch.setattr(incomplete, "_log_tail", public_entry)
+        return calls
+
+    SC = SecrecyScenario(bob=FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 100.0),
+                         eve=FadingModel.nakagami(3.0, 0.1), rate_rs=1.0)
+
+    def test_opsc(self, resolutions):
+        opsc(self.SC)
+        assert resolutions == [self.SC.bob]
+
+    def test_eps_outage_capacity(self, resolutions, monkeypatch):
+        outages = record_outages(monkeypatch)
+        assert eps_outage_capacity(self.SC, 0.1) > 0.0
+        assert len(outages) > 2 and resolutions == [self.SC.bob]
+
+    def test_aber_adaptive(self, resolutions, kernel_calls):
+        channel = FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, 10.0)
+        scheme = AdaptiveModScheme(thresholds=(0.0, 2.0, 7.0), bits_per_region=(2, 4, 6))
+        aber_adaptive(channel, scheme)
+        assert resolutions == [channel] and kernel_calls
 
 
 def quad_tail(model: FadingModel, g0: float, f) -> float:

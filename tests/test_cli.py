@@ -68,7 +68,8 @@ def record_evaluations(monkeypatch) -> list:
     """Record the name of every metric and Monte Carlo evaluation."""
     calls = []
     for module, name in ((apps, "opsc"), (apps, "eps_outage_capacity"),
-                         (apps, "outage_interference"), (apps, "capacity_side_info"),
+                         (apps, "outage_interference"), (apps, "_interference_outage"),
+                         (apps, "capacity_side_info"),
                          (apps, "aber_adaptive"), (incomplete, "imgf_deriv_s"),
                          (oracles, "mc_opsc"), (oracles, "mc_aber")):
         def recording(*args, _real=getattr(module, name), _name=name):
@@ -206,6 +207,27 @@ class TestSweep:
         assert [r["axis"] for r in rows] == [0.0, 5.0, 10.0]
         assert all(0.0 <= r["value"] <= 1.0 for r in rows)
         assert all("mc_estimate" in r for r in rows)
+
+    def test_interference_point_builds_one_mixture(self, monkeypatch):
+        # the parse builds the interferer's mixture, which checks it, and the
+        # evaluation sums with that mixture
+        calls = []
+        real = mixture.mixture_from_model
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(mixture, "mixture_from_model", counting)
+        monkeypatch.setattr(apps, "mixture_from_model", counting)
+        fixed = {"desired": KMS_0DB, "interference": json.loads(NAKAGAMI), "gamma_th": 0.25}
+        rows = run_sweep({"metric": "op-interference", "fixed": fixed,
+                          "axis": {"field": "gamma_th", "start": 0.25, "stop": 0.25,
+                                   "step": 1.0}})
+        assert len(calls) == 1
+        desired, interference = (cli.model_from_json(fixed[key])
+                                 for key in ("desired", "interference"))
+        assert rows[0]["value"] == apps.outage_interference(desired, interference, 0.25)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         spec = json.loads(json.dumps(self.SPEC))

@@ -13,7 +13,7 @@ from mpmath import mp
 from imgflib import fading, specfun
 from imgflib.errors import AccuracyError
 from imgflib.fading import FadingModel, _canonical_params, _gamma_mixture, cdf, cdf_grid
-from imgflib.incomplete import _log_imgf, imgf_lower, imgf_upper
+from imgflib.incomplete import _log_imgf, _series, imgf_lower, imgf_upper
 from imgflib.mixture import mixture_params
 
 ORACLE_TOL = 5e-11  # the README's accuracy claim against quadrature
@@ -99,7 +99,7 @@ def test_against_quadrature(kappa, mu, m, zeta, index, kernel_calls):
         for j, s in enumerate((-100.0 * a, -1.0, 0.0, 0.5 * b, 0.999 * b)):
             k = (index + j) % 4
             for upper in (True, False):
-                got = _log_imgf(model, s, zeta * ORACLE_MEAN, k, upper)
+                got = _log_imgf(_series(model), s, zeta * ORACLE_MEAN, k, upper)
                 ref = law.log_imgf(s, zeta * ORACLE_MEAN, k, upper)
                 # relative error of the value, plus 4 ulp of its log for the
                 # values past the double range (e^-1.7e6 at s = -100a, zeta =
@@ -114,7 +114,7 @@ def test_lower_tail_past_the_pole_takes_the_series(kernel_calls):
     model = FadingModel.kappa_mu_shadowed(1.5, 1.0, 3.0, ORACLE_MEAN)
     kappa, mu, m, gbar, a, b = _canonical_params(model)
     s, zeta = 0.5 * (a + b), 0.7 * ORACLE_MEAN
-    got = _log_imgf(model, s, zeta, 1, False)
+    got = _log_imgf(_series(model), s, zeta, 1, False)
     assert [(call["lam"], call["m"]) for call in kernel_calls] == [(kappa * mu, m)]
     with mp.workdps(30):
         ref = MpLaw(model).log_imgf(s, zeta, 1, False)
@@ -167,7 +167,7 @@ def test_one_walk_without_peak_search(kappa, mu, m, k, upper, monkeypatch):
             lam, shape, mu_, rate = _gamma_mixture(model)
             specfun._log_mixture_sum(lam, shape, mu_, k, 0.0, rate * zeta, upper)
         else:
-            _log_imgf(model, s, zeta * ORACLE_MEAN, k, upper)
+            _log_imgf(_series(model), s, zeta * ORACLE_MEAN, k, upper)
         assert len(seeds) == (0 if m == mu else 1)
     assert all(size == 1 for size in reg_gamma_orders)  # no vector of orders
 
@@ -177,7 +177,7 @@ def test_series_accuracy_error_point_is_summed():
     # series ran out of its 100000 terms here; the finite form sums 2 terms.
     # Reference: mpmath quadrature at dps 30
     model = FadingModel.kappa_mu_shadowed(300.0, 10.0, 11.0, 211604.1983200031)
-    got = _log_imgf(model, 5.191461449796036e-05, 10576795.42422124, 2, False)
+    got = _log_imgf(_series(model), 5.191461449796036e-05, 10576795.42422124, 2, False)
     assert got == pytest.approx(83.56759471391764, rel=ORACLE_TOL, abs=0.0)
     lam, m, mu, rate = _gamma_mixture(model)
     kappa, mu, m_, gbar, a, b = _canonical_params(model)
