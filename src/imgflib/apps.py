@@ -28,10 +28,9 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError
-from .fading import (FadingModel, _canonical_params, _from_log, _gamma_mixture, _log_mgf,
-                     mrc_combine, pdf, smallest_pole)
+from .fading import FadingModel, _Law, _from_log, _integer, _law, _log_mgf, mrc_combine, pdf
 from .fading import mgf  # noqa: F401  unused; perfbench/trace.py hooks apps.mgf
-from .incomplete import _log_imgf, _series
+from .incomplete import _log_imgf
 from .incomplete import (  # noqa: F401  unused; perfbench/trace.py hooks these names in apps
     _deriv_log_scaled, imgf_lower, imgf_upper)
 from .mixture import GammaMixture, mixture_from_model
@@ -81,10 +80,10 @@ class SecrecyScenario:
         if not 0 <= self.rate_rs < _MAX_EXPONENT:  # a NaN fails it too
             raise DomainError(f"secrecy rate must be nonnegative and below 1024 (2^R_S a "
                               f"finite double), got {self.rate_rs}")
-        if self.n_eve_antennas < 1:
+        if _integer(self.n_eve_antennas, "n_eve_antennas") < 1:
             raise DomainError("need at least one eavesdropper antenna")
         # validate both links eagerly so misconfigurations fail at construction
-        _canonical_params(self.bob)
+        _law(self.bob)
         object.__setattr__(self, "_eve_mixture",
                            mixture_from_model(mrc_combine(self.eve, self.n_eve_antennas)))
 
@@ -99,7 +98,7 @@ class AdaptiveModScheme:
 
     def __post_init__(self):
         th = tuple(float(t) for t in self.thresholds)
-        bits = tuple(int(b) for b in self.bits_per_region)
+        bits = tuple(_integer(b, "bits per region") for b in self.bits_per_region)
         object.__setattr__(self, "thresholds", th)
         object.__setattr__(self, "bits_per_region", bits)
         if not th:
@@ -142,10 +141,10 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError("epsilon must lie in (0, 1)")
 
 
-def _outage_core(series: tuple, eve_mixture: GammaMixture, alpha: float,
+def _outage_core(law: _Law, eve_mixture: GammaMixture, alpha: float,
                  scale: float, slope: list | None = None) -> float:
     """Pr{gamma_b <= alpha + scale * gamma_e} for a mixture-form eavesdropper
-    and the legitimate link's resolved series (incomplete._series).
+    and the legitimate link's law (fading._law).
 
     Expanding the eavesdropper CDF termwise turns the probability into
 
@@ -156,7 +155,7 @@ def _outage_core(series: tuple, eve_mixture: GammaMixture, alpha: float,
     W_ik = beta_i^k / k! * sum_{d <= m_i-1-k} (-alpha beta_i)^d / d!.
     The integrals T_k are exp(alpha beta_i)-scaled upper-IMGF derivatives,
     taken as logs: alpha beta_i plus incomplete._log_imgf's log of the upper
-    tail on the series the caller resolved, whose lower tail at s = 0 gives
+    tail of the law the caller looked up, whose lower tail at s = 0 gives
     F_b(alpha).
     At high orders beta^k / k! underflows where T_k overflows, so their
     logs are added before the exponential; AccuracyError is raised where
@@ -181,7 +180,7 @@ def _outage_core(series: tuple, eve_mixture: GammaMixture, alpha: float,
     overflows; it has no cancellation guard of its own.
     """
     _check_threshold(alpha)
-    total = magnitude = math.exp(_log_imgf(series, 0.0, alpha, 0, False))
+    total = magnitude = math.exp(_log_imgf(law, 0.0, alpha, 0, False))
     rise = 0.0  # dO/dR / ln 2
     cache: dict[tuple[float, int], float] = {}  # log T_k
     for (c_i, omega_i, m_i) in eve_mixture.terms:
@@ -206,9 +205,9 @@ def _outage_core(series: tuple, eve_mixture: GammaMixture, alpha: float,
         for k in range(m_i):
             if (beta, k) not in cache:
                 if slope is None:
-                    cache[beta, k] = ab + _log_imgf(series, -beta, alpha, k, True)
+                    cache[beta, k] = ab + _log_imgf(law, -beta, alpha, k, True)
                 else:
-                    log_k, log_k1 = _log_imgf(series, -beta, alpha, k, True, pair=True)
+                    log_k, log_k1 = _log_imgf(law, -beta, alpha, k, True, pair=True)
                     cache[beta, k], cache[beta, k + 1] = ab + log_k, ab + log_k1
             t_k = _from_log(log_bk + cache[beta, k], "outage term of order {} overflows "
                             "at beta = {!r}, alpha = {!r}", k, beta, alpha)  # beta^k / k! T_k
@@ -220,7 +219,7 @@ def _outage_core(series: tuple, eve_mixture: GammaMixture, alpha: float,
             log_bk += log_beta - math.log(k + 1.0)
         if slope is not None:  # the top order m_i, whose coefficient is m_i a_(m_i - 1) = m_i
             if (beta, m_i) not in cache:
-                cache[beta, m_i] = ab + _log_imgf(series, -beta, alpha, m_i, True)
+                cache[beta, m_i] = ab + _log_imgf(law, -beta, alpha, m_i, True)
             log_t = log_bk + cache[beta, m_i]
             contrib_rise += m_i * (math.exp(log_t) if log_t < _LOG_FLOAT_MAX else math.inf)
         total += c_i * contrib
@@ -242,7 +241,7 @@ def opsc(scenario: SecrecyScenario) -> float:
     in R_S and in the eavesdropper SNR.
     """
     scale = 2.0 ** scenario.rate_rs
-    return _outage_core(_series(scenario.bob), scenario._eve_mixture, scale - 1.0, scale)
+    return _outage_core(_law(scenario.bob), scenario._eve_mixture, scale - 1.0, scale)
 
 
 def spsc(scenario: SecrecyScenario) -> float:
@@ -250,11 +249,12 @@ def spsc(scenario: SecrecyScenario) -> float:
     return opsc(replace(scenario, rate_rs=0.0))
 
 
-def _chernoff_threshold(bob: FadingModel, epsilon: float) -> float:
-    """SNR t with Pr{gamma_b <= t} >= (1 + epsilon) / 2, from the Chernoff
-    bound Pr{gamma_b > t} <= M_b(s) exp(-s t) at half the MGF pole, in logs."""
-    s = 0.5 * smallest_pole(bob)
-    return (_log_mgf(bob, s) + math.log(2.0 / (1.0 - epsilon))) / s
+def _chernoff_threshold(law: _Law, epsilon: float) -> float:
+    """SNR t with Pr{gamma_b <= t} >= (1 + epsilon) / 2 for the legitimate
+    link's law (fading._law), from the Chernoff bound Pr{gamma_b > t} <=
+    M_b(s) exp(-s t) at half the MGF pole, in logs."""
+    s = 0.5 * law.b
+    return (_log_mgf(law, s) + math.log(2.0 / (1.0 - epsilon))) / s
 
 
 def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
@@ -280,8 +280,8 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     A step below half the tolerance becomes a step of 0.9 tolerance across
     the crossing, which certifies it.
 
-    The eavesdropper mixture is the scenario's, the legitimate link's
-    series is resolved once per solve, and each rate is evaluated once.
+    The eavesdropper mixture is the scenario's, the legitimate link's law
+    is looked up once per solve, and each rate is evaluated once.
     The solve ends with an evaluated rate on each side of the crossing
     within _RATE_TOL / 2 + 8.9e-16 R of each other; the largest evaluated
     rate whose outage is within epsilon is returned, so the result never
@@ -290,16 +290,16 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
     epsilon, or after _RATE_ITERATIONS evaluations.
     """
     _check_epsilon(epsilon)
-    series = _series(scenario.bob)
+    law = _law(scenario.bob)
     mix = scenario._eve_mixture
     z_eps = math.log(-math.log1p(-epsilon))
 
     def width(rate: float) -> float:  # the bracket width the solve ends at
         return 0.5 * _RATE_TOL + 4.0 * _EPS * rate
 
-    if _outage_core(series, mix, 0.0, 1.0) > epsilon:
+    if _outage_core(law, mix, 0.0, 1.0) > epsilon:
         return 0.0
-    r_hi = math.log2(1.0 + _chernoff_threshold(scenario.bob, epsilon))
+    r_hi = math.log2(1.0 + _chernoff_threshold(law, epsilon))
     lo, hi, hi_evaluated = 0.0, r_hi, False
     rate, with_slope = 0.6 * r_hi, True
     u_g = g = curv = math.nan  # the last slope dz/du, where it was taken, and dz2/du2
@@ -307,9 +307,9 @@ def eps_outage_capacity(scenario: SecrecyScenario, epsilon: float) -> float:
         scale = 2.0 ** rate
         if with_slope:
             slope: list = []
-            o = _outage_core(series, mix, scale - 1.0, scale, slope)
+            o = _outage_core(law, mix, scale - 1.0, scale, slope)
         else:
-            o = _outage_core(series, mix, scale - 1.0, scale)
+            o = _outage_core(law, mix, scale - 1.0, scale)
         if o > epsilon:
             hi, hi_evaluated = rate, True
         elif rate == r_hi:
@@ -364,7 +364,7 @@ def outage_interference(desired: FadingModel, interference: FadingModel,
 def _interference_outage(desired: FadingModel, mix: GammaMixture, gamma_th: float) -> float:
     """outage_interference on the interferer's mixture (mixture_from_model,
     which checks it) and a checked threshold."""
-    return _outage_core(_series(desired), mix, gamma_th, gamma_th + 1.0)
+    return _outage_core(_law(desired), mix, gamma_th, gamma_th + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +376,8 @@ def solve_cutoff(channel: FadingModel) -> float:
 
         int_g0^inf (1/g0 - 1/g) f(g) dg = 1.
 
-    Over the mixture f = sum_n w_n Gamma(mu+n, rate c) of
-    fading._gamma_mixture, with y = c g0, the left side is
+    Over the mixture f = sum_n w_n Gamma(mu+n, rate c) of the law
+    (fading._Law), with y = c g0, the left side is
 
         sum_n w_n [Q(mu+n, y) / g0 - c Gamma(mu+n-1, y) / Gamma(mu+n)],
 
@@ -407,7 +407,7 @@ def solve_cutoff(channel: FadingModel) -> float:
     passes 1 (no root in (0, 1]), or after _CUTOFF_ITERATIONS evaluations;
     the kernel's and the density's DomainError and AccuracyError pass
     through."""
-    lam, m, mu, rate = _gamma_mixture(channel)
+    lam, m, mu, rate = _law(channel).mixture
     g0 = channel.mean_snr / (1.0 + channel.mean_snr)
     for _ in range(_CUTOFF_ITERATIONS):
         y = rate * g0
@@ -473,7 +473,7 @@ def capacity_side_info(scenario: CapacityScenario) -> float:
         Psi = M_u(-x/g0, g0) - (1/g0) dM_u/ds |_(s=-x/g0, z=g0),
 
     which is (1/ln 2) int_g0^inf ln(g/g0) f(g) dg.  Over the mixture
-    f = sum_n w_n Gamma(mu+n, rate c) of fading._gamma_mixture, with
+    f = sum_n w_n Gamma(mu+n, rate c) of the law (fading._Law), with
     y = c g0 and J(p, y) = int_y^inf Q(p, t) / t dt, the recurrence
     J(p+1, y) = J(p, y) + Q(p, y) / p turns it into
 
@@ -482,7 +482,7 @@ def capacity_side_info(scenario: CapacityScenario) -> float:
     S_j = sum_{n>j} w_n the weights' survival function: one gamma-mixture
     kernel sum (survival weights, order mu+1, k = -1) plus the base J(mu, y).
     Agrees with the direct log-quadrature route (capacity_direct)."""
-    lam, m, mu, rate = _gamma_mixture(scenario.channel)
+    lam, m, mu, rate = _law(scenario.channel).mixture
     y = rate * _cutoff(scenario)
     series = _log_mixture_sum(lam, m, mu + 1.0, -1, 0.0, y, True, survival=True)
     return (_capacity_base(mu, y) + math.exp(series)) / math.log(2.0)
@@ -522,7 +522,7 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     neither is a difference of two nearly equal numbers.  Result lies in
     [0, 0.2].
     """
-    series = _series(channel)
+    law = _law(channel)
     edges = list(scheme.thresholds) + [math.inf]
     num = 0.0
     den = 0.0
@@ -531,13 +531,13 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     for j, k in enumerate(scheme.bits_per_region):
         lo, hi = edges[j], edges[j + 1]
         s_j = -1.5 / (2.0 ** k - 1.0)
-        upper = not _imgf_once(values, series, 0.0, lo, False) < 0.5
+        upper = not _imgf_once(values, law, 0.0, lo, False) < 0.5
         # each increment is the tail at plus less the tail at minus
         plus, minus = (lo, hi) if upper else (hi, lo)
-        num += k * (_imgf_once(values, series, s_j, plus, upper)
-                    - _imgf_once(values, series, s_j, minus, upper))
-        den += k * (_imgf_once(values, series, 0.0, plus, upper)
-                    - _imgf_once(values, series, 0.0, minus, upper))
+        num += k * (_imgf_once(values, law, s_j, plus, upper)
+                    - _imgf_once(values, law, s_j, minus, upper))
+        den += k * (_imgf_once(values, law, 0.0, plus, upper)
+                    - _imgf_once(values, law, 0.0, minus, upper))
     if den <= 0.0:
         raise DomainError("no probability mass falls in any transmission region")
     val = 0.2 * num / den
@@ -546,10 +546,10 @@ def aber_adaptive(channel: FadingModel, scheme: AdaptiveModScheme) -> float:
     return min(max(val, 0.0), 0.2)
 
 
-def _imgf_once(values: dict, series: tuple, s: float, zeta: float, upper: bool) -> float:
-    """The upper (or lower) IMGF of a resolved series at (s <= 0, zeta),
+def _imgf_once(values: dict, law: _Law, s: float, zeta: float, upper: bool) -> float:
+    """The upper (or lower) IMGF of a law (fading._law) at (s <= 0, zeta),
     evaluated once per key of values and kept there."""
     key = s, zeta, upper
     if key not in values:
-        values[key] = math.exp(_log_imgf(series, s, zeta, 0, upper))
+        values[key] = math.exp(_log_imgf(law, s, zeta, 0, upper))
     return values[key]

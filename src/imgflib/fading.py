@@ -12,6 +12,7 @@ import cmath
 import functools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -68,6 +69,14 @@ def linear_to_db(x: float) -> float:
     if not x > 0:
         raise DomainError(f"only a positive value has a dB value, got {x}")
     return 10.0 * math.log10(x)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int where it equals one (2.0 is 2), or DomainError naming
+    it: 2.9, NaN, inf and a bool fail."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _eta_mu(eta, mu):
@@ -219,7 +228,7 @@ def mrc_combine(model: FadingModel, n_branches: int) -> FadingModel:
     The family is closed under summation of i.i.d. members: mu and m scale
     with the branch count, as does the mean SNR.
     """
-    if n_branches < 1:
+    if _integer(n_branches, "n_branches") < 1:
         raise DomainError("need at least one branch")
     if n_branches == 1:
         return model
@@ -229,79 +238,74 @@ def mrc_combine(model: FadingModel, n_branches: int) -> FadingModel:
                                          n_branches * c.mean_snr)
 
 
+# The law of a model, resolved once (_law): its canonical (kappa, mu, m,
+# mean_snr), its LOS-free decay rate a and MGF pole b, and its density as the
+# gamma-mixture kernel's (lam, m, mu, c), weights (specfun._log_mixture_sum's
+# lam, m, mu) over the laws Gamma(mu+n, rate c).
+#
+# When kappa > 0, m is finite and N = m - mu is an exact integer in
+# [0, _BINOMIAL_TRIALS), the MGF ((a-s)/a)^N (b/(b-s))^m is
+# (b/(b-s))^mu (1 - p + p b/(b-s))^N, p = kappa mu/(kappa mu + m): the
+# N + 1 laws Gamma(mu+n, rate b) with Binomial(N, p) weights
+# (Lopez-Martinez, Paris and Romero-Jerez, "The kappa-mu shadowed fading
+# model with integer fading parameters", IEEE TVT 2017), passed as lam =
+# specfun._Trials(N, kappa mu/m) and m = None: from the odds p/(1-p) =
+# kappa mu/m the kernel forms p and 1 - p without cancellation.
+# Otherwise negative binomial (finite m), Poisson (m = inf) or unit-mass
+# (kappa = 0) weights with mean kappa mu over Gamma(mu+n, rate a).
+# The finite form converges for s < b only; a lower tail at b <= s < a
+# takes the series at rate a.
+_Law = namedtuple("_Law", "kappa mu m mean_snr a b mixture")
+
+
 @functools.lru_cache(maxsize=256)
-def _canonical_params(model: FadingModel):
-    """(kappa, mu, m, mean_snr, a, b) of the canonical form, computed once per
-    (frozen, hashable) model; DomainError unless the rates a and b are
-    positive and finite doubles (a subnormal mean SNR makes a infinite)."""
+def _law(model: FadingModel) -> _Law:
+    """The model's _Law, resolved once per (frozen, hashable) model;
+    DomainError unless the rates a and b are positive and finite doubles (a
+    subnormal mean SNR makes a infinite)."""
     c = canonicalize(model)
     kappa, mu, m, gbar = c.kappa, c.mu, c.m, c.mean_snr
     a = mu * (1.0 + kappa) / gbar
-    if kappa == 0.0 or math.isinf(m):
-        b = a  # gamma and unshadowed laws: the pole is the decay rate
-    else:
-        b = a * m / (mu * kappa + m)
+    # gamma and unshadowed laws: the pole is the decay rate
+    b = a if kappa == 0.0 or math.isinf(m) else a * m / (mu * kappa + m)
     if not (0 < a < math.inf and 0 < b < math.inf):  # a NaN fails it too
         raise DomainError(f"{model.kind.value} model with canonical kappa={kappa}, mu={mu}, "
                           f"m={m}, mean_snr={gbar} has rates a={a}, b={b}; both must be "
                           f"positive and finite")
-    return kappa, mu, m, gbar, a, b
-
-
-@functools.lru_cache(maxsize=256)
-def _gamma_mixture(model: FadingModel) -> tuple:
-    """(lam, m, mu, c): the density as the gamma-mixture kernel's weights
-    (specfun._log_mixture_sum's lam, m, mu) over the laws Gamma(mu+n, rate c).
-
-    When kappa > 0, m is finite and N = m - mu is an exact integer in
-    [0, _BINOMIAL_TRIALS), the MGF ((a-s)/a)^N (b/(b-s))^m is
-    (b/(b-s))^mu (1 - p + p b/(b-s))^N, p = kappa mu/(kappa mu + m): the
-    N + 1 laws Gamma(mu+n, rate b) with Binomial(N, p) weights
-    (Lopez-Martinez, Paris and Romero-Jerez, "The kappa-mu shadowed fading
-    model with integer fading parameters", IEEE TVT 2017), passed as lam =
-    specfun._Trials(N, kappa mu/m) and m = None: from the odds p/(1-p) =
-    kappa mu/m the kernel forms p and 1 - p without cancellation.
-    Otherwise negative binomial (finite m), Poisson (m = inf) or unit-mass
-    (kappa = 0) weights with mean kappa mu over Gamma(mu+n, rate a).
-    The finite form converges for s < b only; a lower tail at b <= s < a
-    takes the series at rate a."""
-    return _mixture(*_canonical_params(model))
-
-
-def _mixture(kappa, mu, m, gbar, a, b) -> tuple:
-    """_gamma_mixture from the canonical parameters (_canonical_params)."""
     trials = m - mu
     if kappa > 0.0 and 0.0 <= trials < _BINOMIAL_TRIALS and float(trials).is_integer():
-        return _Trials(int(trials), kappa * mu / m), None, mu, b
-    return kappa * mu, m, mu, a
+        mixture = _Trials(int(trials), kappa * mu / m), None, mu, b
+    else:
+        mixture = kappa * mu, m, mu, a
+    return _Law(kappa, mu, m, gbar, a, b, mixture)
 
 
 def smallest_pole(model: FadingModel) -> float:
     """Smallest real singularity of the MGF; M(s) is finite for s < pole."""
-    return _canonical_params(model)[5]
+    return _law(model).b
 
 
 def mgf(model: FadingModel, s):
     """MGF E[exp(s * gamma)].  Real s must satisfy s < smallest_pole(model);
     complex, mpmath and complex-ndarray arguments are evaluated on the
     principal branch (an array elementwise, into an array)."""
+    law = _law(model)
     if isinstance(s, np.ndarray) and s.dtype.kind == "c":
-        return np.exp(_log_mgf(model, s, np.log))
+        return np.exp(_log_mgf(law, s, np.log))
     if isinstance(s, complex):
-        return cmath.exp(_log_mgf(model, s, cmath.log))
+        return cmath.exp(_log_mgf(law, s, cmath.log))
     if type(s).__module__.split(".")[0] == "mpmath":
         from mpmath import mp
-        return mp.exp(_log_mgf(model, s, mp.log))
+        return mp.exp(_log_mgf(law, s, mp.log))
     s = float(s)
-    return _from_log(_log_mgf(model, s), "MGF overflows at s={}, below the pole {}",
-                     s, smallest_pole(model))
+    return _from_log(_log_mgf(law, s), "MGF overflows at s={}, below the pole {}", s, law.b)
 
 
-def _log_mgf(model: FadingModel, s, log=math.log):
-    """log M(s), with the principal-branch log of s's type; a real s must lie
-    below the MGF pole b (DomainError otherwise, NaN too), and its log is
-    finite also where M(s) itself overflows a float."""
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
+def _log_mgf(law: _Law, s, log=math.log):
+    """log M(s) of a law (_law), with the principal-branch log of s's type;
+    a real s must lie below the MGF pole b (DomainError otherwise, NaN too),
+    and its log is finite also where M(s) itself overflows a float."""
+    kappa, mu, m, gbar, a, b, _ = law
     if log is math.log:
         if not s < b:
             raise DomainError(f"MGF pole: s={s} >= {b}")
@@ -341,7 +345,7 @@ def pdf(model: FadingModel, x: float) -> float:
         raise DomainError(f"SNR support is [0, inf), got x={x}")
     if x == math.inf:
         return 0.0
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
+    kappa, mu, m, gbar, a, b, _ = _law(model)
     if x == 0.0:
         if mu < 1.0:
             return math.inf
@@ -390,10 +394,10 @@ def cdf(model: FadingModel, x: float) -> float:
 
 def cdf_grid(model: FadingModel, xs) -> np.ndarray:
     """Vectorized CDF over an array of points (relative accuracy ~1e-12):
-    one batched gamma-mixture sum over the model's mixture at its rate c
-    (_gamma_mixture), sum_n w_n P(mu+n, c x), per chunk of 2^15 points,
-    which bounds the memory a million-point Kolmogorov-Smirnov check takes."""
-    lam, m, mu, rate = _gamma_mixture(model)
+    one batched gamma-mixture sum over the law's mixture at its rate c
+    (_Law), sum_n w_n P(mu+n, c x), per chunk of 2^15 points, which bounds
+    the memory a million-point Kolmogorov-Smirnov check takes."""
+    lam, m, mu, rate = _law(model).mixture
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs >= 0):
         raise DomainError("SNR support is [0, inf)")
@@ -414,9 +418,10 @@ def sample(model: FadingModel, seed, n: int) -> np.ndarray:
     2*mu degrees of freedom.  `seed` may be an int, a SeedSequence or a
     Generator (callers doing sharded Monte Carlo pass spawned SeedSequences).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise DomainError("need n >= 1 draws")
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
+    kappa, mu, m, gbar = _law(model)[:4]
     if isinstance(seed, np.random.Generator):
         gen = seed
     else:
@@ -437,11 +442,18 @@ def sample(model: FadingModel, seed, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _config_number(value, field: str, kind: type = float):
-    """kind(value) for a configuration field, or DomainError naming the field."""
+    """A configuration field's number as a float, or as an int (kind=int: an
+    int as it is, another number by _integer), or DomainError naming the
+    field; a bool is not a number."""
     try:
-        return kind(value)
+        if type(value) is bool:  # bool has no subclasses
+            raise TypeError("a bool is not a number")
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"field {field!r} must be a number, got {value!r}") from exc
+    if kind is float:
+        return number
+    return value if isinstance(value, int) else _integer(number, f"field {field!r}")
 
 
 _JSON_KEYS = frozenset({"kind", "mean_snr_db", "mean_snr", *_FIELDS})

@@ -4,20 +4,20 @@ Every canonical density is a gamma-scale mixture sum_n w_n Gamma(mu + n, 1/c)
 with negative binomial (finite m), Poisson (m = inf) or single-term
 (kappa = 0) weights at the LOS-free decay rate c = a, or, when m - mu is a
 small nonnegative integer N, the N + 1 terms with binomial weights at the
-MGF pole c = b (fading._gamma_mixture).  Each lower or upper IMGF and each
-s-derivative is therefore one positive series of regularized incomplete
-gammas,
+MGF pole c = b: the mixture of the model's law (fading._Law).  Each lower
+or upper IMGF and each s-derivative is therefore one positive series of
+regularized incomplete gammas,
 
     sum_n w_n (mu+n)_k (c/(c-s))^(mu+n) R(mu+n+k, (c-s) zeta),   R = P or Q,
 
 which specfun._log_mixture_sum sums in log space, outward from its peak or,
 for binomial weights, over their whole support; no tail is formed as a
 difference, so deep tails keep full relative accuracy.
-_log_imgf maps a model's resolved series (_series: its rates and mixtures,
-looked up once) and (s, zeta, k, tail) to one kernel call, and holds the
-rules for the endpoints zeta = 0 and zeta = inf.  imgf_lower, imgf_upper
-and imgf_deriv_s resolve the series per call and exponentiate the result,
-AccuracyError past the double range; the metrics in apps resolve it once
+_log_imgf maps a model's law (fading._law: its rates and mixture, resolved
+once) and (s, zeta, k, tail) to one kernel call, and holds the rules for
+the endpoints zeta = 0 and zeta = inf.  imgf_lower, imgf_upper and
+imgf_deriv_s look the law up per call and exponentiate the result,
+AccuracyError past the double range; the metrics in apps look it up once
 per metric call and sum through _log_imgf directly.
 
 A generic numerical route through the inverse Laplace transform of
@@ -27,7 +27,6 @@ independent cross-check of the closed forms.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from scipy import integrate
 
 from .errors import DomainError
 from . import laplace
-from .fading import FadingModel, pdf, _canonical_params, _from_log, _log_mgf, _mixture
+from .fading import FadingModel, _Law, _from_log, _integer, _law, _log_mgf, pdf
 from .fading import mgf  # noqa: F401  unused; perfbench/trace.py hooks incomplete.mgf
 from .specfun import (
     marcum_p,  # noqa: F401  unused; perfbench/trace.py hooks incomplete.marcum_p
@@ -56,26 +55,13 @@ MAX_DERIV_ORDER = 12
 _OVERFLOW = "IMGF overflows at s={}, zeta={}"
 
 
-@functools.lru_cache(maxsize=256)
-def _series(model: FadingModel) -> tuple:
-    """(model, a, b, the mixture at its rate c, the mixture at rate a): the
-    model, its LOS-free decay rate a and MGF pole b (fading._canonical_params),
-    and the kernel's (lam, m, mu, rate) of fading._gamma_mixture and of the
-    series at rate a, which is the same law where the finite form at rate
-    b diverges; resolved once per public evaluation or metric call, and
-    passed to _log_imgf."""
-    params = _canonical_params(model)
-    kappa, mu, m, gbar, a, b = params
-    return model, a, b, _mixture(*params), (kappa * mu, m, mu, a)
-
-
-def _log_imgf(series: tuple, s: float, zeta: float, k: int, upper: bool,
+def _log_imgf(law: _Law, s: float, zeta: float, k: int, upper: bool,
               pair: bool = False):
-    """log of the k-th s-derivative of the upper (or lower) IMGF of a
-    resolved series (_series) at zeta in [0, inf]: the module docstring's
-    series times (c-s)^-k, -inf where it underflows.  The endpoints: -inf
-    for the empty tail (lower at 0, upper at inf) at every real s; for the
-    whole transform (lower at inf, upper at 0) the closed-form log MGF
+    """log of the k-th s-derivative of the upper (or lower) IMGF of a law
+    (fading._law) at zeta in [0, inf]: the module docstring's series times
+    (c-s)^-k, -inf where it underflows.  The endpoints: -inf for the empty
+    tail (lower at 0, upper at inf) at every real s; for the whole
+    transform (lower at inf, upper at 0) the closed-form log MGF of the law
     (k = 0) or the upper series from 0 (k >= 1).  With pair=True the logs
     at orders k and k+1, from one kernel walk at a positive finite zeta
     (from two evaluations at the endpoints).  The upper series converges
@@ -84,19 +70,19 @@ def _log_imgf(series: tuple, s: float, zeta: float, k: int, upper: bool,
     lower tail at b <= s < a, where the finite form at rate b diverges,
     takes rate a.  s and zeta are not checked for NaN here (_log_tail)."""
     if pair and not 0.0 < zeta < math.inf:
-        return _log_imgf(series, s, zeta, k, upper), _log_imgf(series, s, zeta, k + 1, upper)
-    model, a, b, mixture, at_a = series
+        return _log_imgf(law, s, zeta, k, upper), _log_imgf(law, s, zeta, k + 1, upper)
     if zeta == (math.inf if upper else 0.0):
         return -math.inf
     if zeta == (0.0 if upper else math.inf):
         if k == 0:
-            return _log_mgf(model, s)
+            return _log_mgf(law, s)
         zeta, upper = 0.0, True
+    kappa, mu, m, _, a, b, mixture = law
     limit = b if upper else a
     if not -math.inf < s < limit:
         raise DomainError(f"{'upper' if upper else 'lower'} IMGF series requires "
                           f"-inf < s < {limit}, got s={s}")
-    lam, shape, mu, rate = mixture if s < mixture[3] else at_a
+    lam, shape, mu, rate = mixture if s < mixture[3] else (kappa * mu, m, mu, a)
     log_r, x, log_c = -math.log1p(-s / rate), (rate - s) * zeta, math.log(rate - s)
     if pair:
         log_k, log_k1 = _log_mixture_sum(lam, shape, mu, k, log_r, x, upper, pair=True)
@@ -107,13 +93,13 @@ def _log_imgf(series: tuple, s: float, zeta: float, k: int, upper: bool,
 def _log_tail(model: FadingModel, s: float, zeta: float, k: int, upper: bool) -> float:
     """_log_imgf of a model, for the public entry points: DomainError for a
     NaN s and a NaN or negative zeta; the empty tail is -inf before the
-    model's series is resolved, so it holds for a model whose rates leave
-    the double range too."""
+    model's law is looked up, so it holds for a model whose rates leave the
+    double range too."""
     if math.isnan(s) or not zeta >= 0.0:
         raise DomainError(f"IMGF needs a number s and zeta >= 0, got s={s}, zeta={zeta}")
     if zeta == (math.inf if upper else 0.0):
         return -math.inf
-    return _log_imgf(_series(model), s, zeta, k, upper)
+    return _log_imgf(_law(model), s, zeta, k, upper)
 
 
 def imgf_lower(model: FadingModel, s: float, zeta: float) -> float:
@@ -149,15 +135,18 @@ def imgf_upper(model: FadingModel, s: float, zeta: float) -> float:
     return _from_log(_log_tail(model, s, zeta, 0, True), _OVERFLOW, s, zeta)
 
 
-def _check_deriv_args(zeta: float, k: int, tail: str) -> None:
-    """DomainError unless 0 <= k <= MAX_DERIV_ORDER, tail is 'lower' or
-    'upper' and zeta >= 0: imgf_deriv_s's domain apart from s."""
+def _check_deriv_args(zeta: float, k: int, tail: str) -> int:
+    """k as an int, or DomainError unless k is an integer in [0,
+    MAX_DERIV_ORDER], tail is 'lower' or 'upper' and zeta >= 0:
+    imgf_deriv_s's domain apart from s."""
+    k = _integer(k, "derivative order")
     if not 0 <= k <= MAX_DERIV_ORDER:
         raise DomainError(f"derivative order must be in [0, {MAX_DERIV_ORDER}], got {k}")
     if tail not in ("lower", "upper"):
         raise DomainError(f"tail must be 'lower' or 'upper', got {tail!r}")
     if not zeta >= 0:
         raise DomainError("zeta must be nonnegative")
+    return k
 
 
 def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
@@ -171,7 +160,7 @@ def imgf_deriv_s(model: FadingModel, s: float, zeta: float, k: int,
     full transform (lower tail at zeta = inf); DomainError outside.  The
     empty tails (lower at zeta = 0, upper at zeta = inf) are 0 for every s.
     """
-    _check_deriv_args(zeta, k, tail)
+    k = _check_deriv_args(zeta, k, tail)
     return _from_log(_log_tail(model, s, zeta, k, tail == "upper"), _OVERFLOW, s, zeta)
 
 
@@ -187,8 +176,7 @@ def _deriv_log_scaled(model: FadingModel, s: float, zeta: float, k: int,
         return -s * zeta + _log_tail(model, s, zeta, k, True)
     if not 0.0 < zeta < math.inf:
         return tuple(_deriv_log_scaled(model, s, zeta, j) for j in (k, k + 1))
-    return tuple(-s * zeta + v for v in _log_imgf(_series(model), s, zeta, k, True,
-                                                  pair=True))
+    return tuple(-s * zeta + v for v in _log_imgf(_law(model), s, zeta, k, True, pair=True))
 
 
 def imgf_generic(mgf_image: laplace.LaplaceImage, s: float, zeta: float,

@@ -19,7 +19,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
-from .fading import FadingModel, _canonical_params, canonicalize
+from .fading import FadingModel, _law
+from .fading import canonicalize  # noqa: F401  unused; perfbench/trace.py hooks it here
 
 __all__ = ["GammaMixture", "mixture_params", "mixture_from_model", "mixture_cdf"]
 
@@ -126,21 +127,17 @@ def mixture_params(kappa: float, mu: int, m: int, mean_snr: float) -> GammaMixtu
 def mixture_from_model(model: FadingModel) -> GammaMixture:
     """Mixture for a model whose canonical form has integer (mu, m), or is a
     gamma law (kappa = 0, integer mu; m then irrelevant).  Built once per
-    (frozen, hashable) model; the mixture is immutable, so sharing it is safe.
-    DomainError also where the law's rates are not positive finite doubles
-    (fading._canonical_params), as for a subnormal mean SNR."""
-    _canonical_params(model)
-    c = canonicalize(model)
+    (frozen, hashable) model from its law's canonical fields (fading._law);
+    the mixture is immutable, so sharing it is safe.  DomainError also where
+    the law's rates are not positive finite doubles, as for a subnormal mean
+    SNR."""
+    c = _law(model)
     if c.kappa == 0.0:
         if c.mu != int(c.mu):
-            raise DomainError(
-                f"gamma-law mixture requires integer mu, got mu={c.mu}"
-            )
+            raise DomainError(f"gamma-law mixture requires integer mu, got mu={c.mu}")
         return mixture_params(0.0, int(c.mu), 1, c.mean_snr)
     if math.isinf(c.m) or c.m != int(c.m) or c.mu != int(c.mu):
-        raise DomainError(
-            f"mixture form requires integer mu and m, got mu={c.mu}, m={c.m}"
-        )
+        raise DomainError(f"mixture form requires integer mu and m, got mu={c.mu}, m={c.m}")
     return mixture_params(c.kappa, int(c.mu), int(c.m), c.mean_snr)
 
 

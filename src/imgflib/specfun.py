@@ -61,9 +61,9 @@ _SERIES_TOL = 1e-16     # Kummer and Phi2 series' geometric tail bounds, relativ
 _HYP1F1_TOL = 1e-17     # large-argument Kummer sum's geometric tail bound, relative
 _MAX_TERMS = 100_000    # term cap of every series; past it AccuracyError
 # the cap on the integer n = m - mu of the finite forms, 1F1(mu + n; mu; z) as
-# n + 1 terms (_log_kummer_finite) and fading._gamma_mixture's binomial
-# mixture: a walk of this many terms costs about what the series' fixed work
-# (peak search, tail bounds) does
+# n + 1 terms (_log_kummer_finite) and fading._Law's binomial mixture: a
+# walk of this many terms costs about what the series' fixed work (peak
+# search, tail bounds) does
 _BINOMIAL_TRIALS = 64
 _LN2 = math.log(2.0)
 _PHI2_FIRST = 64        # the Phi2 series' first window, from n = 0 ...
@@ -907,8 +907,8 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     odds), and a unit mass at n = 0 when lam = 0 (or N = 0); survival=True
     sums their survival function S_n = sum_{j>n} w_j in their place.  The
     densities of the family are gamma-scale mixtures with these weights at a
-    rate c (fading._gamma_mixture), so with r = c/(c-s) and x = (c-s) zeta
-    this one sum gives every incomplete MGF, its s-derivatives, the CDF, the
+    rate c (fading._Law), so with r = c/(c-s) and x = (c-s) zeta this
+    one sum gives every incomplete MGF, its s-derivatives, the CDF, the
     Marcum functions and (at k = -1, upper tail only, where (mu+n)_-1
     Q(mu+n-1, x) = Gamma(mu+n-1, x) / Gamma(mu+n) also for mu+n-1 <= 0) the
     capacity sums.  Vectorised over x, which must be positive for the lower

@@ -22,7 +22,7 @@ from imgflib.apps import (
     solve_cutoff,
     spsc,
 )
-from imgflib import apps, cli, incomplete
+from imgflib import apps, cli, fading, incomplete, mixture
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel, Kind, cdf, db_to_linear, mgf, model_from_json, pdf
 from imgflib.mixture import mixture_cdf, mixture_from_model
@@ -287,7 +287,7 @@ class TestEpsOutageCapacity:
         # the whole-transform term of the kernel route, taken in closed form
         bob = ONE_MODEL_PER_KIND[kind](db_to_linear(10.0))
         omega_e = db_to_linear(-3.0)
-        kernel_route = math.exp(incomplete._log_imgf(incomplete._series(bob), -1.0 / omega_e,
+        kernel_route = math.exp(incomplete._log_imgf(fading._law(bob), -1.0 / omega_e,
                                                      0.0, 0, True))
 
         def no_kernel(*args, **kwargs):
@@ -307,7 +307,7 @@ class TestEpsOutageCapacity:
         omega_e = db_to_linear(-3.0)
         beta = 3.0 / omega_e
         kernel_route = sum(beta ** k / math.factorial(k)
-                           * math.exp(incomplete._log_imgf(incomplete._series(bob), -beta,
+                           * math.exp(incomplete._log_imgf(fading._law(bob), -beta,
                                                            0.0, k, True))
                            for k in range(3))
         kernel_calls.clear()
@@ -322,7 +322,7 @@ class TestEpsOutageCapacity:
         # the bracket's premise: the outage at log2(1 + t) is at least
         # F_b(t) >= (1 + epsilon) / 2 > epsilon
         bob = ONE_MODEL_PER_KIND[kind](db_to_linear(mean_db))
-        t_hi = apps._chernoff_threshold(bob, epsilon)
+        t_hi = apps._chernoff_threshold(fading._law(bob), epsilon)
         assert cdf(bob, t_hi) >= (1.0 + epsilon) / 2.0
 
     def test_presets_evaluate_no_threshold_past_the_bracket(self, monkeypatch):
@@ -337,7 +337,7 @@ class TestEpsOutageCapacity:
         for bob, eve, eps in preset_eps_points(("fig6", "fig7", "fig8")):
             alphas.clear()
             eps_outage_capacity(SecrecyScenario(bob=bob, eve=eve), eps)
-            t_hi = apps._chernoff_threshold(bob, eps)
+            t_hi = apps._chernoff_threshold(fading._law(bob), eps)
             # 2^R - 1 at R = log2(1 + t_hi) may round a few ulps above t_hi
             assert max(alphas) <= t_hi * (1.0 + 1e-12)
 
@@ -452,10 +452,10 @@ class TestOutageSlope:
         model, eve_pdf = self.EVES[eve]
         mix, scale = mixture_from_model(model), 2.0 ** rs
         slope = []
-        series = incomplete._series(bob)
-        value = apps._outage_core(series, mix, scale - 1.0, scale, slope)
+        law = fading._law(bob)
+        value = apps._outage_core(law, mix, scale - 1.0, scale, slope)
         # the outage from the paired kernel walks, against the single ones
-        assert value == pytest.approx(apps._outage_core(series, mix, scale - 1.0, scale),
+        assert value == pytest.approx(apps._outage_core(law, mix, scale - 1.0, scale),
                                       rel=1e-12)
         ref = secrecy_outage_slope(bob, eve_pdf, model.mean_snr, rs)
         assert slope == [pytest.approx(ref, rel=1e-8)]
@@ -552,13 +552,13 @@ class TestNanIsAccuracyError:
         # NaN at every rate inside the Chernoff bracket: no rate within
         # epsilon was evaluated, which was a bare ValueError.  The NaNs are
         # the upper-tail terms T_k, single and paired
-        t = apps._chernoff_threshold(self.SC.bob, 0.5)
+        t = apps._chernoff_threshold(fading._law(self.SC.bob), 0.5)
         real = apps._log_imgf
 
-        def nan_terms(series, s, zeta, k, upper, pair=False):
+        def nan_terms(law, s, zeta, k, upper, pair=False):
             if upper and zeta < 0.99 * t:
                 return (math.nan, math.nan) if pair else math.nan
-            return real(series, s, zeta, k, upper, pair)
+            return real(law, s, zeta, k, upper, pair)
 
         monkeypatch.setattr(apps, "_log_imgf", nan_terms)
         with pytest.raises(AccuracyError):
@@ -568,8 +568,8 @@ class TestNanIsAccuracyError:
         # the BER numerator's lower IMGFs (s < 0) are NaN
         real = apps._log_imgf
         monkeypatch.setattr(apps, "_log_imgf",
-                            lambda series, s, z, k, upper: (math.nan if s and not upper
-                                                            else real(series, s, z, k, upper)))
+                            lambda law, s, z, k, upper: (math.nan if s and not upper
+                                                         else real(law, s, z, k, upper)))
         scheme = AdaptiveModScheme(thresholds=(0.0, 5.0), bits_per_region=(2, 4))
         with pytest.raises(AccuracyError):
             aber_adaptive(FadingModel.rayleigh(10.0), scheme)
@@ -657,7 +657,7 @@ class TestPublicEntryIdentity:
     def test_outage(self, bob, eve, alpha, with_slope):
         model, mix = WEIGHTS_FAMILIES[bob], mixture_from_model(EAVESDROPPERS[eve])
         slope = [] if with_slope else None
-        value = apps._outage_core(incomplete._series(model), mix, alpha, alpha + 1.0, slope)
+        value = apps._outage_core(fading._law(model), mix, alpha, alpha + 1.0, slope)
         ref_value, ref_slope = outage_by_public_entries(model, mix, alpha, alpha + 1.0,
                                                         with_slope)
         assert value == ref_value
@@ -678,14 +678,45 @@ class TestPublicEntryIdentity:
         assert aber_adaptive(model, scheme) == aber_by_public_entries(model, scheme)
 
 
-class TestSeriesResolvedOnce:
-    """A metric call resolves the legitimate link's series once and reaches
-    the kernel without the public IMGF entry points."""
+class TestIntegralFloats:
+    """An integer argument takes a float equal to an integer as that integer
+    (a fraction is a DomainError, tests/test_error_texts.py)."""
+
+    def test_eve_antennas(self):
+        bob, eve = FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 100.0), FadingModel.rayleigh(2.0)
+        assert (opsc(SecrecyScenario(bob=bob, eve=eve, rate_rs=1.0, n_eve_antennas=2.0))
+                == opsc(SecrecyScenario(bob=bob, eve=eve, rate_rs=1.0, n_eve_antennas=2)))
+
+    def test_mrc_branches(self):
+        model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 10.0)
+        assert fading.mrc_combine(model, 3.0) == fading.mrc_combine(model, np.int64(3))
+        assert fading.mrc_combine(model, 3.0) == fading.mrc_combine(model, 3)
+
+    def test_bits_per_region(self):
+        scheme = AdaptiveModScheme(thresholds=(1.0, 5.0), bits_per_region=(2.0, np.int64(4)))
+        assert scheme.bits_per_region == (2, 4)
+        assert all(type(b) is int for b in scheme.bits_per_region)
+
+    def test_draws(self):
+        model = FadingModel.rician(3.0, 2.0)
+        assert np.array_equal(fading.sample(model, 7, 5.0), fading.sample(model, 7, 5))
+
+    def test_deriv_order(self):
+        model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 10.0)
+        assert (incomplete.imgf_deriv_s(model, -0.5, 3.0, 2.0, "upper")
+                == incomplete.imgf_deriv_s(model, -0.5, 3.0, 2, "upper"))
+
+
+class TestLawResolvedOnce:
+    """A metric call looks the legitimate link's law up once (fading._law,
+    counted through every module's name for it) and reaches the kernel
+    without the public IMGF entry points; the closed-form MGF and the
+    Chernoff threshold read the law it looked up."""
 
     @pytest.fixture
     def resolutions(self, monkeypatch) -> list:
         calls = []
-        real = incomplete._series
+        real = fading._law
 
         def counting(model):
             calls.append(model)
@@ -694,12 +725,26 @@ class TestSeriesResolvedOnce:
         def public_entry(*args, **kwargs):
             raise AssertionError("public IMGF entry point called")
 
-        for module in (apps, incomplete):
-            monkeypatch.setattr(module, "_series", counting)
+        for module in (fading, incomplete, apps, mixture):
+            monkeypatch.setattr(module, "_law", counting)
         for name in ("imgf_lower", "imgf_upper", "_deriv_log_scaled"):
             monkeypatch.setattr(apps, name, public_entry)
         monkeypatch.setattr(incomplete, "_log_tail", public_entry)
         return calls
+
+    @pytest.fixture
+    def mgf_laws(self, monkeypatch) -> list:
+        """The law of every closed-form log MGF the metrics take."""
+        laws = []
+        real = fading._log_mgf
+
+        def recording(law, s, log=math.log):
+            laws.append(law)
+            return real(law, s, log)
+
+        for module in (incomplete, apps):
+            monkeypatch.setattr(module, "_log_mgf", recording)
+        return laws
 
     SC = SecrecyScenario(bob=FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.5, 100.0),
                          eve=FadingModel.nakagami(3.0, 0.1), rate_rs=1.0)
@@ -708,10 +753,20 @@ class TestSeriesResolvedOnce:
         opsc(self.SC)
         assert resolutions == [self.SC.bob]
 
-    def test_eps_outage_capacity(self, resolutions, monkeypatch):
+    def test_eps_outage_capacity(self, resolutions, mgf_laws, monkeypatch):
+        # the zero-rate outage takes the closed-form MGF, and the Chernoff
+        # threshold the MGF at half the pole
         outages = record_outages(monkeypatch)
         assert eps_outage_capacity(self.SC, 0.1) > 0.0
         assert len(outages) > 2 and resolutions == [self.SC.bob]
+        assert len(mgf_laws) == 2 and mgf_laws == [fading._law(self.SC.bob)] * 2
+
+    def test_outage_interference(self, resolutions):
+        desired, interferer = self.SC.bob, FadingModel.nakagami(2.0, 0.5)
+        mixture_from_model(interferer)  # the interferer's own law is looked up on a miss
+        resolutions.clear()
+        outage_interference(desired, interferer, 1.5)
+        assert resolutions == [desired]
 
     def test_aber_adaptive(self, resolutions, kernel_calls):
         channel = FadingModel.kappa_mu_shadowed(1.5, 2.0, 2.0, 10.0)
@@ -986,9 +1041,7 @@ class TestCapacity:
         # m - mu = 1 as an int reaches the finite form's integer test, which
         # must not need int.is_integer (Python 3.12 and later only); the caches
         # are cleared so the int model's own fields are used
-        from imgflib import fading
-        fading._canonical_params.cache_clear()
-        fading._gamma_mixture.cache_clear()
+        fading._law.cache_clear()
         ints = FadingModel.kappa_mu_shadowed(2, 2, 3, 1)
         g0 = solve_cutoff(ints)
         assert [pdf(ints, x) for x in (0.1, 1.0, 7.0)] == [

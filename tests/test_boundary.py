@@ -25,7 +25,7 @@ from imgflib import (AccuracyError, AdaptiveModScheme, CapacityScenario, DomainE
                      outage_interference, pdf, quad_imgf, smallest_pole)
 from imgflib.apps import _check_threshold, _outage_core
 from imgflib.cli import EXIT_CONFIG, main
-from imgflib.fading import _KINDS
+from imgflib.fading import _KINDS, _law, mrc_combine, sample
 
 NAN, INF = math.nan, math.inf
 NON_FINITE = {"nan": NAN, "+inf": INF, "-inf": -INF}
@@ -111,12 +111,18 @@ def _scenario_cases():
         ("eps_outage_capacity.epsilon", lambda x: eps_outage_capacity(sc, x), {}),
         ("outage_interference.gamma_th", lambda x: outage_interference(RAY, NAK2, x), {}),
         ("check_threshold", _check_threshold, {}),
-        ("outage_core.alpha", lambda x: _outage_core(RAY, mix, x, 1.0), {}),
+        ("outage_core.alpha", lambda x: _outage_core(_law(RAY), mix, x, 1.0), {}),
         ("CapacityScenario.cutoff_snr", lambda x: CapacityScenario(RAY, x), {}),
         ("AdaptiveModScheme.first", lambda x: AdaptiveModScheme((x, 5.0), (2, 4)), {}),
         ("AdaptiveModScheme.last", lambda x: AdaptiveModScheme((0.0, x), (2, 4)), {}),
         ("mc_aber.threshold",
          lambda x: mc_aber(RAY, AdaptiveModScheme((1.0, x), (2, 4)), MC), {}),
+        # the integer arguments: NaN and inf are no integers
+        ("SecrecyScenario.n_eve_antennas", lambda x: SecrecyScenario(RAY, NAK2, 0.0, x), {}),
+        ("AdaptiveModScheme.bits", lambda x: AdaptiveModScheme((0.0, 5.0), (2, x)), {}),
+        ("mrc_combine.n_branches", lambda x: mrc_combine(RAY, x), {}),
+        ("sample.n", lambda x: sample(RAY, 1, x), {}),
+        ("imgf_deriv_s.k", lambda x: imgf_deriv_s(RAY, -0.5, 1.0, x), {}),
     ]
 
 

@@ -365,6 +365,25 @@ class TestSweep:
                                   "tail": "sideways"}, None),
         "deriv-order-13": ("imgf", {"model": KMS_0DB, "s": -0.5, "zeta": 1.0,
                                     "tail": "upper", "deriv_order": 13}, None),
+        # an integer field takes a float only where it equals an integer,
+        # and a number field no bool
+        "fractional-eve-antennas": ("opsc", {"bob": KMS_0DB, "eve": json.loads(EVE),
+                                             "n_eve_antennas": 2.9}, None),
+        "fractional-deriv-order": ("imgf", {"model": KMS_0DB, "s": -0.5, "zeta": 1.0,
+                                            "tail": "upper", "deriv_order": 1.9}, None),
+        "fractional-bits": ("aber", {"channel": KMS_0DB, "thresholds": [1.0, 5.0],
+                                     "bits_per_region": [1.5, 2.99]}, None),
+        "fractional-mc-samples": ("opsc", {"bob": KMS_0DB, "eve": json.loads(EVE)},
+                                  {"n_samples": 1000.7}),
+        "fractional-mc-seed": ("opsc", {"bob": KMS_0DB, "eve": json.loads(EVE)},
+                               {"n_samples": 1000, "seed": 3.9}),
+        "bool-deriv-order": ("imgf", {"model": KMS_0DB, "s": -0.5, "zeta": 1.0,
+                                      "tail": "upper", "deriv_order": True}, None),
+        "bool-threshold": ("op-interference", {"desired": KMS_0DB,
+                                               "interference": json.loads(EVE),
+                                               "gamma_th": True}, None),
+        "bool-model-field": ("opsc", {"bob": {**KMS_0DB, "m": True},
+                                      "eve": json.loads(EVE)}, None),
     }
 
     @pytest.mark.parametrize("case", BAD_SPECS)
@@ -380,6 +399,24 @@ class TestSweep:
         code, err = run_spec(spec, tmp_path, capsys)
         assert code == EXIT_CONFIG, err
         assert calls == []
+
+    @pytest.mark.parametrize("metric, fixed, field, integral", [
+        ("imgf", {"model": KMS_0DB, "s": -0.5, "zeta": 1.0, "tail": "upper"},
+         "deriv_order", 2.0),
+        ("opsc", {"bob": KMS_0DB, "eve": json.loads(EVE), "rate_rs": 0.5},
+         "n_eve_antennas", 2.0),
+        ("aber", {"channel": KMS_0DB, "thresholds": [1.0, 5.0]}, "bits_per_region",
+         [2.0, 4.0]),
+    ], ids=["deriv-order", "eve-antennas", "bits"])
+    def test_integral_float_is_the_integer(self, metric, fixed, field, integral):
+        # an integer field takes a float equal to an integer as that integer
+        def rows(value):
+            return run_sweep({"metric": metric, "fixed": {**fixed, field: value},
+                              "axis": {"field": f"{next(iter(fixed))}.mean_snr_db",
+                                       "start": 0, "stop": 5, "step": 5}})
+
+        as_int = [int(v) for v in integral] if isinstance(integral, list) else int(integral)
+        assert rows(integral) == rows(as_int)
 
     def test_bad_axis_point_is_named_before_any_evaluation(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -1,4 +1,5 @@
-"""The exact error of each rejected model, model JSON and scenario.
+"""The exact error of each rejected model, model JSON, configuration number
+and scenario.
 
 Each case is a call that fails more than one check where it can, so the
 expected text also pins which check comes first: a kind before the mean
@@ -12,10 +13,11 @@ import math
 
 import pytest
 
-from imgflib.apps import SecrecyScenario
+from imgflib.apps import AdaptiveModScheme, SecrecyScenario
 from imgflib.errors import DomainError
-from imgflib.fading import (FadingModel, Kind, _canonical_params, canonicalize,
-                            model_from_json, mrc_combine)
+from imgflib.fading import (FadingModel, Kind, _config_number, _law, canonicalize,
+                            model_from_json, mrc_combine, sample)
+from imgflib.incomplete import imgf_deriv_s
 
 RAY = FadingModel.rayleigh(1.0)
 TINY = 1e-310  # a subnormal mean SNR: the rate mu (1 + kappa) / mean is inf
@@ -87,6 +89,22 @@ JSON_CASES = {
                     "mean_snr must be positive and finite, got -1.0"),
     "foreign-field": ({"kind": "RAYLEIGH", "mean_snr": 2.0, "K": 1},
                       "parameter 'K' is not meaningful for rayleigh"),
+    "bool-field": ({"kind": "rician", "mean_snr_db": 1.0, "K": True},
+                   "field 'K' must be a number, got True"),
+}
+
+# a configuration field's number (cli's sweep specs): (value, field, kind)
+CONFIG_CASES = {
+    "bool": ((True, "gamma_th", float), "field 'gamma_th' must be a number, got True"),
+    "bool-int": ((False, "seed", int), "field 'seed' must be a number, got False"),
+    "text": (("two", "n_eve_antennas", int), "field 'n_eve_antennas' must be a number, got 'two'"),
+    "fraction": ((2.9, "n_eve_antennas", int),
+                 "field 'n_eve_antennas' must be an integer, got 2.9"),
+    "fraction-text": (("1.5", "bits_per_region", int),
+                      "field 'bits_per_region' must be an integer, got 1.5"),
+    "nan": ((math.nan, "deriv_order", int), "field 'deriv_order' must be an integer, got nan"),
+    "inf": ((math.inf, "validate.n_samples", int),
+            "field 'validate.n_samples' must be an integer, got inf"),
 }
 
 CANONICAL_CASES = {
@@ -127,6 +145,17 @@ SCENARIO_CASES = {
     "eve-mrc": (lambda: SecrecyScenario(bob=RAY, eve=FadingModel.rayleigh(1e308),
                                         n_eve_antennas=2),
                 "mean_snr must be positive and finite, got inf"),
+    # integer arguments take a float only where it equals an integer
+    "antennas-fraction": (lambda: SecrecyScenario(bob=RAY, eve=RAY, n_eve_antennas=2.5),
+                          "n_eve_antennas must be an integer, got 2.5"),
+    "antennas-bool": (lambda: SecrecyScenario(bob=RAY, eve=RAY, n_eve_antennas=True),
+                      "n_eve_antennas must be an integer, got True"),
+    "mrc-fraction": (lambda: mrc_combine(RAY, 2.5), "n_branches must be an integer, got 2.5"),
+    "bits-fraction": (lambda: AdaptiveModScheme(thresholds=(0.0, 1.0), bits_per_region=(2, 1.5)),
+                      "bits per region must be an integer, got 1.5"),
+    "sample-fraction": (lambda: sample(RAY, 1, 2.5), "n must be an integer, got 2.5"),
+    "deriv-fraction": (lambda: imgf_deriv_s(RAY, -1.0, 1.0, 1.5),
+                       "derivative order must be an integer, got 1.5"),
 }
 
 
@@ -155,16 +184,22 @@ def test_model_from_json(case):
     raises_exactly(lambda: model_from_json(obj), text)
 
 
+@pytest.mark.parametrize("case", CONFIG_CASES)
+def test_config_number(case):
+    args, text = CONFIG_CASES[case]
+    raises_exactly(lambda: _config_number(*args), text)
+
+
 @pytest.mark.parametrize("case", CANONICAL_CASES)
 def test_canonical_form(case):
     model, text = CANONICAL_CASES[case]
     raises_exactly(lambda: canonicalize(model), text)
-    _canonical_params.cache_clear()
-    raises_exactly(lambda: _canonical_params(model), text)
+    _law.cache_clear()
+    raises_exactly(lambda: _law(model), text)
 
 
 def test_canonical_rates():
-    raises_exactly(lambda: _canonical_params(FadingModel.rayleigh(TINY)), RATES)
+    raises_exactly(lambda: _law(FadingModel.rayleigh(TINY)), RATES)
 
 
 @pytest.mark.parametrize("case", SCENARIO_CASES)

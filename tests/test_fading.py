@@ -10,7 +10,7 @@ from imgflib.incomplete import imgf_lower
 from imgflib.fading import (
     FadingModel,
     Kind,
-    _canonical_params,
+    _law,
     canonicalize,
     cdf,
     cdf_grid,
@@ -93,7 +93,7 @@ class TestCanonicalize:
             return canonicalize(model)
 
         monkeypatch.setattr(fading, "canonicalize", counting)
-        _canonical_params.cache_clear()
+        _law.cache_clear()
         first = FadingModel.kappa_mu(2.0, 1.5, 10.0)
         second = FadingModel.kappa_mu(2.0, 1.5, 10.0)
         assert first is not second
@@ -135,7 +135,7 @@ class TestMgf:
     @pytest.mark.parametrize("model", MODELS + [FadingModel.kappa_mu_shadowed(0.0, 2.0, 3.0, 1.0),
                                                 FadingModel.eta_mu(1.0, 1.2, 3.0)])
     def test_pole_raises(self, model):
-        b = _canonical_params(model)[5]
+        b = _law(model).b
         assert smallest_pole(model) == b
         with pytest.raises(DomainError):
             mgf(model, b)
@@ -158,7 +158,7 @@ class TestMgf:
         # other kind's MGF stays finite
         b = smallest_pole(model)
         s = math.nextafter(b, -math.inf)
-        kappa, mu, m = _canonical_params(model)[:3]
+        kappa, mu, m = _law(model)[:3]
         if kappa > 0.0 and math.isinf(m):
             with pytest.raises(AccuracyError) as info:
                 mgf(model, s)
@@ -178,13 +178,13 @@ class TestMgf:
             model = FadingModel.kappa_mu_shadowed(
                 float(rng.uniform(0.01, 20.0)), float(rng.uniform(0.2, 8.0)),
                 float(rng.uniform(0.2, 20.0)), float(rng.uniform(0.2, 30.0)))
-            *_, a, b = _canonical_params(model)
+            a, b = _law(model)[4:6]
             assert 0.0 < b <= a
 
     def test_factorization_matches_mgf(self):
         # M(s) = amplitude * (a - s)^(m - mu) * (b - s)^(-m)
         model = FadingModel.kappa_mu_shadowed(1.5, 2.0, 3.0, 1.0)
-        kappa, mu, m, gbar, a, b = _canonical_params(model)
+        kappa, mu, m, gbar, a, b, _ = _law(model)
         amplitude = (mu ** mu * m ** m * (1.0 + kappa) ** mu
                      / (gbar ** mu * (mu * kappa + m) ** m))
         for s in (-3.0, -0.2):
@@ -415,6 +415,13 @@ class TestJson:
             model_from_json({"kind": "rayleigh", "mean_snr_db": 0.0, "mean_snr": 1.0})
         with pytest.raises(DomainError):
             model_from_json({"kind": "rayleigh", "mean_snr_db": 0.0, "bogus": 1})
+
+    @pytest.mark.parametrize("value, expected", [
+        (2 ** 64 - 1, 2 ** 64 - 1),  # an int as it is, past the doubles' 53 bits too
+        (np.int64(7), 7), (2.0, 2), ("3", 3), ("1e3", 1000)])
+    def test_config_integer(self, value, expected):
+        got = fading._config_number(value, "seed", int)
+        assert got == expected and isinstance(got, int)
 
 
 def _mp_shadowed_pdf(kappa: float, mu: float, m: float, mean: float, x: float) -> float:

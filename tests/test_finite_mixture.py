@@ -1,5 +1,5 @@
 """The finite binomial gamma mixture of kappa-mu shadowed laws with an
-integer m - mu (fading._gamma_mixture): values against quadrature of the
+integer m - mu (fading._Law): values against quadrature of the
 defining integral, the routes the kernel takes, and the cross-check with the
 Erlang mixture of mixture.mixture_params."""
 
@@ -12,8 +12,8 @@ from mpmath import mp
 
 from imgflib import fading, specfun
 from imgflib.errors import AccuracyError
-from imgflib.fading import FadingModel, _canonical_params, _gamma_mixture, cdf, cdf_grid
-from imgflib.incomplete import _log_imgf, _series, imgf_lower, imgf_upper
+from imgflib.fading import FadingModel, _law, cdf, cdf_grid
+from imgflib.incomplete import _log_imgf, imgf_lower, imgf_upper
 from imgflib.mixture import mixture_params
 
 ORACLE_TOL = 5e-11  # the README's accuracy claim against quadrature
@@ -30,7 +30,7 @@ class MpLaw:
     reuse the nodes) and its lower tails cached by (s, zeta, k)."""
 
     def __init__(self, model: FadingModel):
-        kappa, mu, m, gbar = (mp.mpf(v) for v in _canonical_params(model)[:4])
+        kappa, mu, m, gbar = (mp.mpf(v) for v in _law(model)[:4])
         self.a = mu * (1 + kappa) / gbar
         self.b = self.a * m / (mu * kappa + m)
         self.amp = (mu ** mu * m ** m * (1 + kappa) ** mu
@@ -93,13 +93,13 @@ def oracle_cases():
 def test_against_quadrature(kappa, mu, m, zeta, index, kernel_calls):
     with mp.workdps(30):
         model = FadingModel.kappa_mu_shadowed(kappa, mu, m, ORACLE_MEAN)
-        a, b = _canonical_params(model)[4:]
-        assert _gamma_mixture(model)[3] == b  # the finite form at rate b
+        a, b = _law(model)[4:6]
+        assert _law(model).mixture[3] == b  # the finite form at rate b
         law = MpLaw(model)
         for j, s in enumerate((-100.0 * a, -1.0, 0.0, 0.5 * b, 0.999 * b)):
             k = (index + j) % 4
             for upper in (True, False):
-                got = _log_imgf(_series(model), s, zeta * ORACLE_MEAN, k, upper)
+                got = _log_imgf(_law(model), s, zeta * ORACLE_MEAN, k, upper)
                 ref = law.log_imgf(s, zeta * ORACLE_MEAN, k, upper)
                 # relative error of the value, plus 4 ulp of its log for the
                 # values past the double range (e^-1.7e6 at s = -100a, zeta =
@@ -112,9 +112,9 @@ def test_against_quadrature(kappa, mu, m, zeta, index, kernel_calls):
 def test_lower_tail_past_the_pole_takes_the_series(kernel_calls):
     # at b <= s < a the binomial form diverges: NB weights at rate a
     model = FadingModel.kappa_mu_shadowed(1.5, 1.0, 3.0, ORACLE_MEAN)
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
+    kappa, mu, m, gbar, a, b, _ = _law(model)
     s, zeta = 0.5 * (a + b), 0.7 * ORACLE_MEAN
-    got = _log_imgf(_series(model), s, zeta, 1, False)
+    got = _log_imgf(_law(model), s, zeta, 1, False)
     assert [(call["lam"], call["m"]) for call in kernel_calls] == [(kappa * mu, m)]
     with mp.workdps(30):
         ref = MpLaw(model).log_imgf(s, zeta, 1, False)
@@ -124,8 +124,8 @@ def test_lower_tail_past_the_pole_takes_the_series(kernel_calls):
 def test_inexact_integer_difference_takes_the_series(kernel_calls):
     # 3.3 - 1.3 = 1.9999999999999998 in doubles: not a binomial trial count
     model = FadingModel.kappa_mu_shadowed(1.5, 1.3, 3.3, ORACLE_MEAN)
-    kappa, mu, m, gbar, a, b = _canonical_params(model)
-    assert _gamma_mixture(model) == (kappa * mu, m, mu, a)
+    kappa, mu, m, gbar, a, b, _ = _law(model)
+    assert _law(model).mixture == (kappa * mu, m, mu, a)
     imgf_lower(model, -1.0, ORACLE_MEAN)
     assert [call["m"] for call in kernel_calls] == [3.3]
 
@@ -164,10 +164,10 @@ def test_one_walk_without_peak_search(kappa, mu, m, k, upper, monkeypatch):
     for s, zeta in ((-1.0, 0.3), (0.0, 3.0), (0.5 * fading.smallest_pole(model), 30.0)):
         seeds.clear()
         if k < 0:
-            lam, shape, mu_, rate = _gamma_mixture(model)
+            lam, shape, mu_, rate = _law(model).mixture
             specfun._log_mixture_sum(lam, shape, mu_, k, 0.0, rate * zeta, upper)
         else:
-            _log_imgf(_series(model), s, zeta * ORACLE_MEAN, k, upper)
+            _log_imgf(_law(model), s, zeta * ORACLE_MEAN, k, upper)
         assert len(seeds) == (0 if m == mu else 1)
     assert all(size == 1 for size in reg_gamma_orders)  # no vector of orders
 
@@ -177,10 +177,10 @@ def test_series_accuracy_error_point_is_summed():
     # series ran out of its 100000 terms here; the finite form sums 2 terms.
     # Reference: mpmath quadrature at dps 30
     model = FadingModel.kappa_mu_shadowed(300.0, 10.0, 11.0, 211604.1983200031)
-    got = _log_imgf(_series(model), 5.191461449796036e-05, 10576795.42422124, 2, False)
+    got = _log_imgf(_law(model), 5.191461449796036e-05, 10576795.42422124, 2, False)
     assert got == pytest.approx(83.56759471391764, rel=ORACLE_TOL, abs=0.0)
-    lam, m, mu, rate = _gamma_mixture(model)
-    kappa, mu, m_, gbar, a, b = _canonical_params(model)
+    lam, m, mu, rate = _law(model).mixture
+    kappa, mu, m_, gbar, a, b, _ = _law(model)
     with pytest.raises(AccuracyError):
         specfun._log_mixture_sum(kappa * mu, m_, mu, 2, -math.log1p(-5.191461449796036e-05 / a),
                                  (a - 5.191461449796036e-05) * 10576795.42422124, False)
@@ -193,7 +193,7 @@ def test_binomial_weights_are_the_erlang_mixture(kappa, mu, m):
     # rate b), p and 1 - p from the odds p/(1-p), and the nonzero terms
     # (C_i, Omega_i, m_i) of mixture_params
     model = FadingModel.kappa_mu_shadowed(kappa, float(mu), float(m), ORACLE_MEAN)
-    (trials, odds), shape, mu_, rate = _gamma_mixture(model)
+    (trials, odds), shape, mu_, rate = _law(model).mixture
     assert trials == m - mu and shape is None and mu_ == mu
     p, q = odds / (1.0 + odds), 1.0 / (1.0 + odds)
     ours = {mu + n: (math.comb(trials, n) * p ** n * q ** (trials - n), 1.0 / rate)
@@ -214,7 +214,7 @@ def test_binomial_weights_near_p_one(kappa, mu, m):
     # relative and p rounded to 1 at kappa = 1e17).  Reference: the N + 1
     # gamma laws at dps 50, from the canonical parameters and rate b
     model = FadingModel.kappa_mu_shadowed(kappa, mu, m, 1.0)
-    kappa_, mu_, m_, gbar, a, b = _canonical_params(model)
+    kappa_, mu_, m_, gbar, a, b, _ = _law(model)
     trials = int(m - mu)
     with mp.workdps(50):
         odds = mp.mpf(kappa_) * mp.mpf(mu_) / mp.mpf(m_)

@@ -6,7 +6,7 @@ import pytest
 
 from imgflib import laplace
 from imgflib.errors import AccuracyError, DomainError
-from imgflib.fading import FadingModel, _gamma_mixture, laplace_image
+from imgflib.fading import FadingModel, _law, laplace_image
 from imgflib.incomplete import imgf_generic, imgf_lower
 from imgflib.laplace import (
     InversionResult,
@@ -50,7 +50,7 @@ def talbot_per_node(h, t, nodes):
 
 
 # one model per weight family of the gamma-mixture kernel
-# (fading._gamma_mixture): its lam and m select it
+# (fading._Law's mixture): its lam and m select it
 FAMILY_MODELS = {
     "gamma": FadingModel.nakagami(2.5, 2.0),
     "poisson": FadingModel.kappa_mu(1.5, 2.0, 3.0),
@@ -193,7 +193,7 @@ class TestFloatRoute:
     the reference is the node-by-node loop over complex numbers."""
 
     def test_families_are_distinct(self):
-        lam_m = {name: _gamma_mixture(model)[:2] for name, model in FAMILY_MODELS.items()}
+        lam_m = {name: _law(model).mixture[:2] for name, model in FAMILY_MODELS.items()}
         assert lam_m["gamma"][0] == 0.0
         assert math.isinf(lam_m["poisson"][1])
         assert 0.0 < lam_m["negative-binomial"][1] < math.inf

@@ -7,7 +7,7 @@ import pytest
 
 from imgflib import mixture
 from imgflib.errors import AccuracyError, DomainError
-from imgflib.fading import FadingModel, canonicalize, cdf
+from imgflib.fading import FadingModel, _law, cdf
 from imgflib.mixture import (
     GammaMixture,
     mixture_cdf,
@@ -143,9 +143,9 @@ class TestParams:
 
         def counting(model):
             calls.append(model)
-            return canonicalize(model)
+            return _law(model)
 
-        monkeypatch.setattr(mixture, "canonicalize", counting)
+        monkeypatch.setattr(mixture, "_law", counting)
         mixture_from_model.cache_clear()
         first = FadingModel.kappa_mu_shadowed(2.0, 2, 3, 10.0)
         second = FadingModel.kappa_mu_shadowed(2.0, 2, 3, 10.0)
