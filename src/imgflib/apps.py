@@ -5,7 +5,8 @@ average BER.
 The secrecy outage (and its interference-outage twin) reduces to the CDF of
 the legitimate link plus a finite, mixture-weighted combination of upper-IMGF
 s-derivatives.  The capacity and its water-filling cutoff are sums of the
-gamma-mixture kernel over the canonical mixture; the adaptive-modulation BER
+gamma-mixture kernel over the canonical mixture, the cutoff's two orders
+from one paired kernel walk per evaluated cutoff; the adaptive-modulation BER
 combines IMGF increments region by region.  What remains here is
 bracketing and root finding around those sums, with derivatives from the
 sums themselves: for the cutoff, Halley's method from the fixed-power
@@ -382,8 +383,10 @@ def solve_cutoff(channel: FadingModel) -> float:
         sum_n w_n [Q(mu+n, y) / g0 - c Gamma(mu+n-1, y) / Gamma(mu+n)],
 
     the gamma-mixture kernel at k = 0 (the tail T = Pr{gamma > g0}) and at
-    k = -1.  The residual r(g0) = T / g0 - inv_mean - 1 has the derivative
-    r'(g0) = -T / g0^2, the k = 0 sum it already holds.  In u = log g0,
+    k = -1, both from one paired walk (pair=True at k = -1), in which T
+    takes the closed-form rest its own call would take.  The residual
+    r(g0) = T / g0 - inv_mean - 1 has the derivative r'(g0) = -T / g0^2,
+    the k = 0 sum it already holds.  In u = log g0,
     dr/du = -T / g0 and d2r/du2 = f(g0) + T / g0 > 0: r is convex and
     decreasing in u, and its root lies in (0, 1], since r(1) <= 0.
 
@@ -399,7 +402,7 @@ def solve_cutoff(channel: FadingModel) -> float:
     returns g0 e^du, which is then within rounding of the root relative to
     it (where c = 0, |du| <= |r| / (1 + inv_mean) <= 1e-10 makes Newton's
     own error c du^2 negligible); a last step past 1 is rounding, and 1 is
-    returned.  Each g0 is evaluated once, with two kernel calls; 2 to 6
+    returned.  Each g0 is evaluated once, by one paired kernel call; 2 to 6
     evaluations on the cutoff grid of 11 families from -30 to 50 dB (at most
     4 from 0 to 20 dB).
 
@@ -411,8 +414,8 @@ def solve_cutoff(channel: FadingModel) -> float:
     g0 = channel.mean_snr / (1.0 + channel.mean_snr)
     for _ in range(_CUTOFF_ITERATIONS):
         y = rate * g0
-        log_tail = _log_mixture_sum(lam, m, mu, 0, 0.0, y, True)
-        inv_mean = rate * math.exp(_log_mixture_sum(lam, m, mu, -1, 0.0, y, True))
+        log_inv, log_tail = _log_mixture_sum(lam, m, mu, -1, 0.0, y, True, pair=True)
+        inv_mean = rate * math.exp(log_inv)
         tail = math.exp(log_tail)
         r = tail / g0 - inv_mean - 1.0
         if not math.isfinite(r):

@@ -72,9 +72,10 @@ def linear_to_db(x: float) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """value as an int where it equals one (2.0 is 2), or DomainError naming
-    it: 2.9, NaN, inf and a bool fail."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """value as an int where it equals one (2.0 is 2; an int of any size
+    keeps its bits), or DomainError naming it: 2.9, NaN, inf and a bool
+    fail."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -443,17 +444,21 @@ def sample(model: FadingModel, seed, n: int) -> np.ndarray:
 
 def _config_number(value, field: str, kind: type = float):
     """A configuration field's number as a float, or as an int (kind=int: an
-    int as it is, another number by _integer), or DomainError naming the
-    field; a bool is not a number."""
+    int as it is, of any size, another number by _integer), or DomainError
+    naming the field; a bool is not a number, and an int past the double
+    range is no float."""
     try:
         if type(value) is bool:  # bool has no subclasses
             raise TypeError("a bool is not a number")
+        if kind is int and isinstance(value, int):
+            return value
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"field {field!r} must be a number, got {value!r}") from exc
-    if kind is float:
-        return number
-    return value if isinstance(value, int) else _integer(number, f"field {field!r}")
+    except OverflowError as exc:  # an int past the double range
+        raise DomainError(f"field {field!r} must be a number within the double range "
+                          f"(below 1.8e308 in magnitude)") from exc
+    return number if kind is float else _integer(number, f"field {field!r}")
 
 
 _JSON_KEYS = frozenset({"kind", "mean_snr_db", "mean_snr", *_FIELDS})

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError
-from .fading import FadingModel, mrc_combine, pdf, sample
+from .fading import FadingModel, _integer, mrc_combine, pdf, sample
 
 __all__ = ["McConfig", "quad_imgf", "mc_opsc", "mc_aber"]
 
@@ -28,6 +28,8 @@ class McConfig:
     seed: int = 20_240_101
 
     def __post_init__(self):
+        object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.n_samples < 1:
             raise DomainError("n_samples must be >= 1")
 

@@ -675,8 +675,9 @@ def _plan(t: _Summand):
     """The first window of an infinite family's sum, as (center, block,
     spare, n1): the window is [max(0, center - block), center + block), its
     edges must pass the tail bounds with spare terms to spare, and from n1
-    on every Q(mu+n+k, x) is 1 to within _MIXTURE_TOL (None: the sum has no
-    closed-form rest).
+    on every Q(mu+n+k, x) is 1 to within _MIXTURE_TOL (None: no order of
+    the call has a closed-form rest; in the pair mode at k = -1 only order
+    0 has one).
 
     The window is centred on the summand peak of the median column: Q pulls
     it from the weights' peak up to about x, P down.  Where one block from
@@ -689,20 +690,20 @@ def _plan(t: _Summand):
     never accuracy, since the tail bounds, not the plan, certify the sum.
     A window centred on the peak passes its first bounds with 8 terms to
     spare, as every grown block does, so it truncates well below
-    _MIXTURE_TOL, not up to it.  When the guess lies past n1, the window is
-    centred on n1 and the terms past it are the closed-form rest, so a peak
-    far out (heavy shadowing near the pole) costs no walk.  A window may be
-    longer than _MAX_TERMS (a narrow summand far out, whose first bounds
-    pass at once), but no sum grows past it; a window that reaches order
-    _MAX_ORDER = 2^53, where consecutive n are one double, raises
-    AccuracyError before any walk."""
+    _MIXTURE_TOL, not up to it.  When the guess lies past n1 and order k
+    closes, the window is centred on n1 and the terms past it are the
+    closed-form rest, so a peak far out (heavy shadowing near the pole)
+    costs no walk.  A window may be longer than _MAX_TERMS (a narrow
+    summand far out, whose first bounds pass at once), but no sum grows past
+    it; a window that reaches order _MAX_ORDER = 2^53, where consecutive n
+    are one double, raises AccuracyError before any walk."""
     xc = t.xs if t.scalar else float(np.median(t.xs))
     guess = max(0.0, t.weights.peak(xc, t.k))
     guess = max(guess, xc) if t.upper else min(guess, xc + math.sqrt(guess * xc))
-    closes = t.upper and t.k >= 0 and t.weights.rest
+    closes = t.upper and t.k + t.pair >= 0 and t.weights.rest
     n1 = max(0, math.ceil(_q_one_order(t.xmax) - t.mu - t.k)) if closes else None
     hi = 2.0 * guess + 16.0
-    if n1 is not None and guess > n1:
+    if n1 is not None and guess > n1 and t.k >= 0:
         center, spare = n1, 0.0
     elif hi <= 256.0:
         return 0, int(hi), 0.0, n1
@@ -926,9 +927,15 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
     so past n1, where it is 1, the upper sum's rest has a closed form, taken
     once it is longer than the window so far.  In the pair mode each order
     keeps its own reference and tail bounds, the order-(k+1) ones at edges
-    one n lower, and takes its own closed-form rest.  A float x runs on
-    Python floats, math and scalar scipy calls, far cheaper than 1-element
-    arrays; NumPy arrays, under np.errstate, only in the NumPy pass.
+    one n lower, and takes the closed-form rest its single-order call would
+    take, the order-(k+1) one from n = hi - 1.  At k >= 0 both orders close
+    there and the forward walk stops; at k = -1 only order 0 has a rest
+    (solve_cutoff's tail beside its inverse mean), added once the walk has
+    passed n1, and order -1 walks on alone.  Without it the tail would keep
+    the tail bound's truncation, up to 9e-13 off its own call.  A float x
+    runs on Python floats, math and scalar scipy calls, far cheaper than
+    1-element arrays; NumPy arrays, under np.errstate, only in the NumPy
+    pass.
     """
     shape = () if isinstance(x, (int, float)) else np.shape(x)
     xs = np.asarray(x, dtype=float).reshape(-1) if shape else float(x)
@@ -946,10 +953,10 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
             out[~zero] = _log_mixture_sum(lam, m, mu, k, log_r, xs[~zero], upper, survival)
         return out.reshape(shape)
     weights = _weights(lam, m, mu, log_r, survival)
-    if pair and weights.log_sum is not None:  # a unit mass: two one-term sums
-        return tuple(_log_mixture_sum(lam, m, mu, j, log_r, x, upper) for j in (k, k + 1))
     with np.errstate(all="ignore") if shape else _FLOAT_STATE:
-        if weights.log_sum is not None:
+        if weights.log_sum is not None:  # a unit mass: a one-term sum per order
+            if pair:
+                return tuple(weights.log_sum(mu, j, log_r, xs, upper, shape) for j in (k, k + 1))
             return weights.log_sum(mu, k, log_r, xs, upper, shape)
         t = _Summand(weights, mu, k, xs, upper, pair)
         if weights.support is not None:
@@ -969,18 +976,22 @@ def _log_mixture_sum(lam: float, m: float, mu: float, k: int, log_r: float, x,
         block = size
         while not ops.every(ahead <= 0.0):
             if n1 is not None and hi > n1 and not ops.every(ahead <= hi - lo):
-                ref, total = _add(ref, total, weights.log_rest(hi, k), ops)
                 if pair:
                     ref2, total2 = _add(ref2, total2, weights.log_rest(hi - 1, k + 1))
+                if k < 0:  # only order 0 closes: order k walks on alone
+                    t.pair, n1 = False, None
+                    ahead = t.ahead(last, ratio, hi, ref, total, ref2, total2) + spare
+                    continue
+                ref, total = _add(ref, total, weights.log_rest(hi, k), ops)
                 break
             size = _grow(t, size, ahead, hi - lo)
             log_part, _, last, ratio, log_part2 = _walk(t, hi, hi + size)
             hi += size
             ref, total = _add(ref, total, log_part, ops)
-            if pair:
+            if t.pair:
                 ref2, total2 = _add(ref2, total2, log_part2)
             ahead = t.ahead(last, ratio, hi, ref, total, ref2, total2)
-        size = block
+        t.pair, size = pair, block
         while not ops.every(behind <= 0.0):
             size = _grow(t, size, behind, hi - lo)
             top, lo = lo, max(0, lo - size)

@@ -827,11 +827,11 @@ CUTOFF_SNR_DB = (-30, -20, -10, 0, 10, 20, 30, 40, 50)
 
 
 def solve_cutoff_counted(model: FadingModel, kernel_calls) -> tuple[float, int]:
-    """solve_cutoff's root and its number of residual evaluations, one k = 0
-    kernel call each."""
+    """solve_cutoff's root and its number of residual evaluations, one paired
+    k = -1 kernel call each."""
     kernel_calls.clear()
     g0 = solve_cutoff(model)
-    return g0, sum(call["k"] == 0 for call in kernel_calls)
+    return g0, sum(call["k"] == -1 and call["pair"] for call in kernel_calls)
 
 
 # channels whose canonical form reaches each branch of the capacity series
@@ -885,8 +885,8 @@ class TestCapacity:
         # a tail mass of 2 and no inverse-mean term put the root at g0 = 2; the
         # first step passes 1, and the root search must fail as a numerical error
         monkeypatch.setattr(apps, "_log_mixture_sum",
-                            lambda lam, m, mu, k, log_r, x, upper: math.log(2.0) if k == 0
-                            else -math.inf)
+                            lambda lam, m, mu, k, log_r, x, upper, pair: (-math.inf,
+                                                                          math.log(2.0)))
         with pytest.raises(AccuracyError):
             solve_cutoff(FadingModel.rayleigh(10.0))
 
@@ -911,13 +911,13 @@ class TestCapacity:
         assert c == pytest.approx(reference, rel=1e-9)
 
     def test_cutoff_evaluates_each_point_once(self, kernel_calls):
-        # two kernel calls (k = 0 and k = -1) per residual, none for a check
-        # after the solve: no (k, x) pair repeats
+        # one paired kernel call (orders -1 and 0) per residual, none for a
+        # check after the solve: no x repeats
         solve_cutoff(FadingModel.nakagami(2.0, db_to_linear(10.0)))
-        calls = [(call["k"], call["x"]) for call in kernel_calls]
-        assert len(set(calls)) == len(calls)
-        xs = {x for _, x in calls}
-        assert sorted(calls) == sorted((k, x) for x in xs for k in (0, -1))
+        calls = [(call["k"], call["pair"], call["x"]) for call in kernel_calls]
+        assert all(k == -1 and pair for k, pair, _ in calls)
+        xs = [x for _, _, x in calls]
+        assert len(set(xs)) == len(xs)
 
     @pytest.mark.parametrize("family", CUTOFF_FAMILIES.values(), ids=CUTOFF_FAMILIES.keys())
     def test_cutoff_grid(self, family, kernel_calls):
@@ -1010,20 +1010,20 @@ class TestCapacity:
         # until the iteration cap
         calls = []
 
-        def kernel(lam, m, mu, k, log_r, x, upper):
+        def kernel(lam, m, mu, k, log_r, x, upper, pair):
             calls.append(k)
-            return log_tail if k == 0 else -math.inf
+            return -math.inf, log_tail
 
         monkeypatch.setattr(apps, "_log_mixture_sum", kernel)
         with pytest.raises(AccuracyError):
             solve_cutoff(FadingModel.rayleigh(10.0))
-        assert len(calls) == 2 * evaluations
+        assert len(calls) == evaluations
 
     @pytest.mark.parametrize("error", [DomainError, AccuracyError])
     def test_cutoff_passes_kernel_errors_through(self, error, monkeypatch):
         raised = error("kernel")
 
-        def kernel(*args):
+        def kernel(*args, pair):
             raise raised
 
         monkeypatch.setattr(apps, "_log_mixture_sum", kernel)

@@ -384,6 +384,11 @@ class TestSweep:
                                                "gamma_th": True}, None),
         "bool-model-field": ("opsc", {"bob": {**KMS_0DB, "m": True},
                                       "eve": json.loads(EVE)}, None),
+        # a JSON integer past the double range in a number field (it exited 3
+        # with OverflowError's "int too large to convert to float")
+        "threshold-past-double-range": ("op-interference",
+                                        {"desired": KMS_0DB, "interference": json.loads(EVE),
+                                         "gamma_th": 10 ** 400}, None),
     }
 
     @pytest.mark.parametrize("case", BAD_SPECS)

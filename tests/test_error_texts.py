@@ -18,6 +18,7 @@ from imgflib.errors import DomainError
 from imgflib.fading import (FadingModel, Kind, _config_number, _law, canonicalize,
                             model_from_json, mrc_combine, sample)
 from imgflib.incomplete import imgf_deriv_s
+from imgflib.oracles import McConfig
 
 RAY = FadingModel.rayleigh(1.0)
 TINY = 1e-310  # a subnormal mean SNR: the rate mu (1 + kappa) / mean is inf
@@ -105,6 +106,9 @@ CONFIG_CASES = {
     "nan": ((math.nan, "deriv_order", int), "field 'deriv_order' must be an integer, got nan"),
     "inf": ((math.inf, "validate.n_samples", int),
             "field 'validate.n_samples' must be an integer, got inf"),
+    "past-double-range": ((10 ** 400, "gamma_th", float),
+                          "field 'gamma_th' must be a number within the double range "
+                          "(below 1.8e308 in magnitude)"),
 }
 
 CANONICAL_CASES = {
@@ -156,6 +160,9 @@ SCENARIO_CASES = {
     "sample-fraction": (lambda: sample(RAY, 1, 2.5), "n must be an integer, got 2.5"),
     "deriv-fraction": (lambda: imgf_deriv_s(RAY, -1.0, 1.0, 1.5),
                        "derivative order must be an integer, got 1.5"),
+    "mc-samples-fraction": (lambda: McConfig(n_samples=1000.5, seed=1),
+                            "n_samples must be an integer, got 1000.5"),
+    "mc-seed-fraction": (lambda: McConfig(seed=1.5), "seed must be an integer, got 1.5"),
 }
 
 
@@ -188,6 +195,15 @@ def test_model_from_json(case):
 def test_config_number(case):
     args, text = CONFIG_CASES[case]
     raises_exactly(lambda: _config_number(*args), text)
+
+
+def test_int_fields_keep_their_bits():
+    # an int of any size is kept as it is, also past the double range
+    big = 2 ** 2000 + 1
+    assert _config_number(big, "seed", int) == big
+    assert McConfig(seed=big).seed == big
+    config = McConfig(n_samples=1e3, seed=7.0)
+    assert (type(config.n_samples), type(config.seed)) == (int, int)
 
 
 @pytest.mark.parametrize("case", CANONICAL_CASES)

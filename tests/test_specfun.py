@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 from scipy import special as sp
 
-from imgflib import imgf_lower, specfun
+from imgflib import fading, imgf_lower, specfun
 from imgflib.apps import CapacityScenario, SecrecyScenario, capacity_side_info, opsc
 from imgflib.errors import AccuracyError, DomainError
 from imgflib.fading import FadingModel
@@ -22,6 +22,7 @@ from imgflib.specfun import (
     marcum_p,
     marcum_q,
 )
+from test_apps import CUTOFF_FAMILIES
 
 # Frozen oracle values.  Sources: 40-digit mpmath evaluations of the defining
 # series (Poisson-weighted regularized gammas for Marcum Q, brute-force double
@@ -537,6 +538,44 @@ class TestPairMode:
         _log_mixture_sum(lam, m, mu, k, log_r, x, True, pair=True)
         assert sorted(rests) == [k, k + 1]
         check_pair((lam, m, mu, k, log_r, x, True))
+
+    @pytest.mark.parametrize("family", CUTOFF_FAMILIES.values(), ids=CUTOFF_FAMILIES.keys())
+    def test_cutoff_pair(self, family, monkeypatch):
+        # solve_cutoff's call, the inverse mean (k = -1) and the tail (k = 0)
+        # at log_r = 0: each order within 1e-12 (+4 ulp) of its single call.
+        # Where the single k = 0 call closes with the closed-form rest at
+        # y <= 1e-3, the pair's order 0 does too, and matches it to 1e-14
+        # (without the rest it is 7.5e-13 off at kms 10/6/0.5 and 9.0e-13 at
+        # kms 34.32/10.08/0.799)
+        lam, m, mu, _ = fading._law(family(1.0)).mixture
+        rests = []
+        real = specfun._Weights.log_rest
+        monkeypatch.setattr(specfun._Weights, "log_rest",
+                            lambda self, start, order: rests.append(order) or real(self, start,
+                                                                                   order))
+        for y in (10.0 ** np.arange(-12.0, 2.5)).tolist():
+            rests.clear()
+            got = _log_mixture_sum(lam, m, mu, -1, 0.0, y, True, pair=True)
+            pair_closes = 0 in rests
+            rests.clear()
+            single = [_log_mixture_sum(lam, m, mu, k, 0.0, y, True) for k in (-1, 0)]
+            for value, ref in zip(got, single):
+                assert abs(value - ref) <= 1e-12 + 4.0 * np.finfo(float).eps * abs(ref), y
+            if y <= 1e-3 and 0 in rests:
+                assert pair_closes, y
+                assert abs(got[1] - single[1]) <= 1e-14, y
+
+    @pytest.mark.parametrize("family, y", [
+        ("kms 1.5/0.7/0.6", 1e-12),  # only the pair closes with the rest
+        ("kms 10/6/0.5", 1e-6), ("eta-mu 0.5/1", 1e-9), ("kappa-mu 2/2", 1.0),
+        ("kms 2/2/3", 1e2)])
+    def test_cutoff_pair_against_mpmath(self, family, y):
+        # both orders within the kernel's _MIXTURE_TOL of the 30-digit sums
+        lam, m, mu, _ = fading._law(CUTOFF_FAMILIES[family](1.0)).mixture
+        got = _log_mixture_sum(lam, m, mu, -1, 0.0, y, True, pair=True)
+        for k, value in zip((-1, 0), got):
+            assert value == pytest.approx(mp_mixture_sum(lam, m, mu, k, 0.0, y, True),
+                                          rel=0.0, abs=1e-12), k
 
     @pytest.mark.parametrize("k", [-1, 2])
     def test_lower_tail_is_domain_error(self, k):
